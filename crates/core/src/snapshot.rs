@@ -63,16 +63,18 @@ use crate::{ResumeEdge, Violation};
 /// Container magic for serialised machine snapshots.
 const MAGIC: &[u8] = b"SOFS1\0";
 
-/// RAM is serialised as sparse pages of this many bytes: only pages with
-/// at least one non-zero byte travel, so a mostly-idle 1 MiB RAM
-/// snapshots in a few KiB (stack at the top, data section at the bottom).
-pub const RAM_PAGE: usize = 1024;
+/// RAM travels as the machine holds it: sparse pages of [`RAM_PAGE`]
+/// bytes. Only resident pages with at least one non-zero byte are
+/// serialised, so a mostly-idle 1 MiB RAM snapshots in a few KiB (stack
+/// at the top, data section at the bottom).
+pub use sofia_cpu::mem::RAM_PAGE;
 
 /// Largest RAM size a decoded snapshot may configure (256 MiB — 256×
-/// the default machine). Restore allocates `ram_size` zeroed bytes, so
-/// without a bound a forged-but-checksum-valid stream could drive a
-/// multi-gigabyte allocation on the adopting host; the checksum catches
-/// corruption, not adversaries.
+/// the default machine). Restore allocates the page table, one slot per
+/// [`RAM_PAGE`] of `ram_size` (2 MiB of table at the bound), plus the
+/// pages the snapshot carries; without a bound a forged-but-checksum-valid
+/// stream could drive a multi-gigabyte table on the adopting host. The
+/// checksum catches corruption, not adversaries.
 pub const MAX_RAM_SIZE: u32 = 256 << 20;
 
 /// Largest verified-block-cache capacity a decoded snapshot may
@@ -670,7 +672,11 @@ pub(crate) fn capture(m: &SofiaMachine, fuel_remaining: u64) -> MachineSnapshot 
         resets: core.resets,
         prev_load_dest: core.prev_load_dest.map(|r| r.index()),
         regs: core.regs.words(),
-        ram_pages: paginate(&core.ram),
+        ram_pages: core
+            .ram_pages
+            .into_iter()
+            .filter(|(_, page)| page.iter().any(|&b| b != 0))
+            .collect(),
         mmio: core.mmio,
         exec: core.stats,
         fetch: f.stats(),
@@ -738,7 +744,8 @@ pub(crate) fn rebuild(
     m.engine_mut()
         .restore_core_state(CoreState {
             regs,
-            ram: depaginate(&snap.ram_pages, snap.config.machine.ram_size),
+            ram_size: snap.config.machine.ram_size,
+            ram_pages: snap.ram_pages.clone(),
             mmio: snap.mmio.clone(),
             stats: snap.exec,
             icache_tags: snap.icache_tags.clone(),
@@ -905,25 +912,6 @@ pub fn read_sofia_stats(r: &mut Reader<'_>) -> Result<crate::SofiaStats, DecodeE
         violations: r.u64()?,
         resets: r.u64()?,
     })
-}
-
-/// Splits RAM into sparse non-zero pages.
-fn paginate(ram: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    ram.chunks(RAM_PAGE)
-        .enumerate()
-        .filter(|(_, page)| page.iter().any(|&b| b != 0))
-        .map(|(idx, page)| (idx as u32, page.to_vec()))
-        .collect()
-}
-
-/// Reassembles a full RAM from sparse pages.
-fn depaginate(pages: &[(u32, Vec<u8>)], ram_size: u32) -> Vec<u8> {
-    let mut ram = vec![0u8; ram_size as usize];
-    for (idx, bytes) in pages {
-        let start = *idx as usize * RAM_PAGE;
-        ram[start..start + bytes.len()].copy_from_slice(bytes);
-    }
-    ram
 }
 
 #[cfg(test)]

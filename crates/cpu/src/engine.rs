@@ -48,8 +48,13 @@ impl Default for MachineConfig {
 pub struct CoreState {
     /// The architectural register file.
     pub regs: RegFile,
-    /// The whole data RAM.
-    pub ram: Vec<u8>,
+    /// Data RAM size in bytes.
+    pub ram_size: u32,
+    /// The resident RAM pages `(page index, bytes)`, strictly ascending;
+    /// absent pages are zero. Each page is [`RAM_PAGE`](crate::mem::RAM_PAGE)
+    /// bytes, except a short last page when the RAM size is not a
+    /// multiple of it.
+    pub ram_pages: Vec<(u32, Vec<u8>)>,
     /// MMIO output logs (what the program already emitted).
     pub mmio: Mmio,
     /// Baseline execution counters.
@@ -69,7 +74,8 @@ pub struct CoreState {
 }
 
 /// Why [`Pipeline::restore_core_state`] refused a [`CoreState`]: the
-/// state was captured under a different machine geometry.
+/// state was captured under a different machine geometry, or its RAM
+/// pages are malformed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreStateError {
     /// RAM length differs from this machine's configured size.
@@ -78,6 +84,12 @@ pub enum CoreStateError {
         expected: usize,
         /// Bytes the state carried.
         found: usize,
+    },
+    /// A RAM page is past the end of RAM, not strictly above the page
+    /// before it, or of the wrong length.
+    RamPage {
+        /// The offending page index.
+        index: u32,
     },
     /// I-cache tag count differs from this machine's line count.
     IcacheLines {
@@ -97,6 +109,10 @@ impl std::fmt::Display for CoreStateError {
                     "core state has {found} RAM bytes, machine has {expected}"
                 )
             }
+            CoreStateError::RamPage { index } => write!(
+                f,
+                "core state RAM page {index} is out of range, out of order or mis-sized"
+            ),
             CoreStateError::IcacheLines { expected, found } => {
                 write!(
                     f,
@@ -445,7 +461,12 @@ impl<F: FetchUnit> Pipeline<F> {
     pub fn export_core_state(&self) -> CoreState {
         CoreState {
             regs: self.regs.clone(),
-            ram: self.mem.ram().to_vec(),
+            ram_size: self.mem.ram_size(),
+            ram_pages: self
+                .mem
+                .ram_pages()
+                .map(|(idx, bytes)| (idx, bytes.to_vec()))
+                .collect(),
             mmio: self.mem.mmio.clone(),
             stats: self.stats,
             icache_tags: self.icache.tags().to_vec(),
@@ -464,12 +485,13 @@ impl<F: FetchUnit> Pipeline<F> {
     /// # Errors
     ///
     /// [`CoreStateError`] if the state was captured under a different
-    /// RAM size or I-cache geometry; the engine is left unmodified.
+    /// RAM size or I-cache geometry, or carries a malformed RAM page; the
+    /// engine is left unmodified.
     pub fn restore_core_state(&mut self, state: CoreState) -> Result<(), CoreStateError> {
-        if state.ram.len() != self.mem.ram().len() {
+        if state.ram_size != self.mem.ram_size() {
             return Err(CoreStateError::RamSize {
-                expected: self.mem.ram().len(),
-                found: state.ram.len(),
+                expected: self.mem.ram_size() as usize,
+                found: state.ram_size as usize,
             });
         }
         if state.icache_tags.len() != self.icache.tags().len() {
@@ -478,9 +500,10 @@ impl<F: FetchUnit> Pipeline<F> {
                 found: state.icache_tags.len(),
             });
         }
+        self.mem
+            .set_ram_pages(&state.ram_pages)
+            .map_err(|index| CoreStateError::RamPage { index })?;
         self.regs = state.regs;
-        let ram_base = self.mem.ram_base();
-        self.mem.load_ram(ram_base, &state.ram);
         self.mem.mmio = state.mmio;
         self.stats = state.stats;
         self.icache.set_state(state.icache_tags, state.icache_stats);
@@ -499,5 +522,76 @@ impl<F: FetchUnit> Pipeline<F> {
     /// Mutable fetch-unit access — the attack harness's hijack channel.
     pub fn fetch_mut(&mut self) -> &mut F {
         &mut self.fetch
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fetch::PlainFetch;
+    use crate::mem::{Width, RAM_PAGE};
+
+    fn engine() -> Pipeline<PlainFetch> {
+        let config = MachineConfig {
+            ram_size: 5000,
+            ..MachineConfig::default()
+        };
+        Pipeline::new(
+            PlainFetch::new(0x100),
+            0x100,
+            vec![0],
+            0x1000_0000,
+            &[1, 2, 3],
+            &config,
+        )
+    }
+
+    #[test]
+    fn core_state_carries_only_resident_pages() {
+        let mut e = engine();
+        e.mem_mut().store(0x1000_1384, Width::Word, 9).unwrap();
+        let state = e.export_core_state();
+        assert_eq!(state.ram_size, 5000);
+        let shape: Vec<(u32, usize)> = state.ram_pages.iter().map(|(i, b)| (*i, b.len())).collect();
+        assert_eq!(shape, vec![(0, RAM_PAGE), (4, 904)]);
+        let mut fresh = engine();
+        fresh.restore_core_state(state.clone()).unwrap();
+        assert_eq!(fresh.export_core_state(), state);
+    }
+
+    #[test]
+    fn malformed_pages_are_typed_errors_not_panics() {
+        let mut e = engine();
+        let good = e.export_core_state();
+        let cases = [
+            (vec![(5, vec![0; RAM_PAGE])], 5),    // past the end
+            (vec![(u32::MAX, vec![])], u32::MAX), // far past the end
+            (vec![(0, vec![0; 7])], 0),           // wrong length
+            (vec![(4, vec![0; RAM_PAGE])], 4),    // short page made long
+            (vec![(1, vec![0; RAM_PAGE]), (0, vec![0; RAM_PAGE])], 0), // descending
+            (vec![(1, vec![0; RAM_PAGE]), (1, vec![0; RAM_PAGE])], 1), // repeated
+        ];
+        for (ram_pages, index) in cases {
+            let state = CoreState {
+                ram_pages,
+                ..good.clone()
+            };
+            assert_eq!(
+                e.restore_core_state(state),
+                Err(CoreStateError::RamPage { index })
+            );
+            assert_eq!(e.export_core_state(), good, "engine left unmodified");
+        }
+        let state = CoreState {
+            ram_size: 4096,
+            ..good.clone()
+        };
+        assert_eq!(
+            e.restore_core_state(state),
+            Err(CoreStateError::RamSize {
+                expected: 5000,
+                found: 4096
+            })
+        );
     }
 }

@@ -9,6 +9,10 @@
 //! Everything is little-endian. Stores into ROM trap ([`Trap::WriteToRom`]):
 //! the paper's adversary tampers with the *stored image*, not via store
 //! instructions, and safety-critical firmware does not self-modify.
+//!
+//! RAM is sparse: a table of [`RAM_PAGE`]-byte pages, each allocated on
+//! its first write. An absent page reads as zero, so a machine costs its
+//! page table plus the pages it has touched, not its configured size.
 
 use crate::Trap;
 
@@ -21,6 +25,14 @@ pub const MMIO_OUT_BYTE: u32 = 0xFFFF_0004;
 /// The "actuator" port standing in for a safety-critical peripheral
 /// (brakes, valves, …): the port SOFIA must protect from tampered stores.
 pub const MMIO_ACTUATOR: u32 = 0xFFFF_0010;
+
+/// RAM page size in bytes. Page `i` covers RAM offsets
+/// `i * RAM_PAGE .. (i + 1) * RAM_PAGE`; the last page is short when the
+/// RAM size is not a multiple of it. Aligned accesses of at most four
+/// bytes never straddle a page.
+pub const RAM_PAGE: usize = 1024;
+
+type Page = Box<[u8; RAM_PAGE]>;
 
 /// Access width for loads and stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,9 +76,12 @@ pub struct Mmio {
 /// use sofia_cpu::mem::{Memory, Width};
 ///
 /// let mut mem = Memory::new(0x100, vec![0x0000_000D], 0x1000_0000, 4096);
+/// assert_eq!(mem.resident_pages(), 0);
 /// mem.store(0x1000_0000, Width::Word, 0xDEAD_BEEF)?;
 /// assert_eq!(mem.load(0x1000_0000, Width::Word)?, 0xDEAD_BEEF);
 /// assert_eq!(mem.load(0x1000_0000, Width::Byte)?, 0xEF); // little-endian
+/// assert_eq!(mem.load(0x1000_0800, Width::Word)?, 0); // never written
+/// assert_eq!(mem.resident_pages(), 1);
 /// # Ok::<(), sofia_cpu::Trap>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -74,14 +89,16 @@ pub struct Memory {
     rom_base: u32,
     rom: Vec<u32>,
     ram_base: u32,
-    ram: Vec<u8>,
+    ram_size: u32,
+    /// One slot per page; `None` until the page is first written.
+    pages: Vec<Option<Page>>,
     /// I/O side effects, readable by the harness.
     pub mmio: Mmio,
 }
 
 impl Memory {
-    /// Creates a memory with the given ROM contents and a zeroed RAM of
-    /// `ram_size` bytes.
+    /// Creates a memory with the given ROM contents and an all-zero RAM
+    /// of `ram_size` bytes (no page resident yet).
     ///
     /// # Panics
     ///
@@ -92,7 +109,8 @@ impl Memory {
             rom_base,
             rom,
             ram_base,
-            ram: vec![0; ram_size as usize],
+            ram_size,
+            pages: vec![None; (ram_size as usize).div_ceil(RAM_PAGE)],
             mmio: Mmio::default(),
         }
     }
@@ -120,33 +138,93 @@ impl Memory {
 
     /// RAM size in bytes.
     pub fn ram_size(&self) -> u32 {
-        self.ram.len() as u32
+        self.ram_size
+    }
+
+    /// Pages allocated so far (each written at least once).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Length of page `idx`, or `None` past the end of RAM.
+    fn page_len(&self, idx: u32) -> Option<usize> {
+        let start = (idx as usize).checked_mul(RAM_PAGE)?;
+        (start < self.ram_size as usize).then(|| (self.ram_size as usize - start).min(RAM_PAGE))
     }
 
     /// Copies `bytes` into RAM at `addr` (used by the loader to initialise
-    /// the data section).
+    /// the data section). Every page the range covers becomes resident.
     ///
     /// # Panics
     ///
     /// Panics if the range falls outside RAM.
     pub fn load_ram(&mut self, addr: u32, bytes: &[u8]) {
         let start = (addr - self.ram_base) as usize;
-        self.ram[start..start + bytes.len()].copy_from_slice(bytes);
+        assert!(
+            start + bytes.len() <= self.ram_size as usize,
+            "load outside RAM"
+        );
+        let (mut off, mut rest) = (start, bytes);
+        while !rest.is_empty() {
+            let within = off % RAM_PAGE;
+            let n = rest.len().min(RAM_PAGE - within);
+            self.page_mut(off / RAM_PAGE)[within..within + n].copy_from_slice(&rest[..n]);
+            off += n;
+            rest = &rest[n..];
+        }
     }
 
-    /// The whole RAM as raw bytes — the snapshot export.
-    pub fn ram(&self) -> &[u8] {
-        &self.ram
+    /// The resident pages, ascending, as `(page index, bytes)`; the last
+    /// page is cut to the RAM size. Absent pages are all zero.
+    pub fn ram_pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        self.pages.iter().enumerate().filter_map(|(idx, page)| {
+            let len = self.page_len(idx as u32)?;
+            page.as_ref().map(|p| (idx as u32, &p[..len]))
+        })
     }
 
-    /// Reads raw RAM for the harness.
+    /// Replaces the whole RAM: `pages` become resident, every other page
+    /// is absent (zero). Used to restore a suspended machine.
+    ///
+    /// # Errors
+    ///
+    /// The index of the first page that is past the end of RAM, is not
+    /// strictly above its predecessor, or whose length is not the page's
+    /// (`RAM_PAGE`, or less for a short last page). RAM is left unchanged.
+    pub fn set_ram_pages(&mut self, pages: &[(u32, Vec<u8>)]) -> Result<(), u32> {
+        let mut prev = None;
+        for (idx, bytes) in pages {
+            if prev.is_some_and(|p| *idx <= p) || self.page_len(*idx) != Some(bytes.len()) {
+                return Err(*idx);
+            }
+            prev = Some(*idx);
+        }
+        self.pages.fill(None);
+        for (idx, bytes) in pages {
+            self.page_mut(*idx as usize)[..bytes.len()].copy_from_slice(bytes);
+        }
+        Ok(())
+    }
+
+    /// Reads `len` bytes of raw RAM for the harness.
     ///
     /// # Panics
     ///
     /// Panics if the range falls outside RAM.
-    pub fn peek_ram(&self, addr: u32, len: usize) -> &[u8] {
+    pub fn peek_ram(&self, addr: u32, len: usize) -> Vec<u8> {
         let start = (addr - self.ram_base) as usize;
-        &self.ram[start..start + len]
+        assert!(start + len <= self.ram_size as usize, "peek outside RAM");
+        (start..start + len)
+            .map(|off| {
+                self.pages[off / RAM_PAGE]
+                    .as_ref()
+                    .map_or(0, |p| p[off % RAM_PAGE])
+            })
+            .collect()
+    }
+
+    fn page_mut(&mut self, idx: usize) -> &mut [u8; RAM_PAGE] {
+        self.pages[idx].get_or_insert_with(|| Box::new([0; RAM_PAGE]))
     }
 
     /// Fetches one instruction word.
@@ -182,7 +260,10 @@ impl Memory {
             return Ok(0);
         }
         if let Some(offset) = self.ram_offset(addr, width) {
-            let b = &self.ram[offset..];
+            let Some(page) = &self.pages[offset / RAM_PAGE] else {
+                return Ok(0);
+            };
+            let b = &page[offset % RAM_PAGE..];
             return Ok(match width {
                 Width::Byte => b[0] as u32,
                 Width::Half => u16::from_le_bytes([b[0], b[1]]) as u32,
@@ -225,7 +306,7 @@ impl Memory {
             return Ok(());
         }
         if let Some(offset) = self.ram_offset(addr, width) {
-            let b = &mut self.ram[offset..];
+            let b = &mut self.page_mut(offset / RAM_PAGE)[offset % RAM_PAGE..];
             match width {
                 Width::Byte => b[0] = value as u8,
                 Width::Half => b[..2].copy_from_slice(&(value as u16).to_le_bytes()),
@@ -240,7 +321,7 @@ impl Memory {
     }
 
     fn ram_offset(&self, addr: u32, width: Width) -> Option<usize> {
-        let end = self.ram_base as u64 + self.ram.len() as u64;
+        let end = self.ram_base as u64 + self.ram_size as u64;
         let range = addr as u64..addr as u64 + width.bytes() as u64;
         if range.start >= self.ram_base as u64 && range.end <= end {
             Some((addr - self.ram_base) as usize)
@@ -336,7 +417,34 @@ mod tests {
     fn loader_roundtrip() {
         let mut m = mem();
         m.load_ram(0x1000_0010, &[1, 2, 3, 4]);
-        assert_eq!(m.peek_ram(0x1000_0010, 4), &[1, 2, 3, 4]);
+        assert_eq!(m.peek_ram(0x1000_0010, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.load(0x1000_0010, Width::Word).unwrap(), 0x0403_0201);
+    }
+
+    #[test]
+    fn pages_become_resident_on_first_write_only() {
+        let mut m = Memory::new(0x100, vec![], 0x1000_0000, 5000);
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.load(0x1000_1000, Width::Word), Ok(0));
+        assert_eq!(m.resident_pages(), 0, "reads allocate nothing");
+        // A zero-valued store still allocates; a faulting one does not.
+        m.store(0x1000_1384, Width::Word, 0).unwrap();
+        assert!(m.store(0x1000_1388, Width::Word, 0).is_err());
+        assert_eq!(m.resident_pages(), 1);
+        // A load spanning a page boundary makes both pages resident.
+        m.load_ram(0x1000_03FE, &[7, 8, 9]);
+        let pages: Vec<(u32, usize)> = m.ram_pages().map(|(i, b)| (i, b.len())).collect();
+        assert_eq!(pages, vec![(0, 1024), (1, 1024), (4, 904)]);
+        assert_eq!(m.peek_ram(0x1000_03FE, 3), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn set_ram_pages_replaces_the_whole_ram() {
+        let mut m = Memory::new(0x100, vec![], 0x1000_0000, 5000);
+        m.store(0x1000_0000, Width::Word, 0xAABB_CCDD).unwrap();
+        m.set_ram_pages(&[(4, vec![3; 904])]).unwrap();
+        assert_eq!(m.load(0x1000_0000, Width::Word), Ok(0));
+        assert_eq!(m.load(0x1000_1384, Width::Word), Ok(0x0303_0303));
+        assert_eq!(m.resident_pages(), 1);
     }
 }

@@ -18,7 +18,7 @@
 
 mod common;
 
-use sofia::core::snapshot::MachineSnapshot;
+use sofia::core::snapshot::{MachineSnapshot, RAM_PAGE};
 use sofia::core::{SofiaStats, VCacheStats};
 use sofia::cpu::icache::ICacheStats;
 use sofia::crypto::KeySet;
@@ -144,6 +144,129 @@ fn assert_snapshot_transparent(
                     assert_eq!(got, reference, "{what}: out-of-fuel state diverged");
                     return boundaries;
                 }
+            }
+        }
+    }
+}
+
+/// FNV-64 of `MachineSnapshot::to_bytes()` at each suite workload's
+/// first three slice boundaries (default configuration, the sweep's
+/// slice rule). Pins the `SOFS1` wire format byte for byte: how RAM is
+/// held in memory may change, what a snapshot serialises may not.
+#[rustfmt::skip]
+const SOFS1_DIGESTS: &[(&str, [u64; 3])] = &[
+    ("adpcm", [0xe40c_ea03_e1d2_4565, 0x0cbf_e75e_56db_6ca6, 0x62e7_feec_2ff2_0b8c]),
+    ("fib", [0x7965_dc7d_be01_d750, 0x2773_6928_bec6_02ee, 0x22d6_e773_f6e4_b78e]),
+    ("crc32", [0x19b7_4984_3dd4_d209, 0xebd4_9ec9_6de5_6536, 0x9c1b_27ca_63b3_b9b9]),
+    ("bubble_sort", [0x2c27_3324_0113_561e, 0xe9d3_fee8_5c02_284d, 0x81eb_bd75_290e_e63b]),
+    ("fir", [0x080c_003e_6b84_b2f8, 0xd6dc_c0f9_b8e8_267f, 0x07c9_6c65_e4f2_f2d0]),
+    ("matmul", [0x4b8f_ad16_b1c6_adb8, 0x329b_02d2_330d_90fc, 0xfb78_c6b1_f1cc_c9d7]),
+    ("memcpy", [0x21f8_a2d1_6975_f0da, 0xc523_56f1_cc7c_6035, 0x04de_8b7a_8a47_2359]),
+    ("dispatch", [0x1050_9106_35ce_f79a, 0x341d_1c03_d6d8_85b5, 0xb184_d0dd_17c8_a301]),
+    ("quicksort", [0x8afe_96bd_1ab5_cce8, 0x5295_9d47_13a1_af5c, 0x10ff_887e_8b0d_2c3c]),
+    ("strsearch", [0xc76a_c98f_6ded_4b19, 0xf6e5_9c1e_1984_2aa1, 0x9387_d432_cc8c_76e4]),
+];
+
+/// The serialised snapshots at the first three slice boundaries of a
+/// default-configured run, digested.
+fn first_boundary_digests(image: &SecureImage, keys: &KeySet) -> [u64; 3] {
+    let config = SofiaConfig::default();
+    let mut whole = SofiaMachine::with_config(image, keys, &config);
+    let instret = run_to_end(&mut whole, common::FUEL).stats.exec.instret;
+    let slice = (instret / 12).max(24);
+    let mut m = SofiaMachine::with_config(image, keys, &config);
+    let mut remaining = common::FUEL;
+    let mut digests = [0u64; 3];
+    for d in &mut digests {
+        let step = m.run_slice(slice).expect("workloads do not trap");
+        assert_eq!(step.outcome, SliceOutcome::Preempted);
+        remaining -= step.consumed;
+        *d = sofia::transform::decode::fnv64(&m.snapshot(remaining).to_bytes());
+    }
+    digests
+}
+
+#[test]
+fn sofs1_bytes_are_pinned_per_workload() {
+    let keys = keys();
+    let got: Vec<(String, [u64; 3])> = suite(Scale::Test)
+        .iter()
+        .map(|w| {
+            (
+                w.name.to_string(),
+                first_boundary_digests(&w.secure_image(&keys), &keys),
+            )
+        })
+        .collect();
+    let want: Vec<(String, [u64; 3])> = SOFS1_DIGESTS
+        .iter()
+        .map(|(n, d)| (n.to_string(), *d))
+        .collect();
+    assert_eq!(got, want, "SOFS1 snapshot bytes moved");
+}
+
+/// A decoded snapshot may carry a page that is all zero (capture never
+/// writes one, but the format allows it). It restores, and the restored
+/// machine snapshots to the original bytes, without that page.
+#[test]
+fn an_explicit_all_zero_page_restores_and_drops_out() {
+    let keys = keys();
+    let image = sofia_workloads::kernels::crc32(48).secure_image(&keys);
+    let mut m = SofiaMachine::new(&image, &keys);
+    assert_eq!(m.run_slice(200).unwrap().outcome, SliceOutcome::Preempted);
+    let snap = m.snapshot(1_000);
+    let mut padded = snap.clone();
+    let at = padded.ram_pages.partition_point(|(idx, _)| *idx < 100);
+    assert!(padded.ram_pages.get(at).is_none_or(|(idx, _)| *idx != 100));
+    padded.ram_pages.insert(at, (100, vec![0; RAM_PAGE]));
+    let decoded = MachineSnapshot::from_bytes(&padded.to_bytes()).unwrap();
+    assert_eq!(decoded, padded);
+    let restored = SofiaMachine::restore(&image, &keys, &decoded).unwrap();
+    assert_eq!(restored.snapshot(1_000).to_bytes(), snap.to_bytes());
+}
+
+/// Top-of-RAM pages the suite's stacks may touch (the deepest, recursive
+/// quicksort, stays inside one).
+const STACK_PAGES: u32 = 1;
+
+/// Resident memory is what a program touches, not its configured RAM. A
+/// freshly built default machine holds exactly its data-section pages;
+/// while it runs, the only other resident pages are the top pages its
+/// stack pushes reached; and a snapshot → restore round trip never grows
+/// residency (all-zero pages do not travel).
+#[test]
+fn residency_is_the_data_section_plus_the_stack_top() {
+    let keys = keys();
+    let total = (SofiaConfig::default().machine.ram_size as usize).div_ceil(RAM_PAGE) as u32;
+    for w in suite(Scale::Test) {
+        let image = w.secure_image(&keys);
+        let data_pages = image.data.len().div_ceil(RAM_PAGE) as u32;
+        let mut m = SofiaMachine::new(&image, &keys);
+        assert_eq!(
+            m.mem().resident_pages(),
+            data_pages as usize,
+            "{}: fresh",
+            w.name
+        );
+        let mut remaining = common::FUEL;
+        loop {
+            let step = m.run_slice(500).expect("workloads do not trap");
+            remaining -= step.consumed;
+            let stray: Vec<u32> = m
+                .mem()
+                .ram_pages()
+                .map(|(idx, _)| idx)
+                .filter(|&idx| idx >= data_pages && idx < total - STACK_PAGES)
+                .collect();
+            assert!(stray.is_empty(), "{}: pages {stray:?} resident", w.name);
+            let restored = SofiaMachine::restore(&image, &keys, &m.snapshot(remaining)).unwrap();
+            assert!(
+                restored.mem().resident_pages() <= m.mem().resident_pages(),
+                "{}: restore grew residency",
+                w.name
+            );
+            if step.outcome != SliceOutcome::Preempted {
+                break;
             }
         }
     }
