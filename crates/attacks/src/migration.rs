@@ -105,8 +105,17 @@ pub fn forge_resume_prev_pc(keys: &KeySet) -> Verdict {
 /// (the verified-block cache must change nothing: a forged edge is a
 /// different cache key, so it can never hit a verified line).
 pub fn forge_resume_prev_pc_with(keys: &KeySet, config: &SofiaConfig) -> Verdict {
+    forge_resume_prev_pc_bits_with(keys, config, 4)
+}
+
+/// [`forge_resume_prev_pc_with`] flipping an arbitrary `mask` of the
+/// resume source. Masks outside the 24-bit word space — the low two
+/// bits (an unaligned source) or bit 26 and above (a source past 64 MiB)
+/// — forge a `prevPC` no sealed edge can carry, so the first resumed
+/// fetch must reject it exactly like any other off-CFG edge.
+pub fn forge_resume_prev_pc_bits_with(keys: &KeySet, config: &SofiaConfig, mask: u32) -> Verdict {
     let (image, mut snap) = suspend_after(keys, config, 1, 60);
-    snap.prev_pc ^= 4;
+    snap.prev_pc ^= mask;
     classify_resume(&image, keys, &snap)
 }
 
@@ -191,5 +200,22 @@ mod tests {
             ),
             "{v}"
         );
+    }
+
+    #[test]
+    fn unrepresentable_prev_pc_is_a_mac_mismatch() {
+        let keys = KeySet::from_seed(0x516);
+        for mask in [1, 1 << 26] {
+            let v = forge_resume_prev_pc_bits_with(&keys, &SofiaConfig::default(), mask);
+            assert!(
+                matches!(
+                    v,
+                    Verdict::Detected {
+                        violation: Violation::MacMismatch { .. }
+                    }
+                ),
+                "mask {mask:#x}: {v}"
+            );
+        }
     }
 }

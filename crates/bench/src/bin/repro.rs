@@ -499,15 +499,20 @@ fn host_eval() {
         println!(
             "    {:>2} lanes{} {:>10.0} blk/s   {:>5.2}x vs scalar",
             w.lanes,
-            if w.lanes == k.default_lanes {
-                " (default)"
+            if w.lanes == sofia_crypto::LaneWidth::BULK.lanes() {
+                " (bulk)"
             } else {
-                "          "
+                "       "
             },
             w.blocks_per_sec,
             w.blocks_per_sec / k.scalar_blocks_per_sec
         );
     }
+    let r = &k.refill;
+    println!(
+        "  refill: {}-counter pads {:>7.1} ns   {}-block MAC chain {:>7.1} ns",
+        r.counters, r.pads_ns, r.mac_blocks, r.mac_ns
+    );
     let s = &report.seal;
     println!(
         "  seal ({}):      scalar {:>10.2} seal/s  bitsliced {:>10.2} seal/s  {:>5.2}x",

@@ -18,7 +18,7 @@ use sofia_core::{SofiaConfig, SofiaStats, VCacheConfig};
 use sofia_cpu::machine::VanillaMachine;
 use sofia_cpu::ExecStats;
 use sofia_crypto::KeySet;
-use sofia_transform::{BlockFormat, TransformReport, Transformer};
+use sofia_transform::{BlockFormat, BlockKind, TransformReport, Transformer};
 use sofia_workloads::Workload;
 
 /// Fuel for measurement runs.
@@ -1152,14 +1152,33 @@ pub struct KeystreamRates {
     /// One [`sofia_crypto::ctr::pad`] call per counter.
     pub scalar_blocks_per_sec: f64,
     /// One [`sofia_crypto::ctr::pads`] sweep for the whole batch, at the
-    /// default lane width.
+    /// lane width the batch calls for.
     pub bitsliced_blocks_per_sec: f64,
-    /// Lane count [`sofia_crypto::ctr::pads`] runs at by default.
-    pub default_lanes: usize,
+    /// The batch → width rule ([`sofia_crypto::LaneWidth::for_batch`])
+    /// as `(batch, lanes)` pairs: each width's own lane count, then
+    /// this sweep's batch.
+    pub lanes_for_batch: Vec<(usize, usize)>,
     /// The same sweep pinned to each supported lane width
-    /// ([`sofia_crypto::ctr::pads_with`]) — the ILP evidence behind the
-    /// default.
+    /// ([`sofia_crypto::ctr::pads_with`]) — the evidence behind
+    /// [`sofia_crypto::LaneWidth::BULK`].
     pub widths: Vec<KeystreamWidthRate>,
+    /// The cipher cost of one uncached block refill.
+    pub refill: RefillCipherCost,
+}
+
+/// The cipher work of one uncached refill of a default execution block:
+/// the CTR sweep over its counters and the CBC-MAC chain over its
+/// instructions, in host ns per call.
+#[derive(Clone, Debug)]
+pub struct RefillCipherCost {
+    /// Counters per sweep (the words one block fetch decrypts).
+    pub counters: usize,
+    /// ns per [`sofia_crypto::ctr::pads`] call over those counters.
+    pub pads_ns: f64,
+    /// Dependent cipher blocks per MAC chain.
+    pub mac_blocks: usize,
+    /// ns per [`sofia_crypto::mac::mac_words`] chain.
+    pub mac_ns: f64,
 }
 
 impl KeystreamRates {
@@ -1286,12 +1305,54 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
             }
         })
         .collect();
+    let lanes_for_batch = sofia_crypto::LaneWidth::ALL
+        .iter()
+        .map(|w| w.lanes())
+        .chain([blocks])
+        .map(|n| (n, sofia_crypto::LaneWidth::for_batch(n).lanes()))
+        .collect();
     KeystreamRates {
         blocks,
         scalar_blocks_per_sec: blocks as f64 / scalar,
         bitsliced_blocks_per_sec: blocks as f64 / bitsliced,
-        default_lanes: sofia_crypto::LaneWidth::default().lanes(),
+        lanes_for_batch,
         widths,
+        refill: host_refill_cipher(reps),
+    }
+}
+
+/// Measures [`RefillCipherCost`] on the counters and instruction words
+/// of one default execution block, best of `reps` timed loops each.
+fn host_refill_cipher(reps: u32) -> RefillCipherCost {
+    use sofia_crypto::{ctr, mac, CounterBlock, Nonce};
+    const CALLS: u32 = 4096;
+    let keys = KeySet::from_seed(0x4057).expand();
+    let format = BlockFormat::default();
+    let counters: Vec<CounterBlock> = (0..format.block_words() as u32)
+        .map(|w| {
+            let pc = format.text_base() + 4 * w;
+            CounterBlock::from_edge(Nonce::new(7), pc - 4, pc)
+        })
+        .collect();
+    let words: Vec<u32> = (0..format.insts(BlockKind::Exec) as u32)
+        .map(|i| i.wrapping_mul(0x9E37_79B9))
+        .collect();
+    let padded = format.mac_padded_words(BlockKind::Exec);
+    let per_call =
+        |f: &mut dyn FnMut()| best_secs(reps, || (0..CALLS).for_each(|_| f())) * 1e9 / CALLS as f64;
+    RefillCipherCost {
+        counters: counters.len(),
+        pads_ns: per_call(&mut || {
+            std::hint::black_box(ctr::pads(&keys.ctr, std::hint::black_box(&counters)));
+        }),
+        mac_blocks: padded / 2,
+        mac_ns: per_call(&mut || {
+            std::hint::black_box(mac::mac_words(
+                &keys.mac_exec,
+                std::hint::black_box(&words),
+                padded,
+            ));
+        }),
     }
 }
 
@@ -1575,15 +1636,27 @@ pub fn host_json(report: &HostReport) -> String {
         b.logical_cores, b.arch, b.os, b.target
     ));
     let k = &report.keystream;
+    let rule: Vec<String> = k
+        .lanes_for_batch
+        .iter()
+        .map(|(batch, lanes)| format!("{{ \"batch\": {batch}, \"lanes\": {lanes} }}"))
+        .collect();
+    let r = &k.refill;
     out.push_str(&format!(
         "  \"keystream\": {{ \"blocks\": {}, \"scalar_blocks_per_sec\": {:.0}, \
          \"bitsliced_blocks_per_sec\": {:.0}, \"bitsliced_speedup\": {:.2}, \
-         \"default_lanes\": {}, \"widths\": [\n",
+         \"lanes_for_batch\": [{}], \
+         \"refill\": {{ \"counters\": {}, \"pads_ns\": {:.1}, \"mac_blocks\": {}, \"mac_ns\": {:.1} }}, \
+         \"widths\": [\n",
         k.blocks,
         k.scalar_blocks_per_sec,
         k.bitsliced_blocks_per_sec,
         k.speedup(),
-        k.default_lanes
+        rule.join(", "),
+        r.counters,
+        r.pads_ns,
+        r.mac_blocks,
+        r.mac_ns
     ));
     for (i, w) in k.widths.iter().enumerate() {
         out.push_str(&format!(
@@ -2441,7 +2514,13 @@ mod tests {
                 blocks: 16,
                 scalar_blocks_per_sec: 1e6,
                 bitsliced_blocks_per_sec: 8e6,
-                default_lanes: 32,
+                lanes_for_batch: vec![(8, 8), (16, 16), (16384, 64)],
+                refill: RefillCipherCost {
+                    counters: 8,
+                    pads_ns: 212.5,
+                    mac_blocks: 3,
+                    mac_ns: 230.0,
+                },
                 widths: vec![
                     KeystreamWidthRate {
                         lanes: 16,
@@ -2490,7 +2569,9 @@ mod tests {
             "\"profile\"",
             "\"box\": { \"logical_cores\": 1, \"arch\": \"x86_64\"",
             "\"bitsliced_speedup\": 8.00",
-            "\"default_lanes\": 32",
+            "\"lanes_for_batch\": [{ \"batch\": 8, \"lanes\": 8 }, \
+             { \"batch\": 16, \"lanes\": 16 }, { \"batch\": 16384, \"lanes\": 64 }]",
+            "\"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"mac_blocks\": 3, \"mac_ns\": 230.0 }",
             "\"widths\"",
             "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"speedup_vs_scalar\": 6.00",
             "\"machine_mips\"",

@@ -10,7 +10,7 @@ use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{mac, CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
 use sofia_isa::Instruction;
-use sofia_transform::{BlockFormat, BlockKind, SecureImage, RESET_PREV_PC};
+use sofia_transform::{BlockFormat, BlockKind, SecureImage, MAX_BLOCK_WORDS, RESET_PREV_PC};
 
 use crate::timing::SofiaTiming;
 use crate::vcache::{CachedBlock, VCache, VCacheConfig, VCacheStats};
@@ -40,26 +40,48 @@ impl EntryPath {
 }
 
 /// A successfully decrypted **and verified** block, ready to execute.
+///
+/// The fetched addresses and decrypted words live in fixed buffers of
+/// [`MAX_BLOCK_WORDS`], so a refill never touches the heap.
 #[derive(Clone, Debug)]
 pub struct VerifiedBlock {
     /// Base address of the block.
     pub base: u32,
     /// The entry path taken into it.
     pub path: EntryPath,
-    /// Decrypted instruction words with their addresses (MAC slots are
-    /// already stripped; they execute as `nop` slots in the timing model).
-    pub insts: Vec<(u32, u32)>,
     /// Total words fetched (8 for exec, 7 for a mux path by default).
     pub words_fetched: u32,
-    /// Addresses fetched, for I-cache accounting.
-    pub fetched_addrs: Vec<u32>,
+    /// Addresses fetched, in fetch order: the two MAC words the path
+    /// reads, then its instructions.
+    addrs: [u32; MAX_BLOCK_WORDS],
+    /// The decrypted word at each of `addrs`.
+    words: [u32; MAX_BLOCK_WORDS],
 }
+
+/// Fetched MAC words (`M1`, `M2`) ahead of the instructions.
+const MAC_WORDS_FETCHED: usize = 2;
 
 impl VerifiedBlock {
     /// Address of the last word of the block — the `prevPC` every exit
     /// edge of this block presents to its successor.
     pub fn last_word_addr(&self, format: &BlockFormat) -> u32 {
         self.base + format.block_bytes() - 4
+    }
+
+    /// Addresses fetched, for I-cache accounting.
+    pub fn fetched_addrs(&self) -> &[u32] {
+        &self.addrs[..self.words_fetched as usize]
+    }
+
+    /// Addresses of the instruction words (MAC slots stripped; they
+    /// execute as `nop` slots in the timing model).
+    pub fn inst_addrs(&self) -> &[u32] {
+        &self.addrs[MAC_WORDS_FETCHED..self.words_fetched as usize]
+    }
+
+    /// Decrypted instruction words, one per [`VerifiedBlock::inst_addrs`].
+    pub fn inst_words(&self) -> &[u32] {
+        &self.words[MAC_WORDS_FETCHED..self.words_fetched as usize]
     }
 }
 
@@ -73,7 +95,16 @@ impl VerifiedBlock {
 ///
 /// # Errors
 ///
-/// Returns the [`Violation`] the hardware would reset on.
+/// Returns the [`Violation`] the hardware would reset on. An edge no
+/// counter block can encode — an unaligned `prev_pc`, or one past the
+/// 24-bit word space, as only a forged snapshot can present — is a
+/// [`Violation::MacMismatch`]: no sealed edge carries it.
+///
+/// # Panics
+///
+/// Panics if `format` spans more than [`MAX_BLOCK_WORDS`] words, which
+/// [`BlockFormat::validate`] rejects before any image is sealed or
+/// decoded.
 #[allow(clippy::too_many_arguments)]
 pub fn fetch_block(
     read_word: &mut dyn FnMut(u32) -> Option<u32>,
@@ -108,43 +139,45 @@ pub fn fetch_block(
 
     // The `(sealing prevPC, PC)` walk for the selected path is fully
     // determined before any ciphertext is read, so the whole block's
-    // keystream is one batched cipher sweep instead of a per-word loop.
-    // The first two entries decrypt the MAC words (M1/M2), the rest the
-    // instruction words. Mux paths skip the other entry's M1 word and
-    // chain M2 from addr(M1e2) on *both* paths (Fig. 8). `pads` holds
-    // the counters until the in-place sweep turns them into keystream —
-    // together with the address walk (which doubles as `fetched_addrs`)
-    // that is the only buffer this rewrite adds over the per-word loop.
-    let mut fetched_addrs: Vec<u32> = Vec::with_capacity(bw);
-    let mut pads: Vec<u64> = Vec::with_capacity(bw);
-    let entry_edges: [(u32, u32); 2] = match path {
+    // keystream is one batched cipher sweep (one 8-lane pass for the
+    // default format) instead of a per-word loop. The first two entries
+    // decrypt the MAC words (M1/M2), the rest the instruction words. Mux
+    // paths skip the other entry's M1 word and chain M2 from addr(M1e2)
+    // on *both* paths (Fig. 8). `pads` holds the counters until the
+    // in-place sweep turns them into keystream.
+    let entry_edges: [(u32, u32); MAC_WORDS_FETCHED] = match path {
         EntryPath::Exec => [(prev_pc, word_at(0)), (word_at(0), word_at(1))],
         EntryPath::Mux1 => [(prev_pc, word_at(0)), (word_at(1), word_at(2))],
         EntryPath::Mux2 => [(prev_pc, word_at(1)), (word_at(1), word_at(2))],
     };
-    let first_inst_word = match path {
-        EntryPath::Exec => 2,
-        EntryPath::Mux1 | EntryPath::Mux2 => 3,
+    let first_inst_word = format.mac_words(path.kind());
+    let fetched = MAC_WORDS_FETCHED + bw - first_inst_word;
+    let mut block = VerifiedBlock {
+        base,
+        path,
+        words_fetched: fetched as u32,
+        addrs: [0; MAX_BLOCK_WORDS],
+        words: [0; MAX_BLOCK_WORDS],
     };
-    for (prev, pc) in entry_edges
+    let mut pads = [0u64; MAX_BLOCK_WORDS];
+    let edges = entry_edges
         .into_iter()
-        .chain((first_inst_word..bw).map(|w| (word_at(w - 1), word_at(w))))
-    {
-        fetched_addrs.push(pc);
-        pads.push(CounterBlock::from_edge(nonce, prev, pc).as_u64());
+        .chain((first_inst_word..bw).map(|w| (word_at(w - 1), word_at(w))));
+    for ((addr, pad), (prev, pc)) in block.addrs.iter_mut().zip(&mut pads).zip(edges) {
+        *addr = pc;
+        *pad = CounterBlock::try_from_edge(nonce, prev, pc)
+            .ok_or(Violation::MacMismatch { block_base: base })?
+            .as_u64();
     }
-    keys.ctr.encrypt_blocks(&mut pads);
-
-    let (mut m1, mut m2) = (0u32, 0u32);
-    let mut insts: Vec<(u32, u32)> = Vec::with_capacity(bw - first_inst_word);
-    for (i, (&pc, &pad)) in fetched_addrs.iter().zip(&pads).enumerate() {
+    keys.ctr.encrypt_blocks(&mut pads[..fetched]);
+    for ((word, &pc), &pad) in block
+        .words
+        .iter_mut()
+        .zip(&block.addrs[..fetched])
+        .zip(&pads)
+    {
         let c = read_word(pc).ok_or(Violation::FetchOutOfImage { addr: pc })?;
-        let word = c ^ pad as u32;
-        match i {
-            0 => m1 = word,
-            1 => m2 = word,
-            _ => insts.push((pc, word)),
-        }
+        *word = c ^ pad as u32;
     }
 
     // SI verification (paper Fig. 3).
@@ -153,19 +186,15 @@ pub fn fetch_block(
         BlockKind::Exec => &keys.mac_exec,
         BlockKind::Mux => &keys.mac_mux,
     };
-    let inst_words: Vec<u32> = insts.iter().map(|&(_, w)| w).collect();
-    let computed = mac::mac_words(mac_cipher, &inst_words, format.mac_padded_words(kind));
-    if enforce_si && computed != Mac64::from_words(m1, m2) {
+    let computed = mac::mac_words(
+        mac_cipher,
+        block.inst_words(),
+        format.mac_padded_words(kind),
+    );
+    if enforce_si && computed != Mac64::from_words(block.words[0], block.words[1]) {
         return Err(Violation::MacMismatch { block_base: base });
     }
-
-    Ok(VerifiedBlock {
-        base,
-        path,
-        words_fetched: fetched_addrs.len() as u32,
-        fetched_addrs,
-        insts,
-    })
+    Ok(block)
 }
 
 /// Why a cached edge from a snapshot could not re-earn its cache line
@@ -202,7 +231,8 @@ fn decode_block_slots(
     mut sink: impl FnMut(Slot),
 ) -> Result<(), LineRejection> {
     let first_word = format.mac_words(block.path.kind());
-    for (idx, &(pc, word)) in block.insts.iter().enumerate() {
+    let insts = block.inst_addrs().iter().zip(block.inst_words());
+    for (idx, (&pc, &word)) in insts.enumerate() {
         let inst = Instruction::decode(word)
             .map_err(|e| LineRejection::Undecodable { pc, word: e.word() })?;
         let word_pos = first_word + idx;
@@ -426,7 +456,7 @@ impl SofiaFetchUnit {
             self.enforce_si,
         )
         .map_err(LineRejection::Violation)?;
-        let mut slots: Vec<Slot> = Vec::with_capacity(block.insts.len());
+        let mut slots: Vec<Slot> = Vec::with_capacity(block.inst_words().len());
         decode_block_slots(&self.format, &block, |slot| slots.push(slot))?;
         Ok(CachedBlock {
             base: block.base,
@@ -465,7 +495,7 @@ impl SofiaFetchUnit {
         }
         // I-cache: ciphertext words are cached in front of the decrypt
         // unit (Fig. 1), so every fetched word touches the cache.
-        for &addr in &block.fetched_addrs {
+        for &addr in block.fetched_addrs() {
             let stall = ctx.icache.access_cycles(addr) as u64;
             ctx.stats.icache_stall_cycles += stall;
             ctx.stats.cycles += stall;
@@ -661,7 +691,8 @@ mod tests {
         let b = fetch(&img, &keys, img.entry, RESET_PREV_PC).unwrap();
         assert_eq!(b.path, EntryPath::Exec);
         assert_eq!(b.words_fetched, 8);
-        assert_eq!(b.insts.len(), 6);
+        assert_eq!(b.inst_words().len(), 6);
+        assert_eq!(b.fetched_addrs().len(), 8);
     }
 
     #[test]
@@ -706,7 +737,7 @@ mod tests {
         let jal1 = img.text_base + bb - 4;
         let b0 = fetch(&img, &keys, img.entry, RESET_PREV_PC).unwrap();
         assert_eq!(b0.path, EntryPath::Exec);
-        let jal_inst = sofia_isa::Instruction::decode(b0.insts.last().unwrap().1).unwrap();
+        let jal_inst = sofia_isa::Instruction::decode(*b0.inst_words().last().unwrap()).unwrap();
         let f_entry = jal_inst.static_target(jal1).unwrap();
         // f's entry is a mux path (offset 4 or 8).
         let off = (f_entry - img.text_base) % bb;
@@ -714,7 +745,8 @@ mod tests {
         let fb = fetch(&img, &keys, f_entry, jal1).unwrap();
         assert_eq!(fb.path.kind(), BlockKind::Mux);
         assert_eq!(fb.words_fetched, 7);
-        assert_eq!(fb.insts.len(), 5);
+        assert_eq!(fb.inst_words().len(), 5);
+        assert_eq!(fb.inst_addrs().first(), Some(&(f_entry - off + 12)));
         // Entering the same path with the *other* caller's prevPC fails.
         let err = fetch(&img, &keys, f_entry, jal1 + bb).unwrap_err();
         assert!(matches!(err, Violation::MacMismatch { .. }));

@@ -1035,4 +1035,45 @@ mod tests {
             })
         ));
     }
+
+    #[test]
+    fn unrepresentable_line_edges_are_rejected_not_panics() {
+        // A forged line source no counter block can encode (unaligned,
+        // or past the 24-bit word space) survives the re-checksummed
+        // wire format; re-verification must refuse it like any other
+        // off-CFG edge.
+        let src = "main: li t0, 12
+             loop: subi t0, t0, 1
+                   bnez t0, loop
+                   halt";
+        let keys = KeySet::from_seed(0x5AF5);
+        let image = Transformer::new(keys.clone())
+            .transform(&asm::parse(src).unwrap())
+            .unwrap();
+        let config = SofiaConfig {
+            vcache: VCacheConfig::enabled(16, 4),
+            ..Default::default()
+        };
+        let mut m = SofiaMachine::with_config(&image, &keys, &config);
+        assert_eq!(
+            m.run_slice(20).unwrap().outcome,
+            crate::SliceOutcome::Preempted
+        );
+        let honest = m.snapshot(10_000);
+        for mask in [1, 1 << 26] {
+            let mut snap = honest.clone();
+            snap.vcache_lines[0].prev_pc ^= mask;
+            let snap = MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+            assert!(
+                matches!(
+                    SofiaMachine::restore(&image, &keys, &snap),
+                    Err(RestoreError::LineRejected {
+                        violation: Violation::MacMismatch { .. },
+                        ..
+                    })
+                ),
+                "mask {mask:#x}"
+            );
+        }
+    }
 }

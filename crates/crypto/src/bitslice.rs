@@ -1,11 +1,16 @@
-//! The bitsliced RECTANGLE engine: many independent 64-bit blocks per
-//! pass, pure ALU work, no tables, lane-width generic.
+//! The RECTANGLE S-box circuit and the bitsliced engine built on it:
+//! many independent 64-bit blocks per pass, pure ALU work, no tables.
 //!
 //! RECTANGLE was designed for exactly this ("a bit-slice lightweight
 //! block cipher", Zhang et al. 2014): the S-box layer applies the same
 //! 4-bit boolean function to all 16 columns of the 4×16 state, so it can
 //! be evaluated *bitwise* across a whole row at once, and across many
 //! blocks at once if rows of independent blocks share a machine word.
+//! `sub_column`, derived from the algebraic normal form of
+//! [`crate::SBOX`], is therefore the crate's **only** S-box: the scalar
+//! [`Rectangle::encrypt_block`] and the key schedule run it on one
+//! block's 16-bit rows, the passes below on row words. `SBOX`/`SBOX_INV`
+//! remain as the specification and the oracle of `tests/kat.rs`.
 //!
 //! # Layout
 //!
@@ -16,23 +21,16 @@
 //!
 //! * **AddRoundKey** — XOR each row word with the 16-bit round-key row
 //!   replicated into every sub-lane;
-//! * **SubColumn** — the S-box as a bitwise boolean circuit over the four
-//!   row words (derived from the algebraic normal form of the S-box and
-//!   pinned against the lookup table by test);
+//! * **SubColumn** — `sub_column` over the four row words;
 //! * **ShiftRow** — a per-sub-lane 16-bit rotation by 0/1/12/13.
 //!
-//! The S-box circuit and the sub-lane rotations never look across row
-//! words, so nothing in the round ties `G` down — the pass is generic
-//! over the group count ([`LaneWidth`]: 16, 32 or 64 lanes per pass,
-//! still portable `u64` ops, no intrinsics). More groups in flight means
-//! more independent ALU work per round for the out-of-order core to
-//! overlap, until register pressure spills the state; which width wins
-//! is an empirical question the `host` bench answers per box, and
-//! [`LaneWidth::default`] records the measured winner.
-//!
-//! The scalar [`Rectangle::encrypt_block`] path stays as the reference
-//! oracle; `tests/bitslice_equiv.rs` pins every width to it over random
-//! keys, blocks and lane counts, and widths to each other.
+//! Nothing in the round looks across row words, so the pass is generic
+//! over the group count ([`LaneWidth`]: 8, 16, 32 or 64 lanes, portable
+//! `u64` ops, no intrinsics). Padding lanes cost as much as real ones,
+//! so the width is sized to the batch ([`LaneWidth::for_batch`]): a
+//! block refill's 7–8 counters take one 8-lane pass, bulk work the width
+//! that measured fastest. `tests/bitslice_equiv.rs` pins every width to
+//! the scalar path and to each other.
 
 use crate::rectangle::{Rectangle, ROUNDS};
 
@@ -43,16 +41,17 @@ pub const LANES_PER_WORD: usize = 4;
 ///
 /// Purely a host-performance knob: every width produces bit-identical
 /// output (lane independence — pinned by the equivalence suite), so the
-/// choice never leaks into keystream, MACs or sealed images.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// choice never leaks into keystream, MACs or sealed images. There is no
+/// default width: the batch APIs pick one per call with
+/// [`LaneWidth::for_batch`], and the `_with` variants take it explicitly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LaneWidth {
-    /// 16 blocks per pass (4 row-word groups) — the narrowest slice that
-    /// fills every 16-bit sub-lane of a `u64` row word.
+    /// 8 blocks per pass (2 row-word groups) — one block refill's
+    /// counters.
+    W8,
+    /// 16 blocks per pass (4 groups).
     W16,
-    /// 32 blocks per pass (8 groups) — the measured default: twice the
-    /// independent work per round for the out-of-order core to overlap,
-    /// before 64 lanes' register pressure starts spilling.
-    #[default]
+    /// 32 blocks per pass (8 groups).
     W32,
     /// 64 blocks per pass (16 groups).
     W64,
@@ -60,11 +59,35 @@ pub enum LaneWidth {
 
 impl LaneWidth {
     /// Every supported width, narrowest first.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::W16, LaneWidth::W32, LaneWidth::W64];
+    pub const ALL: [LaneWidth; 4] = [
+        LaneWidth::W8,
+        LaneWidth::W16,
+        LaneWidth::W32,
+        LaneWidth::W64,
+    ];
+
+    /// The width bulk work runs at: the fastest per block on large
+    /// batches, measured by the `host` bench's keystream width rows.
+    pub const BULK: LaneWidth = LaneWidth::W64;
+
+    /// The width a batch of `n` blocks runs at: the widest pass the batch
+    /// fills (at least [`LaneWidth::W8`], at most [`LaneWidth::BULK`]).
+    /// Whatever the full passes leave over takes a narrower pass sized
+    /// to it in turn, so padding lanes — which cost as much as real ones
+    /// — only ever fill out one 8-lane pass.
+    pub const fn for_batch(n: usize) -> LaneWidth {
+        match n {
+            0..=15 => LaneWidth::W8,
+            16..=31 => LaneWidth::W16,
+            32..=63 => LaneWidth::W32,
+            _ => LaneWidth::BULK,
+        }
+    }
 
     /// Independent 64-bit blocks ciphered per pass at this width.
     pub const fn lanes(self) -> usize {
         match self {
+            LaneWidth::W8 => 8,
             LaneWidth::W16 => 16,
             LaneWidth::W32 => 32,
             LaneWidth::W64 => 64,
@@ -92,7 +115,7 @@ fn rotl16(x: u64, k: u32) -> u64 {
 /// The RECTANGLE S-box as a bitwise boolean circuit (ANF of
 /// [`crate::SBOX`]): inputs/outputs are row words, bit-position-wise.
 #[inline(always)]
-fn sub_column(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
+pub(crate) fn sub_column([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     let t01 = x0 & x1;
     let t02 = x0 & x2;
     let t12 = x1 & x2;
@@ -100,12 +123,12 @@ fn sub_column(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
     let y1 = !(x0 ^ x1 ^ x2 ^ (x1 & x3));
     let y2 = !(t01 ^ x2 ^ t02 ^ t12 ^ (t01 & x2) ^ x3 ^ (x2 & x3));
     let y3 = x1 ^ t02 ^ t12 ^ x3 ^ (x0 & x3) ^ (t12 & x3);
-    (y0, y1, y2, y3)
+    [y0, y1, y2, y3]
 }
 
 /// The inverse S-box circuit (ANF of [`crate::SBOX_INV`]).
 #[inline(always)]
-fn sub_column_inv(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
+pub(crate) fn sub_column_inv([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     let t01 = x0 & x1;
     let t13 = x1 & x3;
     let t23 = x2 & x3;
@@ -113,18 +136,14 @@ fn sub_column_inv(x0: u64, x1: u64, x2: u64, x3: u64) -> (u64, u64, u64, u64) {
     let y1 = x1 ^ x2 ^ (x0 & x2) ^ (x0 & x3);
     let y2 = x0 ^ x1 ^ x2 ^ x3 ^ (x0 & x3);
     let y3 = !(x0 ^ t01 ^ (x1 & x2) ^ t13 ^ (t01 & x3) ^ t23);
-    (y0, y1, y2, y3)
+    [y0, y1, y2, y3]
 }
 
-/// Broadcasts one round key's four 16-bit rows into full row words.
+/// XORs one round key's four 16-bit rows, replicated into every
+/// sub-lane, into a group's row words.
 #[inline(always)]
-fn broadcast(rk: &[u16; 4]) -> [u64; 4] {
-    [
-        rk[0] as u64 * LANE1,
-        rk[1] as u64 * LANE1,
-        rk[2] as u64 * LANE1,
-        rk[3] as u64 * LANE1,
-    ]
+fn add_key(s: [u64; 4], rk: &[u16; 4]) -> [u64; 4] {
+    std::array::from_fn(|r| s[r] ^ (rk[r] as u64 * LANE1))
 }
 
 /// Packs `4·G` blocks into `G` groups of row words.
@@ -132,14 +151,14 @@ fn broadcast(rk: &[u16; 4]) -> [u64; 4] {
 fn pack<const G: usize>(blocks: &[u64]) -> [[u64; 4]; G] {
     debug_assert_eq!(blocks.len(), LANES_PER_WORD * G);
     let mut st = [[0u64; 4]; G];
-    for g in 0..G {
-        for l in 0..LANES_PER_WORD {
-            let b = blocks[g * LANES_PER_WORD + l];
-            let shift = 16 * l;
-            st[g][0] |= (b & 0xFFFF) << shift;
-            st[g][1] |= ((b >> 16) & 0xFFFF) << shift;
-            st[g][2] |= ((b >> 32) & 0xFFFF) << shift;
-            st[g][3] |= (b >> 48) << shift;
+    for (g, group) in st.iter_mut().enumerate() {
+        for (l, &b) in blocks[g * LANES_PER_WORD..][..LANES_PER_WORD]
+            .iter()
+            .enumerate()
+        {
+            for (r, row) in group.iter_mut().enumerate() {
+                *row |= ((b >> (16 * r)) & 0xFFFF) << (16 * l);
+            }
         }
     }
     st
@@ -149,13 +168,12 @@ fn pack<const G: usize>(blocks: &[u64]) -> [[u64; 4]; G] {
 #[inline]
 fn unpack<const G: usize>(st: &[[u64; 4]; G], blocks: &mut [u64]) {
     debug_assert_eq!(blocks.len(), LANES_PER_WORD * G);
-    for g in 0..G {
-        for l in 0..LANES_PER_WORD {
-            let shift = 16 * l;
-            blocks[g * LANES_PER_WORD + l] = ((st[g][0] >> shift) & 0xFFFF)
-                | (((st[g][1] >> shift) & 0xFFFF) << 16)
-                | (((st[g][2] >> shift) & 0xFFFF) << 32)
-                | (((st[g][3] >> shift) & 0xFFFF) << 48);
+    for (g, group) in st.iter().enumerate() {
+        for (l, b) in blocks[g * LANES_PER_WORD..][..LANES_PER_WORD]
+            .iter_mut()
+            .enumerate()
+        {
+            *b = (0..4).fold(0, |b, r| b | ((group[r] >> (16 * l)) & 0xFFFF) << (16 * r));
         }
     }
 }
@@ -164,20 +182,13 @@ fn unpack<const G: usize>(st: &[[u64; 4]; G], blocks: &mut [u64]) {
 fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     let mut st = pack::<G>(blocks);
     for rk in &cipher.round_keys[..ROUNDS] {
-        let k = broadcast(rk);
         for s in &mut st {
-            let (y0, y1, y2, y3) = sub_column(s[0] ^ k[0], s[1] ^ k[1], s[2] ^ k[2], s[3] ^ k[3]);
-            s[0] = y0;
-            s[1] = rotl16(y1, 1);
-            s[2] = rotl16(y2, 12);
-            s[3] = rotl16(y3, 13);
+            let y = sub_column(add_key(*s, rk));
+            *s = [y[0], rotl16(y[1], 1), rotl16(y[2], 12), rotl16(y[3], 13)];
         }
     }
-    let k = broadcast(&cipher.round_keys[ROUNDS]);
     for s in &mut st {
-        for (r, kr) in s.iter_mut().zip(&k) {
-            *r ^= kr;
-        }
+        *s = add_key(*s, &cipher.round_keys[ROUNDS]);
     }
     unpack(&st, blocks);
 }
@@ -185,38 +196,40 @@ fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
 /// Decrypts one full pass of `4·G` blocks in place.
 fn decrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     let mut st = pack::<G>(blocks);
-    let k = broadcast(&cipher.round_keys[ROUNDS]);
     for s in &mut st {
-        for (r, kr) in s.iter_mut().zip(&k) {
-            *r ^= kr;
-        }
+        *s = add_key(*s, &cipher.round_keys[ROUNDS]);
     }
     for rk in cipher.round_keys[..ROUNDS].iter().rev() {
-        let k = broadcast(rk);
         for s in &mut st {
-            let (y0, y1, y2, y3) =
-                sub_column_inv(s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3));
-            s[0] = y0 ^ k[0];
-            s[1] = y1 ^ k[1];
-            s[2] = y2 ^ k[2];
-            s[3] = y3 ^ k[3];
+            let unshifted = [s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3)];
+            *s = add_key(sub_column_inv(unshifted), rk);
         }
     }
     unpack(&st, blocks);
 }
 
-/// Runs `pass` over `blocks` in chunks of `4·G` lanes, zero-padding the
-/// final ragged chunk (padding lanes are ciphered and discarded — lane
-/// independence makes the real lanes bit-identical to full passes, and
-/// to every other width's).
-fn drive<const G: usize>(cipher: &Rectangle, blocks: &mut [u64], pass: fn(&Rectangle, &mut [u64])) {
+/// Runs `pass` over `blocks` in chunks of `4·G` lanes. A ragged final
+/// chunk goes back through `dispatch` at the narrower width sized to it
+/// when one exists; otherwise it is zero-padded to a full pass (padding
+/// lanes are ciphered and discarded). Lane independence makes the real
+/// lanes bit-identical either way, and to every other width's.
+fn drive<const G: usize>(
+    cipher: &Rectangle,
+    blocks: &mut [u64],
+    pass: fn(&Rectangle, &mut [u64]),
+    dispatch: fn(&Rectangle, &mut [u64], LaneWidth),
+) {
     let lanes = LANES_PER_WORD * G;
     let mut chunks = blocks.chunks_exact_mut(lanes);
     for chunk in &mut chunks {
         pass(cipher, chunk);
     }
     let rem = chunks.into_remainder();
-    if !rem.is_empty() {
+    let tail = LaneWidth::for_batch(rem.len());
+    if rem.is_empty() {
+    } else if tail.lanes() < lanes {
+        dispatch(cipher, rem, tail);
+    } else {
         let mut buf = [0u64; 64];
         buf[..rem.len()].copy_from_slice(rem);
         pass(cipher, &mut buf[..lanes]);
@@ -225,18 +238,22 @@ fn drive<const G: usize>(cipher: &Rectangle, blocks: &mut [u64], pass: fn(&Recta
 }
 
 pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
+    let f = encrypt_blocks;
     match width {
-        LaneWidth::W16 => drive::<4>(cipher, blocks, encrypt_pass::<4>),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, encrypt_pass::<8>),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, encrypt_pass::<16>),
+        LaneWidth::W8 => drive::<2>(cipher, blocks, encrypt_pass::<2>, f),
+        LaneWidth::W16 => drive::<4>(cipher, blocks, encrypt_pass::<4>, f),
+        LaneWidth::W32 => drive::<8>(cipher, blocks, encrypt_pass::<8>, f),
+        LaneWidth::W64 => drive::<16>(cipher, blocks, encrypt_pass::<16>, f),
     }
 }
 
 pub(crate) fn decrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
+    let f = decrypt_blocks;
     match width {
-        LaneWidth::W16 => drive::<4>(cipher, blocks, decrypt_pass::<4>),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, decrypt_pass::<8>),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, decrypt_pass::<16>),
+        LaneWidth::W8 => drive::<2>(cipher, blocks, decrypt_pass::<2>, f),
+        LaneWidth::W16 => drive::<4>(cipher, blocks, decrypt_pass::<4>, f),
+        LaneWidth::W32 => drive::<8>(cipher, blocks, decrypt_pass::<8>, f),
+        LaneWidth::W64 => drive::<16>(cipher, blocks, decrypt_pass::<16>, f),
     }
 }
 
@@ -245,30 +262,28 @@ mod tests {
     use super::LaneWidth;
     use crate::{Key80, Rectangle, SBOX, SBOX_INV};
 
-    /// The boolean circuits agree with the lookup tables on every input,
+    /// The boolean circuits agree with the spec tables on every input,
     /// in every sub-lane position.
     #[test]
     fn circuits_match_sbox_tables() {
+        // Input nibble `v` at several bit positions at once.
+        const POSITIONS: [u32; 5] = [0, 7, 16, 37, 63];
+        let spread = |bit: u64| POSITIONS.iter().fold(0, |x, &p| x | (bit & 1) << p);
+        let gather = |y: [u64; 4], pos: u32| (0..4).fold(0, |v, r| v | ((y[r] >> pos) & 1) << r);
         for v in 0..16u64 {
-            // Place input nibble `v` at several bit positions at once.
-            let spread = |bit: u64| {
-                let b = bit & 1;
-                b | (b << 7) | (b << 16) | (b << 37) | (b << 63)
-            };
-            let x: Vec<u64> = (0..4).map(|r| spread(v >> r)).collect();
-            let (y0, y1, y2, y3) = super::sub_column(x[0], x[1], x[2], x[3]);
-            let (i0, i1, i2, i3) = super::sub_column_inv(x[0], x[1], x[2], x[3]);
-            for pos in [0, 7, 16, 37, 63] {
-                let out = ((y0 >> pos) & 1)
-                    | (((y1 >> pos) & 1) << 1)
-                    | (((y2 >> pos) & 1) << 2)
-                    | (((y3 >> pos) & 1) << 3);
-                assert_eq!(out as u8, SBOX[v as usize], "fwd input {v} pos {pos}");
-                let inv = ((i0 >> pos) & 1)
-                    | (((i1 >> pos) & 1) << 1)
-                    | (((i2 >> pos) & 1) << 2)
-                    | (((i3 >> pos) & 1) << 3);
-                assert_eq!(inv as u8, SBOX_INV[v as usize], "inv input {v} pos {pos}");
+            let x = std::array::from_fn(|r| spread(v >> r));
+            let (fwd, inv) = (super::sub_column(x), super::sub_column_inv(x));
+            for pos in POSITIONS {
+                assert_eq!(
+                    gather(fwd, pos),
+                    SBOX[v as usize] as u64,
+                    "fwd input {v} pos {pos}"
+                );
+                assert_eq!(
+                    gather(inv, pos),
+                    SBOX_INV[v as usize] as u64,
+                    "inv input {v} pos {pos}"
+                );
             }
         }
     }

@@ -37,16 +37,36 @@ impl CounterBlock {
     ///
     /// Panics if either address is not word-aligned or exceeds the 24-bit
     /// word-address space (≥ 64 MiB). The transformer validates program
-    /// layout long before this can trigger at run time.
+    /// layout long before this can trigger at run time; edges that come
+    /// from outside the sealer go through [`CounterBlock::try_from_edge`].
     pub fn from_edge(nonce: Nonce, prev_pc: u32, pc: u32) -> CounterBlock {
         assert!(prev_pc % 4 == 0 && pc % 4 == 0, "unaligned PC in counter");
-        let prev_w = prev_pc >> 2;
-        let pc_w = pc >> 2;
-        assert!(
-            prev_w < (1 << PC_BITS) && pc_w < (1 << PC_BITS),
-            "PC outside 24-bit word-address space"
-        );
-        CounterBlock(((nonce.value() as u64) << 48) | ((prev_w as u64) << PC_BITS) | pc_w as u64)
+        CounterBlock::try_from_edge(nonce, prev_pc, pc)
+            .expect("PC outside 24-bit word-address space")
+    }
+
+    /// [`CounterBlock::from_edge`], but `None` where that panics. No such
+    /// edge can have been sealed; it is never truncated into range, which
+    /// would alias it onto one that was.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sofia_crypto::{CounterBlock, Nonce};
+    ///
+    /// let n = Nonce::new(7);
+    /// assert!(CounterBlock::try_from_edge(n, 0x100, 0x104).is_some());
+    /// assert!(CounterBlock::try_from_edge(n, 0x101, 0x104).is_none());
+    /// assert!(CounterBlock::try_from_edge(n, 0x0400_0100, 0x104).is_none());
+    /// ```
+    pub const fn try_from_edge(nonce: Nonce, prev_pc: u32, pc: u32) -> Option<CounterBlock> {
+        let (prev_w, pc_w) = (prev_pc >> 2, pc >> 2);
+        if prev_pc % 4 != 0 || pc % 4 != 0 || prev_w >= 1 << PC_BITS || pc_w >= 1 << PC_BITS {
+            return None;
+        }
+        Some(CounterBlock(
+            ((nonce.value() as u64) << 48) | ((prev_w as u64) << PC_BITS) | pc_w as u64,
+        ))
     }
 
     /// The raw 64-bit counter value fed to the block cipher.
@@ -78,13 +98,13 @@ pub fn pad(cipher: &Rectangle, counter: CounterBlock) -> u32 {
 }
 
 /// Derives the keystream pads for a whole batch of counters in one
-/// bitsliced sweep ([`Rectangle::encrypt_blocks`]): bit-identical to
-/// mapping [`pad`] over the slice, but ciphering [`LaneWidth::lanes`]
-/// counters per pass at the default width. This is the bulk path behind
-/// sealing whole images and refilling block fetches, where every counter
-/// of the sweep is known up front.
+/// bitsliced sweep: bit-identical to mapping [`pad`] over the slice, but
+/// ciphering [`LaneWidth::lanes`] counters per pass at the width the
+/// batch calls for ([`LaneWidth::for_batch`]). This is the bulk path
+/// behind sealing whole images, where every counter of the sweep is
+/// known up front.
 pub fn pads(cipher: &Rectangle, counters: &[CounterBlock]) -> Vec<u32> {
-    pads_with(cipher, counters, LaneWidth::default())
+    pads_with(cipher, counters, LaneWidth::for_batch(counters.len()))
 }
 
 /// [`pads`] at an explicit lane width — bit-identical at every width.
@@ -101,7 +121,8 @@ pub fn pads_with(cipher: &Rectangle, counters: &[CounterBlock], width: LaneWidth
 ///
 /// Panics if the two slices differ in length.
 pub fn apply_batch(cipher: &Rectangle, counters: &[CounterBlock], words: &mut [u32]) {
-    apply_batch_with(cipher, counters, words, LaneWidth::default());
+    let width = LaneWidth::for_batch(counters.len());
+    apply_batch_with(cipher, counters, words, width);
 }
 
 /// [`apply_batch`] at an explicit lane width.
@@ -176,6 +197,23 @@ mod tests {
             let ca = CounterBlock::from_edge(Nonce::new(1), a.0 << 2, a.1 << 2);
             let cb = CounterBlock::from_edge(Nonce::new(1), b.0 << 2, b.1 << 2);
             prop_assert_ne!(ca.as_u64(), cb.as_u64());
+        }
+
+        /// `try_from_edge` packs exactly the edges `from_edge` accepts:
+        /// `forge` bits 0–1 misalign `prevPC`, bit 2 lifts it past the
+        /// 24-bit word space.
+        #[test]
+        fn try_from_edge_agrees_with_from_edge(
+            prev in 0u32..1 << 24,
+            pc in 0u32..1 << 24,
+            forge in 0u32..8,
+        ) {
+            let prev = (prev << 2) | (forge & 3) | (forge & 4) << 24;
+            let c = CounterBlock::try_from_edge(Nonce::new(9), prev, pc << 2);
+            prop_assert_eq!(c.is_some(), forge == 0);
+            if let Some(c) = c {
+                prop_assert_eq!(c, CounterBlock::from_edge(Nonce::new(9), prev, pc << 2));
+            }
         }
 
         /// XOR involution: apply twice restores the word.

@@ -53,8 +53,8 @@ pub use rectangle::{
 /// sealed images never depend on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CryptoEngine {
-    /// One block at a time through the table-driven scalar path — the
-    /// reference oracle.
+    /// One block at a time through the scalar path: the same S-box
+    /// circuit on one block's 16-bit rows.
     Scalar,
     /// Many blocks per pass through [`bitslice`] (the default).
     #[default]

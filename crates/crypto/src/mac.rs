@@ -96,6 +96,16 @@ impl Mac64 {
 /// ```
 #[inline]
 pub fn mac_words(cipher: &Rectangle, words: &[u32], padded_words: usize) -> Mac64 {
+    check_domain(words, padded_words);
+    let mut state: u64 = 0;
+    for pair in 0..padded_words / 2 {
+        state = cipher.encrypt_block(state ^ message_block(words, pair));
+    }
+    Mac64(state)
+}
+
+/// Enforces [`mac_words`]' fixed-length domain on one message.
+fn check_domain(words: &[u32], padded_words: usize) {
     assert!(padded_words > 0, "empty MAC domain");
     assert!(padded_words % 2 == 0, "padded length must be even");
     assert!(
@@ -103,14 +113,13 @@ pub fn mac_words(cipher: &Rectangle, words: &[u32], padded_words: usize) -> Mac6
         "message longer than its fixed MAC domain ({} > {padded_words})",
         words.len()
     );
-    let mut state: u64 = 0;
-    for pair in 0..padded_words / 2 {
-        let lo = words.get(pair * 2).copied().unwrap_or(0) as u64;
-        let hi = words.get(pair * 2 + 1).copied().unwrap_or(0) as u64;
-        let block = lo | (hi << 32);
-        state = cipher.encrypt_block(state ^ block);
-    }
-    Mac64(state)
+}
+
+/// The `pair`-th 64-bit cipher block of a zero-padded message.
+#[inline]
+fn message_block(words: &[u32], pair: usize) -> u64 {
+    let word = |i: usize| words.get(i).copied().unwrap_or(0) as u64;
+    word(2 * pair) | word(2 * pair + 1) << 32
 }
 
 /// Computes [`mac_words`] for many *independent* messages that share one
@@ -128,7 +137,8 @@ pub fn mac_words(cipher: &Rectangle, words: &[u32], padded_words: usize) -> Mac6
 /// Panics under the same conditions as [`mac_words`], checked per
 /// message.
 pub fn mac_words_batch(cipher: &Rectangle, messages: &[&[u32]], padded_words: usize) -> Vec<Mac64> {
-    mac_words_batch_with(cipher, messages, padded_words, LaneWidth::default())
+    let width = LaneWidth::for_batch(messages.len());
+    mac_words_batch_with(cipher, messages, padded_words, width)
 }
 
 /// [`mac_words_batch`] at an explicit lane width — bit-identical at
@@ -144,21 +154,13 @@ pub fn mac_words_batch_with(
     padded_words: usize,
     width: LaneWidth,
 ) -> Vec<Mac64> {
-    assert!(padded_words > 0, "empty MAC domain");
-    assert!(padded_words % 2 == 0, "padded length must be even");
     for words in messages {
-        assert!(
-            words.len() <= padded_words,
-            "message longer than its fixed MAC domain ({} > {padded_words})",
-            words.len()
-        );
+        check_domain(words, padded_words);
     }
     let mut states = vec![0u64; messages.len()];
     for pair in 0..padded_words / 2 {
         for (state, words) in states.iter_mut().zip(messages) {
-            let lo = words.get(pair * 2).copied().unwrap_or(0) as u64;
-            let hi = words.get(pair * 2 + 1).copied().unwrap_or(0) as u64;
-            *state ^= lo | (hi << 32);
+            *state ^= message_block(words, pair);
         }
         cipher.encrypt_blocks_with(&mut states, width);
     }

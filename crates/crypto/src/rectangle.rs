@@ -8,14 +8,13 @@
 //!
 //! The state mapping used here: bit `i` of the 64-bit block is bit
 //! `i % 16` of row `i / 16` (row 0 holds the 16 least-significant bits).
-//! The implementation follows the published specification (S-box,
-//! ShiftRow offsets 0/1/12/13, 5-bit LFSR round constants, 80-bit key
-//! schedule) and is validated by structural tests — bijectivity,
-//! avalanche, key sensitivity, and the published round-constant sequence.
+//! The implementation follows the published specification (ShiftRow
+//! offsets 0/1/12/13, 5-bit LFSR round constants, 80-bit key schedule),
+//! evaluates the S-box as the bitwise circuit of [`crate::bitslice`], and
+//! is pinned to a column-by-column reference and known answers
+//! (`tests/kat.rs`) besides the structural tests below.
 
-use std::sync::OnceLock;
-
-use crate::bitslice::LaneWidth;
+use crate::bitslice::{self, LaneWidth};
 
 /// The RECTANGLE S-box applied to each 4-bit column.
 pub const SBOX: [u8; 16] = [
@@ -95,77 +94,17 @@ impl std::fmt::Debug for Key80 {
     }
 }
 
-/// Packed 4-column S-box table: maps 16 bits (4 columns × 4 rows, nibble
-/// per row) to the substituted 16 bits. Built lazily, shared process-wide.
-fn quad_table() -> &'static [u16; 65536] {
-    static TABLE: OnceLock<Box<[u16; 65536]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = vec![0u16; 65536].into_boxed_slice();
-        for idx in 0..65536u32 {
-            let n0 = idx & 0xF;
-            let n1 = (idx >> 4) & 0xF;
-            let n2 = (idx >> 8) & 0xF;
-            let n3 = (idx >> 12) & 0xF;
-            let mut o = [0u32; 4]; // output nibbles per row
-            for col in 0..4 {
-                let v = ((n0 >> col) & 1)
-                    | (((n1 >> col) & 1) << 1)
-                    | (((n2 >> col) & 1) << 2)
-                    | (((n3 >> col) & 1) << 3);
-                let w = SBOX[v as usize] as u32;
-                o[0] |= (w & 1) << col;
-                o[1] |= ((w >> 1) & 1) << col;
-                o[2] |= ((w >> 2) & 1) << col;
-                o[3] |= ((w >> 3) & 1) << col;
-            }
-            t[idx as usize] = (o[0] | (o[1] << 4) | (o[2] << 8) | (o[3] << 12)) as u16;
-        }
-        t.try_into().expect("length 65536")
-    })
+/// The S-box layer on one block's four 16-bit rows: `circuit` (the
+/// bitwise circuit [`bitslice::sub_column`] or its inverse) evaluated on
+/// the rows widened to row words, truncated back to 16 bits.
+#[inline(always)]
+fn sub_rows(rows: [u16; 4], circuit: fn([u64; 4]) -> [u64; 4]) -> [u16; 4] {
+    circuit(rows.map(u64::from)).map(|y| y as u16)
 }
 
-fn quad_table_inv() -> &'static [u16; 65536] {
-    static TABLE: OnceLock<Box<[u16; 65536]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let fwd = quad_table();
-        let mut t = vec![0u16; 65536].into_boxed_slice();
-        for (i, &o) in fwd.iter().enumerate() {
-            t[o as usize] = i as u16;
-        }
-        t.try_into().expect("length 65536")
-    })
-}
-
-#[inline]
-fn sub_column(rows: &mut [u16; 4], table: &[u16; 65536]) {
-    let mut out = [0u16; 4];
-    for k in 0..4 {
-        let shift = 4 * k;
-        let idx = (((rows[0] >> shift) & 0xF)
-            | (((rows[1] >> shift) & 0xF) << 4)
-            | (((rows[2] >> shift) & 0xF) << 8)
-            | (((rows[3] >> shift) & 0xF) << 12)) as usize;
-        let o = table[idx];
-        out[0] |= (o & 0xF) << shift;
-        out[1] |= ((o >> 4) & 0xF) << shift;
-        out[2] |= ((o >> 8) & 0xF) << shift;
-        out[3] |= ((o >> 12) & 0xF) << shift;
-    }
-    *rows = out;
-}
-
-#[inline]
-fn shift_row(rows: &mut [u16; 4]) {
-    rows[1] = rows[1].rotate_left(1);
-    rows[2] = rows[2].rotate_left(12);
-    rows[3] = rows[3].rotate_left(13);
-}
-
-#[inline]
-fn shift_row_inv(rows: &mut [u16; 4]) {
-    rows[1] = rows[1].rotate_right(1);
-    rows[2] = rows[2].rotate_right(12);
-    rows[3] = rows[3].rotate_right(13);
+#[inline(always)]
+fn add_round_key(rows: [u16; 4], rk: &[u16; 4]) -> [u16; 4] {
+    std::array::from_fn(|r| rows[r] ^ rk[r])
 }
 
 #[inline]
@@ -226,23 +165,16 @@ impl Rectangle {
                 break;
             }
             // S-box on the 4 rightmost columns of rows 0..3.
-            let mut low = [v[0], v[1], v[2], v[3]];
-            let idx = ((low[0] & 0xF)
-                | ((low[1] & 0xF) << 4)
-                | ((low[2] & 0xF) << 8)
-                | ((low[3] & 0xF) << 12)) as usize;
-            let o = quad_table()[idx];
-            low[0] = (low[0] & !0xF) | (o & 0xF);
-            low[1] = (low[1] & !0xF) | ((o >> 4) & 0xF);
-            low[2] = (low[2] & !0xF) | ((o >> 8) & 0xF);
-            low[3] = (low[3] & !0xF) | ((o >> 12) & 0xF);
-            let s = [low[0], low[1], low[2], low[3], v[4]];
+            let y = sub_rows([v[0], v[1], v[2], v[3]], bitslice::sub_column);
+            let s: [u16; 4] = std::array::from_fn(|r| (v[r] & !0xF) | (y[r] & 0xF));
             // Generalised Feistel.
-            v[0] = s[0].rotate_left(8) ^ s[1];
-            v[1] = s[2];
-            v[2] = s[3];
-            v[3] = s[3].rotate_left(12) ^ s[4];
-            v[4] = s[0];
+            v = [
+                s[0].rotate_left(8) ^ s[1],
+                s[2],
+                s[3],
+                s[3].rotate_left(12) ^ v[4],
+                s[0],
+            ];
             // Round constant into the 5 LSBs of row 0.
             v[0] ^= rc as u16;
             rc = next_rc(rc);
@@ -253,19 +185,18 @@ impl Rectangle {
     /// Encrypts one 64-bit block.
     #[inline]
     pub fn encrypt_block(&self, block: u64) -> u64 {
-        let table = quad_table();
         let mut rows = block_to_rows(block);
         for rk in &self.round_keys[..ROUNDS] {
-            for (r, k) in rows.iter_mut().zip(rk) {
-                *r ^= k;
-            }
-            sub_column(&mut rows, table);
-            shift_row(&mut rows);
+            let y = sub_rows(add_round_key(rows, rk), bitslice::sub_column);
+            // ShiftRow.
+            rows = [
+                y[0],
+                y[1].rotate_left(1),
+                y[2].rotate_left(12),
+                y[3].rotate_left(13),
+            ];
         }
-        for (r, k) in rows.iter_mut().zip(&self.round_keys[ROUNDS]) {
-            *r ^= k;
-        }
-        rows_to_block(rows)
+        rows_to_block(add_round_key(rows, &self.round_keys[ROUNDS]))
     }
 
     /// Decrypts one 64-bit block (the inverse of [`Rectangle::encrypt_block`]).
@@ -275,47 +206,45 @@ impl Rectangle {
     /// the round-trip tests.
     #[inline]
     pub fn decrypt_block(&self, block: u64) -> u64 {
-        let table = quad_table_inv();
-        let mut rows = block_to_rows(block);
-        for (r, k) in rows.iter_mut().zip(&self.round_keys[ROUNDS]) {
-            *r ^= k;
-        }
+        let mut rows = add_round_key(block_to_rows(block), &self.round_keys[ROUNDS]);
         for rk in self.round_keys[..ROUNDS].iter().rev() {
-            shift_row_inv(&mut rows);
-            sub_column(&mut rows, table);
-            for (r, k) in rows.iter_mut().zip(rk) {
-                *r ^= k;
-            }
+            let unshifted = [
+                rows[0],
+                rows[1].rotate_right(1),
+                rows[2].rotate_right(12),
+                rows[3].rotate_right(13),
+            ];
+            rows = add_round_key(sub_rows(unshifted, bitslice::sub_column_inv), rk);
         }
         rows_to_block(rows)
     }
 
     /// Encrypts a batch of independent 64-bit blocks in place through the
-    /// bitsliced engine ([`crate::bitslice`]) at the default
-    /// [`LaneWidth`]: [`LaneWidth::lanes`] blocks are ciphered per pass,
-    /// with a zero-padded final pass for ragged batch sizes.
-    /// Bit-identical to mapping [`Rectangle::encrypt_block`] over the
-    /// slice (pinned by the equivalence suite), several times faster for
-    /// bulk work.
+    /// bitsliced engine ([`crate::bitslice`]) at the width the batch
+    /// calls for ([`LaneWidth::for_batch`]): [`LaneWidth::lanes`] blocks
+    /// are ciphered per pass, and a ragged remainder takes a narrower
+    /// pass sized to it. Bit-identical to mapping [`Rectangle::encrypt_block`]
+    /// over the slice (pinned by the equivalence suite), several times
+    /// faster for bulk work.
     pub fn encrypt_blocks(&self, blocks: &mut [u64]) {
-        crate::bitslice::encrypt_blocks(self, blocks, LaneWidth::default());
+        bitslice::encrypt_blocks(self, blocks, LaneWidth::for_batch(blocks.len()));
     }
 
     /// [`Rectangle::encrypt_blocks`] at an explicit lane width. Every
     /// width is bit-identical; the choice only moves host throughput.
     pub fn encrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
-        crate::bitslice::encrypt_blocks(self, blocks, width);
+        bitslice::encrypt_blocks(self, blocks, width);
     }
 
     /// Decrypts a batch of independent 64-bit blocks in place — the
     /// inverse of [`Rectangle::encrypt_blocks`], same engine.
     pub fn decrypt_blocks(&self, blocks: &mut [u64]) {
-        crate::bitslice::decrypt_blocks(self, blocks, LaneWidth::default());
+        bitslice::decrypt_blocks(self, blocks, LaneWidth::for_batch(blocks.len()));
     }
 
     /// [`Rectangle::decrypt_blocks`] at an explicit lane width.
     pub fn decrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
-        crate::bitslice::decrypt_blocks(self, blocks, width);
+        bitslice::decrypt_blocks(self, blocks, width);
     }
 }
 
@@ -426,11 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn quad_table_matches_scalar_sbox() {
-        // Spot-check the packed table against a direct per-column S-box.
+    fn row_circuit_matches_scalar_sbox() {
+        // Spot-check the S-box layer on 16-bit rows against a direct
+        // per-column lookup in the spec table.
         let mut x = crate::util::SplitMix64::new(21);
         for _ in 0..200 {
-            let mut rows = [
+            let rows = [
                 x.next_u64() as u16,
                 x.next_u64() as u16,
                 x.next_u64() as u16,
@@ -447,8 +377,8 @@ mod tests {
                     *e |= ((w >> r) & 1) << j;
                 }
             }
-            sub_column(&mut rows, quad_table());
-            assert_eq!(rows, expect);
+            assert_eq!(sub_rows(rows, bitslice::sub_column), expect);
+            assert_eq!(sub_rows(expect, bitslice::sub_column_inv), rows);
         }
     }
 

@@ -1,11 +1,13 @@
-//! The bitsliced ≡ scalar equivalence suite: the scalar RECTANGLE path
-//! is the reference oracle, and every bulk API — block encrypt/decrypt,
-//! batched CTR keystream, lane-parallel CBC-MAC — must reproduce it bit
-//! for bit over random keys, random blocks and every lane-count shape
-//! (empty, sub-lane, exactly one pass, ragged multi-pass tails), at
-//! **every supported lane width** (16/32/64): the width is a host-perf
-//! knob, never a semantic one, so each width must match the oracle and
-//! all widths must match each other.
+//! The bitsliced ≡ scalar equivalence suite: every bulk API — block
+//! encrypt/decrypt, batched CTR keystream, lane-parallel CBC-MAC — must
+//! reproduce the one-block scalar path bit for bit over random keys,
+//! random blocks and every lane-count shape (empty, sub-lane, exactly
+//! one pass, ragged multi-pass tails), at **every supported lane width**
+//! (8/16/32/64): the width is a host-perf knob, never a semantic one, so
+//! each width must match the scalar path and all widths must match each
+//! other. Both paths evaluate the same S-box circuit, so a bug common to
+//! them is `tests/kat.rs`'s to catch: it pins both to a spec-written
+//! reference cipher and to recorded known answers.
 
 use proptest::prelude::*;
 use sofia_crypto::{ctr, mac, CounterBlock, Key80, KeySet, LaneWidth, Nonce, Rectangle};
@@ -113,7 +115,7 @@ proptest! {
 
     /// Width sweep: batch encryption at every lane width matches the
     /// scalar oracle, including ragged final passes, and decryption at a
-    /// *different* random width inverts it — so 16/32/64-lane outputs
+    /// *different* random width inverts it — so 8/16/32/64-lane outputs
     /// are mutually bit-identical, not just oracle-identical.
     #[test]
     fn encrypt_blocks_matches_scalar_at_every_width(

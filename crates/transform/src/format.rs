@@ -12,6 +12,12 @@ pub const RESET_PREV_PC: u32 = 0x0000_0000;
 /// never be entered without a MAC failure.
 pub const UNREACHABLE_PREV_PC: u32 = 0x00FF_FFF0;
 
+/// The most 32-bit words one block may span ([`BlockFormat::validate`]
+/// enforces it). It sizes the fetch unit's fixed refill buffers, which
+/// is what keeps a block refill off the heap; the paper's formats span
+/// 6 or 8 words.
+pub const MAX_BLOCK_WORDS: usize = 16;
+
 /// Which of the two SOFIA block types a block is (paper §II-E).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BlockKind {
@@ -83,6 +89,9 @@ impl BlockFormat {
     pub fn validate(&self) -> Result<(), String> {
         if self.exec_insts < 2 {
             return Err("exec_insts must be at least 2 (mux blocks need one instruction)".into());
+        }
+        if self.block_words() > MAX_BLOCK_WORDS {
+            return Err(format!("a block may span at most {MAX_BLOCK_WORDS} words"));
         }
         if self.store_safe_word_offset >= self.block_words() {
             return Err("store_safe_word_offset leaves no legal store slot in a block".into());
@@ -212,6 +221,16 @@ mod tests {
             store_safe_word_offset: 99,
         };
         assert!(bad2.validate().is_err());
+        let widest = BlockFormat {
+            exec_insts: MAX_BLOCK_WORDS - 2,
+            store_safe_word_offset: 4,
+        };
+        assert!(widest.validate().is_ok());
+        let too_wide = BlockFormat {
+            exec_insts: MAX_BLOCK_WORDS - 1,
+            ..widest
+        };
+        assert!(too_wide.validate().is_err());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod sponge;
 pub use decode::DecodeError;
 pub use error::TransformError;
 pub use fipac::{install_fipac, FipacImage};
-pub use format::{BlockFormat, BlockKind, RESET_PREV_PC, UNREACHABLE_PREV_PC};
+pub use format::{BlockFormat, BlockKind, MAX_BLOCK_WORDS, RESET_PREV_PC, UNREACHABLE_PREV_PC};
 pub use image::{SecureImage, TransformReport};
 pub use sponge::{seal_sponge, SpongeImage};
 
@@ -114,8 +114,8 @@ impl Transformer {
 
     /// Selects the host crypto engine sealing runs on. Purely a host
     /// throughput knob — the sealed image is bit-identical either way
-    /// (pinned by test); [`CryptoEngine::Scalar`] is kept as the
-    /// reference oracle and the baseline the host bench compares against.
+    /// (pinned by test); [`CryptoEngine::Scalar`] — one block per cipher
+    /// call — is kept as the baseline the host bench compares against.
     pub fn with_engine(mut self, engine: CryptoEngine) -> Transformer {
         self.engine = engine;
         self

@@ -155,7 +155,7 @@ pub(crate) fn seal(input: SealInput<'_>) -> Result<SecureImage, TransformError> 
     // MAC phase. All blocks of one kind share a MAC key and a fixed
     // padded length, and their CBC chains are independent — so under the
     // bitsliced engine each kind MACs lane-parallel in one batch. The
-    // scalar path is the reference oracle (bit-identical, pinned by
+    // scalar path ciphers one block per call (bit-identical, pinned by
     // test).
     let macs: Vec<Mac64> = match engine {
         CryptoEngine::Scalar => packed

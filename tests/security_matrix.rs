@@ -73,6 +73,12 @@ fn snapshots_add_no_forgery_surface() {
         };
         let forged = migration::forge_resume_prev_pc_with(&keys, &config);
         assert!(forged.is_detected(), "forged prevPC: {forged}");
+        // A source no sealed edge can carry: unaligned, or past the
+        // 24-bit word space of the counter block.
+        for mask in [1, 1 << 26] {
+            let v = migration::forge_resume_prev_pc_bits_with(&keys, &config, mask);
+            assert!(v.is_detected(), "prevPC ^ {mask:#x}: {v}");
+        }
         let stale = migration::replay_stale_resume_edge_with(&keys, &config);
         assert!(stale.is_detected(), "stale edge replay: {stale}");
         let redirect = migration::redirect_resume_out_of_image_with(&keys, &config);
