@@ -645,7 +645,7 @@ fn chaos_eval() {
             r.deadline_late,
             r.breaker_opens,
             p.mttr_ticks,
-            r.vcache_off_tenants + r.scalar_fallbacks + r.inline_seal_fallbacks,
+            r.vcache_off_tenants + r.scalar_fallbacks,
         );
         for c in &p.classes {
             println!(

@@ -2204,7 +2204,7 @@ pub fn chaos_json(report: &ChaosReport) -> String {
              \"deadline_late\": {}, \"load_shed\": {},\n      \
              \"breaker_opens\": {}, \"breaker_closes\": {}, \"breaker_open_ticks\": {}, \
              \"mttr_ticks\": {:.1},\n      \
-             \"vcache_off_tenants\": {}, \"scalar_fallbacks\": {}, \"inline_seal_fallbacks\": {},\n      \
+             \"vcache_off_tenants\": {}, \"scalar_fallbacks\": {},\n      \
              \"digest\": \"{:#018x}\",\n      \"classes\": [\n",
             p.rate_ppm,
             p.availability,
@@ -2231,7 +2231,6 @@ pub fn chaos_json(report: &ChaosReport) -> String {
             p.mttr_ticks,
             r.vcache_off_tenants,
             r.scalar_fallbacks,
-            r.inline_seal_fallbacks,
             p.digest,
         ));
         for (j, c) in p.classes.iter().enumerate() {

@@ -35,20 +35,31 @@
 //! Classes are FIFO inside, fair across — a weight-4 class gets 4× the
 //! service of a weight-1 class while both are backlogged.
 //!
+//! ## One wave per tick
+//!
+//! All of a tick's host work is one wave on a persistent pool: each
+//! selected lane's quantum (with its cold seal, if the job has not run
+//! yet) and the snapshot of every queued job that cools to parked this
+//! tick. The coordinator publishes the wave and then runs tasks itself
+//! beside `threads − 1` pool threads, so no thread sleeps while work is
+//! left. Results come back in task order.
+//!
 //! ## Determinism
 //!
 //! `threads` (host parallelism) and `workers` (virtual lanes per tick)
 //! are deliberately separate knobs. Everything that affects results —
-//! admission, lane selection, tick pricing, the fold order of finished
-//! records — is computed on the coordinator from queue state alone;
-//! host threads only execute the selected quanta, each on a job-owned
-//! machine. The async ≡ serial bit-identity invariant therefore holds
-//! at any thread count *by construction*, and the `fleet_async` suite
-//! pins it.
+//! admission, lane selection, chaos draws, seal attribution, which jobs
+//! park, tick pricing, the fold order of finished records — is decided
+//! on the coordinator from queue state alone; host threads only execute
+//! the wave, each task on a job-owned machine. The async ≡ serial
+//! bit-identity invariant therefore holds at any thread count *by
+//! construction*, and the `fleet_async` suite pins it.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 
+use sofia_core::machine::SofiaMachine;
 use sofia_core::MachineSnapshot;
 use sofia_crypto::KeySet;
 use sofia_transform::cache::{image_key, ImageCache, ImageKey};
@@ -56,21 +67,21 @@ use sofia_transform::cache::{image_key, ImageCache, ImageKey};
 use crate::admission::{AdmissionConfig, AdmitError, ClassId, Rejection};
 use crate::chaos::{ChaosPlan, InjectedFault, Seam};
 use crate::fleet::{
-    catch_quantum, finish, lock_clean, needs_containment, restore_against, FleetConfig, FleetError,
-    JobRun, SchedMode,
+    catch_quantum, finish, lock_clean, needs_containment, restore_against, seal_run, FleetConfig,
+    FleetError, JobRun, SchedMode,
 };
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, TenantId};
 use crate::quarantine::{fold_policy, QuarantinePolicy, TenantState};
 use crate::resilience::{ResilienceConfig, ResilienceEvent, ResilienceState, ResilienceStats};
-use crate::seal_farm::{SealFarm, SealVerdict};
 use crate::stats::TenantStats;
 
 /// Full configuration of an [`AsyncFleet`].
 #[derive(Clone, Debug)]
 pub struct AsyncConfig {
-    /// Host OS threads executing quanta (clamped to ≥ 1). Pure host
-    /// parallelism: provably cannot affect results, records or virtual
-    /// time — only wall-clock.
+    /// Host OS threads executing each tick's wave (clamped to ≥ 1): the
+    /// coordinator plus `threads − 1` pool threads, or the coordinator
+    /// alone at 1. Pure host parallelism: provably cannot affect
+    /// results, records or virtual time — only wall-clock.
     pub threads: usize,
     /// Virtual lanes served per tick (clamped to ≥ 1) — the async
     /// analogue of [`FleetConfig::workers`]. Part of the deterministic
@@ -199,6 +210,10 @@ struct LaneTask {
     /// The fault the chaos plan assigned to this lane, if any. Decided
     /// on the coordinator (deterministic), applied on the lane runner.
     fault: Option<InjectedFault>,
+    /// Whether this is the wave's first cold lane of its image: it
+    /// seals before any injected fault applies, so the cache sees one
+    /// lookup per distinct image in the wave, faulted claimer or not.
+    claims_seal: bool,
 }
 
 struct LaneResult {
@@ -229,6 +244,11 @@ fn revive(run: &mut JobRun, bytes: &[u8]) -> Result<(), String> {
 fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> LaneResult {
     let run = &mut task.pending.run;
     run.quanta_this_batch = 0;
+    if task.claims_seal {
+        // A failed seal leaves the image unset: the quantum seals again
+        // and fails the same way (seals are deterministic), typed.
+        let _ = seal_run(run, cache);
+    }
     let mut revived = false;
     if let Some(bytes) = task.pending.parked.take() {
         match revive(run, &bytes) {
@@ -249,7 +269,7 @@ fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> Lan
         }
     }
     let record = match task.fault.take() {
-        // An injected farm fault: the job's fresh seal "failed" — the
+        // An injected seal fault: the job's fresh seal "failed" — the
         // same typed, zero-cost-quantum shape as a real seal error.
         Some(InjectedFault::SealFault) => {
             run.slices += 1;
@@ -306,12 +326,41 @@ fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> Lan
 // The persistent thread pool.
 // ---------------------------------------------------------------------
 
-/// Shared state between the coordinator and the pool threads. One
-/// dispatch wave at a time: the coordinator publishes `tasks`, workers
-/// claim indices, the coordinator blocks on `done` until every lane
-/// settles. Poisoning is shrugged off everywhere ([`lock_clean`]) — a
-/// panicking quantum is already contained by [`catch_quantum`], and a
-/// poisoned flag must not take the driver down (the whole point of the
+/// One unit of a tick's wave. Tasks live inline in the wave's vector:
+/// boxing the larger lane variant would cost a heap allocation per lane
+/// per tick to save a few KiB of padding.
+#[allow(clippy::large_enum_variant)]
+enum Task {
+    /// Serve one lane's quantum.
+    Lane(LaneTask),
+    /// Serialise a cooling job's machine to `SOFS1` bytes.
+    Park {
+        machine: SofiaMachine,
+        remaining: u64,
+    },
+}
+
+/// A task's result, in the shape of its [`Task`].
+#[allow(clippy::large_enum_variant)]
+enum Done {
+    Lane(LaneResult),
+    Park(Vec<u8>),
+}
+
+fn run_task(task: Task, config: &FleetConfig, cache: &ImageCache) -> Done {
+    match task {
+        Task::Lane(lane) => Done::Lane(run_lane(lane, config, cache)),
+        Task::Park { machine, remaining } => Done::Park(machine.snapshot(remaining).to_bytes()),
+    }
+}
+
+/// Shared state between the coordinator and the pool threads. One wave
+/// at a time: the coordinator publishes `tasks`, every runner (the
+/// coordinator included) claims indices until none are left, and the
+/// coordinator then blocks on `done` until every task settles.
+/// Poisoning is shrugged off everywhere ([`lock_clean`]) — a panicking
+/// quantum is already contained by [`catch_quantum`], and a poisoned
+/// flag must not take the driver down (the whole point of the
 /// panic-isolation fix).
 struct PoolShared {
     config: FleetConfig,
@@ -319,17 +368,50 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled when a wave is published or on shutdown.
     work: Condvar,
-    /// Signalled when the last lane of a wave settles.
+    /// Signalled when the last task of a wave settles.
     done: Condvar,
 }
 
 #[derive(Default)]
 struct PoolState {
-    tasks: Vec<Option<LaneTask>>,
+    tasks: Vec<Option<Task>>,
     next: usize,
     settled: usize,
-    results: Vec<Option<LaneResult>>,
+    /// Per task, its result or the payload of a panic that escaped it
+    /// (re-raised on the coordinator once the wave has settled).
+    results: Vec<Option<std::thread::Result<Done>>>,
     shutdown: bool,
+}
+
+impl PoolState {
+    /// Claims the next unclaimed task of the wave, if any.
+    fn claim(&mut self) -> Option<(usize, Task)> {
+        while self.next < self.tasks.len() {
+            let i = self.next;
+            self.next += 1;
+            if let Some(task) = self.tasks[i].take() {
+                return Some((i, task));
+            }
+        }
+        None
+    }
+
+    /// Stores task `i`'s result; `true` when it was the wave's last.
+    fn settle(&mut self, i: usize, result: std::thread::Result<Done>) -> bool {
+        self.results[i] = Some(result);
+        self.settled += 1;
+        self.settled == self.tasks.len()
+    }
+}
+
+impl PoolShared {
+    /// Runs a claimed task outside the lock, catching any panic that
+    /// escaped it, so no runner dies mid-wave and strands the count.
+    fn run(&self, task: Task) -> std::thread::Result<Done> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_task(task, &self.config, &self.cache)
+        }))
+    }
 }
 
 struct Pool {
@@ -338,7 +420,9 @@ struct Pool {
 }
 
 impl Pool {
-    fn new(threads: usize, config: FleetConfig, cache: Arc<ImageCache>) -> Pool {
+    /// A pool of `workers` threads; the coordinator is the wave's
+    /// other runner.
+    fn new(workers: usize, config: FleetConfig, cache: Arc<ImageCache>) -> Pool {
         let shared = Arc::new(PoolShared {
             config,
             cache,
@@ -346,7 +430,7 @@ impl Pool {
             work: Condvar::new(),
             done: Condvar::new(),
         });
-        let handles = (0..threads)
+        let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
@@ -355,18 +439,24 @@ impl Pool {
         Pool { shared, handles }
     }
 
-    /// Runs one wave of lanes and returns their results in lane order.
-    fn dispatch(&self, tasks: Vec<LaneTask>) -> Vec<LaneResult> {
+    /// Runs one wave and returns its results in task order. The calling
+    /// thread runs tasks too, and waits only for stragglers. A panic
+    /// that escaped a task is re-raised here, after the wave has
+    /// settled, so the pool is never left mid-wave.
+    fn dispatch(&self, tasks: Vec<Task>) -> Vec<Done> {
         let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let mut state = lock_clean(&self.shared.state);
         state.tasks = tasks.into_iter().map(Some).collect();
         state.results = (0..n).map(|_| None).collect();
         state.next = 0;
         state.settled = 0;
         self.shared.work.notify_all();
+        while let Some((i, task)) = state.claim() {
+            drop(state);
+            let result = self.shared.run(task);
+            state = lock_clean(&self.shared.state);
+            state.settle(i, result);
+        }
         while state.settled < n {
             state = self
                 .shared
@@ -376,7 +466,12 @@ impl Pool {
         }
         state.tasks.clear();
         let results = std::mem::take(&mut state.results);
-        results.into_iter().flatten().collect()
+        drop(state);
+        results
+            .into_iter()
+            .flatten()
+            .map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     }
 }
 
@@ -388,8 +483,8 @@ impl Drop for Pool {
             self.shared.work.notify_all();
         }
         for handle in self.handles.drain(..) {
-            // A worker that somehow died outside the quantum barrier
-            // has nothing left to tell us; the driver is shutting down.
+            // Workers catch every task panic, so a join error has
+            // nothing left to tell us; the driver is shutting down.
             let _ = handle.join();
         }
     }
@@ -401,23 +496,16 @@ fn worker_loop(shared: &PoolShared) {
         if state.shutdown {
             return;
         }
-        if state.next < state.tasks.len() {
-            let i = state.next;
-            state.next += 1;
-            let Some(task) = state.tasks[i].take() else {
-                continue;
-            };
+        if let Some((i, task)) = state.claim() {
             drop(state);
-            let result = run_lane(task, &shared.config, &shared.cache);
+            let result = shared.run(task);
             state = lock_clean(&shared.state);
-            state.results[i] = Some(result);
-            state.settled += 1;
-            if state.settled == state.tasks.len() {
+            if state.settle(i, result) {
                 shared.done.notify_all();
             }
         } else {
-            // Checked `next < tasks.len()` under the same lock the
-            // dispatcher publishes under — no lost wakeup.
+            // Checked for work under the same lock the dispatcher
+            // publishes under — no lost wakeup.
             state = shared
                 .work
                 .wait(state)
@@ -701,18 +789,21 @@ impl AsyncFleet {
 
     /// Drives one virtual tick: run the resilience pass (breaker
     /// cooldown, deadline sheds), admit due arrivals, WFQ-select up to
-    /// `workers` lanes, draw the chaos plan against them, execute their
-    /// quanta (in parallel over the host pool — results provably
-    /// independent of `threads`), price the tick, fold finished records
-    /// (intercepting retryable faults), park the cold. Returns the
-    /// number of jobs that finished this tick (shed jobs included —
-    /// they finish with a typed [`JobOutcome::DeadlineMissed`] record).
+    /// `workers` lanes, draw the chaos plan against them, attribute
+    /// their cold seals, run the wave — the lanes' quanta plus the
+    /// snapshots of the queued jobs cooling to parked (in parallel over
+    /// the host pool — results provably independent of `threads`) —
+    /// price the tick, fold finished records (intercepting retryable
+    /// faults), park the cold. Returns the number of jobs that finished
+    /// this tick (shed jobs included — they finish with a typed
+    /// [`JobOutcome::DeadlineMissed`] record).
     pub fn tick(&mut self) -> usize {
         let now = self.now;
         let shed = self.resilience_pass(now);
         self.admit_due(now);
         let mut lanes = self.select_lanes();
         self.inject_faults(now, &mut lanes);
+        self.attribute_seals(&mut lanes);
         let results = self.execute(lanes);
         let finished = self.settle(now, results);
         self.park_pass();
@@ -807,7 +898,7 @@ impl AsyncFleet {
                 continue;
             }
             // Seal faults strike only *fresh* transforms: a lane whose
-            // image is already sealed (or cached) has no farm work for
+            // image is already sealed (or cached) has no seal work for
             // the fault to hit — which is exactly why a 100%-seal-fault
             // storm still serves warm tenants.
             let cold = task.pending.run.machine.is_none() && task.pending.run.image.is_none();
@@ -997,6 +1088,7 @@ impl AsyncFleet {
                 pending,
                 provisional,
                 fault: None,
+                claims_seal: false,
             });
         }
         lanes
@@ -1025,82 +1117,102 @@ impl AsyncFleet {
         best.map(|(id, _, _)| id)
     }
 
-    /// Runs the selected lanes' quanta: pre-seals the wave's distinct
-    /// cold images through the [`SealFarm`] (deterministic attribution,
-    /// claimed in lane order — exactly the batch fleet's farm protocol),
-    /// then executes each lane on the host pool. Results come back in
-    /// lane order regardless of thread interleaving.
-    fn execute(&mut self, mut lanes: Vec<LaneTask>) -> Vec<LaneResult> {
-        if lanes.is_empty() {
-            return Vec::new();
+    /// Runs the tick's wave — the selected lanes plus a snapshot of
+    /// every queued job cooling to parked — and returns the lane results
+    /// in lane order. The snapshot bytes go back into their jobs here,
+    /// before the lanes settle.
+    fn execute(&mut self, lanes: Vec<LaneTask>) -> Vec<LaneResult> {
+        let (parks, cooling) = self.take_cooling();
+        let tasks = lanes.into_iter().map(Task::Lane).chain(parks).collect();
+        let mut results = Vec::new();
+        let mut cooling = cooling.into_iter();
+        for done in self.run_wave(tasks) {
+            match done {
+                Done::Lane(result) => results.push(result),
+                Done::Park(bytes) => {
+                    let Some((class, at)) = cooling.next() else {
+                        debug_assert!(false, "more park results than cooling jobs");
+                        continue;
+                    };
+                    if let Some(pending) = self
+                        .classes
+                        .get_mut(&class)
+                        .and_then(|state| state.queue.get_mut(at))
+                    {
+                        pending.parked = Some(bytes);
+                        self.stats.parks += 1;
+                    }
+                }
+            }
         }
-        if !self.res.inline_seal_engaged() {
-            self.preseal_wave(&mut lanes);
-        }
-        let threads = self.config.threads.max(1);
-        if threads <= 1 || lanes.len() <= 1 {
-            return lanes
-                .into_iter()
-                .map(|t| run_lane(t, &self.fleet_config, &self.cache))
-                .collect();
-        }
-        if self.pool.is_none() {
-            self.pool = Some(Pool::new(
-                threads,
-                self.fleet_config,
-                Arc::clone(&self.cache),
-            ));
-        }
-        match &self.pool {
-            Some(pool) => pool.dispatch(lanes),
-            // Assigned just above; kept total rather than panicking.
-            None => Vec::new(),
-        }
+        results
     }
 
-    /// Farm-seals the wave's distinct cold images before dispatch, with
-    /// the batch fleet's claim protocol: the first lane of each freshly
-    /// sealed image adopts it (fresh/shared verdict as its attribution);
-    /// duplicates and failures fall through to the job path, which the
-    /// farm just made warm (or which fails identically — seals are
-    /// deterministic). This keeps `seal_cache_hit` a lane-order
-    /// function, independent of thread timing.
-    fn preseal_wave(&mut self, lanes: &mut [LaneTask]) {
-        let requests: Vec<(&KeySet, &str)> = lanes
-            .iter()
-            // A lane marked with an injected seal fault must not be
-            // pre-sealed — its transform is the thing that "failed".
-            .filter(|t| t.fault != Some(InjectedFault::SealFault))
-            .filter(|t| t.pending.run.machine.is_none() && t.pending.run.image.is_none())
-            .map(|t| (&t.pending.run.keys, t.pending.run.spec.source.as_str()))
-            .collect();
-        if requests.is_empty() {
-            return;
+    /// Runs a wave and returns its results in task order: inline when
+    /// `threads == 1` or there is at most one task, else on the
+    /// persistent pool with the coordinator as one of its runners.
+    fn run_wave(&mut self, tasks: Vec<Task>) -> Vec<Done> {
+        let threads = self.config.threads.max(1);
+        if threads <= 1 || tasks.len() <= 1 {
+            return tasks
+                .into_iter()
+                .map(|t| run_task(t, &self.fleet_config, &self.cache))
+                .collect();
         }
-        let farm = SealFarm::new(&self.cache, self.config.threads.max(1));
-        let wave = farm.seal_wave(&requests);
+        let pool = self.pool.get_or_insert_with(|| {
+            Pool::new(threads - 1, self.fleet_config, Arc::clone(&self.cache))
+        });
+        pool.dispatch(tasks)
+    }
+
+    /// Decides each cold lane's seal attribution, in lane order, before
+    /// the wave runs: the first cold lane of an image the cache does not
+    /// hold is the miss, every other cold lane is a hit, however the
+    /// lanes' seals then race. The first cold lane of each image claims
+    /// its seal. A lane struck by an injected seal fault never seals, so
+    /// it neither claims nor is attributed.
+    fn attribute_seals(&self, lanes: &mut [LaneTask]) {
         let mut claimed: HashSet<ImageKey> = HashSet::new();
         for task in lanes.iter_mut() {
-            if task.fault == Some(InjectedFault::SealFault) {
-                continue;
-            }
             let run = &mut task.pending.run;
-            if run.machine.is_some() || run.image.is_some() {
+            if task.fault == Some(InjectedFault::SealFault)
+                || run.machine.is_some()
+                || run.image.is_some()
+            {
                 continue;
             }
             let key = image_key(&run.keys, &run.spec.source);
-            if !claimed.insert(key) {
-                continue;
-            }
-            if let Some(SealVerdict {
-                image: Ok(image),
-                fresh,
-            }) = wave.verdicts.get(&key)
-            {
-                run.image = Some(Arc::clone(image));
-                run.seal_cache_hit = !fresh;
+            task.claims_seal = claimed.insert(key);
+            run.attributed_hit = Some(!task.claims_seal || self.cache.contains(&key));
+        }
+    }
+
+    /// Takes the machine of every queued job that [`AsyncFleet::park_pass`]
+    /// would park at the end of this tick, as snapshot tasks for the
+    /// wave, with each job's `(class, queue index)` to return its bytes
+    /// to. The lanes are already out of the queues, and settling only
+    /// appends to them, so the indices hold until the bytes return.
+    fn take_cooling(&mut self) -> (Vec<Task>, Vec<(u8, usize)>) {
+        let mut tasks = Vec::new();
+        let mut cooling = Vec::new();
+        let Some(after) = self.config.park_after else {
+            return (tasks, cooling);
+        };
+        for (&class, state) in self.classes.iter_mut() {
+            for (at, pending) in state.queue.iter_mut().enumerate() {
+                if pending.idle_ticks + 1 < after {
+                    continue;
+                }
+                if let Some(machine) = pending.run.machine.take() {
+                    tasks.push(Task::Park {
+                        machine,
+                        remaining: pending.run.remaining,
+                    });
+                    cooling.push((class, at));
+                }
             }
         }
+        (tasks, cooling)
     }
 
     /// Prices the tick and folds its lane results, in lane order:
@@ -1261,9 +1373,11 @@ impl AsyncFleet {
     }
 
     /// Ages the still-queued jobs and parks the cold ones to `SOFS1`
-    /// bytes. Also tracks the peak count of resident live machines —
-    /// the number the "thousands of tenants on a few threads" claim
-    /// stands on.
+    /// bytes. The wave already parked every cold job that was queued
+    /// before it ran; this parks the lanes re-queued this tick that are
+    /// cold at once (`park_after <= 1`). Also tracks the peak count of
+    /// resident live machines — the number the "thousands of tenants on
+    /// a few threads" claim stands on.
     fn park_pass(&mut self) {
         let park_after = self.config.park_after;
         let mut resident = 0u64;

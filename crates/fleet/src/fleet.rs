@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use sofia_core::machine::{RunOutcome, SliceOutcome, SofiaMachine};
 use sofia_core::{ResetPolicy, SofiaConfig};
 use sofia_crypto::KeySet;
-use sofia_transform::cache::{image_key, ImageCache, ImageCacheStats, ImageKey};
+use sofia_transform::cache::{image_key, ImageCache, ImageCacheStats, ImageKey, SealError};
 use sofia_transform::SecureImage;
 
 use crate::checkpoint::{AdoptError, JobCheckpoint};
@@ -182,6 +182,11 @@ pub(crate) struct JobRun {
     pub(crate) machine: Option<SofiaMachine>,
     pub(crate) remaining: u64,
     pub(crate) seal_cache_hit: bool,
+    /// The coordinator's seal attribution for this run's cold start.
+    /// `Some` overrides what the cache reports to [`seal_run`], so lanes
+    /// racing for one cold image record the same hits at any thread
+    /// count. `None` (the batch fleet) takes the cache's report.
+    pub(crate) attributed_hit: Option<bool>,
     pub(crate) retried: bool,
     /// Violations and statistics of the first (violating) run, parked
     /// while the reboot-retry runs — merged into the final record.
@@ -211,6 +216,7 @@ impl JobRun {
             machine: None,
             remaining,
             seal_cache_hit: false,
+            attributed_hit: None,
             retried: false,
             prior: None,
             slices: 0,
@@ -651,6 +657,7 @@ impl Fleet {
             machine,
             remaining: ckpt.remaining,
             seal_cache_hit,
+            attributed_hit: None,
             retried: ckpt.retried,
             prior: ckpt.prior,
             slices: ckpt.slices,
@@ -942,22 +949,17 @@ pub(crate) fn service_quantum(
         panic!("sabotage: deliberate panic while servicing {}", run.id);
     }
     if run.machine.is_none() {
-        // The seal farm may have pre-sealed this job's image (and set
-        // its cache attribution) at batch admission; only seal here if
-        // the job arrived at its first quantum still cold.
+        // The batch fleet's seal farm or the async lane's own seal
+        // claim may already have sealed this job's image (and set its
+        // cache attribution); only seal here if the job arrived at its
+        // first quantum still cold.
         if run.image.is_none() {
-            match cache.get_or_seal_traced(&run.keys, &run.spec.source) {
-                Ok((image, hit)) => {
-                    run.seal_cache_hit = hit;
-                    run.image = Some(image);
-                }
-                Err(e) => {
-                    // A zero-cost quantum so the schedule model still
-                    // gives the job its admission tick.
-                    run.slices += 1;
-                    run.slice_cycles.push(0);
-                    return Some(finish(run, JobOutcome::SealFailed(e.to_string())));
-                }
+            if let Err(e) = seal_run(run, cache) {
+                // A zero-cost quantum so the schedule model still gives
+                // the job its admission tick.
+                run.slices += 1;
+                run.slice_cycles.push(0);
+                return Some(finish(run, JobOutcome::SealFailed(e.to_string())));
             }
         }
         let mut machine = match run.image.as_ref() {
@@ -1001,6 +1003,16 @@ pub(crate) fn service_quantum(
             }
         }
     }
+}
+
+/// Seals `run`'s image through the shared cache and records its
+/// attribution: the coordinator's [`JobRun::attributed_hit`] when set,
+/// else whether the cache already held the image.
+pub(crate) fn seal_run(run: &mut JobRun, cache: &ImageCache) -> Result<(), SealError> {
+    let (image, hit) = cache.get_or_seal_traced(&run.keys, &run.spec.source)?;
+    run.seal_cache_hit = run.attributed_hit.take().unwrap_or(hit);
+    run.image = Some(image);
+    Ok(())
 }
 
 /// If the quarantine policy owes this violating job a reboot-retry,

@@ -28,9 +28,8 @@
 //! 4. **Graceful degradation** — repeated faults on one path flip a
 //!    cheaper-but-correct fallback: vcache-off for a tenant whose
 //!    snapshots keep failing revival, `CryptoEngine::Scalar` after
-//!    bitslice-path seal faults, Farm→Inline sealing after farm faults.
-//!    All three fallbacks are bit-identical on the record surface (the
-//!    engine and seal-placement invariants are pinned elsewhere), so
+//!    bitslice-path seal faults. Both fallbacks are bit-identical on the
+//!    record surface (the engine invariant is pinned elsewhere), so
 //!    degradation trades host throughput, never correctness.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -76,9 +75,6 @@ pub struct ResilienceConfig {
     /// After this many seal-path faults fleet-wide, image sealing drops
     /// to `CryptoEngine::Scalar` (`None` = never).
     pub scalar_crypto_after: Option<u32>,
-    /// After this many seal-path faults fleet-wide, presealing via the
-    /// farm is bypassed in favour of inline lane seals (`None` = never).
-    pub inline_seal_after: Option<u32>,
 }
 
 impl ResilienceConfig {
@@ -100,7 +96,6 @@ impl ResilienceConfig {
             }),
             vcache_off_after: Some(2),
             scalar_crypto_after: Some(3),
-            inline_seal_after: Some(3),
         }
     }
 
@@ -116,8 +111,6 @@ pub enum DegradeMode {
     VcacheOff,
     /// Image sealing fell back to the scalar crypto engine.
     ScalarCrypto,
-    /// Farm presealing is bypassed; lanes seal inline.
-    InlineSeal,
 }
 
 /// One fault or recovery decision, in coordinator (deterministic)
@@ -264,8 +257,6 @@ pub struct ResilienceStats {
     pub vcache_off_tenants: u64,
     /// Scalar-crypto fallback engaged (0 or 1).
     pub scalar_fallbacks: u64,
-    /// Inline-seal fallback engaged (0 or 1).
-    pub inline_seal_fallbacks: u64,
 }
 
 /// Degradation actions the executor must apply after feeding a seal
@@ -273,7 +264,6 @@ pub struct ResilienceStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct DegradeActions {
     pub(crate) engage_scalar: bool,
-    pub(crate) engage_inline_seal: bool,
 }
 
 /// Coordinator-side resilience state machine. All mutation happens on
@@ -289,14 +279,13 @@ pub(crate) struct ResilienceState {
     fault_ticks: VecDeque<u64>,
     /// `(opened_tick, until_tick)` while the breaker is open.
     breaker_open: Option<(u64, u64)>,
-    /// Seal-path faults seen (drives the crypto/seal rungs).
+    /// Seal-path faults seen (drives the scalar-crypto rung).
     seal_faults_seen: u32,
     /// Revival failures per tenant (drives the vcache rung).
     revival_failures: BTreeMap<u32, u32>,
     /// Tenants stepped down to vcache-off.
     vcache_degraded: BTreeSet<u32>,
     scalar_engaged: bool,
-    inline_seal_engaged: bool,
 }
 
 impl ResilienceState {
@@ -312,7 +301,6 @@ impl ResilienceState {
             revival_failures: BTreeMap::new(),
             vcache_degraded: BTreeSet::new(),
             scalar_engaged: false,
-            inline_seal_engaged: false,
         }
     }
 
@@ -366,24 +354,7 @@ impl ResilienceState {
                 actions.engage_scalar = true;
             }
         }
-        if let Some(after) = self.config.inline_seal_after {
-            if !self.inline_seal_engaged && self.seal_faults_seen >= after {
-                self.inline_seal_engaged = true;
-                self.stats.inline_seal_fallbacks += 1;
-                self.events.push(ResilienceEvent::Degraded {
-                    tick,
-                    mode: DegradeMode::InlineSeal,
-                    tenant: None,
-                });
-                actions.engage_inline_seal = true;
-            }
-        }
         actions
-    }
-
-    /// Whether farm presealing is currently bypassed.
-    pub(crate) fn inline_seal_engaged(&self) -> bool {
-        self.inline_seal_engaged
     }
 
     /// Record a revival failure for `tenant`; returns `true` when this
@@ -633,19 +604,14 @@ mod tests {
     fn seal_faults_walk_the_degradation_ladder_once() {
         let mut cfg = ResilienceConfig::standard();
         cfg.scalar_crypto_after = Some(2);
-        cfg.inline_seal_after = Some(3);
         let mut state = ResilienceState::new(cfg);
         let a1 = state.note_fault(1, Seam::Seal, None, None);
-        assert!(!a1.engage_scalar && !a1.engage_inline_seal);
+        assert!(!a1.engage_scalar);
         let a2 = state.note_fault(2, Seam::Seal, None, None);
-        assert!(a2.engage_scalar && !a2.engage_inline_seal);
+        assert!(a2.engage_scalar);
         let a3 = state.note_fault(3, Seam::Seal, None, None);
-        assert!(!a3.engage_scalar && a3.engage_inline_seal);
-        let a4 = state.note_fault(4, Seam::Seal, None, None);
-        assert_eq!(a4, DegradeActions::default(), "each rung fires once");
+        assert_eq!(a3, DegradeActions::default(), "the rung fires once");
         assert_eq!(state.stats.scalar_fallbacks, 1);
-        assert_eq!(state.stats.inline_seal_fallbacks, 1);
-        assert!(state.inline_seal_engaged());
     }
 
     #[test]

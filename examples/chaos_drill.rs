@@ -99,7 +99,7 @@ fn main() {
         res.retries_scheduled,
         res.breaker_opens,
         res.breaker_open_ticks,
-        res.vcache_off_tenants + res.scalar_fallbacks + res.inline_seal_fallbacks,
+        res.vcache_off_tenants + res.scalar_fallbacks,
     );
     println!("         typed event ledger (first strikes and recoveries):");
     for event in fleet.drain_resilience_events().iter().take(8) {

@@ -36,9 +36,13 @@ fn tenants() -> Vec<(TenantId, KeySet)> {
 
 /// A mixed job set: loops of different lengths, a fuel-exhausted job, a
 /// trapping job, and a tampered tenant — every verdict kind the batch
-/// suite exercises.
+/// suite exercises. The first two jobs are one tenant's same program, so
+/// tick 0's wave carries two lanes for one cold image.
 fn jobs() -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
+    let mut jobs = vec![
+        JobSpec::new(TenantId(4), loop_job(33), 100_000),
+        JobSpec::new(TenantId(4), loop_job(33), 100_000),
+    ];
     for (i, (tenant, _)) in tenants().into_iter().enumerate() {
         jobs.push(JobSpec::new(tenant, loop_job(20 + 13 * i as u32), 100_000));
         jobs.push(JobSpec::new(tenant, loop_job(5 + i as u32), 100_000));
@@ -115,7 +119,7 @@ fn digest(r: &JobRecord) -> ResultDigest {
 /// The full deterministic surface of a record, scheduling included.
 fn full_digest(r: &JobRecord) -> String {
     format!(
-        "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}",
+        "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{}",
         r.job,
         r.outcome,
         r.out_words,
@@ -126,6 +130,7 @@ fn full_digest(r: &JobRecord) -> String {
         r.end_tick,
         r.sojourn_cycles,
         r.slice_cycles,
+        r.seal_cache_hit,
     )
 }
 
@@ -161,17 +166,40 @@ fn async_matches_serial_at_every_thread_count() {
 
 #[test]
 fn thread_count_is_invisible_to_the_full_record_surface() {
-    let (fleet1, r1) = drive(1, Some(4));
-    for threads in [2usize, 4, 8] {
-        let (fleetn, rn) = drive(threads, Some(4));
+    let (_, never) = drive(1, None);
+    let reference: Vec<_> = never.iter().map(full_digest).collect();
+    // The wave's two lanes for one cold image: the first is the miss,
+    // the second a hit, whichever lane's seal wins the race.
+    assert_eq!(
+        (never[0].seal_cache_hit, never[1].seal_cache_hit),
+        (false, true)
+    );
+    // `Some(0)` and `Some(1)` also park lanes re-queued in the same tick;
+    // `Some(4)` parks only jobs that cool while queued.
+    for park_after in [None, Some(0), Some(1), Some(4)] {
+        let (fleet1, r1) = drive(1, park_after);
         let a: Vec<_> = r1.iter().map(full_digest).collect();
-        let b: Vec<_> = rn.iter().map(full_digest).collect();
-        assert_eq!(a, b, "schedule surface diverged at {threads} threads");
-        assert_eq!(fleet1.stats(), {
+        assert_eq!(a, reference, "parking after {park_after:?} moved a record");
+        for threads in [2usize, 4, 8] {
+            let (fleetn, rn) = drive(threads, park_after);
+            let b: Vec<_> = rn.iter().map(full_digest).collect();
+            assert_eq!(
+                a, b,
+                "schedule surface diverged at {threads} threads, parking after {park_after:?}"
+            );
             // Host-only counters aside, the stats are one deterministic
-            // surface; parks/revives/makespan must all agree.
-            fleetn.stats()
-        });
+            // surface; parks/revives/peak residency/makespan must agree.
+            assert_eq!(
+                fleet1.stats(),
+                fleetn.stats(),
+                "{threads} threads, {park_after:?}"
+            );
+            assert_eq!(
+                fleet1.seal_cache_stats(),
+                fleetn.seal_cache_stats(),
+                "{threads} threads, {park_after:?}"
+            );
+        }
     }
 }
 
