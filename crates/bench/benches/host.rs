@@ -3,10 +3,10 @@
 //! Everything here is **wall-clock on this host** — the one trajectory
 //! file whose numbers are *not* simulated cycles. It records what the
 //! host-side optimisations (bitsliced RECTANGLE, batch sealing, the
-//! zero-copy verified-block dispatch, the work-stealing fleet pool)
-//! actually buy on real silicon: keystream blocks/sec scalar vs
-//! bitsliced, host MIPS of the three machines, seals/sec under each
-//! crypto engine, and fleet jobs/sec shared-queue vs stealing. Numbers
+//! zero-copy verified-block dispatch, the fleet's wave pool) actually
+//! buy on real silicon: keystream blocks/sec scalar vs bitsliced, host
+//! MIPS of the three machines, seals/sec under each crypto engine, and
+//! fleet jobs/sec per worker count. Numbers
 //! are informational (no CI thresholds — wall clock is noisy and
 //! machine-dependent).
 //!
@@ -15,7 +15,7 @@
 //! only (re)written by a *measuring* invocation — `cargo bench --bench
 //! host` or `repro -- host`, both release in CI. The smoke run under
 //! `cargo test` still exercises the whole measurement path (including
-//! the fleet pools) but skips the write, so test runs never dirty the
+//! the fleet) but skips the write, so test runs never dirty the
 //! committed record with debug-build wall-clock numbers.
 
 use criterion::{black_box, criterion_group, Criterion};
@@ -28,15 +28,6 @@ fn bench_host(c: &mut Criterion) {
     });
     g.bench_function("seal/adpcm600", |b| {
         b.iter(|| black_box(sofia_bench::host_seal_rates(1)))
-    });
-    g.bench_function("seal_farm/16-tenant-wave", |b| {
-        b.iter(|| {
-            black_box(sofia_bench::host_seal_farm_points(
-                &sofia_bench::host_worker_counts(),
-                16,
-                1,
-            ))
-        })
     });
     g.bench_function("mips/fib5000", |b| {
         b.iter(|| black_box(sofia_bench::host_mips(1)))

@@ -521,22 +521,6 @@ fn host_eval() {
         s.bitsliced_seals_per_sec,
         s.speedup()
     );
-    println!("  seal farm (cold wave, adpcm240 x distinct tenant keys):");
-    println!("    workers  images  seals/sec  speedup");
-    let serial = report
-        .seal_farm
-        .iter()
-        .find(|p| p.workers == 1)
-        .map(|p| p.seals_per_sec);
-    for p in &report.seal_farm {
-        println!(
-            "    {:>7}  {:>6}  {:>9.2}  {:>6.2}x",
-            p.workers,
-            p.images,
-            p.seals_per_sec,
-            p.seals_per_sec / serial.unwrap_or(p.seals_per_sec)
-        );
-    }
     println!("  simulation speed (fib5000):");
     for r in &report.mips {
         println!(
@@ -545,12 +529,9 @@ fn host_eval() {
         );
     }
     println!("  fleet host throughput (mix24, fuel-sliced):");
-    println!("    workers  pool      jobs/sec");
+    println!("    workers  jobs/sec");
     for p in &report.fleet {
-        println!(
-            "    {:>7}  {:<8} {:>9.2}",
-            p.workers, p.pool, p.jobs_per_sec
-        );
+        println!("    {:>7}  {:>8.2}", p.workers, p.jobs_per_sec);
     }
     println!("  (wall-clock, informational: scaling needs real cores; simulated-cycle");
     println!("   trajectories live in BENCH_vcache.json / BENCH_fleet.json)");

@@ -1104,14 +1104,14 @@ pub fn write_backends_json(json: &str) {
 // **wall-clock**: how fast *this host* seals and simulates. They are
 // informational — no CI thresholds — but they are the first record of
 // wins that land on real silicon (the bitsliced cipher, the zero-copy
-// dispatch, the stealing pool) rather than in the simulated-cycle model,
-// which stays bit-for-bit untouched.
+// dispatch, the fleet's wave pool) rather than in the simulated-cycle
+// model, which stays bit-for-bit untouched.
 // ---------------------------------------------------------------------
 
 use std::time::Instant;
 
 /// The physical machine a wall-clock record came from. Scaling claims in
-/// `BENCH_host.json` are only meaningful against this: a flat seal-farm
+/// `BENCH_host.json` are only meaningful against this: a flat fleet
 /// curve on a one-core box is the expected result, not a regression.
 #[derive(Clone, Debug)]
 pub struct BoxShape {
@@ -1217,26 +1217,12 @@ impl SealRates {
     }
 }
 
-/// Host wall-clock throughput of a cold-start seal wave at one farm
-/// worker count.
-#[derive(Clone, Debug)]
-pub struct SealFarmPoint {
-    /// Farm worker threads.
-    pub workers: usize,
-    /// Distinct images the wave sealed (one per tenant).
-    pub images: usize,
-    /// Seals per host wall-clock second.
-    pub seals_per_sec: f64,
-}
-
 /// Host wall-clock throughput of one fleet configuration on the
 /// [`fleet_mix`].
 #[derive(Clone, Debug)]
 pub struct FleetHostPoint {
     /// Worker threads.
     pub workers: usize,
-    /// Pool label (`shared` or `stealing`).
-    pub pool: String,
     /// Jobs in the batch.
     pub jobs: usize,
     /// Jobs per host wall-clock second.
@@ -1254,9 +1240,7 @@ pub struct HostReport {
     pub mips: Vec<HostMipsRow>,
     /// Secure-installation rates.
     pub seal: SealRates,
-    /// Cold-start seal-wave throughput per farm worker count.
-    pub seal_farm: Vec<SealFarmPoint>,
-    /// Fleet batch throughput per (workers, pool) point.
+    /// Fleet batch throughput per worker count.
     pub fleet: Vec<FleetHostPoint>,
 }
 
@@ -1440,10 +1424,9 @@ pub fn host_seal_rates(reps: u32) -> SealRates {
 }
 
 /// Measures host wall-clock jobs/sec of the [`fleet_mix`] batch at each
-/// worker count, under the shared-queue and work-stealing pools
-/// (fuel-sliced mode — the discipline that actually contends on the
-/// queue), best of `reps` batches per point (each rep rebuilds the fleet
-/// and re-submits the mix; only `run_batch` is timed). Wall-clock
+/// worker count (fuel-sliced mode, so every tick is a wave of short
+/// quanta), best of `reps` batches per point (each rep rebuilds the
+/// fleet and re-submits the mix; only `run_batch` is timed). Wall-clock
 /// scaling needs real cores; on a single-core host the points simply
 /// document that.
 ///
@@ -1451,88 +1434,41 @@ pub fn host_seal_rates(reps: u32) -> SealRates {
 ///
 /// Panics if any job of the mix fails to halt.
 pub fn host_fleet_points(workers_list: &[usize], reps: u32) -> Vec<FleetHostPoint> {
-    use sofia_fleet::{Fleet, FleetConfig, PoolMode, SchedMode};
+    use sofia_fleet::{Fleet, FleetConfig, SchedMode};
     let mut points = Vec::new();
     for &workers in workers_list {
-        for (label, pool) in [
-            ("shared", PoolMode::SharedQueue),
-            ("stealing", PoolMode::WorkStealing),
-        ] {
-            let mut jobs = 0;
-            let secs = {
-                let mut best = f64::INFINITY;
-                for _ in 0..reps.max(1) {
-                    let mut fleet = Fleet::new(FleetConfig {
-                        workers,
-                        mode: SchedMode::FuelSliced {
-                            slice: FLEET_BENCH_SLICE,
-                        },
-                        pool,
-                        ..Default::default()
-                    });
-                    fleet_mix_tenants(&mut fleet);
-                    let specs = fleet_mix();
-                    jobs = specs.len();
-                    for spec in specs {
-                        fleet
-                            .submit(spec)
-                            .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
-                    }
-                    let t = Instant::now();
-                    let records = fleet.run_batch();
-                    best = best.min(t.elapsed().as_secs_f64());
-                    for r in &records {
-                        assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
-                    }
-                }
-                best
-            };
-            points.push(FleetHostPoint {
+        let mut jobs = 0;
+        let mut best = f64::INFINITY;
+        for _ in 0..reps.max(1) {
+            let mut fleet = Fleet::new(FleetConfig {
                 workers,
-                pool: label.to_string(),
-                jobs,
-                jobs_per_sec: jobs as f64 / secs,
+                mode: SchedMode::FuelSliced {
+                    slice: FLEET_BENCH_SLICE,
+                },
+                ..Default::default()
             });
+            fleet_mix_tenants(&mut fleet);
+            let specs = fleet_mix();
+            jobs = specs.len();
+            for spec in specs {
+                fleet
+                    .submit(spec)
+                    .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
+            }
+            let t = Instant::now();
+            let records = fleet.run_batch();
+            best = best.min(t.elapsed().as_secs_f64());
+            for r in &records {
+                assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
+            }
         }
+        points.push(FleetHostPoint {
+            workers,
+            jobs,
+            jobs_per_sec: jobs as f64 / best,
+        });
     }
     points
-}
-
-/// Measures seals/sec of a cold-start wave — `tenants` distinct device
-/// keysets all sealing the same moderate program, so every request is a
-/// distinct image — through [`sofia_fleet::SealFarm`] at each worker
-/// count, best of `reps` waves per point. Each rep starts from a fresh
-/// [`sofia_transform::cache::ImageCache`] so every wave really seals.
-/// Like the fleet points, wall-clock scaling needs real cores; the box
-/// shape in the report says whether this host has them.
-pub fn host_seal_farm_points(
-    workers_list: &[usize],
-    tenants: usize,
-    reps: u32,
-) -> Vec<SealFarmPoint> {
-    use sofia_fleet::SealFarm;
-    use sofia_transform::cache::ImageCache;
-    let keysets: Vec<KeySet> = (0..tenants)
-        .map(|t| KeySet::from_seed(0xFA23 + t as u64))
-        .collect();
-    let source = sofia_workloads::adpcm::workload(240).source;
-    let requests: Vec<(&KeySet, &str)> = keysets.iter().map(|k| (k, source.as_str())).collect();
-    workers_list
-        .iter()
-        .map(|&workers| {
-            let secs = best_secs(reps, || {
-                let cache = ImageCache::new();
-                let wave = SealFarm::new(&cache, workers).seal_wave(&requests);
-                assert_eq!(wave.distinct, tenants, "cold wave must seal every tenant");
-                std::hint::black_box(wave);
-            });
-            SealFarmPoint {
-                workers,
-                images: tenants,
-                seals_per_sec: tenants as f64 / secs,
-            }
-        })
-        .collect()
 }
 
 /// Parses a `SOFIA_BENCH_MAX_WORKERS` value. `None` input (the variable
@@ -1612,7 +1548,6 @@ pub fn host_report(reps: u32) -> HostReport {
         keystream: host_keystream(1 << 14, reps),
         mips: host_mips(reps),
         seal: host_seal_rates(reps),
-        seal_farm: host_seal_farm_points(&workers, 16, reps),
         fleet: host_fleet_points(&workers, reps),
     }
 }
@@ -1688,34 +1623,11 @@ pub fn host_json(report: &HostReport) -> String {
         s.bitsliced_seals_per_sec,
         s.speedup()
     ));
-    out.push_str("  \"seal_farm\": [\n");
-    let serial = report
-        .seal_farm
-        .iter()
-        .find(|p| p.workers == 1)
-        .map(|p| p.seals_per_sec);
-    for (i, p) in report.seal_farm.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"workers\": {}, \"images\": {}, \"seals_per_sec\": {:.2}, \
-             \"speedup_vs_serial\": {:.2} }}{}\n",
-            p.workers,
-            p.images,
-            p.seals_per_sec,
-            p.seals_per_sec / serial.unwrap_or(p.seals_per_sec),
-            if i + 1 == report.seal_farm.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"fleet_host\": [\n");
     for (i, p) in report.fleet.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"workers\": {}, \"pool\": \"{}\", \"jobs\": {}, \"jobs_per_sec\": {:.2} }}{}\n",
+            "    {{ \"workers\": {}, \"jobs\": {}, \"jobs_per_sec\": {:.2} }}{}\n",
             p.workers,
-            p.pool,
             p.jobs,
             p.jobs_per_sec,
             if i + 1 == report.fleet.len() { "" } else { "," }
@@ -2541,21 +2453,8 @@ mod tests {
                 scalar_seals_per_sec: 10.0,
                 bitsliced_seals_per_sec: 25.0,
             },
-            seal_farm: vec![
-                SealFarmPoint {
-                    workers: 1,
-                    images: 16,
-                    seals_per_sec: 50.0,
-                },
-                SealFarmPoint {
-                    workers: 4,
-                    images: 16,
-                    seals_per_sec: 150.0,
-                },
-            ],
             fleet: vec![FleetHostPoint {
                 workers: 4,
-                pool: "stealing".into(),
                 jobs: 24,
                 jobs_per_sec: 100.0,
             }],
@@ -2575,10 +2474,8 @@ mod tests {
             "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"speedup_vs_scalar\": 6.00",
             "\"machine_mips\"",
             "\"seal\"",
-            "\"seal_farm\"",
-            "\"workers\": 4, \"images\": 16, \"seals_per_sec\": 150.00, \"speedup_vs_serial\": 3.00",
             "\"fleet_host\"",
-            "\"pool\": \"stealing\"",
+            "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

@@ -2,7 +2,7 @@
 //!
 //! The paper's integrity argument is about surviving *adversarial*
 //! faults; this module is about surviving *infrastructure* faults — the
-//! seal farm erroring out, a parked snapshot rotting on disk, a worker
+//! sealer erroring out, a parked snapshot rotting on disk, a worker
 //! stalling or crashing, a checkpoint truncated in transit. A serving
 //! fleet for "millions of users" meets all of them, so the fleet's
 //! recovery machinery ([`crate::resilience`]) has to be *testable*, and
@@ -102,7 +102,7 @@ pub struct ChaosPlan {
     /// Root of every draw. Two plans with the same rates but different
     /// seeds inject *different* (but each replayable) fault sequences.
     pub seed: u64,
-    /// Fresh-transform failures (the seal farm's host erroring).
+    /// Fresh-transform failures (the sealing host erroring).
     pub seal_fault: FaultRate,
     /// Parked-snapshot corruption before revival.
     pub snapshot_corruption: FaultRate,

@@ -21,15 +21,16 @@ use sofia_core::{MachineSnapshot, RestoreError, SofiaStats, Violation};
 use sofia_transform::cache::SealError;
 use sofia_transform::decode::{DecodeError, Reader, Writer};
 
+use crate::admission::AdmitError;
 use crate::fleet::FleetError;
 use crate::job::{Sabotage, TenantId};
 
 /// Container magic for serialised job checkpoints.
 const MAGIC: &[u8] = b"SOFJ1\0";
 
-/// A suspended job, packaged by [`crate::Fleet::checkpoint_job`] for
-/// [`crate::Fleet::adopt_job`] in another fleet (possibly another
-/// process or host — see [`JobCheckpoint::to_bytes`]).
+/// A suspended job, packaged by [`crate::AsyncFleet::checkpoint_job`]
+/// (or the batch [`crate::Fleet`]'s) for `adopt_job` in another fleet
+/// (possibly another process or host — see [`JobCheckpoint::to_bytes`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobCheckpoint {
     /// The owning tenant (must be registered, with the same device
@@ -118,7 +119,10 @@ impl JobCheckpoint {
     /// # Errors
     ///
     /// [`DecodeError`] on any corruption, truncation or structural
-    /// inconsistency — never a panic.
+    /// inconsistency — never a panic. [`DecodeError::BadField`] for a
+    /// well-formed container whose history is inconsistent: `remaining`
+    /// above `fuel`, `slices` unequal to the number of slice costs, or an
+    /// embedded snapshot whose fuel disagrees with `remaining`.
     pub fn from_bytes(bytes: &[u8]) -> Result<JobCheckpoint, DecodeError> {
         let mut r = Reader::new_checksummed(bytes)?;
         r.magic(MAGIC, "SOFJ1")?;
@@ -182,6 +186,32 @@ impl JobCheckpoint {
             }
         };
         r.finish()?;
+        // The checksum is unkeyed, so a well-formed container proves
+        // nothing about who wrote it: refuse histories no fleet could
+        // have produced before they reach `adopt_job`.
+        if remaining > fuel {
+            return Err(DecodeError::BadField {
+                field: "remaining",
+                reason: format!("{remaining} exceeds the fuel budget {fuel}"),
+            });
+        }
+        if slices as usize != slice_cycles.len() {
+            return Err(DecodeError::BadField {
+                field: "slices",
+                reason: format!("{slices} quanta but {} slice costs", slice_cycles.len()),
+            });
+        }
+        if let Some(snap) = &machine {
+            if snap.fuel_remaining != remaining {
+                return Err(DecodeError::BadField {
+                    field: "machine",
+                    reason: format!(
+                        "snapshot fuel {} disagrees with remaining {remaining}",
+                        snap.fuel_remaining
+                    ),
+                });
+            }
+        }
         Ok(JobCheckpoint {
             tenant,
             source,
@@ -197,12 +227,16 @@ impl JobCheckpoint {
     }
 }
 
-/// Why [`crate::Fleet::adopt_job`] refused a checkpoint.
+/// Why [`crate::AsyncFleet::adopt_job`] or [`crate::Fleet::adopt_job`]
+/// refused a checkpoint.
 #[derive(Clone, Debug)]
 pub enum AdoptError {
     /// The tenant cannot be served here (unknown, quarantined, or
-    /// evicted).
+    /// evicted) — the batch [`crate::Fleet`]'s refusal.
     Fleet(FleetError),
+    /// The async driver's admission refused the job (tenant state, a
+    /// queue cap, the tenant's fuel quota, or load shedding).
+    Admit(AdmitError),
     /// The program no longer seals under this fleet's registration of
     /// the tenant (source corrupted, or keys diverged).
     Seal(SealError),
@@ -215,6 +249,7 @@ impl std::fmt::Display for AdoptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdoptError::Fleet(e) => write!(f, "adoption refused: {e}"),
+            AdoptError::Admit(e) => write!(f, "adoption refused: {e}"),
             AdoptError::Seal(e) => write!(f, "adoption seal failed: {e}"),
             AdoptError::Restore(e) => write!(f, "adoption restore failed: {e}"),
         }
@@ -245,7 +280,7 @@ mod tests {
                 vec![Violation::MacMismatch { block_base: 0x120 }],
                 SofiaStats::default(),
             )),
-            slices: 5,
+            slices: 3,
             slice_cycles: vec![100, 90, 80],
             machine: None,
         }
@@ -276,5 +311,44 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    fn bad_field(ckpt: &JobCheckpoint) -> &'static str {
+        match JobCheckpoint::from_bytes(&ckpt.to_bytes()) {
+            Err(DecodeError::BadField { field, .. }) => field,
+            other => panic!("expected BadField, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn remaining_above_fuel_is_refused() {
+        let mut ckpt = checkpoint();
+        ckpt.remaining = ckpt.fuel + 1;
+        assert_eq!(bad_field(&ckpt), "remaining");
+    }
+
+    #[test]
+    fn slice_count_must_match_the_slice_costs() {
+        let mut ckpt = checkpoint();
+        ckpt.slices = 5;
+        assert_eq!(bad_field(&ckpt), "slices");
+    }
+
+    #[test]
+    fn snapshot_fuel_must_match_remaining() {
+        let keys = sofia_crypto::KeySet::from_seed(7);
+        let module = sofia_isa::asm::parse("main: halt").unwrap();
+        let image = sofia_transform::Transformer::new(keys.clone())
+            .transform(&module)
+            .unwrap();
+        let machine = sofia_core::machine::SofiaMachine::new(&image, &keys);
+        let mut ckpt = checkpoint();
+        ckpt.machine = Some(machine.snapshot(ckpt.remaining));
+        assert_eq!(
+            JobCheckpoint::from_bytes(&ckpt.to_bytes()),
+            Ok(ckpt.clone())
+        );
+        ckpt.machine = Some(machine.snapshot(ckpt.remaining - 1));
+        assert_eq!(bad_field(&ckpt), "machine");
     }
 }

@@ -1,11 +1,10 @@
-//! The opt-in async driver: thousands of tenant jobs multiplexed over a
-//! few OS threads.
+//! The fleet driver: thousands of tenant jobs multiplexed over a few OS
+//! threads.
 //!
-//! The batch [`crate::Fleet`] keeps every queued job's machine live and
-//! spins one pool per batch — fine for hundreds of jobs, wrong for the
-//! ROADMAP's "millions of users" shape where tenants are mostly idle.
-//! [`AsyncFleet`] is a hand-rolled executor (no external runtime) built
-//! on three existing seams:
+//! [`AsyncFleet`] is the one scheduler in this crate; the batch
+//! [`crate::Fleet`] is a facade over it that makes every queued job a
+//! lane. It is a hand-rolled executor (no external runtime) built on
+//! three existing seams:
 //!
 //! * **Yield point** — the engine's fuel-slice seam
 //!   ([`sofia_core::SofiaMachine::run_slice`] / cooperative preemption
@@ -44,6 +43,14 @@
 //! beside `threads − 1` pool threads, so no thread sleeps while work is
 //! left. Results come back in task order.
 //!
+//! ## Migration
+//!
+//! [`AsyncFleet::checkpoint_job`] takes a queued job out as a
+//! [`JobCheckpoint`] (a parked job exports its snapshot without being
+//! revived), and [`AsyncFleet::adopt_job`] admits one through the same
+//! gate as a submission, so an adopted job is charged to its tenant's
+//! fuel quota.
+//!
 //! ## Determinism
 //!
 //! `threads` (host parallelism) and `workers` (virtual lanes per tick)
@@ -57,7 +64,7 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use sofia_core::machine::SofiaMachine;
 use sofia_core::MachineSnapshot;
@@ -66,9 +73,10 @@ use sofia_transform::cache::{image_key, ImageCache, ImageKey};
 
 use crate::admission::{AdmissionConfig, AdmitError, ClassId, Rejection};
 use crate::chaos::{ChaosPlan, InjectedFault, Seam};
+use crate::checkpoint::{AdoptError, JobCheckpoint};
 use crate::fleet::{
-    catch_quantum, finish, lock_clean, needs_containment, restore_against, seal_run, FleetConfig,
-    FleetError, JobRun, SchedMode,
+    catch_quantum, finish, needs_containment, restore_against, seal_run, FleetConfig, FleetError,
+    JobRun, SchedMode,
 };
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, TenantId};
 use crate::quarantine::{fold_policy, QuarantinePolicy, TenantState};
@@ -243,7 +251,6 @@ fn revive(run: &mut JobRun, bytes: &[u8]) -> Result<(), String> {
 /// inline when `threads == 1`).
 fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> LaneResult {
     let run = &mut task.pending.run;
-    run.quanta_this_batch = 0;
     if task.claims_seal {
         // A failed seal leaves the image unset: the quantum seals again
         // and fails the same way (seals are deterministic), typed.
@@ -325,6 +332,16 @@ fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> Lan
 // ---------------------------------------------------------------------
 // The persistent thread pool.
 // ---------------------------------------------------------------------
+
+/// Locks a mutex, shrugging off poisoning. The pool's state is only
+/// ever mutated by whole-value stores, so a panic on another runner
+/// cannot leave it half-written — the poison flag carries no
+/// information here, and propagating it is exactly the cascade the
+/// panic-isolation suite pins against: one bad job must not take the
+/// driver (or a later tick on it) down with it.
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// One unit of a tick's wave. Tasks live inline in the wave's vector:
 /// boxing the larger lane variant would cost a heap allocation per lane
@@ -588,7 +605,6 @@ impl AsyncFleet {
             mode: config.mode,
             quarantine: config.quarantine,
             sofia: config.sofia,
-            ..FleetConfig::default()
         };
         let chaos = config.chaos.clone();
         let res = ResilienceState::new(config.resilience.clone());
@@ -934,10 +950,20 @@ impl AsyncFleet {
         }
     }
 
-    /// Admission gate for one job at the current tick.
+    /// Admits one job at the current tick: the [`AsyncFleet::gate`], then
+    /// a fresh run on its class queue.
     fn admit(&mut self, job: JobId, spec: JobSpec) -> Result<(), AdmitError> {
-        let queued_total: usize = self.classes.values().map(|c| c.queue.len()).sum();
-        let Some(tenant) = self.tenants.get_mut(&spec.tenant.0) else {
+        let (class, keys) = self.gate(&spec)?;
+        self.enqueue(class, JobRun::new(job, keys, spec));
+        Ok(())
+    }
+
+    /// Admission gate for one job at the current tick: tenant state,
+    /// load shedding, queue caps and the tenant's fuel quota. Charges
+    /// nothing; returns the tenant's class and keys.
+    fn gate(&mut self, spec: &JobSpec) -> Result<(ClassId, KeySet), AdmitError> {
+        let queued_total = self.queued_jobs();
+        let Some(tenant) = self.tenants.get(&spec.tenant.0) else {
             return Err(AdmitError::UnknownTenant(spec.tenant));
         };
         match tenant.state {
@@ -962,11 +988,12 @@ impl AsyncFleet {
                 cap: self.config.admission.global_queue_cap,
             });
         }
-        let class_queued = self
-            .classes
-            .get(&class.0)
-            .map(|c| c.queue.len())
-            .unwrap_or(0);
+        let Some(class_queued) = self.classes.get(&class.0).map(|c| c.queue.len()) else {
+            // `register_tenant` creates the class entry; its absence is
+            // a driver bug, but never worth a panic at admission.
+            debug_assert!(false, "missing class state for {class}");
+            return Err(AdmitError::UnknownTenant(spec.tenant));
+        };
         if class_queued >= budget.queue_cap {
             return Err(AdmitError::ClassQueueFull {
                 class,
@@ -982,9 +1009,15 @@ impl AsyncFleet {
                 quota: budget.tenant_fuel_quota,
             });
         }
-        tenant.outstanding_fuel += spec.fuel;
-        let keys = tenant.keys.clone();
-        let mut run = JobRun::new(0, job, keys, spec);
+        Ok((class, tenant.keys.clone()))
+    }
+
+    /// Queues a run that passed the [`AsyncFleet::gate`]: charges its
+    /// fuel budget to the tenant's quota and appends it to its class.
+    fn enqueue(&mut self, class: ClassId, mut run: JobRun) {
+        if let Some(tenant) = self.tenants.get_mut(&run.spec.tenant.0) {
+            tenant.outstanding_fuel += run.spec.fuel;
+        }
         if self.res.vcache_degraded(run.spec.tenant) {
             // Degradation rung: this tenant's snapshots kept failing
             // revival, so its machines run vcache-off — less parked
@@ -996,18 +1029,15 @@ impl AsyncFleet {
         }
         let arrival_cycles = self.stats.makespan_cycles;
         let floor = self.backlog_vservice_floor();
+        let weight = self.config.admission.class(class).weight.max(1);
         let Some(state) = self.classes.get_mut(&class.0) else {
-            // `register_tenant` creates the class entry; its absence is
-            // a driver bug, but never worth a panic at admission.
-            debug_assert!(false, "missing class state for {class}");
-            return Err(AdmitError::UnknownTenant(run.spec.tenant));
+            unreachable!("the gate found {class}'s state");
         };
         if state.queue.is_empty() {
             // WFQ catch-up: a class going idle must not bank unbounded
             // credit against classes that kept working. On re-backlog
             // its virtual service jumps forward to the working floor.
             if let Some(floor) = floor {
-                let weight = budget.weight.max(1);
                 state.vservice = state.vservice.max(floor.saturating_mul(weight));
             }
         }
@@ -1021,7 +1051,111 @@ impl AsyncFleet {
             idle_ticks: 0,
         });
         self.stats.admitted += 1;
-        Ok(())
+    }
+
+    /// Ids of the queued jobs, class by class in service (FIFO) order.
+    pub(crate) fn queued_ids(&self) -> Vec<JobId> {
+        self.classes
+            .values()
+            .flat_map(|c| c.queue.iter().map(|p| p.run.id))
+            .collect()
+    }
+
+    /// Removes a queued job and packages everything another fleet needs
+    /// to finish it: the spec (tenant, source, fuel, sabotage), the
+    /// accumulated scheduling history, and — if the job has already run
+    /// — the suspended machine as a [`MachineSnapshot`]. A parked job
+    /// exports its snapshot bytes as they are, without being revived.
+    /// The ciphertext stays behind: the adopting fleet re-seals the
+    /// source from its tenant's [`KeySet`] through its own image cache,
+    /// and the image MACs cover the code in transit. The job's fuel
+    /// budget leaves its tenant's quota here.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::UnknownJob`] if `id` is not queued (it finished,
+    /// was already checkpointed, has not arrived yet, or never existed).
+    pub fn checkpoint_job(&mut self, id: JobId) -> Result<JobCheckpoint, FleetError> {
+        let Pending { run, parked, .. } = self
+            .classes
+            .values_mut()
+            .find_map(|state| {
+                let at = state.queue.iter().position(|p| p.run.id == id)?;
+                state.queue.remove(at)
+            })
+            .ok_or(FleetError::UnknownJob(id))?;
+        let machine = match parked {
+            // Chaos corrupts only a lane's copy of the bytes, never the
+            // queued job's, so these are exactly what `to_bytes` wrote.
+            Some(bytes) => Some(MachineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| {
+                unreachable!("parked bytes this driver wrote fail to decode: {e}")
+            })),
+            None => run.machine.as_ref().map(|m| m.snapshot(run.remaining)),
+        };
+        if let Some(t) = self.tenants.get_mut(&run.spec.tenant.0) {
+            t.outstanding_fuel = t.outstanding_fuel.saturating_sub(run.spec.fuel);
+        }
+        self.res.finish_job(id);
+        Ok(JobCheckpoint {
+            tenant: run.spec.tenant,
+            source: run.spec.source,
+            fuel: run.spec.fuel,
+            sabotage: run.spec.sabotage,
+            remaining: run.remaining,
+            retried: run.retried,
+            prior: run.prior,
+            slices: run.slices,
+            slice_cycles: run.slice_cycles,
+            machine,
+        })
+    }
+
+    /// Adopts a job checkpointed out of another fleet: admits it through
+    /// the same gate as [`AsyncFleet::submit`] (so its fuel budget is
+    /// charged to the tenant's quota), re-seals the tenant's program
+    /// through this fleet's image cache (the tenant must be registered
+    /// here with the same device keys for the resumed edge to verify),
+    /// restores the suspended machine against the freshly sealed image,
+    /// and queues the job. Returns the job's id in *this* fleet.
+    ///
+    /// Restoration re-verifies every warm verified-block-cache line
+    /// against the re-sealed image, so a checkpoint cannot smuggle
+    /// unverified plaintext between fleets; a tampered resume point is
+    /// caught by edge verification on the job's first resumed fetch.
+    ///
+    /// # Errors
+    ///
+    /// [`AdoptError`]: admission refused, seal failure, or a snapshot
+    /// that fails restoration. Nothing is charged on refusal.
+    pub fn adopt_job(&mut self, ckpt: JobCheckpoint) -> Result<JobId, AdoptError> {
+        let spec = JobSpec {
+            tenant: ckpt.tenant,
+            source: ckpt.source,
+            fuel: ckpt.fuel,
+            sabotage: ckpt.sabotage,
+        };
+        let (class, keys) = self.gate(&spec).map_err(AdoptError::Admit)?;
+        let id = JobId(self.next_job);
+        let mut run = JobRun::new(id, keys, spec);
+        if let Some(snap) = &ckpt.machine {
+            let (image, hit) = self
+                .cache
+                .get_or_seal_traced(&run.keys, &run.spec.source)
+                .map_err(AdoptError::Seal)?;
+            let machine = restore_against(&image, &run.keys, snap, run.spec.sabotage)
+                .map_err(AdoptError::Restore)?;
+            run.image = Some(image);
+            run.machine = Some(machine);
+            run.seal_cache_hit = hit;
+        }
+        run.remaining = ckpt.remaining;
+        run.retried = ckpt.retried;
+        run.prior = ckpt.prior;
+        run.slices = ckpt.slices;
+        run.slice_cycles = ckpt.slice_cycles;
+        self.next_job += 1;
+        self.enqueue(class, run);
+        Ok(id)
     }
 
     /// Minimum weighted virtual service (`vservice / weight`) among the

@@ -11,19 +11,21 @@
 //!   [`sofia_transform::cache::ImageCache`] under those keys, so two
 //!   tenants submitting the same program still run *different*
 //!   ciphertexts — key isolation is structural.
-//! * **Jobs** (tenant + program + fuel budget) run across a
-//!   `std::thread` worker pool, either run-to-completion or
-//!   **fuel-sliced**: preemptive round-robin built on the engine's
-//!   metered fuel seam ([`sofia_cpu::engine::Pipeline::run_metered`]),
-//!   suspending jobs between blocks on the fetch unit's edge registers
+//! * **Jobs** (tenant + program + fuel budget) run on a few host
+//!   threads, either run-to-completion or **fuel-sliced**: preemptive
+//!   round-robin built on the engine's metered fuel seam
+//!   ([`sofia_cpu::engine::Pipeline::run_metered`]), suspending jobs
+//!   between blocks on the fetch unit's edge registers
 //!   ([`sofia_core::ResumeEdge`]) so a long ADPCM job cannot starve
 //!   short ones.
-//! * **Async serving**: the opt-in [`AsyncFleet`] driver multiplexes
-//!   thousands of tenants over a few OS threads — weighted fair
-//!   queueing across service classes ([`admission`]), typed
-//!   admission-control backpressure, cold jobs parked to `SOFS1`
-//!   snapshot bytes — with results bit-identical to serial execution
-//!   at any thread count.
+//! * **One driver**: [`AsyncFleet`] multiplexes thousands of tenants
+//!   over a few OS threads — weighted fair queueing across service
+//!   classes ([`admission`]), typed admission-control backpressure,
+//!   cold jobs parked to `SOFS1` snapshot bytes, checkpoint migration
+//!   between fleets — with results bit-identical to serial execution
+//!   at any thread count. The batch [`Fleet`] is a facade over it: all
+//!   jobs arrive at once, every queued job gets one quantum per tick,
+//!   and a batch runs until idle.
 //! * **Quarantine**: a violation (MAC mismatch, forged edge) contains
 //!   exactly one tenant per the configured [`QuarantinePolicy`] —
 //!   suspend, retry-with-reboot, or evict — while the rest of the fleet
@@ -75,9 +77,9 @@
 // A fleet exists to contain per-tenant faults; an `unwrap`/`expect` on a
 // shared lock is how one tenant's panic became a fleet-wide abort (the
 // lock-poisoning cascade this crate's panic-isolation suite pins
-// against). Non-test code must route every lock through
-// `fleet::lock_clean`/`into_clean` and every "impossible" state through
-// a typed record or `unreachable!` with a stated invariant.
+// against). Non-test code must route every lock through the driver's
+// poison-shrugging `lock_clean` and every "impossible" state through a
+// typed record or `unreachable!` with a stated invariant.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
@@ -89,18 +91,16 @@ mod job;
 mod quarantine;
 pub mod resilience;
 pub mod schedule;
-mod seal_farm;
 mod stats;
 
 pub use admission::{AdmissionConfig, AdmitError, ClassConfig, ClassId, Rejection};
 pub use chaos::{ChaosPlan, FaultRate, Seam};
 pub use checkpoint::{AdoptError, JobCheckpoint};
 pub use executor::{AsyncConfig, AsyncFleet, AsyncStats};
-pub use fleet::{Fleet, FleetConfig, FleetError, PoolMode, SchedMode, SealMode};
+pub use fleet::{Fleet, FleetConfig, FleetError, SchedMode};
 pub use job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 pub use quarantine::{QuarantinePolicy, TenantState};
 pub use resilience::{
     BreakerConfig, DegradeMode, ResilienceConfig, ResilienceEvent, ResilienceStats,
 };
-pub use seal_farm::{SealFarm, SealVerdict, SealWave};
 pub use stats::{FleetStats, TenantStats};

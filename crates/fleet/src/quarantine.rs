@@ -5,9 +5,9 @@
 //! edge resets *that* core. At fleet scale the analogous guarantee is
 //! per-tenant blast radius — one tenant's tampered image must never
 //! perturb another tenant's results, statistics, or service. Containment
-//! decisions are folded **in job-submission order after the batch**, so
-//! they are a deterministic function of the job set, independent of how
-//! many workers raced through it.
+//! decisions are folded **on the coordinator, in tick then job order**,
+//! so they are a deterministic function of the job set, independent of
+//! how many workers raced through it.
 
 /// What the fleet does about a tenant whose job ended in a violation
 /// verdict ([`crate::JobOutcome::is_violation`]).

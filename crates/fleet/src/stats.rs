@@ -156,10 +156,6 @@ pub struct FleetStats {
     pub last_makespan_cycles: u64,
     /// Scheduler ticks the most recent batch took.
     pub last_ticks: u64,
-    /// Jobs the most recent batch's work-stealing pool moved between
-    /// workers (0 under [`crate::PoolMode::SharedQueue`]). Host-side
-    /// diagnostics only — steals never affect results or virtual time.
-    pub last_steals: u64,
 }
 
 impl FleetStats {

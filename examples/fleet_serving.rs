@@ -13,8 +13,6 @@ fn main() {
     let mut fleet = Fleet::new(FleetConfig {
         workers: 4,
         mode: SchedMode::FuelSliced { slice: 2_000 },
-        pool: sofia::prelude::PoolMode::WorkStealing,
-        seal: sofia::fleet::SealMode::Farm,
         quarantine: QuarantinePolicy::Suspend,
         sofia: SofiaConfig {
             // Every device ships the verified-block cache.

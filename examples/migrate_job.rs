@@ -9,14 +9,13 @@
 //! cargo run --example migrate_job --release
 //! ```
 
-use sofia::fleet::{Fleet, FleetConfig, JobCheckpoint, JobSpec, PoolMode, SchedMode, TenantId};
+use sofia::fleet::{Fleet, FleetConfig, JobCheckpoint, JobSpec, SchedMode, TenantId};
 use sofia::prelude::*;
 
-fn fleet(workers: usize, pool: PoolMode) -> Fleet {
+fn fleet(workers: usize) -> Fleet {
     let mut f = Fleet::new(FleetConfig {
         workers,
         mode: SchedMode::FuelSliced { slice: 2_000 },
-        pool,
         sofia: SofiaConfig {
             vcache: VCacheConfig::enabled(64, 4),
             ..Default::default()
@@ -33,7 +32,7 @@ fn main() {
     let fuel = 50_000_000;
 
     // The unmigrated reference: one fleet runs the job to completion.
-    let mut home = fleet(4, PoolMode::WorkStealing);
+    let mut home = fleet(4);
     home.submit(JobSpec::new(TenantId(1), program.clone(), fuel))
         .unwrap();
     let reference = home.run_batch().remove(0);
@@ -43,7 +42,7 @@ fn main() {
     );
 
     // The migrating run: fleet A serves three quanta, then suspends.
-    let mut fleet_a = fleet(4, PoolMode::WorkStealing);
+    let mut fleet_a = fleet(4);
     fleet_a
         .submit(JobSpec::new(TenantId(1), program, fuel))
         .unwrap();
@@ -64,11 +63,11 @@ fn main() {
         snap.next_target,
     );
 
-    // Fleet B is a different pool shape on (conceptually) another host:
+    // Fleet B is a different worker count on (conceptually) another host:
     // it re-seals the tenant's program under its own registration of
     // the device keys, re-verifies every warm cache line against the
     // sealed image, and resumes mid-program.
-    let mut fleet_b = fleet(2, PoolMode::SharedQueue);
+    let mut fleet_b = fleet(2);
     let decoded = JobCheckpoint::from_bytes(&bytes).expect("checkpoint survived transit");
     fleet_b.adopt_job(decoded).unwrap();
     let migrated = fleet_b.run_batch().remove(0);
@@ -89,7 +88,7 @@ fn main() {
     if let Some(snap) = forged.machine.as_mut() {
         snap.prev_pc ^= 4;
     }
-    let mut fleet_c = fleet(2, PoolMode::SharedQueue);
+    let mut fleet_c = fleet(2);
     fleet_c.adopt_job(forged).unwrap();
     let verdict = fleet_c.run_batch().remove(0);
     assert!(

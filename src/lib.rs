@@ -82,8 +82,7 @@ pub mod prelude {
     pub use sofia_cpu::{machine::VanillaMachine, Trap};
     pub use sofia_crypto::{KeySet, Nonce};
     pub use sofia_fleet::{
-        Fleet, FleetConfig, FleetStats, JobOutcome, JobSpec, PoolMode, QuarantinePolicy, SchedMode,
-        TenantId,
+        Fleet, FleetConfig, FleetStats, JobOutcome, JobSpec, QuarantinePolicy, SchedMode, TenantId,
     };
     pub use sofia_isa::{
         asm::{self, Module},

@@ -1,7 +1,7 @@
 //! Integration: job migration across fleets. A mixed 3-tenant job mix
 //! is run partway in one fleet, checkpointed mid-flight, carried as
 //! bytes, and adopted by a **freshly constructed** second fleet at a
-//! different worker count and pool mode — and every job finishes with
+//! different worker count — batch or async — and every job finishes with
 //! bit-identical outcome, output, violations, statistics (simulated
 //! cycles included) and per-slice virtual-time costs to a run that
 //! never migrated. A tampered tenant's job that migrates *before* its
@@ -10,7 +10,10 @@
 
 use sofia::attacks::victims::control_loop_victim;
 use sofia::crypto::KeySet;
-use sofia::fleet::{JobCheckpoint, JobRecord, Sabotage};
+use sofia::fleet::{
+    AdmissionConfig, AdmitError, AdoptError, AsyncConfig, AsyncFleet, ClassConfig, ClassId,
+    JobCheckpoint, JobRecord, Sabotage,
+};
 use sofia::prelude::*;
 use sofia::transform::Transformer;
 
@@ -20,11 +23,10 @@ fn tenant_seed(id: u32) -> u64 {
     0xF1EE7 + id as u64
 }
 
-fn fleet_with_tenants(workers: usize, pool: PoolMode) -> Fleet {
+fn fleet_with_tenants(workers: usize) -> Fleet {
     let mut fleet = Fleet::new(FleetConfig {
         workers,
         mode: SchedMode::FuelSliced { slice: SLICE },
-        pool,
         ..Default::default()
     });
     for id in 1..=3u32 {
@@ -62,16 +64,15 @@ fn epilogue_word(n: u32) -> usize {
 /// The job mix: per tenant one short job (finishes inside the first
 /// quantum) and one long job (suspends and migrates); tenant 3's long
 /// job additionally carries a late-block sabotage.
-fn submit_mix(fleet: &mut Fleet) -> usize {
+fn mix() -> Vec<JobSpec> {
     let tampered_word = epilogue_word(40);
+    let mut jobs = Vec::new();
     for tenant in 1..=3u32 {
-        fleet
-            .submit(JobSpec::new(
-                TenantId(tenant),
-                loop_job(8 + tenant),
-                100_000,
-            ))
-            .unwrap();
+        jobs.push(JobSpec::new(
+            TenantId(tenant),
+            loop_job(8 + tenant),
+            100_000,
+        ));
         let long = if tenant == 3 {
             JobSpec::new(TenantId(3), control_loop_victim(40), 100_000).with_sabotage(
                 Sabotage::FlipRomWord {
@@ -82,9 +83,18 @@ fn submit_mix(fleet: &mut Fleet) -> usize {
         } else {
             JobSpec::new(TenantId(tenant), loop_job(180 + tenant), 100_000)
         };
-        fleet.submit(long).unwrap();
+        jobs.push(long);
     }
-    6
+    jobs
+}
+
+fn submit_mix(fleet: &mut Fleet) -> usize {
+    let jobs = mix();
+    let n = jobs.len();
+    for job in jobs {
+        fleet.submit(job).unwrap();
+    }
+    n
 }
 
 /// The migration-invariant record surface: everything except the
@@ -116,19 +126,15 @@ fn essence(r: &JobRecord) -> RecordEssence {
 #[test]
 fn migrated_mix_finishes_bit_identical_across_fleets() {
     // Reference: the same mix, never migrated.
-    let mut reference = fleet_with_tenants(4, PoolMode::SharedQueue);
+    let mut reference = fleet_with_tenants(4);
     let n = submit_mix(&mut reference);
     let ref_records = reference.run_batch();
     assert_eq!(ref_records.len(), n);
 
-    for (workers2, pool2) in [
-        (1usize, PoolMode::SharedQueue),
-        (2, PoolMode::WorkStealing),
-        (7, PoolMode::WorkStealing),
-    ] {
+    for workers2 in [1usize, 2, 7] {
         // Fleet 1 serves exactly one quantum per job, then suspends the
         // survivors.
-        let mut fleet1 = fleet_with_tenants(4, PoolMode::SharedQueue);
+        let mut fleet1 = fleet_with_tenants(4);
         submit_mix(&mut fleet1);
         let finished1 = fleet1.run_batch_capped(1);
         let suspended = fleet1.queued_jobs();
@@ -150,8 +156,8 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
         );
 
         // Checkpoint each survivor, carry it as bytes, adopt it in a
-        // freshly constructed fleet with different workers/pool.
-        let mut fleet2 = fleet_with_tenants(workers2, pool2);
+        // freshly constructed fleet with a different worker count.
+        let mut fleet2 = fleet_with_tenants(workers2);
         for &id in &suspended {
             let ckpt = fleet1.checkpoint_job(id).unwrap();
             let bytes = ckpt.to_bytes();
@@ -178,7 +184,7 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
             assert_eq!(
                 essence(got),
                 essence(want),
-                "job {i} diverged after migrating to {workers2}w/{pool2:?}"
+                "job {i} diverged after migrating to {workers2} workers"
             );
         }
 
@@ -222,7 +228,7 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
 /// output.
 #[test]
 fn never_served_jobs_checkpoint_without_a_machine() {
-    let mut fleet1 = fleet_with_tenants(2, PoolMode::WorkStealing);
+    let mut fleet1 = fleet_with_tenants(2);
     let id = fleet1
         .submit(JobSpec::new(TenantId(1), loop_job(12), 50_000))
         .unwrap();
@@ -230,7 +236,7 @@ fn never_served_jobs_checkpoint_without_a_machine() {
     assert!(ckpt.machine.is_none());
     assert_eq!(ckpt.remaining, 50_000);
     let decoded = JobCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-    let mut fleet2 = fleet_with_tenants(1, PoolMode::SharedQueue);
+    let mut fleet2 = fleet_with_tenants(1);
     fleet2.adopt_job(decoded).unwrap();
     let records = fleet2.run_batch();
     assert!(records[0].outcome.is_halted());
@@ -249,7 +255,7 @@ fn never_served_jobs_checkpoint_without_a_machine() {
 /// under those keys (key domains stay structural).
 #[test]
 fn adoption_respects_the_tenant_registry() {
-    let mut fleet1 = fleet_with_tenants(1, PoolMode::SharedQueue);
+    let mut fleet1 = fleet_with_tenants(1);
     fleet1
         .submit(JobSpec::new(TenantId(1), loop_job(200), 100_000))
         .unwrap();
@@ -268,9 +274,146 @@ fn adoption_respects_the_tenant_registry() {
 
     // Same tenant id, same keys, different fleet: adoption works and
     // the job finishes with the right output.
-    let mut fleet2 = fleet_with_tenants(3, PoolMode::WorkStealing);
+    let mut fleet2 = fleet_with_tenants(3);
     fleet2.adopt_job(ckpt).unwrap();
     let records = fleet2.run_batch();
     assert!(records[0].outcome.is_halted());
     assert_eq!(records[0].out_words, vec![(1..=200).sum::<u32>()]);
+}
+
+fn async_fleet(threads: usize, park_after: Option<u64>, admission: AdmissionConfig) -> AsyncFleet {
+    let mut fleet = AsyncFleet::new(AsyncConfig {
+        threads,
+        workers: 2,
+        mode: SchedMode::FuelSliced { slice: SLICE },
+        park_after,
+        admission,
+        ..Default::default()
+    });
+    for id in 1..=3u32 {
+        fleet
+            .register_tenant(TenantId(id), KeySet::from_seed(tenant_seed(id)), ClassId(0))
+            .unwrap();
+    }
+    fleet
+}
+
+/// Async migration: two ticks of two lanes into the mix leave two jobs
+/// served and re-queued — live without parking, parked to `SOFS1` bytes
+/// under `park_after: Some(1)` — and two never served. All four are
+/// checkpointed out as bytes, adopted by a second `AsyncFleet` and by a
+/// batch `Fleet`, and every job's record essence equals an
+/// uninterrupted run, at 1, 2 and 4 host threads.
+#[test]
+fn async_checkpoints_live_parked_and_unserved_jobs_bit_identically() {
+    let mut reference = async_fleet(1, None, AdmissionConfig::default());
+    for job in mix() {
+        reference.submit(job).unwrap();
+    }
+    reference.run_until_idle();
+    let mut ref_records = reference.drain_finished();
+    ref_records.sort_by_key(|r| r.job);
+    assert_eq!(ref_records.len(), mix().len());
+
+    for threads in [1usize, 2, 4] {
+        for park_after in [None, Some(1)] {
+            let label = format!("{threads} threads, park_after {park_after:?}");
+            let mut source = async_fleet(threads, park_after, AdmissionConfig::default());
+            for job in mix() {
+                source.submit(job).unwrap();
+            }
+            source.tick();
+            source.tick();
+            let queued = source.queued_jobs();
+            assert_eq!(queued, 4, "{label}");
+            let parked = source.parked_jobs();
+            assert_eq!(parked, if park_after.is_some() { 2 } else { 0 }, "{label}");
+            let finished = source.drain_finished();
+            assert_eq!(finished.len(), 2, "{label}");
+
+            let mut carried = Vec::new();
+            for id in 0..mix().len() as u64 {
+                if let Ok(ckpt) = source.checkpoint_job(sofia::fleet::JobId(id)) {
+                    carried.push((id, ckpt.to_bytes()));
+                }
+            }
+            assert_eq!(carried.len(), 4, "{label}");
+            assert_eq!(source.queued_jobs(), 0, "{label}");
+            let served = carried
+                .iter()
+                .filter(|(_, bytes)| JobCheckpoint::from_bytes(bytes).unwrap().machine.is_some())
+                .count();
+            assert_eq!(served, 2, "{label}: two migrants carry a machine");
+
+            let mut into_async = async_fleet(threads, None, AdmissionConfig::default());
+            let mut into_batch = fleet_with_tenants(threads);
+            for (_, bytes) in &carried {
+                into_async
+                    .adopt_job(JobCheckpoint::from_bytes(bytes).unwrap())
+                    .unwrap();
+                into_batch
+                    .adopt_job(JobCheckpoint::from_bytes(bytes).unwrap())
+                    .unwrap();
+            }
+            into_async.run_until_idle();
+            let mut from_async = into_async.drain_finished();
+            from_async.sort_by_key(|r| r.job);
+            let from_batch = into_batch.run_batch();
+            for adopted in [&from_async, &from_batch] {
+                assert_eq!(adopted.len(), carried.len(), "{label}");
+                for r in &finished {
+                    assert_eq!(
+                        essence(r),
+                        essence(&ref_records[r.job.0 as usize]),
+                        "{label}"
+                    );
+                }
+                for ((id, _), r) in carried.iter().zip(adopted) {
+                    assert_eq!(
+                        essence(r),
+                        essence(&ref_records[*id as usize]),
+                        "{label}: job {id} diverged after migrating"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Adoption is an admission: the adopting driver charges the job's fuel
+/// budget to its tenant's quota, and refuses it — typed, charging
+/// nothing — when the quota is spent.
+#[test]
+fn async_adoption_is_charged_to_the_fuel_quota() {
+    let mut source = async_fleet(1, None, AdmissionConfig::default());
+    let id = source
+        .submit(JobSpec::new(TenantId(1), loop_job(200), 100_000))
+        .unwrap();
+    source.tick();
+    let ckpt = source.checkpoint_job(id).unwrap();
+    assert!(ckpt.machine.is_some());
+
+    let quota = AdmissionConfig {
+        default_class: ClassConfig {
+            tenant_fuel_quota: 150_000,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut adopter = async_fleet(1, None, quota);
+    adopter.adopt_job(ckpt.clone()).unwrap();
+    assert!(matches!(
+        adopter.adopt_job(ckpt.clone()),
+        Err(AdoptError::Admit(AdmitError::OverFuelQuota {
+            outstanding: 100_000,
+            requested: 100_000,
+            ..
+        }))
+    ));
+    assert_eq!(adopter.queued_jobs(), 1);
+    adopter.run_until_idle();
+    let records = adopter.drain_finished();
+    assert_eq!(records[0].out_words, vec![(1..=200).sum::<u32>()]);
+    // The finished job released its claim: the quota admits it again.
+    adopter.adopt_job(ckpt).unwrap();
 }

@@ -8,16 +8,15 @@
 //! [`JobOutcome::WorkerPanic`] record, its tenant is contained like a
 //! violator, bystander tenants' records stay **bit-identical** with or
 //! without the saboteur aboard, and the fleet serves the next batch —
-//! in both pool modes, at several worker counts, and under the async
-//! driver.
+//! at several worker counts, and under the async driver.
 
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, AsyncFleet, ClassId, Fleet, FleetConfig, JobOutcome, JobRecord, JobSpec, PoolMode,
-    Sabotage, SchedMode, TenantId, TenantState,
+    AsyncConfig, AsyncFleet, ClassId, Fleet, FleetConfig, JobOutcome, JobRecord, JobSpec, Sabotage,
+    SchedMode, TenantId, TenantState,
 };
 
-const POOLS: [PoolMode; 2] = [PoolMode::SharedQueue, PoolMode::WorkStealing];
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn product_src(a: u32, b: u32) -> String {
     format!(
@@ -57,10 +56,9 @@ fn digest(r: &JobRecord) -> (String, Vec<u32>, Vec<String>, u64, u64) {
     )
 }
 
-fn run_batch(pool: PoolMode, workers: usize, with_saboteur: bool) -> (Fleet, Vec<JobRecord>) {
+fn run_batch(workers: usize, with_saboteur: bool) -> (Fleet, Vec<JobRecord>) {
     let mut fleet = Fleet::new(FleetConfig {
         workers,
-        pool,
         mode: SchedMode::FuelSliced { slice: 300 },
         ..Default::default()
     });
@@ -76,7 +74,7 @@ fn run_batch(pool: PoolMode, workers: usize, with_saboteur: bool) -> (Fleet, Vec
     for (i, job) in bystander_jobs().into_iter().enumerate() {
         fleet.submit(job).unwrap();
         // Interleave the saboteur's jobs between bystanders so its
-        // panics land mid-batch on every pool shape.
+        // panics land mid-batch at every worker count.
         if with_saboteur && i % 4 == 1 {
             fleet
                 .submit(
@@ -92,64 +90,60 @@ fn run_batch(pool: PoolMode, workers: usize, with_saboteur: bool) -> (Fleet, Vec
 
 #[test]
 fn panicking_job_degrades_to_a_typed_record() {
-    for pool in POOLS {
-        for workers in [1, 2, 4] {
-            let (fleet, records) = run_batch(pool, workers, true);
-            let panics: Vec<&JobRecord> = records
-                .iter()
-                .filter(|r| matches!(r.outcome, JobOutcome::WorkerPanic(_)))
-                .collect();
-            assert!(
-                !panics.is_empty(),
-                "saboteur produced no WorkerPanic under {pool:?}/{workers}"
-            );
-            for r in &panics {
-                assert_eq!(r.tenant, TenantId(66));
-                let JobOutcome::WorkerPanic(msg) = &r.outcome else {
-                    unreachable!()
-                };
-                assert!(msg.contains("sabotage"), "lost the panic payload: {msg}");
-                // The host fault is not a security verdict…
-                assert!(r.violations.is_empty());
-            }
-            // …but the tenant is still contained, like a violator.
-            assert_eq!(
-                fleet.tenant_state(TenantId(66)),
-                Some(TenantState::Suspended),
-                "{pool:?}/{workers}"
-            );
-            assert_eq!(
-                fleet.stats().tenants[&66].worker_panics,
-                panics.len() as u64
-            );
+    for workers in WORKER_COUNTS {
+        let (fleet, records) = run_batch(workers, true);
+        let panics: Vec<&JobRecord> = records
+            .iter()
+            .filter(|r| matches!(r.outcome, JobOutcome::WorkerPanic(_)))
+            .collect();
+        assert!(
+            !panics.is_empty(),
+            "saboteur produced no WorkerPanic at {workers} workers"
+        );
+        for r in &panics {
+            assert_eq!(r.tenant, TenantId(66));
+            let JobOutcome::WorkerPanic(msg) = &r.outcome else {
+                unreachable!()
+            };
+            assert!(msg.contains("sabotage"), "lost the panic payload: {msg}");
+            // The host fault is not a security verdict…
+            assert!(r.violations.is_empty());
         }
+        // …but the tenant is still contained, like a violator.
+        assert_eq!(
+            fleet.tenant_state(TenantId(66)),
+            Some(TenantState::Suspended),
+            "{workers} workers"
+        );
+        assert_eq!(
+            fleet.stats().tenants[&66].worker_panics,
+            panics.len() as u64
+        );
     }
 }
 
 #[test]
 fn bystanders_are_bit_identical_with_and_without_the_saboteur() {
-    for pool in POOLS {
-        for workers in [1, 2, 4] {
-            let (_, with) = run_batch(pool, workers, true);
-            let (_, without) = run_batch(pool, workers, false);
-            let bystanders: Vec<_> = with
-                .iter()
-                .filter(|r| r.tenant != TenantId(66))
-                .map(digest)
-                .collect();
-            let reference: Vec<_> = without.iter().map(digest).collect();
-            assert_eq!(
-                bystanders, reference,
-                "saboteur perturbed bystanders under {pool:?}/{workers}"
-            );
-        }
+    for workers in WORKER_COUNTS {
+        let (_, with) = run_batch(workers, true);
+        let (_, without) = run_batch(workers, false);
+        let bystanders: Vec<_> = with
+            .iter()
+            .filter(|r| r.tenant != TenantId(66))
+            .map(digest)
+            .collect();
+        let reference: Vec<_> = without.iter().map(digest).collect();
+        assert_eq!(
+            bystanders, reference,
+            "saboteur perturbed bystanders at {workers} workers"
+        );
     }
 }
 
 #[test]
 fn fleet_serves_the_next_batch_after_a_panic() {
-    for pool in POOLS {
-        let (mut fleet, first) = run_batch(pool, 4, true);
+    for workers in WORKER_COUNTS {
+        let (mut fleet, first) = run_batch(workers, true);
         assert!(first
             .iter()
             .any(|r| matches!(r.outcome, JobOutcome::WorkerPanic(_))));
@@ -161,7 +155,7 @@ fn fleet_serves_the_next_batch_after_a_panic() {
         assert_eq!(second.len(), bystander_jobs().len());
         assert!(
             second.iter().all(|r| r.outcome.is_halted()),
-            "second batch degraded under {pool:?}"
+            "second batch degraded at {workers} workers"
         );
         // The contained saboteur stays out until an operator releases it.
         assert!(fleet

@@ -1,13 +1,16 @@
-//! The seal-farm regression suite: pre-sealing a cold-start wave through
-//! [`sofia::fleet::SealFarm`] is a host-side optimisation only. For a
-//! wave of K distinct tenants (plus duplicate submissions within and
-//! across tenants), farm-sealed batches must be **bit-identical** to the
-//! inline serial-seal path — records, per-tenant statistics, virtual-time
-//! ticks, per-job cache attribution and the image cache's own counters —
-//! at every worker count and in both scheduling modes.
+//! The cold-wave suite: a batch's cold-start seals run inside the
+//! fleet's one wave per tick — each lane that is the first cold job of
+//! its image seals it, attribution decided on the coordinator in job
+//! order — so host parallelism is invisible. For a wave of K distinct
+//! tenants (plus duplicate submissions within and across tenants),
+//! batches at every worker count must be **bit-identical** to the
+//! one-worker reference — records, per-job cache attribution,
+//! per-tenant statistics and the image cache's own counters — in both
+//! scheduling modes, with virtual-time ticks priced by the batch model.
 
 use sofia::crypto::KeySet;
-use sofia::fleet::{Fleet, FleetConfig, JobRecord, JobSpec, SchedMode, SealMode, TenantId};
+use sofia::fleet::schedule::price_schedule;
+use sofia::fleet::{Fleet, FleetConfig, JobRecord, JobSpec, SchedMode, TenantId};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -31,8 +34,8 @@ fn wave_jobs(tenants: usize) -> (Vec<(TenantId, KeySet)>, Vec<JobSpec>) {
                    halt"
         );
         jobs.push(JobSpec::new(*id, src.clone(), 1_000_000));
-        // Duplicate submission of the same image in the same wave: the
-        // farm's single-flight must collapse it, attribution must not.
+        // Duplicate submission of the same image in the same wave: one
+        // lane seals it, and the duplicate is attributed a hit.
         if i % 2 == 0 {
             jobs.push(JobSpec::new(*id, src, 1_000_000));
         }
@@ -45,7 +48,6 @@ fn wave_jobs(tenants: usize) -> (Vec<(TenantId, KeySet)>, Vec<JobSpec>) {
 }
 
 fn run_wave(
-    seal: SealMode,
     workers: usize,
     mode: SchedMode,
 ) -> (
@@ -57,7 +59,6 @@ fn run_wave(
     let mut fleet = Fleet::new(FleetConfig {
         workers,
         mode,
-        seal,
         ..Default::default()
     });
     for (id, keys) in &tenants {
@@ -76,14 +77,11 @@ type WaveResult = (
     sofia::transform::cache::ImageCacheStats,
 );
 
-/// `strict_attribution`: whether per-job `seal_cache_hit` must match.
-/// The farm assigns it deterministically (first job of an image in
-/// submission order is the miss), so farm runs are held to it at every
-/// worker count. Inline runs at >1 workers race duplicate jobs on the
-/// cache's single-flight marker — *which* duplicate observes the miss is
-/// host scheduling — so only the per-tenant counts (deterministic: one
-/// miss per distinct image) are pinned for them.
-fn assert_identical(a: &WaveResult, b: &WaveResult, strict_attribution: bool, label: &str) {
+/// Everything but the virtual-time ticks (priced per worker count, and
+/// pinned against the batch model below) must match, per-job cache
+/// attribution included: the coordinator makes the first job of an
+/// image in job order the miss, however its lanes race.
+fn assert_identical(a: &WaveResult, b: &WaveResult, label: &str) {
     assert_eq!(a.0.len(), b.0.len(), "{label}: record count");
     for (x, y) in a.0.iter().zip(&b.0) {
         assert_eq!(x.job, y.job, "{label}");
@@ -92,44 +90,28 @@ fn assert_identical(a: &WaveResult, b: &WaveResult, strict_attribution: bool, la
         assert_eq!(x.out_words, y.out_words, "{label}: {:?}", x.job);
         assert_eq!(x.violations, y.violations, "{label}: {:?}", x.job);
         assert_eq!(x.stats, y.stats, "{label}: {:?}", x.job);
-        if strict_attribution {
-            assert_eq!(
-                x.seal_cache_hit, y.seal_cache_hit,
-                "{label}: cache attribution of {:?}",
-                x.job
-            );
-        }
+        assert_eq!(
+            x.seal_cache_hit, y.seal_cache_hit,
+            "{label}: cache attribution of {:?}",
+            x.job
+        );
         assert_eq!(x.slices, y.slices, "{label}: {:?}", x.job);
         assert_eq!(x.slice_cycles, y.slice_cycles, "{label}: {:?}", x.job);
     }
-    if strict_attribution {
-        // Queue latency is summed start ticks — priced per worker count,
-        // so it is pinned separately at matching counts below.
-        let detick = |m: &std::collections::BTreeMap<u32, sofia::fleet::TenantStats>| {
-            let mut m = m.clone();
-            for s in m.values_mut() {
-                s.queue_latency_ticks = 0;
-            }
-            m
-        };
-        assert_eq!(
-            detick(&a.1.tenants),
-            detick(&b.1.tenants),
-            "{label}: per-tenant stats"
-        );
-    } else {
-        for (tenant, stats) in &a.1.tenants {
-            let other = &b.1.tenants[tenant];
-            assert_eq!(
-                stats.seal_cache_hits, other.seal_cache_hits,
-                "{label}: tenant#{tenant} seal-cache hit count"
-            );
-            assert_eq!(
-                stats.seal_cache_misses, other.seal_cache_misses,
-                "{label}: tenant#{tenant} seal-cache miss count"
-            );
+    // Queue latency is summed start ticks — priced per worker count,
+    // so it is pinned separately against the batch model below.
+    let detick = |m: &std::collections::BTreeMap<u32, sofia::fleet::TenantStats>| {
+        let mut m = m.clone();
+        for s in m.values_mut() {
+            s.queue_latency_ticks = 0;
         }
-    }
+        m
+    };
+    assert_eq!(
+        detick(&a.1.tenants),
+        detick(&b.1.tenants),
+        "{label}: per-tenant stats"
+    );
     assert_eq!(
         (a.2.hits, a.2.misses, a.2.entries),
         (b.2.hits, b.2.misses, b.2.entries),
@@ -137,50 +119,37 @@ fn assert_identical(a: &WaveResult, b: &WaveResult, strict_attribution: bool, la
     );
 }
 
-/// The tentpole invariant: the farm path is bit-identical to the inline
-/// serial-seal path at every worker count, in both scheduling modes —
-/// same records, same per-tenant stats, same cache counters. The farm is
-/// additionally held to *stronger* determinism than inline: per-job
-/// cache attribution matches the serial reference at every worker count
-/// (inline mode races it across workers).
+/// The suite's central invariant: a cold wave is bit-identical to the
+/// one-worker reference at every worker count, in both scheduling
+/// modes — same records, same per-job cache attribution, same
+/// per-tenant stats, same cache counters — and its ticks are the batch
+/// model's pricing of the reference's quanta at that worker count, so
+/// sealing on the host never moves simulated admission.
 #[test]
-fn farm_wave_is_bit_identical_to_inline_at_any_worker_count() {
+fn cold_wave_is_bit_identical_at_any_worker_count() {
     for mode in [
         SchedMode::RunToCompletion,
         SchedMode::FuelSliced { slice: 300 },
     ] {
-        // The one-worker inline run is the serial-seal reference.
-        let reference = run_wave(SealMode::Inline, 1, mode);
+        let reference = run_wave(1, mode);
+        let quanta: Vec<Vec<u64>> = reference.0.iter().map(|r| r.slice_cycles.clone()).collect();
         for workers in WORKER_COUNTS {
-            let inline = run_wave(SealMode::Inline, workers, mode);
-            let farm = run_wave(SealMode::Farm, workers, mode);
-            let strict = workers == 1;
-            assert_identical(
-                &inline,
-                &reference,
-                strict,
-                &format!("inline w{workers} {mode:?}"),
-            );
-            assert_identical(
-                &farm,
-                &reference,
-                true,
-                &format!("farm w{workers} {mode:?}"),
-            );
-            // Virtual-time ticks are priced per worker count, so they
-            // are pinned farm-vs-inline at the *same* count: sealing
-            // earlier on the host must not move simulated admission.
-            for (x, y) in farm.0.iter().zip(&inline.0) {
+            let wave = run_wave(workers, mode);
+            assert_identical(&wave, &reference, &format!("w{workers} {mode:?}"));
+            let priced = price_schedule(workers, &quanta);
+            let mut latency = std::collections::BTreeMap::<u32, u64>::new();
+            for (x, ticks) in wave.0.iter().zip(&priced.per_job) {
                 assert_eq!(
                     (x.start_tick, x.end_tick),
-                    (y.start_tick, y.end_tick),
+                    (ticks.start, ticks.end),
                     "w{workers} {mode:?}: ticks of {:?}",
                     x.job
                 );
+                *latency.entry(x.tenant.0).or_default() += ticks.start;
             }
-            for (tenant, stats) in &farm.1.tenants {
+            for (tenant, stats) in &wave.1.tenants {
                 assert_eq!(
-                    stats.queue_latency_ticks, inline.1.tenants[tenant].queue_latency_ticks,
+                    stats.queue_latency_ticks, latency[tenant],
                     "w{workers} {mode:?}: queue latency of tenant#{tenant}"
                 );
             }
@@ -194,7 +163,7 @@ fn farm_wave_is_bit_identical_to_inline_at_any_worker_count() {
 #[test]
 fn cold_wave_seals_each_distinct_image_exactly_once() {
     for workers in WORKER_COUNTS {
-        let (records, _, cache) = run_wave(SealMode::Farm, workers, SchedMode::RunToCompletion);
+        let (records, _, cache) = run_wave(workers, SchedMode::RunToCompletion);
         // 6 tenants × 1 program + 2 tenants × shared-source trailer
         // (distinct keys ⇒ distinct images) = 8 distinct images.
         assert_eq!(cache.misses, 8, "w{workers}");
@@ -205,15 +174,14 @@ fn cold_wave_seals_each_distinct_image_exactly_once() {
     }
 }
 
-/// Seal failures flow through the farm unchanged: the bad program fails
-/// identically in both modes, is not cached, and healthy jobs in the
-/// same wave are untouched.
+/// Seal failures flow through the cold wave unchanged: the bad program
+/// fails identically at every worker count, is not cached, and healthy
+/// jobs in the same wave are untouched.
 #[test]
 fn farm_preserves_seal_failures_bit_for_bit() {
-    for seal in [SealMode::Inline, SealMode::Farm] {
+    for workers in WORKER_COUNTS {
         let mut fleet = Fleet::new(FleetConfig {
-            workers: 4,
-            seal,
+            workers,
             ..Default::default()
         });
         let good = TenantId(1);
@@ -227,14 +195,14 @@ fn farm_preserves_seal_failures_bit_for_bit() {
             .submit(JobSpec::new(bad, "main: bogus t9", 1_000))
             .unwrap();
         let records = fleet.run_batch();
-        assert!(records[0].outcome.is_halted(), "{seal:?}");
+        assert!(records[0].outcome.is_halted(), "w{workers}");
         let sofia::fleet::JobOutcome::SealFailed(msg) = &records[1].outcome else {
             panic!(
-                "{seal:?}: expected SealFailed, got {:?}",
+                "w{workers}: expected SealFailed, got {:?}",
                 records[1].outcome
             );
         };
-        assert!(msg.contains("parse"), "{seal:?}: {msg}");
-        assert_eq!(fleet.seal_cache_stats().entries, 1, "{seal:?}");
+        assert!(msg.contains("parse"), "w{workers}: {msg}");
+        assert_eq!(fleet.seal_cache_stats().entries, 1, "w{workers}");
     }
 }
