@@ -5,10 +5,9 @@
 //! host-side optimisations (bitsliced RECTANGLE, batch sealing, the
 //! zero-copy verified-block dispatch, the fleet's wave pool) actually
 //! buy on real silicon: keystream blocks/sec scalar vs bitsliced, host
-//! MIPS of the three machines, seals/sec under each crypto engine, and
-//! fleet jobs/sec per worker count. Numbers
-//! are informational (no CI thresholds — wall clock is noisy and
-//! machine-dependent).
+//! MIPS of the three machines, seals/sec, and fleet jobs/sec per worker
+//! count. Numbers are informational (no CI thresholds — wall clock is
+//! noisy and machine-dependent).
 //!
 //! Unlike the simulated-cycle trajectory files (bit-for-bit
 //! reproducible, safely rewritten by every run), `BENCH_host.json` is

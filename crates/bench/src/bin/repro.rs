@@ -515,11 +515,8 @@ fn host_eval() {
     );
     let s = &report.seal;
     println!(
-        "  seal ({}):      scalar {:>10.2} seal/s  bitsliced {:>10.2} seal/s  {:>5.2}x",
-        s.workload,
-        s.scalar_seals_per_sec,
-        s.bitsliced_seals_per_sec,
-        s.speedup()
+        "  seal ({}):      {:>10.2} seal/s",
+        s.workload, s.seals_per_sec
     );
     println!("  simulation speed (fib5000):");
     for r in &report.mips {
@@ -610,13 +607,13 @@ fn chaos_eval() {
         report.tenants, report.storm_tenants, report.seed
     );
     println!(
-        "  {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
-        "rate_ppm", "avail", "miss", "faults", "retry", "shed", "late", "break", "mttr", "degr"
+        "  {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}",
+        "rate_ppm", "avail", "miss", "faults", "retry", "shed", "late", "break", "mttr"
     );
     for p in &report.points {
         let r = p.res;
         println!(
-            "  {:>8} {:>7.4} {:>7.4} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7.1} {:>6}",
+            "  {:>8} {:>7.4} {:>7.4} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7.1}",
             p.rate_ppm,
             p.availability,
             p.deadline_miss_rate,
@@ -626,7 +623,6 @@ fn chaos_eval() {
             r.deadline_late,
             r.breaker_opens,
             p.mttr_ticks,
-            r.vcache_off_tenants + r.scalar_fallbacks,
         );
         for c in &p.classes {
             println!(

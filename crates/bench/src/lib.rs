@@ -1199,22 +1199,13 @@ pub struct HostMipsRow {
     pub mips: f64,
 }
 
-/// Scalar-vs-bitsliced secure-installation rates (seals/sec).
+/// Secure-installation rate (seals/sec).
 #[derive(Clone, Debug)]
 pub struct SealRates {
     /// Workload label.
     pub workload: String,
-    /// Seals per second through [`sofia_crypto::CryptoEngine::Scalar`].
-    pub scalar_seals_per_sec: f64,
-    /// Seals per second through [`sofia_crypto::CryptoEngine::Bitsliced`].
-    pub bitsliced_seals_per_sec: f64,
-}
-
-impl SealRates {
-    /// Bitsliced throughput relative to scalar.
-    pub fn speedup(&self) -> f64 {
-        self.bitsliced_seals_per_sec / self.scalar_seals_per_sec
-    }
+    /// Full secure installations per second.
+    pub seals_per_sec: f64,
 }
 
 /// Host wall-clock throughput of one fleet configuration on the
@@ -1397,8 +1388,7 @@ pub fn host_mips(reps: u32) -> Vec<HostMipsRow> {
 }
 
 /// Measures seals/sec of the full secure installation (lower → CFG →
-/// pack → trees → seal) on ADPCM under each [`sofia_crypto::CryptoEngine`],
-/// best of `reps` seals each.
+/// pack → trees → seal) on ADPCM, best of `reps` seals.
 ///
 /// # Panics
 ///
@@ -1406,20 +1396,17 @@ pub fn host_mips(reps: u32) -> Vec<HostMipsRow> {
 pub fn host_seal_rates(reps: u32) -> SealRates {
     let keys = KeySet::from_seed(0x5EA1);
     let module = sofia_workloads::adpcm::workload(600).module();
-    let rate = |engine: sofia_crypto::CryptoEngine| {
-        let transformer = Transformer::new(keys.clone()).with_engine(engine);
-        1.0 / best_secs(reps, || {
-            std::hint::black_box(
-                transformer
-                    .transform(&module)
-                    .unwrap_or_else(|e| panic!("adpcm seals: {e:?}")),
-            );
-        })
-    };
+    let transformer = Transformer::new(keys);
+    let secs = best_secs(reps, || {
+        std::hint::black_box(
+            transformer
+                .transform(&module)
+                .unwrap_or_else(|e| panic!("adpcm seals: {e:?}")),
+        );
+    });
     SealRates {
         workload: "adpcm600".to_string(),
-        scalar_seals_per_sec: rate(sofia_crypto::CryptoEngine::Scalar),
-        bitsliced_seals_per_sec: rate(sofia_crypto::CryptoEngine::Bitsliced),
+        seals_per_sec: 1.0 / secs,
     }
 }
 
@@ -1616,12 +1603,8 @@ pub fn host_json(report: &HostReport) -> String {
     out.push_str("  ],\n");
     let s = &report.seal;
     out.push_str(&format!(
-        "  \"seal\": {{ \"workload\": \"{}\", \"scalar_seals_per_sec\": {:.2}, \
-         \"bitsliced_seals_per_sec\": {:.2}, \"bitsliced_speedup\": {:.2} }},\n",
-        s.workload,
-        s.scalar_seals_per_sec,
-        s.bitsliced_seals_per_sec,
-        s.speedup()
+        "  \"seal\": {{ \"workload\": \"{}\", \"seals_per_sec\": {:.2} }},\n",
+        s.workload, s.seals_per_sec
     ));
     out.push_str("  \"fleet_host\": [\n");
     for (i, p) in report.fleet.iter().enumerate() {
@@ -1704,8 +1687,7 @@ pub struct ChaosPoint {
     pub rate_ppm: u32,
     /// Driver counters at drain.
     pub stats: sofia_fleet::AsyncStats,
-    /// Resilience counters (faults, retries, sheds, breaker,
-    /// degradations).
+    /// Resilience counters (faults, retries, sheds, breaker).
     pub res: sofia_fleet::ResilienceStats,
     /// Honest records (jobs the fleet accepted and drove to *some*
     /// typed record — the availability denominator; intentional
@@ -2116,7 +2098,6 @@ pub fn chaos_json(report: &ChaosReport) -> String {
              \"deadline_late\": {}, \"load_shed\": {},\n      \
              \"breaker_opens\": {}, \"breaker_closes\": {}, \"breaker_open_ticks\": {}, \
              \"mttr_ticks\": {:.1},\n      \
-             \"vcache_off_tenants\": {}, \"scalar_fallbacks\": {},\n      \
              \"digest\": \"{:#018x}\",\n      \"classes\": [\n",
             p.rate_ppm,
             p.availability,
@@ -2141,8 +2122,6 @@ pub fn chaos_json(report: &ChaosReport) -> String {
             r.breaker_closes,
             r.breaker_open_ticks,
             p.mttr_ticks,
-            r.vcache_off_tenants,
-            r.scalar_fallbacks,
             p.digest,
         ));
         for (j, c) in p.classes.iter().enumerate() {
@@ -2450,8 +2429,7 @@ mod tests {
             }],
             seal: SealRates {
                 workload: "adpcm600".into(),
-                scalar_seals_per_sec: 10.0,
-                bitsliced_seals_per_sec: 25.0,
+                seals_per_sec: 25.0,
             },
             fleet: vec![FleetHostPoint {
                 workers: 4,
@@ -2460,7 +2438,6 @@ mod tests {
             }],
         };
         assert!((report.keystream.speedup() - 8.0).abs() < 1e-9);
-        assert!((report.seal.speedup() - 2.5).abs() < 1e-9);
         let json = host_json(&report);
         for field in [
             "\"bench\": \"host\"",
@@ -2473,7 +2450,7 @@ mod tests {
             "\"widths\"",
             "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"speedup_vs_scalar\": 6.00",
             "\"machine_mips\"",
-            "\"seal\"",
+            "\"seal\": { \"workload\": \"adpcm600\", \"seals_per_sec\": 25.00 }",
             "\"fleet_host\"",
             "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00",
         ] {

@@ -45,18 +45,3 @@ pub use mac::Mac64;
 pub use rectangle::{
     Key80, Rectangle, CYCLES_ITERATED, CYCLES_UNROLLED_13, ROUNDS, SBOX, SBOX_INV,
 };
-
-/// Which host implementation drives *bulk* cipher work (sealing whole
-/// images, batched keystream sweeps). Purely a host-performance knob:
-/// both engines produce bit-identical keystream, MACs and ciphertext
-/// (pinned by the `bitslice_equiv` suite), so simulated-cycle models and
-/// sealed images never depend on it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CryptoEngine {
-    /// One block at a time through the scalar path: the same S-box
-    /// circuit on one block's 16-bit rows.
-    Scalar,
-    /// Many blocks per pass through [`bitslice`] (the default).
-    #[default]
-    Bitsliced,
-}

@@ -274,3 +274,36 @@ fn sealed_fib_known_answer() {
         image.ctext.len()
     );
 }
+
+/// A program whose function has three callers, so the installer emits
+/// multiplexor blocks and their trees beside the execution blocks.
+const MULTI_CALLER: &str = "
+main: li s0, 0
+      jal f
+      jal f
+      jal f
+loop: subi s0, s0, 1
+      bnez s0, loop
+      halt
+f:    addi s0, s0, 2
+      ret
+";
+
+/// Recorded before the one-block-per-call seal path was removed; that
+/// path and the batched one both sealed this value.
+const MULTI_CALLER_CTEXT_FNV: u64 = 0x03A5_847E_EAE3_53A6;
+
+#[test]
+fn sealed_multi_caller_known_answer() {
+    let module = sofia_isa::asm::parse(MULTI_CALLER).expect("multi-caller assembles");
+    let image = sofia_transform::Transformer::new(KeySet::from_seed(0x5EA1))
+        .transform(&module)
+        .expect("multi-caller seals");
+    assert!(image.report.mux_blocks >= 1, "{:?}", image.report);
+    assert_eq!(
+        fnv64(&image.ctext),
+        MULTI_CALLER_CTEXT_FNV,
+        "{} words",
+        image.ctext.len()
+    );
+}

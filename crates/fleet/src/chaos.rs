@@ -52,7 +52,7 @@ impl FaultRate {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Seam {
     /// A fresh seal (transformer actually running — cache hits are not
-    /// drawn against) fails as if the farm host errored.
+    /// drawn against) fails as if the sealing host errored.
     Seal,
     /// A parked `SOFS1` snapshot is corrupted before revival; the MAC'd
     /// container turns it into a typed decode failure, never garbage.
@@ -210,7 +210,9 @@ impl ChaosPlan {
         if bound == 0 {
             return 0;
         }
-        self.draw(Seam::Stall, tick, salt ^ 0x0011_77E2) % (bound + 1)
+        let draw = self.draw(Seam::Stall, tick, salt ^ 0x0011_77E2);
+        // At `bound == u64::MAX` every draw is in range.
+        bound.checked_add(1).map_or(draw, |span| draw % span)
     }
 
     /// Flips one deterministically chosen byte of a parked snapshot —
@@ -301,6 +303,18 @@ mod tests {
                 a.strikes(Seam::Panic, tick, 11),
                 b.strikes(Seam::Panic, tick, 11)
             );
+        }
+    }
+
+    #[test]
+    fn jitter_spans_the_whole_range_at_the_largest_bound() {
+        let plan = ChaosPlan::uniform(0x5EED, FaultRate::ppm(1));
+        let draws: Vec<u64> = (0..64).map(|t| plan.jitter(u64::MAX, t, 3)).collect();
+        assert!(draws.iter().any(|&j| j > u64::MAX / 2), "{draws:x?}");
+        assert_eq!(plan.jitter(u64::MAX, 5, 3), draws[5], "the jitter replays");
+        for t in 0..64 {
+            assert!(plan.jitter(u64::MAX - 1, t, 3) < u64::MAX);
+            assert!(plan.jitter(2, t, 3) <= 2);
         }
     }
 

@@ -113,9 +113,8 @@ pub struct AsyncConfig {
     /// Seeded host-fault injection. [`ChaosPlan::none`] (the default)
     /// is bit-for-bit invisible — the chaos suite pins this.
     pub chaos: ChaosPlan,
-    /// Recovery policy: deadlines, retry budgets, circuit breaking,
-    /// graceful degradation. [`ResilienceConfig::default`] (the
-    /// default) turns all of it off.
+    /// Recovery policy: deadlines, retry budgets, circuit breaking.
+    /// [`ResilienceConfig::default`] (the default) turns all of it off.
     pub resilience: ResilienceConfig,
 }
 
@@ -592,8 +591,8 @@ pub struct AsyncFleet {
     /// [`AsyncFleet::set_chaos_plan`] — an operator seam, and what the
     /// warm-then-storm chaos tests drive).
     chaos: ChaosPlan,
-    /// The recovery state machine: retry ledgers, breaker window,
-    /// degradation rungs, the typed event log.
+    /// The recovery state machine: retry ledgers, breaker window, the
+    /// typed event log.
     res: ResilienceState,
 }
 
@@ -720,8 +719,8 @@ impl AsyncFleet {
     }
 
     /// Resilience counters: faults injected, retries, sheds, breaker
-    /// transitions, degradations. All zeros unless chaos or a
-    /// non-default [`ResilienceConfig`] is active.
+    /// transitions. All zeros unless chaos or a non-default
+    /// [`ResilienceConfig`] is active.
     pub fn resilience_stats(&self) -> ResilienceStats {
         self.res.stats
     }
@@ -926,12 +925,8 @@ impl AsyncFleet {
                 && self.chaos.strikes(Seam::Seal, now, job.0)
             {
                 task.fault = Some(InjectedFault::SealFault);
-                let actions = self
-                    .res
+                self.res
                     .note_fault(now, Seam::Seal, Some(job), Some(tenant));
-                if actions.engage_scalar {
-                    self.cache.set_engine(sofia_crypto::CryptoEngine::Scalar);
-                }
                 continue;
             }
             if self.chaos.strikes(Seam::Panic, now, job.0) {
@@ -1014,18 +1009,9 @@ impl AsyncFleet {
 
     /// Queues a run that passed the [`AsyncFleet::gate`]: charges its
     /// fuel budget to the tenant's quota and appends it to its class.
-    fn enqueue(&mut self, class: ClassId, mut run: JobRun) {
+    fn enqueue(&mut self, class: ClassId, run: JobRun) {
         if let Some(tenant) = self.tenants.get_mut(&run.spec.tenant.0) {
             tenant.outstanding_fuel += run.spec.fuel;
-        }
-        if self.res.vcache_degraded(run.spec.tenant) {
-            // Degradation rung: this tenant's snapshots kept failing
-            // revival, so its machines run vcache-off — less parked
-            // state to rot, at re-verification cost. Correctness is
-            // untouched (the vcache is a performance memo).
-            let mut sofia = self.config.sofia;
-            sofia.vcache.enabled = false;
-            run.sofia_override = Some(sofia);
         }
         let arrival_cycles = self.stats.makespan_cycles;
         let floor = self.backlog_vservice_floor();
@@ -1394,10 +1380,7 @@ impl AsyncFleet {
                     );
                     match &record.outcome {
                         JobOutcome::WorkerPanic(_) => self.stats.worker_panics += 1,
-                        JobOutcome::RevivalFailed(_) => {
-                            self.stats.revival_failures += 1;
-                            self.res.note_revival_failure(now, record.tenant);
-                        }
+                        JobOutcome::RevivalFailed(_) => self.stats.revival_failures += 1,
                         _ => {}
                     }
                     if infra_fault {
@@ -1416,10 +1399,7 @@ impl AsyncFleet {
                                 t.outstanding_fuel =
                                     t.outstanding_fuel.saturating_sub(pending.run.spec.fuel);
                             }
-                            let base = self.res.config.backoff_base_ticks.max(1);
-                            let backoff = base
-                                .checked_shl(attempt.saturating_sub(1))
-                                .unwrap_or(u64::MAX);
+                            let backoff = self.res.config.backoff_ticks(attempt);
                             let jitter = self.chaos.jitter(
                                 self.res.config.backoff_jitter_ticks,
                                 now,

@@ -123,11 +123,6 @@ pub(crate) struct JobRun {
     pub(crate) prior: Option<(Vec<sofia_core::Violation>, sofia_core::SofiaStats)>,
     pub(crate) slices: u32,
     pub(crate) slice_cycles: Vec<u64>,
-    /// Per-run SOFIA configuration override. `None` (always, outside
-    /// the resilience ladder) means the fleet-wide `config.sofia` —
-    /// the async driver sets this for tenants degraded to vcache-off
-    /// after repeated revival failures (see [`crate::resilience`]).
-    pub(crate) sofia_override: Option<SofiaConfig>,
 }
 
 impl JobRun {
@@ -147,13 +142,7 @@ impl JobRun {
             prior: None,
             slices: 0,
             slice_cycles: Vec::new(),
-            sofia_override: None,
         }
-    }
-
-    /// The SOFIA configuration this run's machines are built under.
-    pub(crate) fn effective_sofia<'a>(&'a self, config: &'a FleetConfig) -> &'a SofiaConfig {
-        self.sofia_override.as_ref().unwrap_or(&config.sofia)
     }
 }
 
@@ -511,7 +500,7 @@ pub(crate) fn service_quantum(
             }
         }
         let mut machine = match run.image.as_ref() {
-            Some(image) => SofiaMachine::with_config(image, &run.keys, run.effective_sofia(config)),
+            Some(image) => SofiaMachine::with_config(image, &run.keys, &config.sofia),
             // Sealed or assigned just above; reaching this arm is a
             // fleet bug, reported as the typed worker fault it is.
             None => unreachable!("image sealed above"),
@@ -588,7 +577,7 @@ fn arm_retry(run: &mut JobRun, outcome: &JobOutcome, config: &FleetConfig) -> bo
     run.prior = Some((first.violations().to_vec(), first.stats()));
     let config_reboot = SofiaConfig {
         reset_policy: ResetPolicy::Reboot { max_resets },
-        ..*run.effective_sofia(config)
+        ..config.sofia
     };
     let mut machine = SofiaMachine::with_config(&image, &run.keys, &config_reboot);
     apply_sabotage(&mut machine, run.spec.sabotage);

@@ -109,8 +109,8 @@ pub enum JobOutcome {
     /// keys. Like [`JobOutcome::WorkerPanic`] this is a host-side fault
     /// (the simulated device did nothing wrong), contained to the one
     /// job/tenant whose snapshot rotted; unlike a worker panic it names
-    /// the storage seam, so operators (and the resilience ladder's
-    /// vcache-off rung) can react to snapshot rot specifically.
+    /// the storage seam, so operators can react to snapshot rot
+    /// specifically.
     RevivalFailed(String),
     /// The job was shed from the queue because its virtual-time sojourn
     /// exceeded its service class's deadline — an availability decision

@@ -100,7 +100,5 @@ pub use executor::{AsyncConfig, AsyncFleet, AsyncStats};
 pub use fleet::{Fleet, FleetConfig, FleetError, SchedMode};
 pub use job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 pub use quarantine::{QuarantinePolicy, TenantState};
-pub use resilience::{
-    BreakerConfig, DegradeMode, ResilienceConfig, ResilienceEvent, ResilienceStats,
-};
+pub use resilience::{BreakerConfig, ResilienceConfig, ResilienceEvent, ResilienceStats};
 pub use stats::{FleetStats, TenantStats};

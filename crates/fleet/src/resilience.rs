@@ -1,6 +1,6 @@
-//! Self-healing policy for the async fleet: deadlines, retry budgets,
-//! circuit breaking and graceful degradation — every decision a typed
-//! event, never a panic.
+//! Self-healing policy for the async fleet: deadlines, retry budgets
+//! and circuit breaking — every decision a typed event, never a panic
+//! (every tick and backoff sum saturates, whatever the config says).
 //!
 //! [`crate::chaos`] decides *what breaks*; this module decides *what
 //! the fleet does about it*. The two are deliberately separate: chaos
@@ -25,14 +25,8 @@
 //!    (weight ≤ `shed_max_weight`) for a cooldown, protecting
 //!    interactive SLOs with capacity instead of hope. Open → close
 //!    spans are the MTTR the bench reports.
-//! 4. **Graceful degradation** — repeated faults on one path flip a
-//!    cheaper-but-correct fallback: vcache-off for a tenant whose
-//!    snapshots keep failing revival, `CryptoEngine::Scalar` after
-//!    bitslice-path seal faults. Both fallbacks are bit-identical on the
-//!    record surface (the engine invariant is pinned elsewhere), so
-//!    degradation trades host throughput, never correctness.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::chaos::Seam;
 use crate::job::{JobId, TenantId};
@@ -69,19 +63,12 @@ pub struct ResilienceConfig {
     pub backoff_jitter_ticks: u64,
     /// Circuit-breaker policy; `None` never sheds.
     pub breaker: Option<BreakerConfig>,
-    /// After this many revival failures for one tenant, its future jobs
-    /// run with the verification cache disabled (`None` = never).
-    pub vcache_off_after: Option<u32>,
-    /// After this many seal-path faults fleet-wide, image sealing drops
-    /// to `CryptoEngine::Scalar` (`None` = never).
-    pub scalar_crypto_after: Option<u32>,
 }
 
 impl ResilienceConfig {
-    /// The survival preset: bounded retries with jittered backoff, a
-    /// breaker shedding weight-1 classes, and the full degradation
-    /// ladder armed. Deadlines are left to the caller (they depend on
-    /// workload scale).
+    /// The survival preset: bounded retries with jittered backoff and a
+    /// breaker shedding weight-1 classes. Deadlines are left to the
+    /// caller (they depend on workload scale).
     pub fn standard() -> ResilienceConfig {
         ResilienceConfig {
             deadlines: BTreeMap::new(),
@@ -94,23 +81,21 @@ impl ResilienceConfig {
                 cooldown_ticks: 24,
                 shed_max_weight: 1,
             }),
-            vcache_off_after: Some(2),
-            scalar_crypto_after: Some(3),
         }
     }
 
     pub(crate) fn retryable(&self) -> bool {
         self.max_retries > 0
     }
-}
 
-/// A degradation rung that has been stepped down to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DegradeMode {
-    /// One tenant's jobs now run with the verification cache off.
-    VcacheOff,
-    /// Image sealing fell back to the scalar crypto engine.
-    ScalarCrypto,
+    /// Ticks retry number `attempt` (1-based) waits before jitter:
+    /// `base << (attempt - 1)` with a zero base read as 1, saturating at
+    /// `u64::MAX` instead of dropping high bits.
+    pub(crate) fn backoff_ticks(&self, attempt: u32) -> u64 {
+        1u64.checked_shl(attempt.saturating_sub(1))
+            .and_then(|scale| self.backoff_base_ticks.max(1).checked_mul(scale))
+            .unwrap_or(u64::MAX)
+    }
 }
 
 /// One fault or recovery decision, in coordinator (deterministic)
@@ -206,16 +191,6 @@ pub enum ResilienceEvent {
         /// Tick it had opened (close − open = recovery span).
         opened_tick: u64,
     },
-    /// A degradation rung engaged (each rung fires at most once per
-    /// scope — once per tenant for vcache, once fleet-wide otherwise).
-    Degraded {
-        /// Tick the fallback engaged.
-        tick: u64,
-        /// Which rung.
-        mode: DegradeMode,
-        /// The scoped tenant (vcache rung only).
-        tenant: Option<TenantId>,
-    },
 }
 
 /// Counters over the resilience event stream — the roll-up
@@ -253,17 +228,6 @@ pub struct ResilienceStats {
     pub breaker_closes: u64,
     /// Ticks spent open across all open→close spans (MTTR numerator).
     pub breaker_open_ticks: u64,
-    /// Tenants degraded to vcache-off.
-    pub vcache_off_tenants: u64,
-    /// Scalar-crypto fallback engaged (0 or 1).
-    pub scalar_fallbacks: u64,
-}
-
-/// Degradation actions the executor must apply after feeding a seal
-/// fault in (the state machine decides, the executor owns the cache).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct DegradeActions {
-    pub(crate) engage_scalar: bool,
 }
 
 /// Coordinator-side resilience state machine. All mutation happens on
@@ -279,13 +243,6 @@ pub(crate) struct ResilienceState {
     fault_ticks: VecDeque<u64>,
     /// `(opened_tick, until_tick)` while the breaker is open.
     breaker_open: Option<(u64, u64)>,
-    /// Seal-path faults seen (drives the scalar-crypto rung).
-    seal_faults_seen: u32,
-    /// Revival failures per tenant (drives the vcache rung).
-    revival_failures: BTreeMap<u32, u32>,
-    /// Tenants stepped down to vcache-off.
-    vcache_degraded: BTreeSet<u32>,
-    scalar_engaged: bool,
 }
 
 impl ResilienceState {
@@ -297,10 +254,6 @@ impl ResilienceState {
             attempts: BTreeMap::new(),
             fault_ticks: VecDeque::new(),
             breaker_open: None,
-            seal_faults_seen: 0,
-            revival_failures: BTreeMap::new(),
-            vcache_degraded: BTreeSet::new(),
-            scalar_engaged: false,
         }
     }
 
@@ -309,15 +262,13 @@ impl ResilienceState {
     }
 
     /// Record a chaos strike: one typed event + the per-seam counter.
-    /// For [`Seam::Seal`] the return value tells the executor which
-    /// degradation rungs just engaged.
     pub(crate) fn note_fault(
         &mut self,
         tick: u64,
         seam: Seam,
         job: Option<JobId>,
         tenant: Option<TenantId>,
-    ) -> DegradeActions {
+    ) {
         self.stats.faults_injected += 1;
         match seam {
             Seam::Seal => self.stats.seal_faults += 1,
@@ -333,54 +284,6 @@ impl ResilienceState {
             job,
             tenant,
         });
-        if seam == Seam::Seal {
-            self.seal_faults_seen = self.seal_faults_seen.saturating_add(1);
-            return self.seal_degradations(tick);
-        }
-        DegradeActions::default()
-    }
-
-    fn seal_degradations(&mut self, tick: u64) -> DegradeActions {
-        let mut actions = DegradeActions::default();
-        if let Some(after) = self.config.scalar_crypto_after {
-            if !self.scalar_engaged && self.seal_faults_seen >= after {
-                self.scalar_engaged = true;
-                self.stats.scalar_fallbacks += 1;
-                self.events.push(ResilienceEvent::Degraded {
-                    tick,
-                    mode: DegradeMode::ScalarCrypto,
-                    tenant: None,
-                });
-                actions.engage_scalar = true;
-            }
-        }
-        actions
-    }
-
-    /// Record a revival failure for `tenant`; returns `true` when this
-    /// failure steps the tenant down to vcache-off (fires once).
-    pub(crate) fn note_revival_failure(&mut self, tick: u64, tenant: TenantId) -> bool {
-        let after = match self.config.vcache_off_after {
-            Some(after) => after,
-            None => return false,
-        };
-        let seen = self.revival_failures.entry(tenant.0).or_insert(0);
-        *seen = seen.saturating_add(1);
-        if *seen >= after && self.vcache_degraded.insert(tenant.0) {
-            self.stats.vcache_off_tenants += 1;
-            self.events.push(ResilienceEvent::Degraded {
-                tick,
-                mode: DegradeMode::VcacheOff,
-                tenant: Some(tenant),
-            });
-            return true;
-        }
-        false
-    }
-
-    /// Whether `tenant`'s jobs should run with the vcache disabled.
-    pub(crate) fn vcache_degraded(&self, tenant: TenantId) -> bool {
-        self.vcache_degraded.contains(&tenant.0)
     }
 
     /// Feed one fault *record* (settled fault outcome, retried or not)
@@ -392,7 +295,7 @@ impl ResilienceState {
         };
         self.fault_ticks.push_back(tick);
         while let Some(&front) = self.fault_ticks.front() {
-            if front + breaker.window_ticks <= tick {
+            if front.saturating_add(breaker.window_ticks) <= tick {
                 self.fault_ticks.pop_front();
             } else {
                 break;
@@ -400,7 +303,7 @@ impl ResilienceState {
         }
         let recent = self.fault_ticks.len() as u32;
         if self.breaker_open.is_none() && recent >= breaker.fault_threshold {
-            let until = tick + breaker.cooldown_ticks;
+            let until = tick.saturating_add(breaker.cooldown_ticks);
             self.breaker_open = Some((tick, until));
             self.stats.breaker_opens += 1;
             self.events.push(ResilienceEvent::BreakerOpened {
@@ -601,30 +504,58 @@ mod tests {
     }
 
     #[test]
-    fn seal_faults_walk_the_degradation_ladder_once() {
+    fn an_unbounded_breaker_window_saturates() {
         let mut cfg = ResilienceConfig::standard();
-        cfg.scalar_crypto_after = Some(2);
+        cfg.breaker = Some(BreakerConfig {
+            window_ticks: u64::MAX,
+            fault_threshold: 3,
+            cooldown_ticks: 5,
+            shed_max_weight: 1,
+        });
         let mut state = ResilienceState::new(cfg);
-        let a1 = state.note_fault(1, Seam::Seal, None, None);
-        assert!(!a1.engage_scalar);
-        let a2 = state.note_fault(2, Seam::Seal, None, None);
-        assert!(a2.engage_scalar);
-        let a3 = state.note_fault(3, Seam::Seal, None, None);
-        assert_eq!(a3, DegradeActions::default(), "the rung fires once");
-        assert_eq!(state.stats.scalar_fallbacks, 1);
+        state.feed_breaker(7);
+        state.feed_breaker(1 << 40);
+        assert!(!state.sheds(1), "two faults stay under the threshold");
+        state.feed_breaker(u64::MAX - 1);
+        assert!(state.sheds(1), "no fault ever leaves an endless window");
     }
 
     #[test]
-    fn vcache_rung_is_per_tenant() {
+    fn an_endless_breaker_cooldown_saturates() {
         let mut cfg = ResilienceConfig::standard();
-        cfg.vcache_off_after = Some(2);
+        cfg.breaker = Some(BreakerConfig {
+            window_ticks: 10,
+            fault_threshold: 1,
+            cooldown_ticks: u64::MAX,
+            shed_max_weight: 1,
+        });
         let mut state = ResilienceState::new(cfg);
-        assert!(!state.note_revival_failure(1, TenantId(7)));
-        assert!(state.note_revival_failure(2, TenantId(7)));
-        assert!(!state.note_revival_failure(3, TenantId(7)), "fires once");
-        assert!(state.vcache_degraded(TenantId(7)));
-        assert!(!state.vcache_degraded(TenantId(8)));
-        assert_eq!(state.stats.vcache_off_tenants, 1);
+        state.feed_breaker(9);
+        state.breaker_tick(u64::MAX - 1);
+        assert!(state.sheds(1), "the breaker stays open to the end of time");
+        assert_eq!(
+            state.drain_events(),
+            vec![ResilienceEvent::BreakerOpened {
+                tick: 9,
+                until_tick: u64::MAX,
+                recent_faults: 1,
+            }]
+        );
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_dropping_high_bits() {
+        let mut cfg = ResilienceConfig::standard();
+        cfg.backoff_base_ticks = 3;
+        assert_eq!(cfg.backoff_ticks(1), 3);
+        assert_eq!(cfg.backoff_ticks(3), 12);
+        assert_eq!(cfg.backoff_ticks(63), 3 << 62);
+        assert_eq!(cfg.backoff_ticks(64), u64::MAX, "3 << 63 loses a bit");
+        assert_eq!(cfg.backoff_ticks(65), u64::MAX);
+        assert_eq!(cfg.backoff_ticks(u32::MAX), u64::MAX);
+        cfg.backoff_base_ticks = 0;
+        assert_eq!(cfg.backoff_ticks(1), 1, "a zero base reads as one tick");
+        assert_eq!(cfg.backoff_ticks(64), 1 << 63);
     }
 
     #[test]

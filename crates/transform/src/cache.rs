@@ -38,10 +38,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sofia_crypto::{CryptoEngine, KeySet};
+use sofia_crypto::KeySet;
 use sofia_isa::asm;
 
 use crate::{BlockFormat, SecureImage, TransformError, Transformer};
@@ -99,13 +98,6 @@ struct State {
 /// paper's version-separation argument) seal outside the cache.
 pub struct ImageCache {
     format: BlockFormat,
-    /// The [`CryptoEngine`] fresh seals run on, as its discriminant
-    /// (0 = bitsliced, 1 = scalar). Runtime-switchable because the two
-    /// engines produce bit-identical images (pinned by the transformer's
-    /// equivalence test) — flipping it mid-flight changes host cost
-    /// only, which is exactly what the fleet's graceful-degradation
-    /// ladder needs after a bitslice-path fault.
-    engine: AtomicU8,
     inner: Mutex<State>,
     sealed: std::sync::Condvar,
 }
@@ -126,37 +118,15 @@ impl ImageCache {
     pub fn with_format(format: BlockFormat) -> ImageCache {
         ImageCache {
             format,
-            engine: AtomicU8::new(0),
             inner: Mutex::new(State::default()),
             sealed: std::sync::Condvar::new(),
         }
     }
 
-    /// The [`CryptoEngine`] fresh seals currently run on.
-    pub fn engine(&self) -> CryptoEngine {
-        match self.engine.load(Ordering::Relaxed) {
-            1 => CryptoEngine::Scalar,
-            _ => CryptoEngine::default(),
-        }
-    }
-
-    /// Switches the engine used by *future* seals. Safe at any time:
-    /// both engines seal bit-identical images (the transformer pins
-    /// this), so cached entries and in-flight seals stay valid — only
-    /// host-side seal cost changes. This is the fleet resilience
-    /// ladder's `Scalar` fallback seam.
-    pub fn set_engine(&self, engine: CryptoEngine) {
-        let tag = match engine {
-            CryptoEngine::Scalar => 1,
-            _ => 0,
-        };
-        self.engine.store(tag, Ordering::Relaxed);
-    }
-
     /// Whether a **ready** sealed image for `key` is in the cache right
     /// now — a lock-and-peek that never waits on in-flight seals and
     /// never seals. Schedulers use it to tell warm lookups from the
-    /// fresh transforms a seal-farm fault could strike.
+    /// fresh transforms a seal fault could strike.
     ///
     /// # Panics
     ///
@@ -232,7 +202,6 @@ impl ImageCache {
             .and_then(|module| {
                 Transformer::new(keys.clone())
                     .with_format(self.format)
-                    .with_engine(self.engine())
                     .transform(&module)
                     .map(Arc::new)
                     .map_err(SealError::Transform)
@@ -315,8 +284,8 @@ const _: () = {
 ///
 /// Opaque by design: it reveals nothing about the key material (a
 /// fingerprint, not the keys) and is `Copy`+`Hash`+`Ord`, so schedulers
-/// above the cache (the fleet's seal farm) can group, sort and dedup
-/// seal requests without holding key material or source text.
+/// above the cache (the fleet's seal attribution) can group, sort and
+/// dedup seal requests without holding key material or source text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ImageKey((u64, u64));
 
@@ -423,28 +392,6 @@ mod tests {
         assert_eq!(cache.stats().misses, 1, "contains never seals");
         cache.purge(&keys);
         assert!(!cache.contains(&key));
-    }
-
-    #[test]
-    fn engine_switch_seals_identical_images() {
-        let cache = ImageCache::new();
-        assert_eq!(cache.engine(), CryptoEngine::default());
-        let a = cache
-            .get_or_seal(&KeySet::from_seed(7), "main: li t0, 9\n halt")
-            .unwrap();
-        cache.set_engine(CryptoEngine::Scalar);
-        assert_eq!(cache.engine(), CryptoEngine::Scalar);
-        // A fresh key domain forces a fresh seal on the scalar engine;
-        // the ciphertext matches the bitsliced seal of the same source
-        // under the same keys (engine equivalence, via a second cache).
-        let scalar = cache
-            .get_or_seal(&KeySet::from_seed(8), "main: li t0, 9\n halt")
-            .unwrap();
-        let bitsliced = ImageCache::new()
-            .get_or_seal(&KeySet::from_seed(8), "main: li t0, 9\n halt")
-            .unwrap();
-        assert_eq!(scalar.ctext, bitsliced.ctext);
-        assert_ne!(a.ctext, scalar.ctext, "key domains still isolated");
     }
 
     #[test]

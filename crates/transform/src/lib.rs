@@ -63,7 +63,7 @@ pub use image::{SecureImage, TransformReport};
 pub use sponge::{seal_sponge, SpongeImage};
 
 use sofia_cfg::Cfg;
-use sofia_crypto::{CryptoEngine, KeySet, Nonce};
+use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm::Module;
 
 /// The secure installer: holds device keys and installation parameters.
@@ -84,19 +84,16 @@ pub struct Transformer {
     keys: KeySet,
     nonce: Nonce,
     format: BlockFormat,
-    engine: CryptoEngine,
 }
 
 impl Transformer {
-    /// Creates an installer with the given device keys, nonce ω = 1, the
-    /// paper's default 8-word block format and the bitsliced host crypto
-    /// engine.
+    /// Creates an installer with the given device keys, nonce ω = 1 and
+    /// the paper's default 8-word block format.
     pub fn new(keys: KeySet) -> Transformer {
         Transformer {
             keys,
             nonce: Nonce::new(1),
             format: BlockFormat::default(),
-            engine: CryptoEngine::default(),
         }
     }
 
@@ -112,23 +109,9 @@ impl Transformer {
         self
     }
 
-    /// Selects the host crypto engine sealing runs on. Purely a host
-    /// throughput knob — the sealed image is bit-identical either way
-    /// (pinned by test); [`CryptoEngine::Scalar`] — one block per cipher
-    /// call — is kept as the baseline the host bench compares against.
-    pub fn with_engine(mut self, engine: CryptoEngine) -> Transformer {
-        self.engine = engine;
-        self
-    }
-
     /// The block geometry this installer uses.
     pub fn format(&self) -> BlockFormat {
         self.format
-    }
-
-    /// The host crypto engine sealing runs on.
-    pub fn engine(&self) -> CryptoEngine {
-        self.engine
     }
 
     /// Securely installs a module: lower → analyse → pack → trees → seal.
@@ -157,7 +140,6 @@ impl Transformer {
             format: &self.format,
             keys: &self.keys,
             nonce: self.nonce,
-            engine: self.engine,
             source_instructions,
         })
     }
@@ -279,38 +261,6 @@ mod tests {
         );
         assert!(img.report.expansion() > 1.33);
         assert!(img.report.mux_blocks >= 1);
-    }
-
-    #[test]
-    fn scalar_and_bitsliced_engines_seal_identical_images() {
-        // The CryptoEngine knob is host-performance only: same keys, same
-        // program, bit-identical ciphertext (exec blocks, mux blocks and
-        // trees all covered by the multi-caller function).
-        let module = asm::parse(
-            "main: li s0, 0
-                   jal f
-                   jal f
-                   jal f
-             loop: subi s0, s0, 1
-                   bnez s0, loop
-                   halt
-             f:    addi s0, s0, 2
-                   ret",
-        )
-        .unwrap();
-        let keys = KeySet::from_seed(0x5EA1);
-        let scalar = Transformer::new(keys.clone())
-            .with_engine(sofia_crypto::CryptoEngine::Scalar)
-            .transform(&module)
-            .unwrap();
-        let bitsliced = Transformer::new(keys)
-            .with_engine(sofia_crypto::CryptoEngine::Bitsliced)
-            .transform(&module)
-            .unwrap();
-        assert!(scalar.report.mux_blocks >= 1, "{:?}", scalar.report);
-        assert_eq!(scalar.ctext, bitsliced.ctext);
-        assert_eq!(scalar.entry, bitsliced.entry);
-        assert_eq!(scalar.data, bitsliced.data);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use sofia_cfg::Cfg;
-use sofia_crypto::{ctr, mac, CounterBlock, CryptoEngine, KeySet, Mac64, Nonce};
+use sofia_crypto::{ctr, mac, CounterBlock, KeySet, Mac64, Nonce};
 use sofia_isa::asm::{apply_reloc, layout_data, Module, Reloc, DEFAULT_DATA_BASE};
 
 use crate::error::TransformError;
@@ -27,7 +27,6 @@ pub(crate) struct SealInput<'a> {
     pub format: &'a BlockFormat,
     pub keys: &'a KeySet,
     pub nonce: Nonce,
-    pub engine: CryptoEngine,
     pub source_instructions: usize,
 }
 
@@ -40,7 +39,6 @@ pub(crate) fn seal(input: SealInput<'_>) -> Result<SecureImage, TransformError> 
         format,
         keys,
         nonce,
-        engine,
         source_instructions,
     } = input;
 
@@ -153,49 +151,30 @@ pub(crate) fn seal(input: SealInput<'_>) -> Result<SecureImage, TransformError> 
     };
 
     // MAC phase. All blocks of one kind share a MAC key and a fixed
-    // padded length, and their CBC chains are independent — so under the
-    // bitsliced engine each kind MACs lane-parallel in one batch. The
-    // scalar path ciphers one block per call (bit-identical, pinned by
-    // test).
-    let macs: Vec<Mac64> = match engine {
-        CryptoEngine::Scalar => packed
+    // padded length, and their CBC chains are independent — so each kind
+    // MACs lane-parallel in one batch.
+    let mut macs = vec![Mac64::new(0); packed.blocks.len()];
+    for kind in [BlockKind::Exec, BlockKind::Mux] {
+        let idxs: Vec<usize> = packed
             .blocks
             .iter()
-            .zip(&block_words)
-            .map(|(block, insts)| {
-                let mac_cipher = match block.kind {
-                    BlockKind::Exec => &expanded.mac_exec,
-                    BlockKind::Mux => &expanded.mac_mux,
-                };
-                mac::mac_words(mac_cipher, insts, format.mac_padded_words(block.kind))
-            })
-            .collect(),
-        CryptoEngine::Bitsliced => {
-            let mut macs = vec![Mac64::new(0); packed.blocks.len()];
-            for kind in [BlockKind::Exec, BlockKind::Mux] {
-                let idxs: Vec<usize> = packed
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.kind == kind)
-                    .map(|(i, _)| i)
-                    .collect();
-                if idxs.is_empty() {
-                    continue;
-                }
-                let msgs: Vec<&[u32]> = idxs.iter().map(|&i| block_words[i].as_slice()).collect();
-                let mac_cipher = match kind {
-                    BlockKind::Exec => &expanded.mac_exec,
-                    BlockKind::Mux => &expanded.mac_mux,
-                };
-                let got = mac::mac_words_batch(mac_cipher, &msgs, format.mac_padded_words(kind));
-                for (i, mac) in idxs.into_iter().zip(got) {
-                    macs[i] = mac;
-                }
-            }
-            macs
+            .enumerate()
+            .filter(|(_, b)| b.kind == kind)
+            .map(|(i, _)| i)
+            .collect();
+        if idxs.is_empty() {
+            continue;
         }
-    };
+        let msgs: Vec<&[u32]> = idxs.iter().map(|&i| block_words[i].as_slice()).collect();
+        let mac_cipher = match kind {
+            BlockKind::Exec => &expanded.mac_exec,
+            BlockKind::Mux => &expanded.mac_mux,
+        };
+        let got = mac::mac_words_batch(mac_cipher, &msgs, format.mac_padded_words(kind));
+        for (i, mac) in idxs.into_iter().zip(got) {
+            macs[i] = mac;
+        }
+    }
 
     // Encrypt phase: every word's control-flow counter is known up front
     // (the whole point of install-time sealing), so the keystream for the
@@ -255,14 +234,7 @@ pub(crate) fn seal(input: SealInput<'_>) -> Result<SecureImage, TransformError> 
         }
     }
     let mut ctext = words;
-    match engine {
-        CryptoEngine::Scalar => {
-            for (word, &counter) in ctext.iter_mut().zip(&counters) {
-                *word = ctr::apply(&expanded.ctr, counter, *word);
-            }
-        }
-        CryptoEngine::Bitsliced => ctr::apply_batch(&expanded.ctr, &counters, &mut ctext),
-    }
+    ctr::apply_batch(&expanded.ctr, &counters, &mut ctext);
 
     // --- entry point ---
     let entry_leader = cfg.entry();

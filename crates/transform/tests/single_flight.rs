@@ -1,7 +1,7 @@
 //! Single-flight pinning: many threads hammering [`ImageCache`] for the
 //! *same* `(keys, source)` must trigger exactly one seal, and every
 //! caller must come back holding the same `Arc<SecureImage>` — the
-//! property the fleet's seal farm builds its cold-start story on.
+//! property a fleet's cold wave of same-image lanes builds on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};

@@ -3,8 +3,8 @@
 //! Act 1 warms four tenants on an `AsyncFleet`, swaps in a hot
 //! [`ChaosPlan`] (seal failures, worker stalls, injected worker deaths,
 //! rotting snapshots), and lets the resilience layer — retry budgets
-//! with jittered backoff, a class-level circuit breaker, the graceful
-//! degradation ladder — ride it out. Every strike and every recovery
+//! with jittered backoff and a class-level circuit breaker — ride it
+//! out. Every strike and every recovery
 //! decision lands in one typed event ledger; nothing panics. The same
 //! seed always replays the same storm.
 //!
@@ -95,11 +95,8 @@ fn main() {
         res.snapshot_corruptions,
     );
     println!(
-        "         survival: {} retries, {} breaker opens (open {} ticks), {} degradations",
-        res.retries_scheduled,
-        res.breaker_opens,
-        res.breaker_open_ticks,
-        res.vcache_off_tenants + res.scalar_fallbacks,
+        "         survival: {} retries, {} breaker opens (open {} ticks)",
+        res.retries_scheduled, res.breaker_opens, res.breaker_open_ticks,
     );
     println!("         typed event ledger (first strikes and recoveries):");
     for event in fleet.drain_resilience_events().iter().take(8) {

@@ -12,7 +12,8 @@
 //! 2. **Every fault is exactly one typed event.** Injected strikes
 //!    never panic and never vanish: the `FaultInjected` event count,
 //!    the per-seam counters and their total all agree, for driver-drawn
-//!    and harness-drawn seams alike.
+//!    and harness-drawn seams alike, and each recovery counter equals
+//!    the count of its own event.
 //! 3. **Degradation is graceful.** A 100 % seal-fault storm fails only
 //!    *cold* transforms; tenants whose images the seal cache already
 //!    holds keep being served at full fidelity, and deadline sheds
@@ -142,8 +143,9 @@ proptest! {
 
 /// Claim 2: under a hot uniform plan every strike lands as exactly one
 /// typed `FaultInjected` event — the event count, the per-seam
-/// counters and the total all agree — and every submitted job still
-/// settles into exactly one record. No panics, no silent losses.
+/// counters and the total all agree — every recovery counter equals
+/// the count of its own event, and every submitted job still settles
+/// into exactly one record. No panics, no silent losses.
 #[test]
 fn every_fault_is_exactly_one_typed_event() {
     let tenant_set = tenants(6);
@@ -181,6 +183,29 @@ fn every_fault_is_exactly_one_typed_event() {
         res.faults_injected,
         "per-seam counters disagree with the total"
     );
+    // Every recovery counter with a one-to-one event equals its count.
+    let seen =
+        |pick: fn(&ResilienceEvent) -> bool| events.iter().filter(|e| pick(e)).count() as u64;
+    use ResilienceEvent as E;
+    let counters = [
+        res.retries_scheduled,
+        res.retries_exhausted,
+        res.deadline_shed,
+        res.deadline_late,
+        res.load_shed,
+        res.breaker_opens,
+        res.breaker_closes,
+    ];
+    let counted = [
+        seen(|e| matches!(e, E::RetryScheduled { .. })),
+        seen(|e| matches!(e, E::RetriesExhausted { .. })),
+        seen(|e| matches!(e, E::DeadlineShed { .. })),
+        seen(|e| matches!(e, E::DeadlineLate { .. })),
+        seen(|e| matches!(e, E::LoadShed { .. })),
+        seen(|e| matches!(e, E::BreakerOpened { .. })),
+        seen(|e| matches!(e, E::BreakerClosed { .. })),
+    ];
+    assert_eq!(counters, counted, "a recovery counter without its events");
     // Conservation: every submitted job settled into exactly one
     // record (retries re-queue the job, they never fork or drop it).
     assert_eq!(records.len(), jobs.len());
