@@ -62,12 +62,7 @@ fn emit_bench_json() {
     })
     .collect();
     let json = sofia_bench::vcache_rows_json(vcache, &rows);
-    // The workspace root, so the trajectory file sits next to CHANGES.md.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_vcache.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_vcache.json not written: {e}"),
-    }
+    sofia_bench::write_bench("vcache", &json).unwrap_or_else(|e| panic!("{e}"));
 }
 
 criterion_group!(benches, bench_cache_sweep);

@@ -12,39 +12,22 @@
 
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 use sofia_bench::{
-    async_wfq_report, fleet_json, fleet_mix, fleet_mix_tenants, fleet_scaling_series,
-    FLEET_BENCH_SLICE,
+    async_wfq_report, fleet_json, fleet_mix, fleet_scaling_series, mix_fleet, write_bench,
+    FLEET_BENCH_MODES,
 };
-use sofia_fleet::{Fleet, FleetConfig, SchedMode};
 
-/// Tenants the async serving section runs with — the 1k point of the
-/// ISSUE's 1k–10k range; `repro -- fleet` sweeps further.
+/// Tenants the async serving section runs with — the pinned 1k point;
+/// `repro -- fleet` adds a 4k one.
 const ASYNC_TENANTS: usize = 1_000;
 
 fn bench_fleet(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet");
     g.throughput(Throughput::Elements(fleet_mix().len() as u64));
     for workers in [1usize, 2, 4] {
-        for (label, mode) in [
-            ("rtc", SchedMode::RunToCompletion),
-            (
-                "sliced",
-                SchedMode::FuelSliced {
-                    slice: FLEET_BENCH_SLICE,
-                },
-            ),
-        ] {
+        for (label, mode) in FLEET_BENCH_MODES {
             g.bench_function(format!("mix24/{label}/w{workers}"), |b| {
                 b.iter(|| {
-                    let mut fleet = Fleet::new(FleetConfig {
-                        workers,
-                        mode,
-                        ..Default::default()
-                    });
-                    fleet_mix_tenants(&mut fleet);
-                    for spec in fleet_mix() {
-                        fleet.submit(black_box(spec)).unwrap();
-                    }
+                    let mut fleet = black_box(mix_fleet(workers, mode));
                     let records = fleet.run_batch();
                     assert_eq!(records.len(), 24);
                     fleet.stats().total().cycles
@@ -57,13 +40,7 @@ fn bench_fleet(c: &mut Criterion) {
 
 fn emit_bench_json() {
     let workers = [1usize, 2, 4, 8];
-    let rtc = fleet_scaling_series(&workers, SchedMode::RunToCompletion);
-    let sliced = fleet_scaling_series(
-        &workers,
-        SchedMode::FuelSliced {
-            slice: FLEET_BENCH_SLICE,
-        },
-    );
+    let [rtc, sliced] = FLEET_BENCH_MODES.map(|(_, mode)| fleet_scaling_series(&workers, mode));
     // The determinism invariant, checked on every emission: total work is
     // worker-count-invariant, and throughput scales monotonically 1 -> 4.
     for series in [&rtc, &sliced] {
@@ -78,27 +55,11 @@ fn emit_bench_json() {
         }
     }
     // The async serving section, with its own determinism gate: the
-    // full report — per-class p50/p99, driver counters, and the FNV
-    // digest over every record and rejection — must be bit-identical
-    // across host thread counts before it is allowed into the record.
-    let wfq_serial = async_wfq_report(ASYNC_TENANTS, 1);
+    // report asserts itself bit-identical at 1 and 4 host threads, and
+    // that admission backpressure fired, before it enters the record.
     let wfq = async_wfq_report(ASYNC_TENANTS, 4);
-    assert_eq!(
-        (&wfq_serial.stats, &wfq_serial.classes, wfq_serial.digest),
-        (&wfq.stats, &wfq.classes, wfq.digest),
-        "async driver results depend on the host thread count"
-    );
-    assert!(
-        wfq.stats.rejected > 0,
-        "no admission backpressure exercised"
-    );
     let json = fleet_json(&rtc, &sliced, &wfq);
-    // The workspace root, so the trajectory file sits next to CHANGES.md.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_fleet.json not written: {e}"),
-    }
+    write_bench("fleet", &json).unwrap_or_else(|e| panic!("{e}"));
 }
 
 criterion_group!(benches, bench_fleet);

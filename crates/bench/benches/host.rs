@@ -6,8 +6,9 @@
 //! zero-copy verified-block dispatch, the fleet's wave pool) actually
 //! buy on real silicon: keystream blocks/sec scalar vs bitsliced, host
 //! MIPS of the three machines, seals/sec, and fleet jobs/sec per worker
-//! count. Numbers are informational (no CI thresholds — wall clock is
-//! noisy and machine-dependent).
+//! count, each as the median, minimum and maximum of its runs. Numbers
+//! are informational (no CI thresholds — wall clock is noisy and
+//! machine-dependent).
 //!
 //! Unlike the simulated-cycle trajectory files (bit-for-bit
 //! reproducible, safely rewritten by every run), `BENCH_host.json` is
@@ -18,7 +19,7 @@
 //! committed record with debug-build wall-clock numbers.
 
 use criterion::{black_box, criterion_group, Criterion};
-use sofia_bench::{host_json, host_report};
+use sofia_bench::{host_json, host_report, write_bench, HOST_BENCH_REPS};
 
 fn bench_host(c: &mut Criterion) {
     let mut g = c.benchmark_group("host");
@@ -36,8 +37,8 @@ fn bench_host(c: &mut Criterion) {
 
 fn emit_bench_json(measure: bool) {
     if measure {
-        let report = host_report(3);
-        sofia_bench::write_host_json(&host_json(&report));
+        let report = host_report(HOST_BENCH_REPS);
+        write_bench("host", &host_json(&report)).unwrap_or_else(|e| panic!("{e}"));
     } else {
         // Smoke: run the whole experiment once (single samples) so the
         // path is exercised on every `cargo test`, but do not overwrite

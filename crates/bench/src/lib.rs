@@ -1,9 +1,19 @@
 //! # sofia-bench — measurement helpers for the reproduction harness
 //!
 //! Shared machinery for the `repro` binary (which regenerates every table
-//! and figure of the paper, see `DESIGN.md` §3) and the Criterion
-//! benches: run a workload on both machines under arbitrary
+//! and figure of the paper, see README, *Reproducing the paper*) and the
+//! Criterion benches: run a workload on both machines under arbitrary
 //! configurations and reduce the statistics to the paper's metrics.
+//!
+//! It also builds the `BENCH_*.json` records at the workspace root, each
+//! written by [`write_bench`]. Five are **virtual time** — simulated
+//! cycles and counts, byte-identical on any host at any thread count:
+//! `BENCH_vcache.json` ([`vcache_rows_json`]), `BENCH_fleet.json`
+//! ([`fleet_json`]), `BENCH_backends.json` ([`backends_json`]),
+//! `BENCH_chaos.json` ([`chaos_json`]) and `BENCH_attacks.json`
+//! ([`attacks_json`]). `BENCH_host.json` ([`host_json`]) is the one
+//! **wall-clock** record: how fast this host seals and simulates, as the
+//! median, minimum and maximum over repeated runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,6 +33,31 @@ use sofia_workloads::Workload;
 
 /// Fuel for measurement runs.
 pub const FUEL: u64 = 500_000_000;
+
+/// Writes `json` to `BENCH_<name>.json` at the workspace root, next to
+/// `CHANGES.md`, and reports the path on stdout.
+///
+/// # Errors
+///
+/// The write's I/O error, with the path in its message.
+pub fn write_bench(name: &str, json: &str) -> std::io::Result<()> {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{path} not written: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+/// Joins pre-formatted JSON rows, one per line, with a comma after every
+/// row but the last. Each row carries its own indent; an empty list
+/// joins to nothing.
+fn join_rows(rows: impl IntoIterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.into_iter().collect();
+    if rows.is_empty() {
+        return String::new();
+    }
+    rows.join(",\n") + "\n"
+}
 
 /// One row of a §IV-B-style overhead table.
 #[derive(Clone, Debug)]
@@ -191,39 +226,19 @@ impl VCacheRow {
 /// Panics if any machine misbehaves — measurement runs must be correct
 /// runs.
 pub fn vcache_row(workload: &Workload, keys: &KeySet, vcache: VCacheConfig) -> VCacheRow {
-    let vanilla = workload
-        .verify_on_vanilla()
-        .unwrap_or_else(|e| panic!("vanilla verifies: {e:?}"))
-        .cycles;
-    let image = workload.secure_image(keys);
-    let mut uncached = SofiaMachine::new(&image, keys);
-    assert!(uncached
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("uncached traps: {e:?}"))
-        .is_halted());
+    let uncached = measure(workload, keys);
     let config = SofiaConfig {
         vcache,
         ..Default::default()
     };
-    let mut cached = SofiaMachine::with_config(&image, keys, &config);
-    assert!(cached
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("cached traps: {e:?}"))
-        .is_halted());
-    assert_eq!(
-        cached.mem().mmio.out_words,
-        workload.expected,
-        "{}: cached output mismatch",
-        workload.name
-    );
-    let cs = cached.stats();
+    let cached = measure_with(workload, keys, BlockFormat::default(), &config).sofia;
     VCacheRow {
         name: workload.name.to_string(),
-        vanilla_cycles: vanilla,
-        sofia_uncached_cycles: uncached.stats().exec.cycles,
-        sofia_cached_cycles: cs.exec.cycles,
-        vcache_hits: cs.vcache_hits,
-        vcache_misses: cs.vcache_misses,
+        vanilla_cycles: uncached.vanilla_cycles,
+        sofia_uncached_cycles: uncached.sofia_cycles,
+        sofia_cached_cycles: cached.exec.cycles,
+        vcache_hits: cached.vcache_hits,
+        vcache_misses: cached.vcache_misses,
     }
 }
 
@@ -237,11 +252,11 @@ pub fn vcache_rows_json(vcache: VCacheConfig, rows: &[VCacheRow]) -> String {
         vcache.entries, vcache.ways, vcache.hit_latency
     ));
     out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
+    out.push_str(&join_rows(rows.iter().map(|r| {
+        format!(
             "    {{ \"name\": \"{}\", \"vanilla_cycles\": {}, \"sofia_uncached_cycles\": {}, \
              \"sofia_cached_cycles\": {}, \"vcache_hits\": {}, \"vcache_misses\": {}, \
-             \"reduction_pct\": {:.2} }}{}\n",
+             \"reduction_pct\": {:.2} }}",
             r.name,
             r.vanilla_cycles,
             r.sofia_uncached_cycles,
@@ -249,9 +264,8 @@ pub fn vcache_rows_json(vcache: VCacheConfig, rows: &[VCacheRow]) -> String {
             r.vcache_hits,
             r.vcache_misses,
             r.reduction() * 100.0,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
+        )
+    })));
     out.push_str("  ]\n}\n");
     out
 }
@@ -305,18 +319,44 @@ pub fn fleet_mix() -> Vec<sofia_fleet::JobSpec> {
     specs
 }
 
-/// Registers the [`fleet_mix`] tenants on a fresh fleet.
+/// A fresh fleet at `workers` and `mode` with the [`fleet_mix`] tenants
+/// registered and the whole mix submitted, ready for `run_batch`.
 ///
 /// # Panics
 ///
-/// Panics on double registration — a harness bug.
-pub fn fleet_mix_tenants(fleet: &mut sofia_fleet::Fleet) {
-    use sofia_fleet::TenantId;
+/// Panics if the fleet refuses a registration or a job — a harness bug.
+pub fn mix_fleet(workers: usize, mode: sofia_fleet::SchedMode) -> sofia_fleet::Fleet {
+    use sofia_fleet::{Fleet, FleetConfig, TenantId};
+    let mut fleet = Fleet::new(FleetConfig {
+        workers,
+        mode,
+        ..Default::default()
+    });
     for (id, seed) in [(1u32, 0xF1Bu64), (2, 0xC3C32), (3, 0xADBC)] {
         fleet
             .register_tenant(TenantId(id), KeySet::from_seed(seed))
             .unwrap_or_else(|e| panic!("fresh fleet: {e:?}"));
     }
+    for spec in fleet_mix() {
+        fleet
+            .submit(spec)
+            .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
+    }
+    fleet
+}
+
+/// Runs a [`mix_fleet`] batch and returns its job count.
+///
+/// # Panics
+///
+/// Panics if any job of the mix fails to halt — measurement runs must be
+/// correct runs.
+fn run_mix(fleet: &mut sofia_fleet::Fleet) -> usize {
+    let records = fleet.run_batch();
+    for r in &records {
+        assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
+    }
+    records.len()
 }
 
 /// Runs the [`fleet_mix`] at one worker count and scheduling mode.
@@ -326,24 +366,8 @@ pub fn fleet_mix_tenants(fleet: &mut sofia_fleet::Fleet) {
 /// Panics if any job of the mix fails to halt — measurement runs must be
 /// correct runs.
 pub fn fleet_scaling_point(workers: usize, mode: sofia_fleet::SchedMode) -> FleetScalingPoint {
-    use sofia_fleet::{Fleet, FleetConfig};
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode,
-        ..Default::default()
-    });
-    fleet_mix_tenants(&mut fleet);
-    let specs = fleet_mix();
-    let jobs = specs.len();
-    for spec in specs {
-        fleet
-            .submit(spec)
-            .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
-    }
-    let records = fleet.run_batch();
-    for r in &records {
-        assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
-    }
+    let mut fleet = mix_fleet(workers, mode);
+    let jobs = run_mix(&mut fleet);
     let stats = fleet.stats();
     let (_, sofia_hw) = sofia_hwmodel::table1();
     let makespan_secs = stats.last_makespan_cycles as f64 * sofia_hw.period_ns * 1e-9;
@@ -371,6 +395,18 @@ pub fn fleet_scaling_series(
 /// The fuel slice the fleet experiment runs its preemptive mode at.
 pub const FLEET_BENCH_SLICE: u64 = 2_000;
 
+/// The fleet experiment's two scheduling modes, labelled as in
+/// `BENCH_fleet.json`.
+pub const FLEET_BENCH_MODES: [(&str, sofia_fleet::SchedMode); 2] = [
+    ("run_to_completion", sofia_fleet::SchedMode::RunToCompletion),
+    (
+        "fuel_sliced",
+        sofia_fleet::SchedMode::FuelSliced {
+            slice: FLEET_BENCH_SLICE,
+        },
+    ),
+];
+
 // ---------------------------------------------------------------------
 // Async serving (`BENCH_fleet.json` § "async_wfq")
 //
@@ -389,12 +425,13 @@ pub const ASYNC_BENCH_SLICE: u64 = 150;
 /// Virtual lanes the async serving experiment multiplexes onto.
 pub const ASYNC_BENCH_WORKERS: usize = 8;
 
-/// One service class's latency roll-up from the async workload.
+/// One service class's latency roll-up over the WFQ mix's honest tenants,
+/// in the async serving report and at each chaos point.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AsyncWfqClassRow {
+pub struct ClassRow {
     /// Raw class id.
     pub class: u8,
-    /// Human label ("interactive" / "batch" / "best_effort").
+    /// Human label, from the mix's class table.
     pub label: &'static str,
     /// WFQ weight.
     pub weight: u64,
@@ -422,16 +459,9 @@ pub struct AsyncWfqReport {
     /// Driver counters at drain.
     pub stats: sofia_fleet::AsyncStats,
     /// Per-class rows, ascending class id.
-    pub classes: Vec<AsyncWfqClassRow>,
+    pub classes: Vec<ClassRow>,
     /// FNV-1a over all records and rejections, in completion order.
     pub digest: u64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x100000001b3);
-    }
 }
 
 /// A short counted loop that stores its (zero) counter on the MMIO word
@@ -447,150 +477,286 @@ fn wfq_job_src(n: u32) -> String {
     )
 }
 
-/// Runs the async serving workload: `tenants` tenants split 70/20/10
-/// over three classes —
+/// The WFQ serving mix's service classes: `(class, label, weight)`.
+const WFQ_CLASSES: [(u8, &str, u64); 3] = [
+    (0, "interactive", 8),
+    (1, "batch", 2),
+    (2, "best_effort", 1),
+];
+
+/// The WFQ serving mix that [`async_wfq_report`] runs and the chaos sweep
+/// runs under fault injection: honest tenants `1..=tenants` split 70/20/10
+/// over [`WFQ_CLASSES`] —
 ///
 /// * **interactive** (weight 8, open loop): two short jobs per tenant,
-///   arrival ticks drawn from a deterministic LCG over a 400-tick
+///   arrival ticks drawn from a deterministic LCG over the arrival
 ///   horizon;
 /// * **batch** (weight 2, closed loop): three medium jobs per tenant,
 ///   each resubmitted the tick its predecessor completes;
 /// * **best_effort** (weight 1, open loop, bursty): one job per tenant,
 ///   the whole class arriving at tick zero against a class queue cap of
 ///   half the class — the admission-control rejection pressure.
-///
-/// # Panics
-///
-/// Panics if the workload produces zero rejections or any non-halted
-/// record — the experiment must exercise both admission backpressure
-/// and clean completion.
-pub fn async_wfq_report(tenants: usize, threads: usize) -> AsyncWfqReport {
-    use sofia_fleet::{
-        AdmissionConfig, AsyncConfig, AsyncFleet, ClassConfig, ClassId, JobSpec, SchedMode,
-        TenantId,
-    };
-    use std::collections::BTreeMap;
-    assert!(
-        tenants >= 20,
-        "the 70/20/10 split needs at least 20 tenants"
-    );
-    let n_interactive = tenants * 7 / 10;
-    let n_batch = tenants * 2 / 10;
-    let n_best = tenants - n_interactive - n_batch;
+struct WfqMix {
+    tenants: usize,
+    /// Tenants per class, ascending class id.
+    split: [usize; 3],
+    /// Closed-loop rounds each batch tenant has yet to submit.
+    rounds_left: std::collections::BTreeMap<u32, u32>,
+}
 
-    const CLASS_META: [(u8, &str, u64); 3] = [
-        (0, "interactive", 8),
-        (1, "batch", 2),
-        (2, "best_effort", 1),
-    ];
-    let mut admission = AdmissionConfig::default();
-    for (id, _, weight) in CLASS_META {
-        admission.classes.insert(
-            id,
-            ClassConfig {
-                weight,
-                ..Default::default()
-            },
-        );
+impl WfqMix {
+    fn new(tenants: usize) -> WfqMix {
+        let n_interactive = tenants * 7 / 10;
+        let n_batch = tenants * 2 / 10;
+        WfqMix {
+            tenants,
+            split: [n_interactive, n_batch, tenants - n_interactive - n_batch],
+            rounds_left: (n_interactive + 1..=n_interactive + n_batch)
+                .map(|id| (id as u32, 2))
+                .collect(),
+        }
     }
-    // The backpressure knob: the best-effort burst (the whole class at
-    // tick zero) must not fit — half of it is turned away, typed.
-    if let Some(best) = admission.classes.get_mut(&2) {
-        best.queue_cap = (n_best / 2).max(1);
-    }
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads,
-        workers: ASYNC_BENCH_WORKERS,
-        mode: SchedMode::FuelSliced {
-            slice: ASYNC_BENCH_SLICE,
-        },
-        admission,
-        ..Default::default()
-    });
 
-    let class_of = |id: u32| -> u8 {
+    /// The class of honest tenant `id`.
+    fn class_of(&self, id: u32) -> u8 {
         let id = id as usize - 1;
-        if id < n_interactive {
+        if id < self.split[0] {
             0
-        } else if id < n_interactive + n_batch {
+        } else if id < self.split[0] + self.split[1] {
             1
         } else {
             2
         }
-    };
-    for id in 1..=tenants as u32 {
-        fleet
-            .register_tenant(
-                TenantId(id),
-                KeySet::from_seed(0x5EED_0000 + id as u64),
-                ClassId(class_of(id)),
-            )
-            .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
     }
 
-    // Deterministic arrival generator (64-bit LCG, fixed seed).
-    let mut lcg: u64 = 0x2545F491_4F6CDD1D;
-    let mut draw = move |bound: u64| {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (lcg >> 33) % bound
-    };
+    /// The arrival horizon scales with the fleet: the pinned 1k-tenant
+    /// point keeps its historical 400-tick window, and larger fleets
+    /// spread their open-loop arrivals proportionally instead of
+    /// compressing ever more load into a fixed window (which would turn
+    /// a 10k-tenant run into a pure tick-zero burst).
+    fn horizon(&self) -> u64 {
+        400u64.max(400 * self.tenants as u64 / 1000)
+    }
 
-    // The arrival horizon scales with the fleet: the pinned 1k-tenant
-    // point keeps its historical 400-tick window, and larger fleets
-    // spread their open-loop arrivals proportionally instead of
-    // compressing ever more load into a fixed window (which would turn
-    // a 10k-tenant run into a pure tick-zero burst).
-    let horizon: u64 = 400u64.max(400 * tenants as u64 / 1000);
-    let batch_job = |id: u32, round: u32| {
-        JobSpec::new(
-            TenantId(id),
-            wfq_job_src(120 + (id % 7) * 10 + round * 3),
-            200_000,
-        )
-    };
-    // Open-loop arrivals, pre-loaded.
-    for id in 1..=tenants as u32 {
-        match class_of(id) {
-            0 => {
-                for _ in 0..2 {
-                    let spec = JobSpec::new(TenantId(id), wfq_job_src(8 + (id % 16)), 100_000);
-                    let tick = draw(horizon);
-                    fleet.submit_at(spec, tick);
+    /// The driver configuration: class weights, the best-effort queue
+    /// cap, and the bench's lanes and slice.
+    fn config(&self, threads: usize) -> sofia_fleet::AsyncConfig {
+        use sofia_fleet::{AdmissionConfig, AsyncConfig, ClassConfig, SchedMode};
+        let mut admission = AdmissionConfig::default();
+        for (id, _, weight) in WFQ_CLASSES {
+            admission.classes.insert(
+                id,
+                ClassConfig {
+                    weight,
+                    ..Default::default()
+                },
+            );
+        }
+        // The backpressure knob: the best-effort burst (the whole class at
+        // tick zero) must not fit — half of it is turned away, typed.
+        if let Some(best) = admission.classes.get_mut(&2) {
+            best.queue_cap = (self.split[2] / 2).max(1);
+        }
+        AsyncConfig {
+            threads,
+            workers: ASYNC_BENCH_WORKERS,
+            mode: SchedMode::FuelSliced {
+                slice: ASYNC_BENCH_SLICE,
+            },
+            admission,
+            ..Default::default()
+        }
+    }
+
+    /// Registers every honest tenant into its class.
+    fn register(&self, fleet: &mut sofia_fleet::AsyncFleet) {
+        use sofia_fleet::{ClassId, TenantId};
+        for id in 1..=self.tenants as u32 {
+            fleet
+                .register_tenant(
+                    TenantId(id),
+                    KeySet::from_seed(0x5EED_0000 + id as u64),
+                    ClassId(self.class_of(id)),
+                )
+                .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
+        }
+    }
+
+    /// Pre-loads the open-loop arrivals and each batch tenant's first job,
+    /// at ticks drawn from a 64-bit LCG with a fixed seed.
+    fn preload(&self, fleet: &mut sofia_fleet::AsyncFleet) {
+        use sofia_fleet::{JobSpec, TenantId};
+        let mut lcg: u64 = 0x2545F491_4F6CDD1D;
+        let mut draw = move |bound: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 33) % bound
+        };
+        for id in 1..=self.tenants as u32 {
+            match self.class_of(id) {
+                0 => {
+                    for _ in 0..2 {
+                        let spec = JobSpec::new(TenantId(id), wfq_job_src(8 + (id % 16)), 100_000);
+                        let tick = draw(self.horizon());
+                        fleet.submit_at(spec, tick);
+                    }
                 }
-            }
-            1 => {
                 // Closed loop: the first job arrives at once; rounds 1–2
-                // are resubmitted on completion below.
-                fleet.submit_at(batch_job(id, 0), draw(8));
-            }
-            _ => {
-                let spec = JobSpec::new(TenantId(id), wfq_job_src(40 + (id % 11)), 150_000);
-                fleet.submit_at(spec, 0);
+                // follow through `next_round`.
+                1 => {
+                    fleet.submit_at(batch_job(id, 0), draw(8));
+                }
+                _ => {
+                    let spec = JobSpec::new(TenantId(id), wfq_job_src(40 + (id % 11)), 150_000);
+                    fleet.submit_at(spec, 0);
+                }
             }
         }
     }
 
+    /// The closed loop: the batch job that follows one of `tenant`'s
+    /// finished jobs, while the tenant has rounds left.
+    fn next_round(&mut self, tenant: u32) -> Option<sofia_fleet::JobSpec> {
+        let left = self
+            .rounds_left
+            .get_mut(&tenant)
+            .filter(|left| **left > 0)?;
+        let round = 3 - *left;
+        *left -= 1;
+        Some(batch_job(tenant, round))
+    }
+
+    /// One row per class over the honest tenants' records and rejections.
+    fn class_rows(
+        &self,
+        records: &[sofia_fleet::JobRecord],
+        rejections: &[sofia_fleet::Rejection],
+    ) -> Vec<ClassRow> {
+        WFQ_CLASSES
+            .iter()
+            .map(|&(class, label, weight)| {
+                let in_class = |tenant: sofia_fleet::TenantId| {
+                    tenant.0 as usize <= self.tenants && self.class_of(tenant.0) == class
+                };
+                let (finished, p50, p99) =
+                    sojourn_stats(records.iter().filter(|r| in_class(r.tenant)));
+                ClassRow {
+                    class,
+                    label,
+                    weight,
+                    tenants: self.split[class as usize],
+                    finished,
+                    rejected: rejections.iter().filter(|rej| in_class(rej.tenant)).count(),
+                    p50_sojourn_cycles: p50,
+                    p99_sojourn_cycles: p99,
+                }
+            })
+            .collect()
+    }
+}
+
+/// `(finished, p50, p99)` of the sojourns of `records`, in simulated
+/// cycles: percentile `p` is the sorted sojourn at `(n - 1) * p / 100`,
+/// and all three are zero for no records.
+fn sojourn_stats<'a>(
+    records: impl Iterator<Item = &'a sofia_fleet::JobRecord>,
+) -> (usize, u64, u64) {
+    let mut sojourns: Vec<u64> = records.map(|r| r.sojourn_cycles).collect();
+    sojourns.sort_unstable();
+    let pct = |p: usize| match sojourns.len() {
+        0 => 0,
+        n => sojourns[(n - 1) * p / 100],
+    };
+    (sojourns.len(), pct(50), pct(99))
+}
+
+/// Round `round` of batch tenant `id`'s closed loop.
+fn batch_job(id: u32, round: u32) -> sofia_fleet::JobSpec {
+    sofia_fleet::JobSpec::new(
+        sofia_fleet::TenantId(id),
+        wfq_job_src(120 + (id % 7) * 10 + round * 3),
+        200_000,
+    )
+}
+
+/// The determinism digest: FNV-1a over everything each record and
+/// rejection claims, in completion order.
+fn records_digest(
+    records: &[sofia_fleet::JobRecord],
+    rejections: &[sofia_fleet::Rejection],
+) -> u64 {
+    let mut bytes = Vec::new();
+    for r in records {
+        for word in [
+            r.job.0,
+            r.tenant.0 as u64,
+            r.stats.exec.cycles,
+            r.stats.exec.instret,
+            r.arrival_tick,
+            r.start_tick,
+            r.end_tick,
+            r.sojourn_cycles,
+            r.slices as u64,
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
+        for w in &r.out_words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    for rej in rejections {
+        bytes.extend_from_slice(&rej.job.0.to_le_bytes());
+        bytes.extend_from_slice(&rej.tick.to_le_bytes());
+        bytes.extend_from_slice(format!("{}", rej.error).as_bytes());
+    }
+    sofia_transform::decode::fnv64(&bytes)
+}
+
+/// Runs the async serving workload — the [`WfqMix`] of `tenants` tenants
+/// on a driver over `threads` host threads — and asserts the report
+/// bit-identical to a run at one host thread.
+///
+/// # Panics
+///
+/// Panics if the report depends on the host thread count, or if the
+/// workload produces zero rejections or any non-halted record — the
+/// experiment must exercise both admission backpressure and clean
+/// completion.
+pub fn async_wfq_report(tenants: usize, threads: usize) -> AsyncWfqReport {
+    let report = wfq_run(tenants, threads);
+    if threads != 1 {
+        let serial = wfq_run(tenants, 1);
+        assert_eq!(
+            (&serial.stats, &serial.classes, serial.digest),
+            (&report.stats, &report.classes, report.digest),
+            "async driver results depend on the host thread count"
+        );
+    }
+    report
+}
+
+/// One drive of [`async_wfq_report`]'s workload.
+fn wfq_run(tenants: usize, threads: usize) -> AsyncWfqReport {
+    assert!(
+        tenants >= 20,
+        "the 70/20/10 split needs at least 20 tenants"
+    );
+    let mut mix = WfqMix::new(tenants);
+    let mut fleet = sofia_fleet::AsyncFleet::new(mix.config(threads));
+    mix.register(&mut fleet);
+    mix.preload(&mut fleet);
+
     // Drive the clock; feed the closed loop as its jobs complete.
-    let mut rounds_left: BTreeMap<u32, u32> = (1..=tenants as u32)
-        .filter(|&id| class_of(id) == 1)
-        .map(|id| (id, 2))
-        .collect();
     let mut records = Vec::new();
     loop {
         fleet.tick();
         for r in fleet.drain_finished() {
-            if let Some(left) = rounds_left.get_mut(&r.tenant.0) {
-                if *left > 0 {
-                    let round = 3 - *left;
-                    *left -= 1;
-                    fleet
-                        .submit(batch_job(r.tenant.0, round))
-                        .unwrap_or_else(|e| {
-                            panic!("closed-loop batch tenant is active and under quota: {e:?}")
-                        });
-                }
+            if let Some(spec) = mix.next_round(r.tenant.0) {
+                fleet.submit(spec).unwrap_or_else(|e| {
+                    panic!("closed-loop batch tenant is active and under quota: {e:?}")
+                });
             }
             records.push(r);
         }
@@ -607,73 +773,12 @@ pub fn async_wfq_report(tenants: usize, threads: usize) -> AsyncWfqReport {
         assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
     }
 
-    // The determinism digest: everything each record and rejection
-    // claims, in completion order.
-    let mut digest: u64 = 0xcbf29ce484222325;
-    for r in &records {
-        for word in [
-            r.job.0,
-            r.tenant.0 as u64,
-            r.stats.exec.cycles,
-            r.stats.exec.instret,
-            r.arrival_tick,
-            r.start_tick,
-            r.end_tick,
-            r.sojourn_cycles,
-            r.slices as u64,
-        ] {
-            fnv1a(&mut digest, &word.to_le_bytes());
-        }
-        fnv1a(&mut digest, format!("{:?}", r.outcome).as_bytes());
-        for w in &r.out_words {
-            fnv1a(&mut digest, &w.to_le_bytes());
-        }
-    }
-    for rej in &rejections {
-        fnv1a(&mut digest, &rej.job.0.to_le_bytes());
-        fnv1a(&mut digest, &rej.tick.to_le_bytes());
-        fnv1a(&mut digest, format!("{}", rej.error).as_bytes());
-    }
-
-    let tenant_counts = [n_interactive, n_batch, n_best];
-    let classes = CLASS_META
-        .iter()
-        .map(|&(class, label, weight)| {
-            let mut sojourns: Vec<u64> = records
-                .iter()
-                .filter(|r| class_of(r.tenant.0) == class)
-                .map(|r| r.sojourn_cycles)
-                .collect();
-            sojourns.sort_unstable();
-            let pct = |p: usize| -> u64 {
-                if sojourns.is_empty() {
-                    0
-                } else {
-                    sojourns[(sojourns.len() - 1) * p / 100]
-                }
-            };
-            AsyncWfqClassRow {
-                class,
-                label,
-                weight,
-                tenants: tenant_counts[class as usize],
-                finished: sojourns.len(),
-                rejected: rejections
-                    .iter()
-                    .filter(|rej| class_of(rej.tenant.0) == class)
-                    .count(),
-                p50_sojourn_cycles: pct(50),
-                p99_sojourn_cycles: pct(99),
-            }
-        })
-        .collect();
-
     AsyncWfqReport {
         tenants,
         threads,
         stats: fleet.stats(),
-        classes,
-        digest,
+        classes: mix.class_rows(&records, &rejections),
+        digest: records_digest(&records, &rejections),
     }
 }
 
@@ -686,28 +791,20 @@ pub fn fleet_json(
 ) -> String {
     let (_, sofia_hw) = sofia_hwmodel::table1();
     let series = |points: &[FleetScalingPoint]| {
-        let mut out = String::from("[\n");
-        for (i, p) in points.iter().enumerate() {
-            out.push_str(&format!(
+        let rows = join_rows(points.iter().map(|p| {
+            format!(
                 "      {{ \"workers\": {}, \"makespan_cycles\": {}, \"ticks\": {}, \
-                 \"total_cycles\": {}, \"jobs_per_sec\": {:.3} }}{}\n",
-                p.workers,
-                p.makespan_cycles,
-                p.ticks,
-                p.total_cycles,
-                p.jobs_per_sec,
-                if i + 1 == points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("    ]");
-        out
+                 \"total_cycles\": {}, \"jobs_per_sec\": {:.3} }}",
+                p.workers, p.makespan_cycles, p.ticks, p.total_cycles, p.jobs_per_sec,
+            )
+        }));
+        format!("[\n{rows}    ]")
     };
-    let mut class_rows = String::from("[\n");
-    for (i, c) in wfq.classes.iter().enumerate() {
-        class_rows.push_str(&format!(
+    let class_rows = join_rows(wfq.classes.iter().map(|c| {
+        format!(
             "      {{ \"class\": {}, \"label\": \"{}\", \"weight\": {}, \"tenants\": {}, \
              \"finished\": {}, \"rejected\": {}, \"p50_sojourn_cycles\": {}, \
-             \"p99_sojourn_cycles\": {} }}{}\n",
+             \"p99_sojourn_cycles\": {} }}",
             c.class,
             c.label,
             c.weight,
@@ -716,17 +813,15 @@ pub fn fleet_json(
             c.rejected,
             c.p50_sojourn_cycles,
             c.p99_sojourn_cycles,
-            if i + 1 == wfq.classes.len() { "" } else { "," }
-        ));
-    }
-    class_rows.push_str("    ]");
+        )
+    }));
     let s = wfq.stats;
     let async_wfq = format!(
         "{{\n    \"tenants\": {}, \"workers\": {}, \"slice_slots\": {},\n    \
          \"ticks\": {}, \"makespan_cycles\": {}, \"admitted\": {}, \"finished\": {}, \
          \"rejected\": {},\n    \"parks\": {}, \"revives\": {}, \
          \"peak_resident_machines\": {},\n    \"digest\": \"{:#018x}\",\n    \
-         \"classes\": {}\n  }}",
+         \"classes\": [\n{}    ]\n  }}",
         wfq.tenants,
         ASYNC_BENCH_WORKERS,
         ASYNC_BENCH_SLICE,
@@ -766,7 +861,8 @@ pub fn fleet_json(
 // ---------------------------------------------------------------------
 
 use sofia_attacks::xbackend::{self, XRow};
-use sofia_backends::{BackendOutcome, FipacMachine, SpongeMachine};
+use sofia_backends::{BackendMachine, FipacMachine, SpongeMachine};
+use sofia_cpu::fetch::FetchUnit;
 use sofia_crypto::Nonce;
 use sofia_isa::{asm, Instruction, Reg};
 use sofia_transform::{install_fipac, seal_sponge};
@@ -839,6 +935,34 @@ fn sled_victim(nops: usize) -> String {
     src
 }
 
+/// Runs a sponge or FIPAC machine and returns its counters. A clean run
+/// passes its golden output as `expected` and must halt with it; a
+/// tampered run passes `None` and must stop on a violation.
+///
+/// # Panics
+///
+/// Panics on a trap or an outcome of the wrong kind.
+fn run_backend<F: FetchUnit>(
+    backend: &str,
+    mut m: BackendMachine<F>,
+    expected: Option<&[u32]>,
+) -> ExecStats {
+    let outcome = m
+        .run(FUEL)
+        .unwrap_or_else(|e| panic!("{backend} run traps: {e:?}"));
+    match expected {
+        Some(out) => {
+            assert!(outcome.is_halted(), "{backend} outcome {outcome:?}");
+            assert_eq!(m.mem().mmio.out_words, out, "{backend} output mismatch");
+        }
+        None => assert!(
+            outcome.violation().is_some(),
+            "{backend} missed the tamper: {outcome:?}"
+        ),
+    }
+    m.stats()
+}
+
 /// Runs the comparison workload on every backend, checking outputs
 /// against the golden model, and returns the baseline cycles plus the
 /// per-backend points.
@@ -850,60 +974,24 @@ fn sled_victim(nops: usize) -> String {
 pub fn backend_cycle_points(workload: &Workload, keys: &KeySet) -> (u64, Vec<BackendCyclePoint>) {
     let row = measure(workload, keys);
     let vanilla = row.vanilla_cycles;
-    let pct = |cycles: u64| (cycles as f64 / vanilla as f64 - 1.0) * 100.0;
-    let mut points = vec![BackendCyclePoint {
-        backend: "sofia",
-        cycles: row.sofia_cycles,
-        overhead_pct: pct(row.sofia_cycles),
-    }];
+    let point = |backend, cycles: u64| BackendCyclePoint {
+        backend,
+        cycles,
+        overhead_pct: (cycles as f64 / vanilla as f64 - 1.0) * 100.0,
+    };
     let module = workload.module();
-
-    let image = seal_sponge(&module, keys, Nonce::new(1))
+    let sponge = seal_sponge(&module, keys, Nonce::new(1))
         .unwrap_or_else(|e| panic!("workload seals for the sponge: {e:?}"));
-    let mut m = SpongeMachine::new(&image, keys);
-    let outcome = m
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("sponge run traps: {e:?}"));
-    assert!(
-        matches!(outcome, BackendOutcome::Halted),
-        "{}: sponge outcome {outcome:?}",
-        workload.name
-    );
-    assert_eq!(
-        m.mem().mmio.out_words,
-        workload.expected,
-        "{}: sponge output mismatch",
-        workload.name
-    );
-    points.push(BackendCyclePoint {
-        backend: "sponge",
-        cycles: m.stats().cycles,
-        overhead_pct: pct(m.stats().cycles),
-    });
-
-    let image = install_fipac(&module, keys, Nonce::new(1))
+    let fipac = install_fipac(&module, keys, Nonce::new(1))
         .unwrap_or_else(|e| panic!("workload installs for FIPAC: {e:?}"));
-    let mut m = FipacMachine::new(&image, keys);
-    let outcome = m
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("fipac run traps: {e:?}"));
-    assert!(
-        matches!(outcome, BackendOutcome::Halted),
-        "{}: fipac outcome {outcome:?}",
-        workload.name
-    );
-    assert_eq!(
-        m.mem().mmio.out_words,
-        workload.expected,
-        "{}: fipac output mismatch",
-        workload.name
-    );
-    points.push(BackendCyclePoint {
-        backend: "fipac",
-        cycles: m.stats().cycles,
-        overhead_pct: pct(m.stats().cycles),
-    });
-
+    let expected = Some(&workload.expected[..]);
+    let sponge = run_backend("sponge", SpongeMachine::new(&sponge, keys), expected);
+    let fipac = run_backend("fipac", FipacMachine::new(&fipac, keys), expected);
+    let points = vec![
+        point("sofia", row.sofia_cycles),
+        point("sponge", sponge.cycles),
+        point("fipac", fipac.cycles),
+    ];
     (vanilla, points)
 }
 
@@ -943,8 +1031,10 @@ pub fn detection_latency_points(keys: &KeySet) -> Vec<DetectionLatencyPoint> {
         imm: 1,
     }
     .encode();
-    let latency = |instret: u64| instret.saturating_sub(k as u64);
-    let mut points = Vec::new();
+    let point = |backend, instret: u64| DetectionLatencyPoint {
+        backend,
+        latency_instructions: instret.saturating_sub(k as u64),
+    };
 
     // SOFIA's stored layout is block-structured: the word holding linear
     // instruction k sits after the two MAC words of its block.
@@ -960,44 +1050,24 @@ pub fn detection_latency_points(keys: &KeySet) -> Vec<DetectionLatencyPoint> {
         .run(FUEL)
         .unwrap_or_else(|e| panic!("sofia run traps: {e:?}"));
     assert!(!outcome.is_halted(), "sofia missed the sled tamper");
-    points.push(DetectionLatencyPoint {
-        backend: "sofia",
-        latency_instructions: latency(m.stats().exec.instret),
-    });
 
-    let image = seal_sponge(&module, keys, Nonce::new(1))
-        .unwrap_or_else(|e| panic!("sled victim seals: {e:?}"));
-    let mut m = SpongeMachine::new(&image, keys);
-    m.mem_mut().rom_mut()[k] = evil;
-    let outcome = m
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("sponge run traps: {e:?}"));
-    assert!(
-        matches!(outcome, BackendOutcome::ViolationStop(_)),
-        "sponge missed the sled tamper: {outcome:?}"
+    let mut sponge = SpongeMachine::new(
+        &seal_sponge(&module, keys, Nonce::new(1))
+            .unwrap_or_else(|e| panic!("sled victim seals: {e:?}")),
+        keys,
     );
-    points.push(DetectionLatencyPoint {
-        backend: "sponge",
-        latency_instructions: latency(m.stats().instret),
-    });
-
-    let image = install_fipac(&module, keys, Nonce::new(1))
-        .unwrap_or_else(|e| panic!("sled victim installs: {e:?}"));
-    let mut m = FipacMachine::new(&image, keys);
-    m.mem_mut().rom_mut()[k] = evil;
-    let outcome = m
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("fipac run traps: {e:?}"));
-    assert!(
-        matches!(outcome, BackendOutcome::ViolationStop(_)),
-        "fipac missed the sled tamper: {outcome:?}"
+    sponge.mem_mut().rom_mut()[k] = evil;
+    let mut fipac = FipacMachine::new(
+        &install_fipac(&module, keys, Nonce::new(1))
+            .unwrap_or_else(|e| panic!("sled victim installs: {e:?}")),
+        keys,
     );
-    points.push(DetectionLatencyPoint {
-        backend: "fipac",
-        latency_instructions: latency(m.stats().instret),
-    });
-
-    points
+    fipac.mem_mut().rom_mut()[k] = evil;
+    vec![
+        point("sofia", m.stats().exec.instret),
+        point("sponge", run_backend("sponge", sponge, None).instret),
+        point("fipac", run_backend("fipac", fipac, None).instret),
+    ]
 }
 
 /// Assembles the full cross-backend report on `workload`.
@@ -1021,80 +1091,44 @@ pub fn backends_json(report: &BackendsReport) -> String {
         report.workload, report.vanilla_cycles
     ));
     out.push_str("  \"overhead\": [\n");
-    for (i, p) in report.overhead.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"cycles\": {}, \"cycle_overhead_pct\": {:.1} }}{}\n",
-            p.backend,
-            p.cycles,
-            p.overhead_pct,
-            if i + 1 == report.overhead.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
+    out.push_str(&join_rows(report.overhead.iter().map(|p| {
+        format!(
+            "    {{ \"backend\": \"{}\", \"cycles\": {}, \"cycle_overhead_pct\": {:.1} }}",
+            p.backend, p.cycles, p.overhead_pct,
+        )
+    })));
     out.push_str("  ],\n  \"hardware\": [\n");
-    for (i, p) in report.hardware.iter().enumerate() {
-        out.push_str(&format!(
+    out.push_str(&join_rows(report.hardware.iter().map(|p| {
+        format!(
             "    {{ \"backend\": \"{}\", \"slices\": {:.0}, \"clock_mhz\": {:.1}, \
-             \"area_overhead_pct\": {:.1} }}{}\n",
-            p.backend,
-            p.slices,
-            p.clock_mhz,
-            p.area_overhead_pct,
-            if i + 1 == report.hardware.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
+             \"area_overhead_pct\": {:.1} }}",
+            p.backend, p.slices, p.clock_mhz, p.area_overhead_pct,
+        )
+    })));
     out.push_str(&format!(
         "  ],\n  \"detection_latency\": {{ \"sled_words\": {}, \"tamper_word\": {}, \
          \"points\": [\n",
         BACKENDS_SLED_WORDS, BACKENDS_TAMPER_WORD
     ));
-    for (i, p) in report.detection.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"latency_instructions\": {} }}{}\n",
-            p.backend,
-            p.latency_instructions,
-            if i + 1 == report.detection.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
+    out.push_str(&join_rows(report.detection.iter().map(|p| {
+        format!(
+            "    {{ \"backend\": \"{}\", \"latency_instructions\": {} }}",
+            p.backend, p.latency_instructions,
+        )
+    })));
     out.push_str("  ] },\n  \"attack_matrix\": [\n");
-    for (i, row) in report.matrix.iter().enumerate() {
-        out.push_str(&format!(
+    out.push_str(&join_rows(report.matrix.iter().map(|row| {
+        format!(
             "    {{ \"attack\": \"{}\", \"sofia\": \"{}\", \"sponge\": \"{}\", \
-             \"fipac\": \"{}\" }}{}\n",
+             \"fipac\": \"{}\" }}",
             row.attack,
             row.sofia.label(),
             row.sponge.label(),
             row.fipac.label(),
-            if i + 1 == report.matrix.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
+        )
+    })));
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `json` to `BENCH_backends.json` at the workspace root, like the
-/// sibling bench emitters.
-pub fn write_backends_json(json: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_backends.json not written: {e}"),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1135,13 +1169,74 @@ pub fn box_shape() -> BoxShape {
     }
 }
 
+/// The median, minimum and maximum of a set of repeated measurements.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The middle sample (the mean of the middle two for an even count).
+    pub median: f64,
+    /// The smallest sample.
+    pub min: f64,
+    /// The largest sample.
+    pub max: f64,
+}
+
+/// Reduces `samples` to their [`Spread`], sorting them in place.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+fn spread(samples: &mut [f64]) -> Spread {
+    assert!(!samples.is_empty(), "a spread needs at least one sample");
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    Spread {
+        median: (samples[(n - 1) / 2] + samples[n / 2]) / 2.0,
+        min: samples[0],
+        max: samples[n - 1],
+    }
+}
+
+impl Spread {
+    /// `work` per unit of this spread of seconds: the fastest run gives
+    /// the largest rate.
+    fn rate(self, work: f64) -> Spread {
+        Spread {
+            median: work / self.median,
+            min: work / self.max,
+            max: work / self.min,
+        }
+    }
+
+    /// The JSON members `"key": median, "key_min": min, "key_max": max`
+    /// at `prec` decimals.
+    fn json(self, key: &str, prec: usize) -> String {
+        format!(
+            "\"{key}\": {:.prec$}, \"{key}_min\": {:.prec$}, \"{key}_max\": {:.prec$}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Wall-clock seconds `f` takes.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+/// The [`Spread`] of `reps` samples (at least one) of `sample`.
+fn sampled(reps: u32, mut sample: impl FnMut() -> f64) -> Spread {
+    let mut samples: Vec<f64> = (0..reps.max(1)).map(|_| sample()).collect();
+    spread(&mut samples)
+}
+
 /// Keystream throughput of one bitslicing lane width.
 #[derive(Clone, Debug)]
 pub struct KeystreamWidthRate {
     /// Lane count of the sweep (16/32/64).
     pub lanes: usize,
     /// Blocks ciphered per second at this width.
-    pub blocks_per_sec: f64,
+    pub blocks_per_sec: Spread,
 }
 
 /// Scalar-vs-bitsliced keystream generation rates (blocks/sec).
@@ -1150,10 +1245,10 @@ pub struct KeystreamRates {
     /// Counters ciphered per timed sweep.
     pub blocks: usize,
     /// One [`sofia_crypto::ctr::pad`] call per counter.
-    pub scalar_blocks_per_sec: f64,
+    pub scalar_blocks_per_sec: Spread,
     /// One [`sofia_crypto::ctr::pads`] sweep for the whole batch, at the
     /// lane width the batch calls for.
-    pub bitsliced_blocks_per_sec: f64,
+    pub bitsliced_blocks_per_sec: Spread,
     /// The batch → width rule ([`sofia_crypto::LaneWidth::for_batch`])
     /// as `(batch, lanes)` pairs: each width's own lane count, then
     /// this sweep's batch.
@@ -1174,17 +1269,17 @@ pub struct RefillCipherCost {
     /// Counters per sweep (the words one block fetch decrypts).
     pub counters: usize,
     /// ns per [`sofia_crypto::ctr::pads`] call over those counters.
-    pub pads_ns: f64,
+    pub pads_ns: Spread,
     /// Dependent cipher blocks per MAC chain.
     pub mac_blocks: usize,
     /// ns per [`sofia_crypto::mac::mac_words`] chain.
-    pub mac_ns: f64,
+    pub mac_ns: Spread,
 }
 
 impl KeystreamRates {
-    /// Bitsliced throughput relative to scalar.
+    /// Median bitsliced throughput relative to the median scalar one.
     pub fn speedup(&self) -> f64 {
-        self.bitsliced_blocks_per_sec / self.scalar_blocks_per_sec
+        self.bitsliced_blocks_per_sec.median / self.scalar_blocks_per_sec.median
     }
 }
 
@@ -1196,7 +1291,7 @@ pub struct HostMipsRow {
     /// Instruction slots the run retired.
     pub instret: u64,
     /// Retired slots per host wall-clock second, in millions.
-    pub mips: f64,
+    pub mips: Spread,
 }
 
 /// Secure-installation rate (seals/sec).
@@ -1205,7 +1300,7 @@ pub struct SealRates {
     /// Workload label.
     pub workload: String,
     /// Full secure installations per second.
-    pub seals_per_sec: f64,
+    pub seals_per_sec: Spread,
 }
 
 /// Host wall-clock throughput of one fleet configuration on the
@@ -1217,7 +1312,7 @@ pub struct FleetHostPoint {
     /// Jobs in the batch.
     pub jobs: usize,
     /// Jobs per host wall-clock second.
-    pub jobs_per_sec: f64,
+    pub jobs_per_sec: Spread,
 }
 
 /// Everything `BENCH_host.json` records.
@@ -1235,18 +1330,8 @@ pub struct HostReport {
     pub fleet: Vec<FleetHostPoint>,
 }
 
-fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Measures scalar vs bitsliced keystream generation over `blocks`
-/// distinct control-flow counters, best of `reps` sweeps each.
+/// distinct control-flow counters, `reps` sweeps each.
 pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
     use sofia_crypto::util::SplitMix64;
     let cipher = KeySet::from_seed(0x4057).expand().ctr;
@@ -1258,26 +1343,24 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
             sofia_crypto::CounterBlock::from_edge(sofia_crypto::Nonce::new(7), prev, pc)
         })
         .collect();
-    let scalar = best_secs(reps, || {
+    let sweep = |f: &mut dyn FnMut()| sampled(reps, || secs(&mut *f)).rate(blocks as f64);
+    let scalar = sweep(&mut || {
         let mut acc = 0u32;
         for &c in &counters {
             acc ^= sofia_crypto::ctr::pad(&cipher, c);
         }
         std::hint::black_box(acc);
     });
-    let bitsliced = best_secs(reps, || {
+    let bitsliced = sweep(&mut || {
         std::hint::black_box(sofia_crypto::ctr::pads(&cipher, &counters));
     });
     let widths = sofia_crypto::LaneWidth::ALL
         .iter()
-        .map(|&width| {
-            let secs = best_secs(reps, || {
+        .map(|&width| KeystreamWidthRate {
+            lanes: width.lanes(),
+            blocks_per_sec: sweep(&mut || {
                 std::hint::black_box(sofia_crypto::ctr::pads_with(&cipher, &counters, width));
-            });
-            KeystreamWidthRate {
-                lanes: width.lanes(),
-                blocks_per_sec: blocks as f64 / secs,
-            }
+            }),
         })
         .collect();
     let lanes_for_batch = sofia_crypto::LaneWidth::ALL
@@ -1288,8 +1371,8 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
         .collect();
     KeystreamRates {
         blocks,
-        scalar_blocks_per_sec: blocks as f64 / scalar,
-        bitsliced_blocks_per_sec: blocks as f64 / bitsliced,
+        scalar_blocks_per_sec: scalar,
+        bitsliced_blocks_per_sec: bitsliced,
         lanes_for_batch,
         widths,
         refill: host_refill_cipher(reps),
@@ -1297,7 +1380,7 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
 }
 
 /// Measures [`RefillCipherCost`] on the counters and instruction words
-/// of one default execution block, best of `reps` timed loops each.
+/// of one default execution block, `reps` timed loops each.
 fn host_refill_cipher(reps: u32) -> RefillCipherCost {
     use sofia_crypto::{ctr, mac, CounterBlock, Nonce};
     const CALLS: u32 = 4096;
@@ -1313,8 +1396,11 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
         .map(|i| i.wrapping_mul(0x9E37_79B9))
         .collect();
     let padded = format.mac_padded_words(BlockKind::Exec);
-    let per_call =
-        |f: &mut dyn FnMut()| best_secs(reps, || (0..CALLS).for_each(|_| f())) * 1e9 / CALLS as f64;
+    let per_call = |f: &mut dyn FnMut()| {
+        sampled(reps, || {
+            secs(|| (0..CALLS).for_each(|_| f())) * 1e9 / CALLS as f64
+        })
+    };
     RefillCipherCost {
         counters: counters.len(),
         pads_ns: per_call(&mut || {
@@ -1332,8 +1418,8 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
 }
 
 /// Measures host MIPS of the three machines (vanilla, SOFIA uncached,
-/// SOFIA cached at the trajectory geometry) on `fib(5000)`, best of
-/// `reps` runs each.
+/// SOFIA cached at the trajectory geometry) on `fib(5000)`, `reps` runs
+/// each.
 ///
 /// # Panics
 ///
@@ -1348,47 +1434,41 @@ pub fn host_mips(reps: u32) -> Vec<HostMipsRow> {
         vcache: VCacheConfig::enabled(256, 8),
         ..Default::default()
     };
-    let mut rows = Vec::new();
-    let mut push = |machine: &str, instret: u64, secs: f64| {
-        rows.push(HostMipsRow {
-            machine: machine.to_string(),
-            instret,
-            mips: instret as f64 / secs / 1e6,
-        });
-    };
-    let mut instret = 0;
-    let secs = best_secs(reps, || {
-        let mut m = VanillaMachine::new(&assembly);
-        assert!(m
-            .run(FUEL)
-            .unwrap_or_else(|e| panic!("vanilla traps: {e:?}"))
-            .is_halted());
-        instret = m.stats().instret;
-    });
-    push("vanilla", instret, secs);
-    let secs = best_secs(reps, || {
-        let mut m = SofiaMachine::new(&image, &keys);
+    let sofia = |config: &SofiaConfig| {
+        let mut m = SofiaMachine::with_config(&image, &keys, config);
         assert!(m
             .run(FUEL)
             .unwrap_or_else(|e| panic!("sofia traps: {e:?}"))
             .is_halted());
-        instret = m.stats().exec.instret;
-    });
-    push("sofia-uncached", instret, secs);
-    let secs = best_secs(reps, || {
-        let mut m = SofiaMachine::with_config(&image, &keys, &cached);
-        assert!(m
-            .run(FUEL)
-            .unwrap_or_else(|e| panic!("sofia cached traps: {e:?}"))
-            .is_halted());
-        instret = m.stats().exec.instret;
-    });
-    push("sofia-cached", instret, secs);
-    rows
+        m.stats().exec.instret
+    };
+    let runs: [(&str, &dyn Fn() -> u64); 3] = [
+        ("vanilla", &|| {
+            let mut m = VanillaMachine::new(&assembly);
+            assert!(m
+                .run(FUEL)
+                .unwrap_or_else(|e| panic!("vanilla traps: {e:?}"))
+                .is_halted());
+            m.stats().instret
+        }),
+        ("sofia-uncached", &|| sofia(&SofiaConfig::default())),
+        ("sofia-cached", &|| sofia(&cached)),
+    ];
+    runs.iter()
+        .map(|&(machine, run)| {
+            let mut instret = 0;
+            let secs = sampled(reps, || secs(|| instret = run()));
+            HostMipsRow {
+                machine: machine.to_string(),
+                instret,
+                mips: secs.rate(instret as f64 / 1e6),
+            }
+        })
+        .collect()
 }
 
 /// Measures seals/sec of the full secure installation (lower → CFG →
-/// pack → trees → seal) on ADPCM, best of `reps` seals.
+/// pack → trees → seal) on ADPCM, `reps` seals.
 ///
 /// # Panics
 ///
@@ -1397,65 +1477,47 @@ pub fn host_seal_rates(reps: u32) -> SealRates {
     let keys = KeySet::from_seed(0x5EA1);
     let module = sofia_workloads::adpcm::workload(600).module();
     let transformer = Transformer::new(keys);
-    let secs = best_secs(reps, || {
-        std::hint::black_box(
-            transformer
-                .transform(&module)
-                .unwrap_or_else(|e| panic!("adpcm seals: {e:?}")),
-        );
+    let secs = sampled(reps, || {
+        secs(|| {
+            std::hint::black_box(
+                transformer
+                    .transform(&module)
+                    .unwrap_or_else(|e| panic!("adpcm seals: {e:?}")),
+            );
+        })
     });
     SealRates {
         workload: "adpcm600".to_string(),
-        seals_per_sec: 1.0 / secs,
+        seals_per_sec: secs.rate(1.0),
     }
 }
 
 /// Measures host wall-clock jobs/sec of the [`fleet_mix`] batch at each
 /// worker count (fuel-sliced mode, so every tick is a wave of short
-/// quanta), best of `reps` batches per point (each rep rebuilds the
-/// fleet and re-submits the mix; only `run_batch` is timed). Wall-clock
-/// scaling needs real cores; on a single-core host the points simply
-/// document that.
+/// quanta), `reps` batches per point (each rep builds a fresh
+/// [`mix_fleet`]; only `run_batch` is timed). Wall-clock scaling needs
+/// real cores; on a single-core host the points simply document that.
 ///
 /// # Panics
 ///
 /// Panics if any job of the mix fails to halt.
 pub fn host_fleet_points(workers_list: &[usize], reps: u32) -> Vec<FleetHostPoint> {
-    use sofia_fleet::{Fleet, FleetConfig, SchedMode};
-    let mut points = Vec::new();
-    for &workers in workers_list {
-        let mut jobs = 0;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let mut fleet = Fleet::new(FleetConfig {
-                workers,
-                mode: SchedMode::FuelSliced {
-                    slice: FLEET_BENCH_SLICE,
-                },
-                ..Default::default()
+    let (_, fuel_sliced) = FLEET_BENCH_MODES[1];
+    workers_list
+        .iter()
+        .map(|&workers| {
+            let mut jobs = 0;
+            let secs = sampled(reps, || {
+                let mut fleet = mix_fleet(workers, fuel_sliced);
+                secs(|| jobs = run_mix(&mut fleet))
             });
-            fleet_mix_tenants(&mut fleet);
-            let specs = fleet_mix();
-            jobs = specs.len();
-            for spec in specs {
-                fleet
-                    .submit(spec)
-                    .unwrap_or_else(|e| panic!("mix tenants are registered: {e:?}"));
+            FleetHostPoint {
+                workers,
+                jobs,
+                jobs_per_sec: secs.rate(jobs as f64),
             }
-            let t = Instant::now();
-            let records = fleet.run_batch();
-            best = best.min(t.elapsed().as_secs_f64());
-            for r in &records {
-                assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
-            }
-        }
-        points.push(FleetHostPoint {
-            workers,
-            jobs,
-            jobs_per_sec: jobs as f64 / best,
-        });
-    }
-    points
+        })
+        .collect()
 }
 
 /// Parses a `SOFIA_BENCH_MAX_WORKERS` value. `None` input (the variable
@@ -1475,29 +1537,6 @@ pub fn parse_worker_cap(raw: Option<&str>) -> Result<Option<usize>, String> {
             Err(e) => Err(format!(
                 "SOFIA_BENCH_MAX_WORKERS={v:?} is not a worker count ({e}); \
                  unset it for no cap or set a positive integer"
-            )),
-        },
-    }
-}
-
-/// Parses a `SOFIA_BENCH_FLEET_10K` value — the opt-in for the
-/// 10,000-tenant async serving point, which takes minutes in debug
-/// builds and so stays off the default `repro -- fleet` path. Unset
-/// means off; like [`parse_worker_cap`], a set-but-unrecognised value is
-/// an **error**, not a silent off.
-///
-/// # Errors
-///
-/// A human-readable message naming the bad value.
-pub fn parse_fleet_10k(raw: Option<&str>) -> Result<bool, String> {
-    match raw {
-        None => Ok(false),
-        Some(v) => match v.trim() {
-            "1" | "true" | "yes" | "on" => Ok(true),
-            "0" | "false" | "no" | "off" => Ok(false),
-            other => Err(format!(
-                "SOFIA_BENCH_FLEET_10K={other:?} is not a boolean flag; \
-                 set 1/true/yes/on to include the 10k-tenant point"
             )),
         },
     }
@@ -1524,10 +1563,13 @@ pub fn host_worker_counts() -> Vec<usize> {
         .collect()
 }
 
-/// Runs the whole host-throughput experiment. `reps` trades run time for
-/// measurement stability (the smoke run under `cargo test` uses 1, so
-/// every section — fleet included — is a single sample there and best of
-/// `reps` under `repro -- host` / `cargo bench`).
+/// Repetitions of every timed section when measuring for the record
+/// (`repro -- host`, `cargo bench --bench host`).
+pub const HOST_BENCH_REPS: u32 = 5;
+
+/// Runs the whole host-throughput experiment, `reps` timed runs per
+/// section: [`HOST_BENCH_REPS`] for the record, 1 for the smoke run
+/// under `cargo test`.
 pub fn host_report(reps: u32) -> HostReport {
     let workers = host_worker_counts();
     HostReport {
@@ -1539,7 +1581,8 @@ pub fn host_report(reps: u32) -> HostReport {
     }
 }
 
-/// Serialises a [`HostReport`] to the `BENCH_host.json` schema. The
+/// Serialises a [`HostReport`] to the `BENCH_host.json` schema. Each
+/// timed key holds the median, with `_min`/`_max` siblings. The
 /// `profile` field records whether the numbers came from a release or a
 /// debug build — wall-clock figures are only comparable within one
 /// profile.
@@ -1565,70 +1608,57 @@ pub fn host_json(report: &HostReport) -> String {
         .collect();
     let r = &k.refill;
     out.push_str(&format!(
-        "  \"keystream\": {{ \"blocks\": {}, \"scalar_blocks_per_sec\": {:.0}, \
-         \"bitsliced_blocks_per_sec\": {:.0}, \"bitsliced_speedup\": {:.2}, \
+        "  \"keystream\": {{ \"blocks\": {}, {}, {}, \"bitsliced_speedup\": {:.2}, \
          \"lanes_for_batch\": [{}], \
-         \"refill\": {{ \"counters\": {}, \"pads_ns\": {:.1}, \"mac_blocks\": {}, \"mac_ns\": {:.1} }}, \
+         \"refill\": {{ \"counters\": {}, {}, \"mac_blocks\": {}, {} }}, \
          \"widths\": [\n",
         k.blocks,
-        k.scalar_blocks_per_sec,
-        k.bitsliced_blocks_per_sec,
+        k.scalar_blocks_per_sec.json("scalar_blocks_per_sec", 0),
+        k.bitsliced_blocks_per_sec
+            .json("bitsliced_blocks_per_sec", 0),
         k.speedup(),
         rule.join(", "),
         r.counters,
-        r.pads_ns,
+        r.pads_ns.json("pads_ns", 1),
         r.mac_blocks,
-        r.mac_ns
+        r.mac_ns.json("mac_ns", 1),
     ));
-    for (i, w) in k.widths.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"lanes\": {}, \"blocks_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.2} }}{}\n",
+    out.push_str(&join_rows(k.widths.iter().map(|w| {
+        format!(
+            "    {{ \"lanes\": {}, {}, \"speedup_vs_scalar\": {:.2} }}",
             w.lanes,
-            w.blocks_per_sec,
-            w.blocks_per_sec / k.scalar_blocks_per_sec,
-            if i + 1 == k.widths.len() { "" } else { "," }
-        ));
-    }
+            w.blocks_per_sec.json("blocks_per_sec", 0),
+            w.blocks_per_sec.median / k.scalar_blocks_per_sec.median,
+        )
+    })));
     out.push_str("  ] },\n");
     out.push_str("  \"machine_mips\": [\n");
-    for (i, r) in report.mips.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"machine\": \"{}\", \"instret\": {}, \"mips\": {:.2} }}{}\n",
+    out.push_str(&join_rows(report.mips.iter().map(|r| {
+        format!(
+            "    {{ \"machine\": \"{}\", \"instret\": {}, {} }}",
             r.machine,
             r.instret,
-            r.mips,
-            if i + 1 == report.mips.len() { "" } else { "," }
-        ));
-    }
+            r.mips.json("mips", 2),
+        )
+    })));
     out.push_str("  ],\n");
     let s = &report.seal;
     out.push_str(&format!(
-        "  \"seal\": {{ \"workload\": \"{}\", \"seals_per_sec\": {:.2} }},\n",
-        s.workload, s.seals_per_sec
+        "  \"seal\": {{ \"workload\": \"{}\", {} }},\n",
+        s.workload,
+        s.seals_per_sec.json("seals_per_sec", 2)
     ));
     out.push_str("  \"fleet_host\": [\n");
-    for (i, p) in report.fleet.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"workers\": {}, \"jobs\": {}, \"jobs_per_sec\": {:.2} }}{}\n",
+    out.push_str(&join_rows(report.fleet.iter().map(|p| {
+        format!(
+            "    {{ \"workers\": {}, \"jobs\": {}, {} }}",
             p.workers,
             p.jobs,
-            p.jobs_per_sec,
-            if i + 1 == report.fleet.len() { "" } else { "," }
-        ));
-    }
+            p.jobs_per_sec.json("jobs_per_sec", 2),
+        )
+    })));
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `json` to `BENCH_host.json` at the workspace root (next to the
-/// other trajectory files), reporting the outcome on stdout/stderr like
-/// the sibling bench emitters.
-pub fn write_host_json(json: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_host.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_host.json not written: {e}"),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1664,22 +1694,6 @@ pub const CHAOS_BENCH_STORM_TENANTS: usize = 6;
 /// push jobs past them.
 pub const CHAOS_BENCH_DEADLINES: [(u8, u64); 2] = [(0, 6_000), (1, 60_000)];
 
-/// One service class's latency roll-up at one fault rate (honest
-/// tenants only).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosClassRow {
-    /// Raw class id.
-    pub class: u8,
-    /// Human label.
-    pub label: &'static str,
-    /// Honest records of the class.
-    pub finished: usize,
-    /// Median sojourn in simulated cycles.
-    pub p50_sojourn_cycles: u64,
-    /// 99th-percentile sojourn in simulated cycles.
-    pub p99_sojourn_cycles: u64,
-}
-
 /// One point of the fault-rate sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosPoint {
@@ -1702,7 +1716,7 @@ pub struct ChaosPoint {
     /// Mean breaker open→close span in ticks (0 when it never closed).
     pub mttr_ticks: f64,
     /// Per-class sojourn rows, ascending class id.
-    pub classes: Vec<ChaosClassRow>,
+    pub classes: Vec<ClassRow>,
     /// FNV-1a over all records and rejections — identical at any host
     /// thread count (asserted before this point is built).
     pub digest: u64,
@@ -1728,6 +1742,7 @@ struct ChaosRun {
     stats: sofia_fleet::AsyncStats,
     res: sofia_fleet::ResilienceStats,
     records: Vec<sofia_fleet::JobRecord>,
+    classes: Vec<ClassRow>,
     digest: u64,
 }
 
@@ -1743,32 +1758,11 @@ struct ChaosRun {
 /// the "every fault accounted for by exactly one typed event" contract.
 fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
     use sofia_fleet::{
-        AdmissionConfig, AsyncConfig, AsyncFleet, ChaosPlan, ClassConfig, ClassId, FaultRate,
-        JobSpec, ResilienceConfig, ResilienceEvent, Sabotage, SchedMode, Seam, TenantId,
+        AsyncConfig, AsyncFleet, ChaosPlan, ClassId, FaultRate, JobSpec, ResilienceConfig,
+        ResilienceEvent, Sabotage, Seam, TenantId,
     };
-    use std::collections::BTreeMap;
     let tenants = CHAOS_BENCH_TENANTS;
-    let n_interactive = tenants * 7 / 10;
-    let n_batch = tenants * 2 / 10;
-    let n_best = tenants - n_interactive - n_batch;
-    const CLASS_META: [(u8, &str, u64); 3] = [
-        (0, "interactive", 8),
-        (1, "batch", 2),
-        (2, "best_effort", 1),
-    ];
-    let mut admission = AdmissionConfig::default();
-    for (id, _, weight) in CLASS_META {
-        admission.classes.insert(
-            id,
-            ClassConfig {
-                weight,
-                ..Default::default()
-            },
-        );
-    }
-    if let Some(best) = admission.classes.get_mut(&2) {
-        best.queue_cap = (n_best / 2).max(1);
-    }
+    let mut mix = WfqMix::new(tenants);
     let plan = ChaosPlan::uniform(CHAOS_BENCH_SEED, FaultRate::ppm(rate_ppm));
     let mut resilience = ResilienceConfig::default();
     if resilient {
@@ -1785,36 +1779,11 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
         }
     }
     let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads,
-        workers: ASYNC_BENCH_WORKERS,
-        mode: SchedMode::FuelSliced {
-            slice: ASYNC_BENCH_SLICE,
-        },
-        admission,
         chaos: plan.clone(),
         resilience,
-        ..Default::default()
+        ..mix.config(threads)
     });
-
-    let class_of = |id: u32| -> u8 {
-        let id = id as usize - 1;
-        if id < n_interactive {
-            0
-        } else if id < n_interactive + n_batch {
-            1
-        } else {
-            2
-        }
-    };
-    for id in 1..=tenants as u32 {
-        fleet
-            .register_tenant(
-                TenantId(id),
-                KeySet::from_seed(0x5EED_0000 + id as u64),
-                ClassId(class_of(id)),
-            )
-            .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
-    }
+    mix.register(&mut fleet);
     for s in 0..CHAOS_BENCH_STORM_TENANTS as u32 {
         let id = tenants as u32 + 1 + s;
         fleet
@@ -1825,47 +1794,11 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
             )
             .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
     }
+    // The serving bench's arrivals, so the zero-chaos point is the
+    // familiar serving workload.
+    mix.preload(&mut fleet);
 
-    // Deterministic arrival generator — same LCG and split as the WFQ
-    // bench, so the zero-chaos point is the familiar serving workload.
-    let mut lcg: u64 = 0x2545F491_4F6CDD1D;
-    let mut draw = move |bound: u64| {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (lcg >> 33) % bound
-    };
-    let horizon: u64 = 400u64.max(400 * tenants as u64 / 1000);
-    let batch_job = |id: u32, round: u32| {
-        JobSpec::new(
-            TenantId(id),
-            wfq_job_src(120 + (id % 7) * 10 + round * 3),
-            200_000,
-        )
-    };
-    for id in 1..=tenants as u32 {
-        match class_of(id) {
-            0 => {
-                for _ in 0..2 {
-                    let spec = JobSpec::new(TenantId(id), wfq_job_src(8 + (id % 16)), 100_000);
-                    let tick = draw(horizon);
-                    fleet.submit_at(spec, tick);
-                }
-            }
-            1 => {
-                fleet.submit_at(batch_job(id, 0), draw(8));
-            }
-            _ => {
-                let spec = JobSpec::new(TenantId(id), wfq_job_src(40 + (id % 11)), 150_000);
-                fleet.submit_at(spec, 0);
-            }
-        }
-    }
-
-    let mut rounds_left: BTreeMap<u32, u32> = (1..=tenants as u32)
-        .filter(|&id| class_of(id) == 1)
-        .map(|id| (id, 2))
-        .collect();
+    let horizon = mix.horizon();
     let mut records = Vec::new();
     loop {
         // The storm process: per tick, per storm tenant, a seeded draw
@@ -1886,12 +1819,8 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
         }
         fleet.tick();
         for r in fleet.drain_finished() {
-            if let Some(left) = rounds_left.get_mut(&r.tenant.0) {
-                if *left > 0 {
-                    let round = 3 - *left;
-                    *left -= 1;
-                    fleet.submit_at(batch_job(r.tenant.0, round), fleet.now());
-                }
+            if let Some(spec) = mix.next_round(r.tenant.0) {
+                fleet.submit_at(spec, fleet.now());
             }
             records.push(r);
         }
@@ -1913,37 +1842,12 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
         res.faults_injected, fault_events,
         "every injected fault must land exactly one typed event"
     );
-
-    let mut digest: u64 = 0xcbf29ce484222325;
-    for r in &records {
-        for word in [
-            r.job.0,
-            r.tenant.0 as u64,
-            r.stats.exec.cycles,
-            r.stats.exec.instret,
-            r.arrival_tick,
-            r.start_tick,
-            r.end_tick,
-            r.sojourn_cycles,
-            r.slices as u64,
-        ] {
-            fnv1a(&mut digest, &word.to_le_bytes());
-        }
-        fnv1a(&mut digest, format!("{:?}", r.outcome).as_bytes());
-        for w in &r.out_words {
-            fnv1a(&mut digest, &w.to_le_bytes());
-        }
-    }
-    for rej in &rejections {
-        fnv1a(&mut digest, &rej.job.0.to_le_bytes());
-        fnv1a(&mut digest, &rej.tick.to_le_bytes());
-        fnv1a(&mut digest, format!("{}", rej.error).as_bytes());
-    }
     ChaosRun {
         stats: fleet.stats(),
         res,
+        classes: mix.class_rows(&records, &rejections),
+        digest: records_digest(&records, &rejections),
         records,
-        digest,
     }
 }
 
@@ -1958,7 +1862,6 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
 /// point serves less than everything it accepted, or if the top rate
 /// injects no faults.
 pub fn chaos_report(threads: usize) -> ChaosReport {
-    const CLASS_META: [(u8, &str); 3] = [(0, "interactive"), (1, "batch"), (2, "best_effort")];
     let honest = |tenant: u32| tenant as usize <= CHAOS_BENCH_TENANTS;
     let mut points = Vec::new();
     for rate_ppm in CHAOS_BENCH_RATES_PPM {
@@ -2001,32 +1904,6 @@ pub fn chaos_report(threads: usize) -> ChaosReport {
         } else {
             res.breaker_open_ticks as f64 / res.breaker_closes as f64
         };
-        let classes = CLASS_META
-            .iter()
-            .map(|&(class, label)| {
-                let mut sojourns: Vec<u64> = run
-                    .records
-                    .iter()
-                    .filter(|r| honest(r.tenant.0) && chaos_class_of(r.tenant.0) == class)
-                    .map(|r| r.sojourn_cycles)
-                    .collect();
-                sojourns.sort_unstable();
-                let pct = |p: usize| -> u64 {
-                    if sojourns.is_empty() {
-                        0
-                    } else {
-                        sojourns[(sojourns.len() - 1) * p / 100]
-                    }
-                };
-                ChaosClassRow {
-                    class,
-                    label,
-                    finished: sojourns.len(),
-                    p50_sojourn_cycles: pct(50),
-                    p99_sojourn_cycles: pct(99),
-                }
-            })
-            .collect();
         points.push(ChaosPoint {
             rate_ppm,
             stats: run.stats,
@@ -2036,7 +1913,7 @@ pub fn chaos_report(threads: usize) -> ChaosReport {
             availability,
             deadline_miss_rate,
             mttr_ticks,
-            classes,
+            classes: run.classes,
             digest: run.digest,
         });
     }
@@ -2060,21 +1937,6 @@ pub fn chaos_report(threads: usize) -> ChaosReport {
     }
 }
 
-/// The class of an honest chaos-workload tenant (mirrors the 70/20/10
-/// split used at submission).
-fn chaos_class_of(tenant: u32) -> u8 {
-    let n_interactive = CHAOS_BENCH_TENANTS * 7 / 10;
-    let n_batch = CHAOS_BENCH_TENANTS * 2 / 10;
-    let id = tenant as usize - 1;
-    if id < n_interactive {
-        0
-    } else if id < n_interactive + n_batch {
-        1
-    } else {
-        2
-    }
-}
-
 /// Serialises a [`ChaosReport`] to the `BENCH_chaos.json` schema.
 /// `availability` is formatted to four places so CI can grep the
 /// zero-rate pin literally (`"availability": 1.0000`).
@@ -2085,10 +1947,17 @@ pub fn chaos_json(report: &ChaosReport) -> String {
         report.tenants, report.storm_tenants, report.threads, report.seed
     ));
     out.push_str("  \"points\": [\n");
-    for (i, p) in report.points.iter().enumerate() {
+    out.push_str(&join_rows(report.points.iter().map(|p| {
         let s = p.stats;
         let r = p.res;
-        out.push_str(&format!(
+        let classes = join_rows(p.classes.iter().map(|c| {
+            format!(
+                "        {{ \"class\": {}, \"label\": \"{}\", \"finished\": {}, \
+                 \"p50_sojourn_cycles\": {}, \"p99_sojourn_cycles\": {} }}",
+                c.class, c.label, c.finished, c.p50_sojourn_cycles, c.p99_sojourn_cycles,
+            )
+        }));
+        format!(
             "    {{ \"rate_ppm\": {}, \"availability\": {:.4}, \"deadline_miss_rate\": {:.4},\n      \
              \"served\": {}, \"accepted\": {}, \"rejected\": {}, \"ticks\": {}, \
              \"makespan_cycles\": {},\n      \
@@ -2098,7 +1967,7 @@ pub fn chaos_json(report: &ChaosReport) -> String {
              \"deadline_late\": {}, \"load_shed\": {},\n      \
              \"breaker_opens\": {}, \"breaker_closes\": {}, \"breaker_open_ticks\": {}, \
              \"mttr_ticks\": {:.1},\n      \
-             \"digest\": \"{:#018x}\",\n      \"classes\": [\n",
+             \"digest\": \"{:#018x}\",\n      \"classes\": [\n{}      ] }}",
             p.rate_ppm,
             p.availability,
             p.deadline_miss_rate,
@@ -2123,40 +1992,11 @@ pub fn chaos_json(report: &ChaosReport) -> String {
             r.breaker_open_ticks,
             p.mttr_ticks,
             p.digest,
-        ));
-        for (j, c) in p.classes.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"class\": {}, \"label\": \"{}\", \"finished\": {}, \
-                 \"p50_sojourn_cycles\": {}, \"p99_sojourn_cycles\": {} }}{}\n",
-                c.class,
-                c.label,
-                c.finished,
-                c.p50_sojourn_cycles,
-                c.p99_sojourn_cycles,
-                if j + 1 == p.classes.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "      ] }}{}\n",
-            if i + 1 == report.points.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
+            classes,
+        )
+    })));
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `json` to `BENCH_chaos.json` at the workspace root, like the
-/// sibling bench emitters.
-pub fn write_chaos_json(json: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_chaos.json not written: {e}"),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2254,10 +2094,12 @@ pub fn attacks_report(threads: usize) -> AttacksReport {
             expected_work_64: expected_work(&profile, 64),
         });
     }
-    let mut digest = 0xcbf29ce484222325u64;
-    for row in &rows {
-        fnv1a(&mut digest, format!("{row:?}").as_bytes());
-    }
+    let digest = sofia_transform::decode::fnv64(
+        rows.iter()
+            .map(|row| format!("{row:?}"))
+            .collect::<String>()
+            .as_bytes(),
+    );
     AttacksReport {
         threads,
         rows,
@@ -2282,15 +2124,47 @@ pub fn attacks_json(report: &AttacksReport) -> String {
         report.threads, ATTACKS_BENCH_HONEST_TENANTS, ATTACKS_BENCH_PROBES, ATTACKS_BENCH_TRIALS
     ));
     out.push_str("  \"policies\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
+    out.push_str(&join_rows(report.rows.iter().map(|row| {
         let p = &row.probe;
-        out.push_str(&format!(
+        let forgery = join_rows(row.forgery.iter().map(|f| {
+            let c = f.campaign;
+            format!(
+                "        {{ \"mac_bits\": {}, \"trials\": {}, \"completed\": {}, \
+                 \"accepted\": {}, \"measured_rate\": {:.6}, \"expected_probes\": {:.3e}, \
+                 \"expected_wall_ticks\": {:.3e} }}",
+                c.mac_bits,
+                c.trials,
+                c.completed,
+                c.accepted,
+                c.measured_rate(),
+                f.work.probes,
+                f.work.wall_ticks,
+            )
+        }));
+        let migration = join_rows(row.migration.rows.iter().map(|m| {
+            format!(
+                "        {{ \"variant\": \"{}\", \"outcome\": \"{}\", \"violations\": {}, \
+                 \"retried\": {}, \"tenant_after\": \"{}\" }}",
+                m.variant.label(),
+                m.outcome.label(),
+                m.violations,
+                m.retried,
+                tenant_state_json(m.tenant_after),
+            )
+        }));
+        let w = &row.expected_work_64;
+        format!(
             "    {{ \"policy\": \"{}\",\n      \"probing\": {{ \"probes_submitted\": {}, \
              \"probes_admitted\": {}, \"probes_refused\": {}, \"detections\": {}, \
              \"successes\": {},\n        \"oracle_queries\": {}, \"attacker_cycles\": {}, \
              \"releases\": {}, \"identities_burned\": {}, \"wall_ticks\": {},\n        \
              \"honest_submitted\": {}, \"honest_finished\": {}, \"honest_clean\": {}, \
-             \"bystander_availability\": {:.4}, \"bystander_bit_identical\": {} }},\n",
+             \"bystander_availability\": {:.4}, \"bystander_bit_identical\": {} }},\n      \
+             \"oracle_profile\": {{ \"queries_per_probe\": {}, \"ticks_per_probe\": {}, \
+             \"cycles_per_probe\": {} }},\n      \
+             \"forgery\": [\n{}      ],\n      \"migration\": [\n{}      ],\n      \
+             \"expected_work_64\": {{ \"oracle_queries\": {:.3e}, \
+             \"probes\": {:.3e}, \"identities\": {:.3e}, \"wall_ticks\": {:.3e} }} }}",
             row.label,
             p.probes_submitted,
             p.probes_admitted,
@@ -2307,73 +2181,22 @@ pub fn attacks_json(report: &AttacksReport) -> String {
             p.honest_clean,
             p.bystander_availability,
             p.bystander_bit_identical,
-        ));
-        out.push_str(&format!(
-            "      \"oracle_profile\": {{ \"queries_per_probe\": {}, \"ticks_per_probe\": {}, \
-             \"cycles_per_probe\": {} }},\n",
             row.profile.queries_per_probe,
             row.profile.ticks_per_probe,
-            row.profile.cycles_per_probe
-        ));
-        out.push_str("      \"forgery\": [\n");
-        for (j, f) in row.forgery.iter().enumerate() {
-            let c = f.campaign;
-            out.push_str(&format!(
-                "        {{ \"mac_bits\": {}, \"trials\": {}, \"completed\": {}, \
-                 \"accepted\": {}, \"measured_rate\": {:.6}, \"expected_probes\": {:.3e}, \
-                 \"expected_wall_ticks\": {:.3e} }}{}\n",
-                c.mac_bits,
-                c.trials,
-                c.completed,
-                c.accepted,
-                c.measured_rate(),
-                f.work.probes,
-                f.work.wall_ticks,
-                if j + 1 == row.forgery.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ],\n      \"migration\": [\n");
-        for (j, m) in row.migration.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"variant\": \"{}\", \"outcome\": \"{}\", \"violations\": {}, \
-                 \"retried\": {}, \"tenant_after\": \"{}\" }}{}\n",
-                m.variant.label(),
-                m.outcome.label(),
-                m.violations,
-                m.retried,
-                tenant_state_json(m.tenant_after),
-                if j + 1 == row.migration.rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        let w = &row.expected_work_64;
-        out.push_str(&format!(
-            "      ],\n      \"expected_work_64\": {{ \"oracle_queries\": {:.3e}, \
-             \"probes\": {:.3e}, \"identities\": {:.3e}, \"wall_ticks\": {:.3e} }} }}{}\n",
+            row.profile.cycles_per_probe,
+            forgery,
+            migration,
             w.oracle_queries,
             w.probes,
             w.identities,
             w.wall_ticks,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
+        )
+    })));
     out.push_str(&format!(
         "  ],\n  \"digest\": \"{:#018x}\"\n}}\n",
         report.digest
     ));
     out
-}
-
-/// Writes `BENCH_attacks.json` at the workspace root.
-pub fn write_attacks_json(json: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attacks.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("BENCH_attacks.json not written: {e}"),
-    }
 }
 
 #[cfg(test)]
@@ -2393,6 +2216,7 @@ mod tests {
 
     #[test]
     fn host_json_schema_is_stable() {
+        let sp = |median, min, max| Spread { median, min, max };
         let report = HostReport {
             box_shape: BoxShape {
                 logical_cores: 1,
@@ -2402,39 +2226,39 @@ mod tests {
             },
             keystream: KeystreamRates {
                 blocks: 16,
-                scalar_blocks_per_sec: 1e6,
-                bitsliced_blocks_per_sec: 8e6,
+                scalar_blocks_per_sec: sp(1e6, 0.9e6, 1.1e6),
+                bitsliced_blocks_per_sec: sp(8e6, 7e6, 9e6),
                 lanes_for_batch: vec![(8, 8), (16, 16), (16384, 64)],
                 refill: RefillCipherCost {
                     counters: 8,
-                    pads_ns: 212.5,
+                    pads_ns: sp(212.5, 200.0, 230.0),
                     mac_blocks: 3,
-                    mac_ns: 230.0,
+                    mac_ns: sp(230.0, 220.0, 250.0),
                 },
                 widths: vec![
                     KeystreamWidthRate {
                         lanes: 16,
-                        blocks_per_sec: 6e6,
+                        blocks_per_sec: sp(6e6, 5e6, 7e6),
                     },
                     KeystreamWidthRate {
                         lanes: 32,
-                        blocks_per_sec: 8e6,
+                        blocks_per_sec: sp(8e6, 8e6, 8e6),
                     },
                 ],
             },
             mips: vec![HostMipsRow {
                 machine: "vanilla".into(),
                 instret: 1000,
-                mips: 12.5,
+                mips: sp(12.5, 12.0, 13.0),
             }],
             seal: SealRates {
                 workload: "adpcm600".into(),
-                seals_per_sec: 25.0,
+                seals_per_sec: sp(25.0, 20.0, 30.0),
             },
             fleet: vec![FleetHostPoint {
                 workers: 4,
                 jobs: 24,
-                jobs_per_sec: 100.0,
+                jobs_per_sec: sp(100.0, 90.0, 110.0),
             }],
         };
         assert!((report.keystream.speedup() - 8.0).abs() < 1e-9);
@@ -2443,38 +2267,58 @@ mod tests {
             "\"bench\": \"host\"",
             "\"profile\"",
             "\"box\": { \"logical_cores\": 1, \"arch\": \"x86_64\"",
+            "\"scalar_blocks_per_sec\": 1000000, \"scalar_blocks_per_sec_min\": 900000, \
+             \"scalar_blocks_per_sec_max\": 1100000",
             "\"bitsliced_speedup\": 8.00",
             "\"lanes_for_batch\": [{ \"batch\": 8, \"lanes\": 8 }, \
              { \"batch\": 16, \"lanes\": 16 }, { \"batch\": 16384, \"lanes\": 64 }]",
-            "\"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"mac_blocks\": 3, \"mac_ns\": 230.0 }",
+            "\"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"pads_ns_min\": 200.0, \
+             \"pads_ns_max\": 230.0, \"mac_blocks\": 3, \"mac_ns\": 230.0, \"mac_ns_min\": 220.0, \
+             \"mac_ns_max\": 250.0 }",
             "\"widths\"",
-            "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"speedup_vs_scalar\": 6.00",
+            "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"blocks_per_sec_min\": 5000000, \
+             \"blocks_per_sec_max\": 7000000, \"speedup_vs_scalar\": 6.00",
             "\"machine_mips\"",
-            "\"seal\": { \"workload\": \"adpcm600\", \"seals_per_sec\": 25.00 }",
+            "\"mips\": 12.50, \"mips_min\": 12.00, \"mips_max\": 13.00",
+            "\"seal\": { \"workload\": \"adpcm600\", \"seals_per_sec\": 25.00, \
+             \"seals_per_sec_min\": 20.00, \"seals_per_sec_max\": 30.00 }",
             "\"fleet_host\"",
-            "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00",
+            "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00, \
+             \"jobs_per_sec_min\": 90.00, \"jobs_per_sec_max\": 110.00",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
     }
 
     #[test]
+    fn spread_takes_the_middle_and_the_extremes() {
+        let sp = |median, min, max| Spread { median, min, max };
+        assert_eq!(spread(&mut [5.0]), sp(5.0, 5.0, 5.0));
+        assert_eq!(spread(&mut [3.0, 1.0, 2.0]), sp(2.0, 1.0, 3.0));
+        assert_eq!(spread(&mut [4.0, 1.0, 3.0, 2.0]), sp(2.5, 1.0, 4.0));
+        // Rates invert seconds: the fastest run is the largest rate.
+        assert_eq!(sp(2.0, 1.0, 4.0).rate(8.0), sp(4.0, 2.0, 8.0));
+    }
+
+    #[test]
+    fn join_rows_commas_all_but_the_last_row() {
+        let rows = |n: usize| join_rows((0..n).map(|i| format!("  {{ {i} }}")));
+        assert_eq!(rows(0), "");
+        assert_eq!(rows(1), "  { 0 }\n");
+        assert_eq!(rows(3), "  { 0 },\n  { 1 },\n  { 2 }\n");
+    }
+
+    #[test]
     fn async_wfq_workload_is_thread_invariant_and_backpressured() {
         // A scaled-down point (the bench emits the 1k-tenant one): the
-        // full report must be bit-identical across host thread counts,
-        // rejections must flow, and the heavy class must see lower tail
-        // latency than the light one.
-        let serial = async_wfq_report(60, 1);
-        let threaded = async_wfq_report(60, 4);
-        // Everything but the host-side `threads` knob must match.
-        assert_eq!(
-            (&serial.stats, &serial.classes, serial.digest),
-            (&threaded.stats, &threaded.classes, threaded.digest)
-        );
-        assert!(serial.stats.rejected > 0);
-        assert_eq!(serial.classes.len(), 3);
-        let interactive = &serial.classes[0];
-        let best_effort = &serial.classes[2];
+        // report asserts itself bit-identical to a serial run, rejections
+        // must flow, and the heavy class must see lower tail latency than
+        // the light one.
+        let report = async_wfq_report(60, 4);
+        assert!(report.stats.rejected > 0);
+        assert_eq!(report.classes.len(), 3);
+        let interactive = &report.classes[0];
+        let best_effort = &report.classes[2];
         assert!(interactive.rejected == 0, "interactive class was capped");
         assert!(best_effort.rejected > 0, "burst class was never capped");
         assert!(
@@ -2483,7 +2327,7 @@ mod tests {
             interactive.p99_sojourn_cycles,
             best_effort.p99_sojourn_cycles
         );
-        let json = fleet_json(&[], &[], &serial);
+        let json = fleet_json(&[], &[], &report);
         for field in [
             "\"async_wfq\"",
             "\"label\": \"interactive\"",
@@ -2509,22 +2353,6 @@ mod tests {
                 "unhelpful error for {bad:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn fleet_10k_flag_parsing_is_loud_about_garbage() {
-        assert_eq!(parse_fleet_10k(None), Ok(false));
-        for on in ["1", "true", " yes ", "on"] {
-            assert_eq!(parse_fleet_10k(Some(on)), Ok(true), "{on:?}");
-        }
-        for off in ["0", "false", "no", "off"] {
-            assert_eq!(parse_fleet_10k(Some(off)), Ok(false), "{off:?}");
-        }
-        let err = parse_fleet_10k(Some("maybe")).unwrap_err();
-        assert!(
-            err.contains("SOFIA_BENCH_FLEET_10K") && err.contains("maybe"),
-            "unhelpful error: {err}"
-        );
     }
 
     #[test]

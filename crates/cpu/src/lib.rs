@@ -1,7 +1,7 @@
 //! # sofia-cpu — the vanilla baseline processor
 //!
 //! A cycle-level simulator of the unmodified microprocessor SOFIA extends
-//! (DESIGN.md, substitution S1): a LEON3-like single-issue, in-order,
+//! (README, *Reproducing the paper*): a LEON3-like single-issue, in-order,
 //! 7-stage pipeline (IF ID OF EX MA XC WB) with a direct-mapped I-cache,
 //! single-cycle data RAM and a small MMIO page.
 //!

@@ -67,7 +67,7 @@ impl PipelineModel {
     /// order of magnitude above 1, i.e. external memory with substantial
     /// wait states. Both machines pay these identically, which is what
     /// shrinks SOFIA's *relative* cycle overhead toward the published
-    /// 13.7 % (see EXPERIMENTS.md).
+    /// 13.7 % (see README, *Reproducing the paper*).
     pub fn paper_memory() -> PipelineModel {
         PipelineModel {
             data_penalty: 25,

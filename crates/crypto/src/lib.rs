@@ -1,7 +1,7 @@
 //! # sofia-crypto — cryptographic substrate of the SOFIA reproduction
 //!
-//! Implements the exact primitives the paper builds on (DESIGN.md,
-//! substitution S6):
+//! Implements the exact primitives the paper builds on (README,
+//! *Reproducing the paper*):
 //!
 //! * [`Rectangle`] — the RECTANGLE lightweight block cipher with a 64-bit
 //!   block and an 80-bit key (reference \[35\] of the paper), 25 rounds;

@@ -1,12 +1,12 @@
 //! # sofia-hwmodel — the FPGA area and timing cost model
 //!
-//! Reproduces Table I of the paper (DESIGN.md, substitution S2). The real
-//! artifact is a Xilinx Virtex-6 synthesis run we cannot perform; instead
-//! this is a component-level model whose two free parameters — slices per
-//! unrolled RECTANGLE round and fixed SOFIA overhead — are calibrated so
-//! the paper's design point (13× unrolling) lands on the published pair
-//! (7,551 slices, 50.1 MHz), after which the model is used *predictively*
-//! for the unrolling ablation.
+//! Reproduces Table I of the paper (README, *Reproducing the paper*).
+//! The real artifact is a Xilinx Virtex-6 synthesis run we cannot
+//! perform; instead this is a component-level model whose two free
+//! parameters — slices per unrolled RECTANGLE round and fixed SOFIA
+//! overhead — are calibrated so the paper's design point (13× unrolling)
+//! lands on the published pair (7,551 slices, 50.1 MHz), after which the
+//! model is used *predictively* for the unrolling ablation.
 //!
 //! ## Structure of the model
 //!

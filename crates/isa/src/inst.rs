@@ -9,7 +9,7 @@ use crate::Reg;
 /// SL32 is a fixed-width 32-bit load/store ISA with three encoding formats
 /// (R, I, J) in the style of classic MIPS-32, simplified for the SOFIA
 /// reproduction: **no branch delay slots** and no register windows (see
-/// `DESIGN.md`, substitution S1). The all-zero word is the canonical
+/// README, *Reproducing the paper*). The all-zero word is the canonical
 /// [`Instruction::nop`].
 ///
 /// Branch offsets are signed word counts relative to the *next* instruction

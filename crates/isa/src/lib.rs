@@ -1,10 +1,11 @@
 //! # sofia-isa — the SL32 instruction set
 //!
-//! The instruction-set substrate of the SOFIA reproduction (DESIGN.md,
-//! substitution S1): a 32-bit fixed-width load/store ISA in the spirit of
-//! the SPARCv8 LEON3 the paper modified, simplified to the features SOFIA
-//! actually interacts with — 32-bit instruction words, word-addressed
-//! control flow, explicit stores, and compare-and-branch control transfers.
+//! The instruction-set substrate of the SOFIA reproduction (README,
+//! *Reproducing the paper*): a 32-bit fixed-width load/store ISA in the
+//! spirit of the SPARCv8 LEON3 the paper modified, simplified to the
+//! features SOFIA actually interacts with — 32-bit instruction words,
+//! word-addressed control flow, explicit stores, and compare-and-branch
+//! control transfers.
 //! There are **no branch delay slots** and no register windows.
 //!
 //! The crate provides:

@@ -1,7 +1,7 @@
 //! The paper's benchmark: MediaBench (I) ADPCM — the Intel/DVI **IMA
 //! ADPCM** codec (`rawcaudio`/`rawdaudio`), reproduced as hand-written
-//! SL32 assembly plus a bit-exact golden Rust model (DESIGN.md,
-//! substitution S3/S4).
+//! SL32 assembly plus a bit-exact golden Rust model (README,
+//! *Reproducing the paper*).
 //!
 //! The program encodes `n` 16-bit PCM samples to 4-bit codes and decodes
 //! them back, emitting on the MMIO word port: the encoded byte count, a

@@ -119,8 +119,8 @@ scratch: .space 4
 }
 
 /// Synthetic PCM: a sum of sines with a pseudo-random walk on top —
-/// deterministic stand-in for the MediaBench audio input (DESIGN.md,
-/// substitution S4).
+/// deterministic stand-in for the MediaBench audio input (README,
+/// *Reproducing the paper*).
 pub fn synth_pcm(n: usize, seed: u64) -> Vec<i16> {
     let mut rng = SplitMix64::new(seed);
     let mut noise = 0i32;

@@ -216,7 +216,7 @@ mod tests {
         // transformer lands in the same regime, somewhat higher (≈3.4×)
         // because hand-written assembly has shorter basic blocks than the
         // paper's compiler output, costing more last-slot padding; the
-        // delta is analysed in EXPERIMENTS.md.
+        // delta is discussed in README, *Reproducing the paper*.
         let keys = KeySet::from_seed(1);
         let img = adpcm::workload(200).secure_image(&keys);
         let e = img.report.expansion();

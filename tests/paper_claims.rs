@@ -1,5 +1,6 @@
 //! Integration: each headline claim of the paper, as an executable
-//! assertion. EXPERIMENTS.md records the measured values.
+//! assertion. README, *Reproducing the paper*, lists the experiments
+//! that print the measured values.
 
 use sofia::core::security;
 use sofia::crypto::KeySet;
