@@ -493,8 +493,8 @@ fn host_eval() {
     }
     let r = &k.refill;
     println!(
-        "  refill: {}-counter pads {:>7.1} ns   {}-block MAC chain {:>7.1} ns",
-        r.counters, r.pads_ns.median, r.mac_blocks, r.mac_ns.median
+        "  refill: {}-counter pads {:>7.1} ns   {}-block MAC chain {:>7.1} ns   memo hit {:>7.1} ns",
+        r.counters, r.pads_ns.median, r.mac_blocks, r.mac_ns.median, r.memo_hit_ns.median
     );
     let s = &report.seal;
     println!(

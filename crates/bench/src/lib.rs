@@ -1263,7 +1263,8 @@ pub struct KeystreamRates {
 
 /// The cipher work of one uncached refill of a default execution block:
 /// the CTR sweep over its counters and the CBC-MAC chain over its
-/// instructions, in host ns per call.
+/// instructions, in host ns per call — and, beside it, what the host pays
+/// instead when the refill memo serves the block.
 #[derive(Clone, Debug)]
 pub struct RefillCipherCost {
     /// Counters per sweep (the words one block fetch decrypts).
@@ -1274,6 +1275,9 @@ pub struct RefillCipherCost {
     pub mac_blocks: usize,
     /// ns per [`sofia_crypto::mac::mac_words`] chain.
     pub mac_ns: Spread,
+    /// ns per [`sofia_core::memo::RefillMemo::lookup`] hit on one
+    /// execution block (its ciphertext re-read and compared).
+    pub memo_hit_ns: Spread,
 }
 
 impl KeystreamRates {
@@ -1381,7 +1385,13 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
 
 /// Measures [`RefillCipherCost`] on the counters and instruction words
 /// of one default execution block, `reps` timed loops each.
+///
+/// # Panics
+///
+/// Panics if the memo row's sealed entry block fails to verify.
 fn host_refill_cipher(reps: u32) -> RefillCipherCost {
+    use sofia_core::memo::RefillMemo;
+    use sofia_core::vcache::CachedBlock;
     use sofia_crypto::{ctr, mac, CounterBlock, Nonce};
     const CALLS: u32 = 4096;
     let keys = KeySet::from_seed(0x4057).expand();
@@ -1396,6 +1406,40 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
         .map(|i| i.wrapping_mul(0x9E37_79B9))
         .collect();
     let padded = format.mac_padded_words(BlockKind::Exec);
+    // The memo row: one sealed entry block, verified once and then
+    // served from the memo over its sealed edge.
+    let image = sofia_workloads::kernels::fib(10).secure_image(&KeySet::from_seed(0x4057));
+    let rom = |addr: u32| {
+        image
+            .ctext
+            .get(((addr - image.text_base) / 4) as usize)
+            .copied()
+    };
+    let edge = (sofia_transform::RESET_PREV_PC, image.entry);
+    let block = sofia_core::fetch::fetch_block(
+        &mut |addr| rom(addr),
+        &keys,
+        image.nonce,
+        &image.format,
+        image.text_base,
+        image.ctext.len() as u32,
+        edge.1,
+        edge.0,
+        true,
+    )
+    .unwrap_or_else(|v| panic!("the sealed entry block verifies: {v:?}"));
+    let mut memo = RefillMemo::new(image.format);
+    memo.insert(
+        edge,
+        &block,
+        CachedBlock {
+            base: block.base,
+            last_word_addr: block.last_word_addr(&image.format),
+            kind: block.path.kind(),
+            words_fetched: block.words_fetched,
+            slots: [].into(),
+        },
+    );
     let per_call = |f: &mut dyn FnMut()| {
         sampled(reps, || {
             secs(|| (0..CALLS).for_each(|_| f())) * 1e9 / CALLS as f64
@@ -1413,6 +1457,9 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
                 std::hint::black_box(&words),
                 padded,
             ));
+        }),
+        memo_hit_ns: per_call(&mut || {
+            std::hint::black_box(memo.lookup(std::hint::black_box(edge), rom));
         }),
     }
 }
@@ -1610,7 +1657,7 @@ pub fn host_json(report: &HostReport) -> String {
     out.push_str(&format!(
         "  \"keystream\": {{ \"blocks\": {}, {}, {}, \"bitsliced_speedup\": {:.2}, \
          \"lanes_for_batch\": [{}], \
-         \"refill\": {{ \"counters\": {}, {}, \"mac_blocks\": {}, {} }}, \
+         \"refill\": {{ \"counters\": {}, {}, \"mac_blocks\": {}, {}, {} }}, \
          \"widths\": [\n",
         k.blocks,
         k.scalar_blocks_per_sec.json("scalar_blocks_per_sec", 0),
@@ -1622,6 +1669,7 @@ pub fn host_json(report: &HostReport) -> String {
         r.pads_ns.json("pads_ns", 1),
         r.mac_blocks,
         r.mac_ns.json("mac_ns", 1),
+        r.memo_hit_ns.json("memo_hit_ns", 1),
     ));
     out.push_str(&join_rows(k.widths.iter().map(|w| {
         format!(
@@ -2234,6 +2282,7 @@ mod tests {
                     pads_ns: sp(212.5, 200.0, 230.0),
                     mac_blocks: 3,
                     mac_ns: sp(230.0, 220.0, 250.0),
+                    memo_hit_ns: sp(40.0, 35.0, 50.0),
                 },
                 widths: vec![
                     KeystreamWidthRate {
@@ -2274,7 +2323,8 @@ mod tests {
              { \"batch\": 16, \"lanes\": 16 }, { \"batch\": 16384, \"lanes\": 64 }]",
             "\"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"pads_ns_min\": 200.0, \
              \"pads_ns_max\": 230.0, \"mac_blocks\": 3, \"mac_ns\": 230.0, \"mac_ns_min\": 220.0, \
-             \"mac_ns_max\": 250.0 }",
+             \"mac_ns_max\": 250.0, \"memo_hit_ns\": 40.0, \"memo_hit_ns_min\": 35.0, \
+             \"memo_hit_ns_max\": 50.0 }",
             "\"widths\"",
             "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"blocks_per_sec_min\": 5000000, \
              \"blocks_per_sec_max\": 7000000, \"speedup_vs_scalar\": 6.00",

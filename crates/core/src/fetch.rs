@@ -12,6 +12,7 @@ use sofia_crypto::{mac, CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
 use sofia_isa::Instruction;
 use sofia_transform::{BlockFormat, BlockKind, SecureImage, MAX_BLOCK_WORDS, RESET_PREV_PC};
 
+use crate::memo::{RefillMemo, RefillMemoStats};
 use crate::timing::SofiaTiming;
 use crate::vcache::{CachedBlock, VCache, VCacheConfig, VCacheStats};
 use crate::Violation;
@@ -37,6 +38,19 @@ impl EntryPath {
             EntryPath::Mux1 | EntryPath::Mux2 => BlockKind::Mux,
         }
     }
+
+    /// Indices of the block words this path fetches, in fetch order: its
+    /// two MAC words, then its instructions. Mux paths skip the other
+    /// entry's M1 word and share M2 (Fig. 8).
+    pub(crate) fn fetched_words(self, format: &BlockFormat) -> impl Iterator<Item = usize> {
+        let macs = match self {
+            EntryPath::Exec => [0, 1],
+            EntryPath::Mux1 => [0, 2],
+            EntryPath::Mux2 => [1, 2],
+        };
+        macs.into_iter()
+            .chain(format.mac_words(self.kind())..format.block_words())
+    }
 }
 
 /// A successfully decrypted **and verified** block, ready to execute.
@@ -56,6 +70,8 @@ pub struct VerifiedBlock {
     addrs: [u32; MAX_BLOCK_WORDS],
     /// The decrypted word at each of `addrs`.
     words: [u32; MAX_BLOCK_WORDS],
+    /// The ciphertext word read at each of `addrs`.
+    ctext: [u32; MAX_BLOCK_WORDS],
 }
 
 /// Fetched MAC words (`M1`, `M2`) ahead of the instructions.
@@ -83,6 +99,12 @@ impl VerifiedBlock {
     pub fn inst_words(&self) -> &[u32] {
         &self.words[MAC_WORDS_FETCHED..self.words_fetched as usize]
     }
+
+    /// The ciphertext words the path read, one per
+    /// [`VerifiedBlock::fetched_addrs`].
+    pub fn ciphertext(&self) -> &[u32] {
+        &self.ctext[..self.words_fetched as usize]
+    }
 }
 
 /// The fetch unit: classifies the transfer target, walks the word
@@ -98,7 +120,9 @@ impl VerifiedBlock {
 /// Returns the [`Violation`] the hardware would reset on. An edge no
 /// counter block can encode — an unaligned `prev_pc`, or one past the
 /// 24-bit word space, as only a forged snapshot can present — is a
-/// [`Violation::MacMismatch`]: no sealed edge carries it.
+/// [`Violation::MacMismatch`]: no sealed edge carries it. A text section
+/// or block reaching past the top of the 32-bit address space, as only
+/// an image built in memory can describe, is [`Violation::FetchOutOfImage`].
 ///
 /// # Panics
 ///
@@ -118,12 +142,19 @@ pub fn fetch_block(
     enforce_si: bool,
 ) -> Result<VerifiedBlock, Violation> {
     let bb = format.block_bytes();
-    let text_end = text_base + text_words * 4;
+    let out_of_image = Violation::FetchOutOfImage { addr: target };
+    let text_end = text_words
+        .checked_mul(4)
+        .and_then(|bytes| text_base.checked_add(bytes))
+        .ok_or(out_of_image)?;
     if target < text_base || target >= text_end || target % 4 != 0 {
-        return Err(Violation::FetchOutOfImage { addr: target });
+        return Err(out_of_image);
     }
     let off = (target - text_base) % bb;
     let base = target - off;
+    if base.checked_add(bb - 4).is_none() {
+        return Err(out_of_image);
+    }
     let path = match off {
         0 => EntryPath::Exec,
         4 => EntryPath::Mux1,
@@ -141,15 +172,11 @@ pub fn fetch_block(
     // determined before any ciphertext is read, so the whole block's
     // keystream is one batched cipher sweep (one 8-lane pass for the
     // default format) instead of a per-word loop. The first two entries
-    // decrypt the MAC words (M1/M2), the rest the instruction words. Mux
-    // paths skip the other entry's M1 word and chain M2 from addr(M1e2)
-    // on *both* paths (Fig. 8). `pads` holds the counters until the
-    // in-place sweep turns them into keystream.
-    let entry_edges: [(u32, u32); MAC_WORDS_FETCHED] = match path {
-        EntryPath::Exec => [(prev_pc, word_at(0)), (word_at(0), word_at(1))],
-        EntryPath::Mux1 => [(prev_pc, word_at(0)), (word_at(1), word_at(2))],
-        EntryPath::Mux2 => [(prev_pc, word_at(1)), (word_at(1), word_at(2))],
-    };
+    // decrypt the MAC words (M1/M2), the rest the instruction words. The
+    // first word chains from `prev_pc`, every later one from the word
+    // before it in memory, so M2 chains from addr(M1e2) on *both* mux
+    // paths (Fig. 8). `pads` holds the counters until the in-place sweep
+    // turns them into keystream.
     let first_inst_word = format.mac_words(path.kind());
     let fetched = MAC_WORDS_FETCHED + bw - first_inst_word;
     let mut block = VerifiedBlock {
@@ -158,11 +185,13 @@ pub fn fetch_block(
         words_fetched: fetched as u32,
         addrs: [0; MAX_BLOCK_WORDS],
         words: [0; MAX_BLOCK_WORDS],
+        ctext: [0; MAX_BLOCK_WORDS],
     };
     let mut pads = [0u64; MAX_BLOCK_WORDS];
-    let edges = entry_edges
-        .into_iter()
-        .chain((first_inst_word..bw).map(|w| (word_at(w - 1), word_at(w))));
+    let edges = path.fetched_words(format).enumerate().map(|(i, w)| {
+        let prev = if i == 0 { prev_pc } else { word_at(w - 1) };
+        (prev, word_at(w))
+    });
     for ((addr, pad), (prev, pc)) in block.addrs.iter_mut().zip(&mut pads).zip(edges) {
         *addr = pc;
         *pad = CounterBlock::try_from_edge(nonce, prev, pc)
@@ -170,14 +199,15 @@ pub fn fetch_block(
             .as_u64();
     }
     keys.ctr.encrypt_blocks(&mut pads[..fetched]);
-    for ((word, &pc), &pad) in block
+    for (((word, ctext), &pc), &pad) in block
         .words
         .iter_mut()
+        .zip(&mut block.ctext)
         .zip(&block.addrs[..fetched])
         .zip(&pads)
     {
-        let c = read_word(pc).ok_or(Violation::FetchOutOfImage { addr: pc })?;
-        *word = c ^ pad as u32;
+        *ctext = read_word(pc).ok_or(Violation::FetchOutOfImage { addr: pc })?;
+        *word = *ctext ^ pad as u32;
     }
 
     // SI verification (paper Fig. 3).
@@ -309,6 +339,7 @@ pub struct SofiaFetchUnit {
     cur_last_word: u32,
     stats: FetchPathStats,
     vcache: VCache,
+    memo: RefillMemo,
 }
 
 impl SofiaFetchUnit {
@@ -346,6 +377,7 @@ impl SofiaFetchUnit {
             cur_last_word: RESET_PREV_PC,
             stats: FetchPathStats::default(),
             vcache: VCache::new(vcache),
+            memo: RefillMemo::new(image.format),
         }
     }
 
@@ -357,6 +389,11 @@ impl SofiaFetchUnit {
     /// Raw verified-block cache counters.
     pub fn vcache_stats(&self) -> VCacheStats {
         self.vcache.stats()
+    }
+
+    /// Host-only refill memo counters (see [`crate::memo`]).
+    pub fn refill_memo_stats(&self) -> RefillMemoStats {
+        self.memo.stats()
     }
 
     /// The next transfer target (diagnostic).
@@ -467,17 +504,25 @@ impl SofiaFetchUnit {
         })
     }
 
-    fn account_block(&mut self, block: &VerifiedBlock, slots: &[Slot], ctx: &mut FetchCtx<'_>) {
-        let kind = block.path.kind();
+    /// Accounting for a refill, whether the cipher ran or the memo
+    /// served it: `addrs` are the words the path fetched.
+    fn account_block(
+        &mut self,
+        kind: BlockKind,
+        addrs: &[u32],
+        slots: &[Slot],
+        ctx: &mut FetchCtx<'_>,
+    ) {
+        let words_fetched = addrs.len() as u32;
         let bt = self
             .timing
-            .block_cycles(&self.format, kind, block.words_fetched, self.redirected);
+            .block_cycles(&self.format, kind, words_fetched, self.redirected);
         self.stats.blocks += 1;
         match kind {
             BlockKind::Exec => self.stats.exec_blocks += 1,
             BlockKind::Mux => self.stats.mux_blocks += 1,
         }
-        self.stats.mac_nop_slots += (block.words_fetched as usize - slots.len()) as u64;
+        self.stats.mac_nop_slots += (addrs.len() - slots.len()) as u64;
         self.stats.ctr_ops += bt.ctr_ops as u64;
         self.stats.cbc_ops += bt.cbc_ops as u64;
         self.stats.cipher_stall_cycles += bt.cipher_stall as u64;
@@ -495,7 +540,7 @@ impl SofiaFetchUnit {
         }
         // I-cache: ciphertext words are cached in front of the decrypt
         // unit (Fig. 1), so every fetched word touches the cache.
-        for &addr in block.fetched_addrs() {
+        for &addr in addrs {
             let stall = ctx.icache.access_cycles(addr) as u64;
             ctx.stats.icache_stall_cycles += stall;
             ctx.stats.cycles += stall;
@@ -527,6 +572,17 @@ impl SofiaFetchUnit {
         let hit_cycles = slots as u32 + self.vcache.config().hit_latency;
         ctx.stats.cycles += hit_cycles as u64;
         self.stats.crypto_cycles_saved += skipped.total().saturating_sub(hit_cycles) as u64;
+    }
+
+    /// Sequences into a refilled, verified block and offers it to the
+    /// verified-block cache.
+    fn enter_block(&mut self, edge: (u32, u32), block: CachedBlock) {
+        self.cur_base = block.base;
+        self.cur_last_word = block.last_word_addr;
+        if self.vcache.is_enabled() {
+            let evicted = self.vcache.insert(edge, block);
+            self.stats.vcache_evictions += evicted as u64;
+        }
     }
 }
 
@@ -562,6 +618,20 @@ impl FetchUnit for SofiaFetchUnit {
         } else if self.vcache.is_enabled() {
             self.stats.vcache_misses += 1;
         }
+        // Refill memo: the same edge over the same ciphertext verifies to
+        // the same block, so a hit skips only the host's cipher work and
+        // is charged exactly like the refill below.
+        if let Some(hit) = self.memo.lookup(edge, |addr| ctx.mem.fetch(addr).ok()) {
+            debug_assert_eq!(
+                self.reverify_line(&mut |addr| ctx.mem.fetch(addr).ok(), edge.0, edge.1),
+                Ok(hit.block.clone()),
+                "refill memo diverged from the cipher on edge {edge:#x?}"
+            );
+            out.deliver_shared(std::sync::Arc::clone(&hit.block.slots));
+            self.account_block(hit.block.kind, hit.fetched_addrs(), out.as_slice(), ctx);
+            self.enter_block(edge, hit.block);
+            return Ok(None);
+        }
         let fetched = fetch_block(
             &mut |addr| ctx.mem.fetch(addr).ok(),
             &self.keys,
@@ -586,25 +656,25 @@ impl FetchUnit for SofiaFetchUnit {
             }
             Err(LineRejection::Violation(v)) => return Ok(Some(v)),
         }
-        self.account_block(&block, out.as_slice(), ctx);
-        self.cur_base = block.base;
-        self.cur_last_word = block.last_word_addr(&self.format);
+        self.account_block(
+            block.path.kind(),
+            block.fetched_addrs(),
+            out.as_slice(),
+            ctx,
+        );
         // Only now — past the MAC, the decoder and the store-position
-        // rule — may the block enter the cache: nothing that would trap
-        // or violate on the uncached path is ever replayable from it.
-        if self.vcache.is_enabled() {
-            let evicted = self.vcache.insert(
-                edge,
-                CachedBlock {
-                    base: block.base,
-                    last_word_addr: self.cur_last_word,
-                    kind: block.path.kind(),
-                    words_fetched: block.words_fetched,
-                    slots: out.to_shared(),
-                },
-            );
-            self.stats.vcache_evictions += evicted as u64;
-        }
+        // rule — may the block enter the memo and the cache: nothing that
+        // would trap or violate on the uncached path is ever replayable
+        // from either.
+        let line = CachedBlock {
+            base: block.base,
+            last_word_addr: block.last_word_addr(&self.format),
+            kind: block.path.kind(),
+            words_fetched: block.words_fetched,
+            slots: out.to_shared(),
+        };
+        self.memo.insert(edge, &block, line.clone());
+        self.enter_block(edge, line);
         Ok(None)
     }
 

@@ -17,6 +17,9 @@
 //! * [`vcache`] — the verified-block cache: post-verification caching
 //!   keyed by the control-flow edge `(prevPC, PC)`, so hot edges skip
 //!   decrypt + MAC entirely (architecturally invisible, off by default);
+//! * [`memo`] — the refill memo: a host-only memo keyed by the edge and
+//!   the ciphertext, so the simulator verifies each distinct refill once
+//!   while every counter and cycle stays as if the cipher ran;
 //! * [`snapshot`] — suspend/restore: serialise a preempted machine so a
 //!   job can migrate across processes/hosts and resume bit-for-bit (no
 //!   ciphertext, keys or decrypted plaintext ever travel — the image's
@@ -53,6 +56,7 @@
 
 pub mod fetch;
 pub mod machine;
+pub mod memo;
 pub mod security;
 pub mod snapshot;
 pub mod timing;
@@ -60,6 +64,7 @@ pub mod vcache;
 mod violation;
 
 pub use machine::{ResetPolicy, ResumeEdge, SliceOutcome, SliceRun, SofiaConfig, SofiaStats};
+pub use memo::RefillMemoStats;
 pub use snapshot::{MachineSnapshot, RestoreError};
 pub use timing::{CipherSchedule, SofiaTiming};
 pub use vcache::{VCacheConfig, VCacheStats};

@@ -511,6 +511,13 @@ impl SofiaMachine {
         self.engine.fetch().vcache_stats()
     }
 
+    /// Host-only refill memo counters: hits, misses, stale rejections
+    /// and resident lines (see [`crate::memo`]). Kept out of
+    /// [`SofiaStats`] and snapshots; a restored machine starts at zero.
+    pub fn refill_memo_stats(&self) -> crate::memo::RefillMemoStats {
+        self.engine.fetch().refill_memo_stats()
+    }
+
     /// Instruction-cache statistics.
     pub fn icache_stats(&self) -> sofia_cpu::icache::ICacheStats {
         self.engine.icache_stats()
@@ -1022,6 +1029,18 @@ mod tests {
         assert!(matches!(whole, RunOutcome::ViolationStop(_)));
         assert_eq!(slice.outcome, SliceOutcome::Done(whole));
         assert_eq!(a.violations(), b.violations());
+    }
+
+    #[test]
+    fn text_section_wrapping_the_address_space_is_out_of_image() {
+        let (_, mut img, keys) = build("main: addi t0, zero, 9\n halt");
+        img.text_base = 0xFFFF_FFF0;
+        img.entry = img.text_base;
+        let mut m = SofiaMachine::new(&img, &keys);
+        assert!(matches!(
+            m.run(1_000).unwrap(),
+            RunOutcome::ViolationStop(Violation::FetchOutOfImage { .. })
+        ));
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl VCacheStats {
 /// A verified block as the cache stores it: the decoded instruction
 /// slots (already past the SI check, the decoder and the store-position
 /// rule) plus the sequencing facts the fetch unit needs on a hit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedBlock {
     /// Base address of the block.
     pub base: u32,

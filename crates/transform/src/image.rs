@@ -99,6 +99,16 @@ impl SecureImage {
         for _ in 0..n {
             ctext.push(r.u32()?);
         }
+        // The core addresses text words as `text_base + 4·i` in 32 bits:
+        // a section reaching past the top of the address space would
+        // wrap onto low addresses.
+        let text_bytes = u32::try_from(n).ok().and_then(|n| n.checked_mul(4));
+        if text_bytes.and_then(|b| text_base.checked_add(b)).is_none() {
+            return Err(DecodeError::BadField {
+                field: "text_base",
+                reason: format!("{n} text words at {text_base:#x} wrap the address space"),
+            });
+        }
         let dn = r.count("data", 1)?;
         let data = r.take(dn)?.to_vec();
         r.finish()?;
@@ -195,6 +205,32 @@ mod tests {
         assert_eq!(back.ctext, img.ctext);
         assert_eq!(back.data, img.data);
         assert_eq!(back.entry, img.entry);
+    }
+
+    #[test]
+    fn text_section_wrapping_the_address_space_is_refused() {
+        let img = |text_base: u32, words: usize| SecureImage {
+            nonce: Nonce::new(1),
+            format: BlockFormat::default(),
+            text_base,
+            ctext: vec![0; words],
+            data_base: 0x1000_0000,
+            data: vec![],
+            entry: text_base,
+            symbols: BTreeMap::new(),
+            report: TransformReport::default(),
+        };
+        for (base, words) in [(0xFFFF_FFF0, 8), (0xFFFF_FFE0, 8)] {
+            assert!(matches!(
+                SecureImage::from_bytes(&img(base, words).to_bytes()),
+                Err(DecodeError::BadField {
+                    field: "text_base",
+                    ..
+                })
+            ));
+        }
+        // A section whose end is still a 32-bit address is accepted.
+        assert!(SecureImage::from_bytes(&img(0xFFFF_FFE0, 7).to_bytes()).is_ok());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! the cache's warm-state security contract: a line tampered in ROM
 //! after being cached traps at the next miss/refill, a warm line only
 //! ever replays *previously verified* plaintext, and a forged edge never
-//! hits a cached line because the key includes `prevPC`.
+//! hits a cached line because the key includes `prevPC`. The host-only
+//! refill memo gets the opposite contract, pinned by a proptest: a word
+//! flipped after a memo hit is caught at the block's next refill.
 
 mod common;
 
@@ -222,6 +224,64 @@ fn multi_block_loop() -> (SecureImage, KeySet) {
 fn block_base(img: &SecureImage, target: u32) -> u32 {
     let bb = img.format.block_bytes();
     img.text_base + ((target - img.text_base) / bb) * bb
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A word of a block the refill memo served, flipped before the
+    /// block's next refill, is caught there exactly as on a machine whose
+    /// memo never saw the block: the memo re-checks the ciphertext on
+    /// every hit, so the tampered block never retires.
+    #[test]
+    fn word_flipped_after_a_memo_hit_is_caught_like_a_fresh_machine(
+        word in any::<u64>(),
+        bit in 0u32..32,
+    ) {
+        let (img, k) = multi_block_loop();
+        let mut m = SofiaMachine::new(&img, &k);
+        let edge = loop {
+            let edge = m.edge();
+            let hits = m.refill_memo_stats().hits;
+            prop_assert!(m.step_block().unwrap().violation.is_none());
+            if m.refill_memo_stats().hits > hits {
+                break edge;
+            }
+        };
+        let block = sofia_core::fetch::fetch_block(
+            &mut |addr: u32| img.ctext.get(((addr - img.text_base) / 4) as usize).copied(),
+            &k.expand(),
+            img.nonce,
+            &img.format,
+            img.text_base,
+            img.ctext.len() as u32,
+            edge.next_target,
+            edge.prev_pc,
+            true,
+        )
+        .unwrap();
+        let addrs = block.fetched_addrs();
+        let idx = ((addrs[word as usize % addrs.len()] - img.text_base) / 4) as usize;
+        let mut tampered = img.clone();
+        tampered.ctext[idx] ^= 1 << bit;
+        let mut fresh = SofiaMachine::restore(&tampered, &k, &m.snapshot(0)).unwrap();
+        m.mem_mut().rom_mut()[idx] ^= 1 << bit;
+        while !m.is_halted() {
+            let entering = block_base(&img, m.next_target());
+            let step = m.step_block().unwrap();
+            prop_assert_eq!(step, fresh.step_block().unwrap());
+            if entering == block.base {
+                prop_assert_eq!(step.violation, Some(Violation::MacMismatch { block_base: block.base }));
+            }
+        }
+        prop_assert!(fresh.is_halted());
+        prop_assert_eq!(m.violations(), &[Violation::MacMismatch { block_base: block.base }]);
+        prop_assert_eq!(m.violations(), fresh.violations());
+        prop_assert_eq!(m.stats(), fresh.stats());
+        prop_assert_eq!(m.regs(), fresh.regs());
+        prop_assert_eq!(&m.mem().mmio.out_words, &fresh.mem().mmio.out_words);
+        prop_assert_eq!(m.refill_memo_stats().stale, 1);
+    }
 }
 
 /// Warm-cache tamper, small cache: a block that was verified and cached,
