@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
@@ -116,6 +116,8 @@ pub struct FipacFetch {
     enforce_checks: bool,
     timing: FipacTiming,
     stats: FipacStats,
+    /// The slots of the batch delivered last.
+    batch: Vec<Slot>,
 }
 
 impl FipacFetch {
@@ -138,6 +140,7 @@ impl FipacFetch {
             enforce_checks: true,
             timing,
             stats: FipacStats::default(),
+            batch: Vec::with_capacity(MAX_BATCH),
         };
         unit.boot();
         unit
@@ -201,16 +204,16 @@ impl FetchUnit for FipacFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-        out: &mut Batch,
-    ) -> Result<Option<FipacViolation>, Trap> {
+    ) -> Result<Result<&[Slot], FipacViolation>, Trap> {
+        self.batch.clear();
         let mut pc = self.next_target;
         if self.redirected {
             ctx.stats.cycles += self.timing.redirect_setup as u64;
         }
         for _ in 0..MAX_BATCH {
             if pc % 4 != 0 || pc < self.text_base || (pc - self.text_base) / 4 >= self.text_words {
-                if out.is_empty() {
-                    return Ok(Some(FipacViolation::FetchOutOfImage { addr: pc }));
+                if self.batch.is_empty() {
+                    return Ok(Err(FipacViolation::FetchOutOfImage { addr: pc }));
                 }
                 break;
             }
@@ -222,8 +225,8 @@ impl FetchUnit for FipacFetch {
             if let Some(&expected) = self.checks.get(&pc) {
                 ctx.stats.cycles += self.timing.check_latency as u64;
                 if self.enforce_checks && self.state != expected {
-                    if out.is_empty() {
-                        return Ok(Some(FipacViolation::StateMismatch { pc }));
+                    if self.batch.is_empty() {
+                        return Ok(Err(FipacViolation::StateMismatch { pc }));
                     }
                     break;
                 }
@@ -232,8 +235,8 @@ impl FetchUnit for FipacFetch {
             let inst = Instruction::decode(word)
                 .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
             if matches!(inst, Instruction::Halt) && !self.checks.contains_key(&pc) {
-                if out.is_empty() {
-                    return Ok(Some(FipacViolation::UnjustifiedExit { pc }));
+                if self.batch.is_empty() {
+                    return Ok(Err(FipacViolation::UnjustifiedExit { pc }));
                 }
                 break;
             }
@@ -243,7 +246,7 @@ impl FetchUnit for FipacFetch {
             self.state = self.cipher.encrypt_block(self.state ^ u64::from(word));
             self.stats.words_fetched += 1;
             self.stats.updates += 1;
-            out.push(Slot { pc, inst });
+            self.batch.push(Slot::new(pc, inst));
             if inst.is_control_transfer() || !inst.falls_through() {
                 break;
             }
@@ -251,7 +254,7 @@ impl FetchUnit for FipacFetch {
         }
         self.stats.batches += 1;
         self.redirected = false;
-        Ok(None)
+        Ok(Ok(&self.batch))
     }
 
     fn retire(
@@ -264,10 +267,8 @@ impl FetchUnit for FipacFetch {
         debug_assert!(slot < batch_len);
         match outcome {
             SlotOutcome::Sequential => {
-                if slot + 1 == batch_len {
-                    self.next_target = pc.wrapping_add(4);
-                    self.prev_pc = pc;
-                }
+                self.next_target = pc.wrapping_add(4);
+                self.prev_pc = pc;
             }
             SlotOutcome::Transfer { target } => {
                 let p = self.patch(pc, target);

@@ -6,6 +6,7 @@
 use sofia_core::machine::ResetPolicy;
 use sofia_cpu::engine::{EngineOutcome, Pipeline};
 use sofia_cpu::exec::RegFile;
+use sofia_cpu::icache::ICacheStats;
 use sofia_cpu::machine::MachineConfig;
 use sofia_cpu::mem::Memory;
 use sofia_cpu::{ExecStats, FetchUnit, Trap};
@@ -142,6 +143,11 @@ impl<F: FetchUnit> BackendMachine<F> {
     /// Baseline execution counters.
     pub fn stats(&self) -> ExecStats {
         self.engine.stats()
+    }
+
+    /// Instruction-cache statistics.
+    pub fn icache_stats(&self) -> ICacheStats {
+        self.engine.icache_stats()
     }
 
     /// Violations detected so far (all of them, across reboots).

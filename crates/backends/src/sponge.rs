@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
@@ -116,6 +116,8 @@ pub struct SpongeFetch {
     last_pc: u32,
     timing: SpongeTiming,
     stats: SpongeStats,
+    /// The slots of the batch delivered last.
+    batch: Vec<Slot>,
 }
 
 impl SpongeFetch {
@@ -137,6 +139,7 @@ impl SpongeFetch {
             last_pc: image.entry,
             timing,
             stats: SpongeStats::default(),
+            batch: Vec::with_capacity(MAX_BATCH),
         };
         unit.boot();
         unit
@@ -199,8 +202,8 @@ impl FetchUnit for SpongeFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-        out: &mut Batch,
-    ) -> Result<Option<SpongeViolation>, Trap> {
+    ) -> Result<Result<&[Slot], SpongeViolation>, Trap> {
+        self.batch.clear();
         let mut pc = self.next_target;
         if self.redirected {
             ctx.stats.cycles += self.timing.redirect_setup as u64;
@@ -209,8 +212,8 @@ impl FetchUnit for SpongeFetch {
             if pc % 4 != 0 || pc < self.text_base || (pc - self.text_base) / 4 >= self.text_words {
                 // Deliver what already decoded; stop the machine if the
                 // very first word is out of image.
-                if out.is_empty() {
-                    return Ok(Some(SpongeViolation::FetchOutOfImage { addr: pc }));
+                if self.batch.is_empty() {
+                    return Ok(Err(SpongeViolation::FetchOutOfImage { addr: pc }));
                 }
                 break;
             }
@@ -222,8 +225,8 @@ impl FetchUnit for SpongeFetch {
             let Ok(inst) = Instruction::decode(plain) else {
                 // The garbage word is not absorbed, so a refetch sees the
                 // same state and the same garbage — detection is sticky.
-                if out.is_empty() {
-                    return Ok(Some(SpongeViolation::GarbageDecode { pc, word: plain }));
+                if self.batch.is_empty() {
+                    return Ok(Err(SpongeViolation::GarbageDecode { pc, word: plain }));
                 }
                 // The decoded prefix executes; the next batch re-arrives
                 // here and reports the violation.
@@ -235,7 +238,7 @@ impl FetchUnit for SpongeFetch {
             // Serial decrypt-absorb: every word pays the permutation
             // latency (issue cycle included).
             ctx.stats.cycles += self.timing.permute_latency as u64;
-            out.push(Slot { pc, inst });
+            self.batch.push(Slot::new(pc, inst));
             self.last_pc = pc;
             if inst.is_control_transfer() || !inst.falls_through() {
                 break;
@@ -244,7 +247,7 @@ impl FetchUnit for SpongeFetch {
         }
         self.stats.batches += 1;
         self.redirected = false;
-        Ok(None)
+        Ok(Ok(&self.batch))
     }
 
     fn retire(
@@ -257,10 +260,8 @@ impl FetchUnit for SpongeFetch {
         debug_assert!(slot < batch_len);
         match outcome {
             SlotOutcome::Sequential => {
-                if slot + 1 == batch_len {
-                    self.next_target = pc.wrapping_add(4);
-                    self.prev_pc = pc;
-                }
+                self.next_target = pc.wrapping_add(4);
+                self.prev_pc = pc;
             }
             SlotOutcome::Transfer { target } => {
                 let p = self.patch(pc, target);

@@ -3,7 +3,7 @@
 //! Everything here is **wall-clock on this host** — the one trajectory
 //! file whose numbers are *not* simulated cycles. It records what the
 //! host-side optimisations (bitsliced RECTANGLE, batch sealing, the
-//! zero-copy verified-block dispatch, the fleet's wave pool) actually
+//! borrowed verified-block dispatch, the fleet's wave pool) actually
 //! buy on real silicon: keystream blocks/sec scalar vs bitsliced, host
 //! MIPS of the three machines, seals/sec, and fleet jobs/sec per worker
 //! count, each as the median, minimum and maximum of its runs. Numbers

@@ -1137,7 +1137,7 @@ pub fn backends_json(report: &BackendsReport) -> String {
 // Unlike every other trajectory file in this repo, these numbers are
 // **wall-clock**: how fast *this host* seals and simulates. They are
 // informational — no CI thresholds — but they are the first record of
-// wins that land on real silicon (the bitsliced cipher, the zero-copy
+// wins that land on real silicon (the bitsliced cipher, the borrowed
 // dispatch, the fleet's wave pool) rather than in the simulated-cycle
 // model, which stays bit-for-bit untouched.
 // ---------------------------------------------------------------------

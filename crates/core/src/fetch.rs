@@ -6,7 +6,9 @@
 //! over the decrypted instructions, comparing it with the decrypted MAC
 //! words before the block may execute.
 
-use sofia_cpu::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
+use std::sync::Arc;
+
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{mac, CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
 use sofia_isa::Instruction;
@@ -272,7 +274,7 @@ fn decode_block_slots(
                 word_pos,
             }));
         }
-        sink(Slot { pc, inst });
+        sink(Slot::new(pc, inst));
     }
     Ok(())
 }
@@ -340,6 +342,9 @@ pub struct SofiaFetchUnit {
     stats: FetchPathStats,
     vcache: VCache,
     memo: RefillMemo,
+    /// The last batch's slots when they did not come straight from a
+    /// verified-block-cache line (a fresh decode or a memo hit).
+    slots: Vec<Slot>,
 }
 
 impl SofiaFetchUnit {
@@ -378,6 +383,7 @@ impl SofiaFetchUnit {
             stats: FetchPathStats::default(),
             vcache: VCache::new(vcache),
             memo: RefillMemo::new(image.format),
+            slots: Vec::new(),
         }
     }
 
@@ -525,15 +531,15 @@ impl SofiaFetchUnit {
         self.stats.mac_nop_slots += (addrs.len() - slots.len()) as u64;
         self.stats.ctr_ops += bt.ctr_ops as u64;
         self.stats.cbc_ops += bt.cbc_ops as u64;
-        self.stats.cipher_stall_cycles += bt.cipher_stall as u64;
-        self.stats.redirect_fill_cycles += bt.redirect_fill as u64;
-        ctx.stats.cycles += bt.total() as u64;
+        self.stats.cipher_stall_cycles += bt.cipher_stall;
+        self.stats.redirect_fill_cycles += bt.redirect_fill;
+        ctx.stats.cycles += bt.total();
         // Store-gate stalls for stores the format allows in the stall
         // window (zero under the default format — the Fig. 6 argument).
         let first_word = self.format.mac_words(kind);
         for (idx, slot) in slots.iter().enumerate() {
-            if slot.inst.is_store() {
-                let stall = self.timing.store_gate_stall(&self.format, first_word + idx) as u64;
+            if slot.class().is_store() {
+                let stall = self.timing.store_gate_stall(&self.format, first_word + idx);
                 self.stats.store_gate_stall_cycles += stall;
                 ctx.stats.cycles += stall;
             }
@@ -569,9 +575,9 @@ impl SofiaFetchUnit {
         let skipped = self
             .timing
             .block_cycles(&self.format, kind, words_fetched, self.redirected);
-        let hit_cycles = slots as u32 + self.vcache.config().hit_latency;
-        ctx.stats.cycles += hit_cycles as u64;
-        self.stats.crypto_cycles_saved += skipped.total().saturating_sub(hit_cycles) as u64;
+        let hit_cycles = slots as u64 + u64::from(self.vcache.config().hit_latency);
+        ctx.stats.cycles += hit_cycles;
+        self.stats.crypto_cycles_saved += skipped.total().saturating_sub(hit_cycles);
     }
 
     /// Sequences into a refilled, verified block and offers it to the
@@ -593,28 +599,25 @@ impl FetchUnit for SofiaFetchUnit {
     /// travel as `nop`s), so the engine adds only hazard penalties.
     const ISSUE_CHARGED_IN_FETCH: bool = true;
 
-    fn fetch_batch(
-        &mut self,
-        ctx: &mut FetchCtx<'_>,
-        out: &mut Batch,
-    ) -> Result<Option<Violation>, Trap> {
+    fn fetch_batch(&mut self, ctx: &mut FetchCtx<'_>) -> Result<Result<&[Slot], Violation>, Trap> {
         // Verified-block cache: a hit replays slots already decrypted,
-        // MAC-checked and decoded for exactly this `(prevPC, PC)` edge —
-        // delivered zero-copy: the engine executes straight from the
-        // cache line's shared slice, no per-hit clone.
+        // MAC-checked, decoded and classified for exactly this
+        // `(prevPC, PC)` edge, lent to the engine straight from the line —
+        // no copy, no refcount traffic.
         let edge = (self.prev_pc, self.next_target);
-        if let Some(cached) = self.vcache.lookup(edge.0, edge.1) {
-            let (base, last, kind, words) = (
-                cached.base,
-                cached.last_word_addr,
-                cached.kind,
-                cached.words_fetched,
+        if let Some(at) = self.vcache.lookup(edge.0, edge.1) {
+            let line = self.vcache.line(at);
+            let (base, last, kind, words, len) = (
+                line.base,
+                line.last_word_addr,
+                line.kind,
+                line.words_fetched,
+                line.slots.len(),
             );
-            out.deliver_shared(std::sync::Arc::clone(&cached.slots));
-            self.account_hit(kind, words, out.len(), ctx);
+            self.account_hit(kind, words, len, ctx);
             self.cur_base = base;
             self.cur_last_word = last;
-            return Ok(None);
+            return Ok(Ok(&self.vcache.line(at).slots));
         } else if self.vcache.is_enabled() {
             self.stats.vcache_misses += 1;
         }
@@ -627,10 +630,11 @@ impl FetchUnit for SofiaFetchUnit {
                 Ok(hit.block.clone()),
                 "refill memo diverged from the cipher on edge {edge:#x?}"
             );
-            out.deliver_shared(std::sync::Arc::clone(&hit.block.slots));
-            self.account_block(hit.block.kind, hit.fetched_addrs(), out.as_slice(), ctx);
+            self.account_block(hit.block.kind, hit.fetched_addrs(), &hit.block.slots, ctx);
+            self.slots.clear();
+            self.slots.extend_from_slice(&hit.block.slots);
             self.enter_block(edge, hit.block);
-            return Ok(None);
+            return Ok(Ok(&self.slots));
         }
         let fetched = fetch_block(
             &mut |addr| ctx.mem.fetch(addr).ok(),
@@ -645,23 +649,19 @@ impl FetchUnit for SofiaFetchUnit {
         );
         let block = match fetched {
             Ok(b) => b,
-            Err(v) => return Ok(Some(v)),
+            Err(v) => return Ok(Err(v)),
         };
         // Decode everything up front; check the store-position rule before
         // any architectural effect (the hardware's early-store reset).
-        match decode_block_slots(&self.format, &block, |slot| out.push(slot)) {
+        self.slots.clear();
+        let slots = &mut self.slots;
+        match decode_block_slots(&self.format, &block, |slot| slots.push(slot)) {
             Ok(()) => {}
             Err(LineRejection::Undecodable { pc, word }) => {
                 return Err(Trap::IllegalInstruction { word, pc })
             }
-            Err(LineRejection::Violation(v)) => return Ok(Some(v)),
+            Err(LineRejection::Violation(v)) => return Ok(Err(v)),
         }
-        self.account_block(
-            block.path.kind(),
-            block.fetched_addrs(),
-            out.as_slice(),
-            ctx,
-        );
         // Only now — past the MAC, the decoder and the store-position
         // rule — may the block enter the memo and the cache: nothing that
         // would trap or violate on the uncached path is ever replayable
@@ -671,13 +671,17 @@ impl FetchUnit for SofiaFetchUnit {
             last_word_addr: block.last_word_addr(&self.format),
             kind: block.path.kind(),
             words_fetched: block.words_fetched,
-            slots: out.to_shared(),
+            slots: Arc::from(self.slots.as_slice()),
         };
+        self.account_block(line.kind, block.fetched_addrs(), &line.slots, ctx);
         self.memo.insert(edge, &block, line.clone());
         self.enter_block(edge, line);
-        Ok(None)
+        Ok(Ok(&self.slots))
     }
 
+    /// Sequences the next fetch from the block's one exit: its last slot
+    /// falls through to the next block, or a transfer leaves it. Either
+    /// way the successor's edge starts at the block's last word.
     fn retire(
         &mut self,
         pc: u32,
@@ -685,24 +689,21 @@ impl FetchUnit for SofiaFetchUnit {
         batch_len: usize,
         outcome: SlotOutcome,
     ) -> Result<(), Violation> {
-        let last = slot + 1 == batch_len;
         match outcome {
             SlotOutcome::Sequential => {
-                if last {
-                    self.next_target = self.cur_base + self.format.block_bytes();
-                    self.prev_pc = self.cur_last_word;
-                    self.redirected = false;
-                }
+                self.next_target = self.cur_base + self.format.block_bytes();
+                self.redirected = false;
             }
             SlotOutcome::Transfer { target } => {
-                if !last {
+                // Control can only exit at `inst_n` (paper §II-E).
+                if slot + 1 != batch_len {
                     return Err(Violation::MidBlockTransfer { pc });
                 }
                 self.next_target = target;
-                self.prev_pc = self.cur_last_word;
                 self.redirected = true;
             }
         }
+        self.prev_pc = self.cur_last_word;
         Ok(())
     }
 
@@ -763,6 +764,24 @@ mod tests {
         assert_eq!(b.words_fetched, 8);
         assert_eq!(b.inst_words().len(), 6);
         assert_eq!(b.fetched_addrs().len(), 8);
+    }
+
+    #[test]
+    fn control_exits_only_at_the_last_slot() {
+        let (img, keys) = image("main: addi t0, zero, 9\n halt");
+        let mut unit = SofiaFetchUnit::new(&img, &keys, SofiaTiming::default(), true);
+        let jump = SlotOutcome::Transfer { target: 0x40 };
+        assert_eq!(
+            unit.retire(0x10, 2, 6, jump),
+            Err(Violation::MidBlockTransfer { pc: 0x10 })
+        );
+        assert_eq!(
+            unit.next_target(),
+            img.entry,
+            "a refused exit sequences nothing"
+        );
+        assert_eq!(unit.retire(0x1C, 5, 6, jump), Ok(()));
+        assert_eq!(unit.next_target(), 0x40);
     }
 
     #[test]

@@ -84,6 +84,16 @@ pub const MAX_VCACHE_ENTRIES: u32 = 1 << 20;
 /// Largest I-cache size a decoded snapshot may configure.
 pub const MAX_ICACHE_BYTES: u32 = 64 << 20;
 
+/// Largest cycle count any single timing field of a decoded snapshot may
+/// configure: each pipeline penalty and unit occupancy, the I-cache miss
+/// penalty, every fetch-path latency, the cipher issue interval, the
+/// verified-block-cache hit latency and the reboot time (2²⁰ cycles —
+/// about 10 ms at 100 MHz, far above any modelled design). The cycle
+/// arithmetic runs in `u64`, so even `u32::MAX` fields cannot overflow
+/// it; the bound keeps a forged stream from configuring a machine whose
+/// every taken branch costs four billion cycles.
+pub const MAX_CYCLE_FIELD: u32 = 1 << 20;
+
 /// One resident verified-block cache line, as the snapshot stores it:
 /// the sealed edge and its LRU stamp — **never** the decrypted slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -302,6 +312,7 @@ impl MachineSnapshot {
             line_bytes: r.u32()?,
             miss_penalty: r.u32()?,
         };
+        cycle_fields("icache", [icache.miss_penalty.into()])?;
         if ram_size > MAX_RAM_SIZE {
             return Err(DecodeError::BadField {
                 field: "ram_size",
@@ -337,6 +348,21 @@ impl MachineSnapshot {
                 reason: "mul/div occupancy must be at least 1 cycle".into(),
             });
         }
+        let p = &pipeline;
+        cycle_fields(
+            "pipeline",
+            [
+                p.taken_branch_penalty,
+                p.direct_jump_penalty,
+                p.indirect_jump_penalty,
+                p.load_use_penalty,
+                p.mul_cycles,
+                p.div_cycles,
+                p.drain_cycles,
+                p.data_penalty,
+            ]
+            .map(u64::from),
+        )?;
         let schedule = match r.u8()? {
             0 => CipherSchedule::Paper,
             1 => CipherSchedule::PerWord,
@@ -355,6 +381,16 @@ impl MachineSnapshot {
             redirect_setup: r.u32()?,
             reboot_cycles: r.u64()?,
         };
+        cycle_fields(
+            "timing",
+            [
+                timing.cipher_latency.into(),
+                timing.cipher_issue_interval.into(),
+                timing.verify_latency.into(),
+                timing.redirect_setup.into(),
+                timing.reboot_cycles,
+            ],
+        )?;
         let reset_policy = match r.u8()? {
             0 => ResetPolicy::HaltAndReport,
             1 => ResetPolicy::Reboot {
@@ -374,6 +410,7 @@ impl MachineSnapshot {
             ways: r.u32()?,
             hit_latency: r.u32()?,
         };
+        cycle_fields("vcache", [vcache.hit_latency.into()])?;
         if vcache.enabled
             && (vcache.entries == 0
                 || vcache.ways == 0
@@ -570,6 +607,17 @@ impl MachineSnapshot {
             vcache_stats,
             vcache_lines,
         })
+    }
+}
+
+/// Refuses a `field` group holding a cycle count above [`MAX_CYCLE_FIELD`].
+fn cycle_fields<const N: usize>(field: &'static str, cycles: [u64; N]) -> Result<(), DecodeError> {
+    match cycles.into_iter().find(|&c| c > u64::from(MAX_CYCLE_FIELD)) {
+        Some(c) => Err(DecodeError::BadField {
+            field,
+            reason: format!("{c} cycles exceeds the {MAX_CYCLE_FIELD}-cycle snapshot bound"),
+        }),
+        None => Ok(()),
     }
 }
 

@@ -81,9 +81,9 @@ pub struct BlockTiming {
     /// included — they travel as `nop`s, paper §II-B).
     pub issue_cycles: u32,
     /// Extra stall when cipher ops outnumber fetch slots.
-    pub cipher_stall: u32,
+    pub cipher_stall: u64,
     /// Decrypt-pipeline refill after a control-flow redirect.
-    pub redirect_fill: u32,
+    pub redirect_fill: u64,
     /// CTR operations issued.
     pub ctr_ops: u32,
     /// CBC-MAC operations issued.
@@ -94,14 +94,15 @@ impl BlockTiming {
     /// Total cycles charged for the block's fetch/decrypt/verify work
     /// (instruction-level hazards are charged separately, as on the
     /// vanilla machine).
-    pub fn total(&self) -> u32 {
-        self.issue_cycles + self.cipher_stall + self.redirect_fill
+    pub fn total(&self) -> u64 {
+        u64::from(self.issue_cycles) + self.cipher_stall + self.redirect_fill
     }
 }
 
 impl SofiaTiming {
     /// Accounting for one block fetched along `kind`/`words_fetched`,
     /// entered by redirect (`redirected`) or sequential fall-through.
+    /// Cycle counts are `u64`, so no latency field can overflow them.
     pub fn block_cycles(
         &self,
         format: &BlockFormat,
@@ -114,12 +115,13 @@ impl SofiaTiming {
             CipherSchedule::PerWord => words_fetched,
         };
         let cbc_ops = (format.mac_padded_words(kind) as u32) / 2;
-        let cipher_cycles = (ctr_ops + cbc_ops) * self.cipher_issue_interval.max(1);
+        let cipher_cycles =
+            u64::from(ctr_ops + cbc_ops) * u64::from(self.cipher_issue_interval.max(1));
         BlockTiming {
             issue_cycles: words_fetched,
-            cipher_stall: cipher_cycles.saturating_sub(words_fetched),
+            cipher_stall: cipher_cycles.saturating_sub(words_fetched.into()),
             redirect_fill: if redirected {
-                self.redirect_setup + self.cipher_latency
+                u64::from(self.redirect_setup) + u64::from(self.cipher_latency)
             } else {
                 0
             },
@@ -130,8 +132,8 @@ impl SofiaTiming {
 
     /// Cycle (1-based, from block fetch start) when the verification
     /// verdict is available.
-    pub fn verify_done(&self, format: &BlockFormat) -> u32 {
-        format.block_words() as u32 + self.verify_latency
+    pub fn verify_done(&self, format: &BlockFormat) -> u64 {
+        format.block_words() as u64 + u64::from(self.verify_latency)
     }
 
     /// Stall cycles the store gate inserts for a store at block word
@@ -151,8 +153,8 @@ impl SofiaTiming {
     /// // exec4: verification always beats the earliest possible store.
     /// assert_eq!(t.store_gate_stall(&BlockFormat::exec4(), 2), 0);
     /// ```
-    pub fn store_gate_stall(&self, format: &BlockFormat, word_pos: usize) -> u32 {
-        let ma_cycle = word_pos as u32 + 5;
+    pub fn store_gate_stall(&self, format: &BlockFormat, word_pos: usize) -> u64 {
+        let ma_cycle = word_pos as u64 + 5;
         self.verify_done(format).saturating_sub(ma_cycle)
     }
 }
@@ -169,7 +171,7 @@ pub struct StoreGateRow {
     /// Whether the format permits a store here.
     pub allowed: bool,
     /// Gate stall if a store executed here.
-    pub stall: u32,
+    pub stall: u64,
 }
 
 /// Tabulates the store gate across all instruction slots of a format —
@@ -243,7 +245,7 @@ mod tests {
             ..Default::default()
         };
         let bt = t.block_cycles(&BlockFormat::default(), BlockKind::Exec, 8, true);
-        assert_eq!(bt.redirect_fill, t.cipher_latency);
+        assert_eq!(bt.redirect_fill, u64::from(t.cipher_latency));
     }
 
     #[test]

@@ -138,11 +138,19 @@ pub struct CachedBlock {
     /// Ciphertext words the uncached fetch walks for this entry path —
     /// what a hit *saves* in issue slots and cipher work.
     pub words_fetched: u32,
-    /// The decoded instruction slots, in issue order, behind a shared
-    /// slice: a hit hands the `Arc` straight to the pipeline batch
-    /// ([`sofia_cpu::fetch::Batch::deliver_shared`]) instead of cloning
-    /// the slots on every replay.
+    /// The decoded, classified instruction slots, in issue order. A hit
+    /// lends them to the engine by reference
+    /// ([`sofia_cpu::FetchUnit::fetch_batch`]); the `Arc` only lets the
+    /// refill memo and the cache share one copy of a line.
     pub slots: Arc<[Slot]>,
+}
+
+/// Where a resident line sits, as [`VCache::lookup`] found it. It stays
+/// valid until the cache next changes (insert, flush or restore).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineAt {
+    set: u32,
+    way: u32,
 }
 
 #[derive(Clone, Debug)]
@@ -170,7 +178,8 @@ struct Line {
 ///     slots: [].into(),
 /// };
 /// c.insert((0x1C, 0x40), block);
-/// assert!(c.lookup(0x1C, 0x40).is_some()); // the sealed edge hits
+/// let at = c.lookup(0x1C, 0x40).expect("the sealed edge hits");
+/// assert_eq!(c.line(at).base, 0x40);
 /// assert!(c.lookup(0x3C, 0x40).is_none()); // a forged edge never does
 /// ```
 #[derive(Clone, Debug)]
@@ -236,9 +245,11 @@ impl VCache {
     }
 
     /// Looks up the edge `(prev_pc, target)`, updating LRU order and the
-    /// hit/miss counters. Always a miss when disabled (without counting).
+    /// hit/miss counters, and returns where the line sits
+    /// ([`VCache::line`] reads it). Always a miss when disabled (without
+    /// counting).
     #[inline]
-    pub fn lookup(&mut self, prev_pc: u32, target: u32) -> Option<&CachedBlock> {
+    pub fn lookup(&mut self, prev_pc: u32, target: u32) -> Option<LineAt> {
         if !self.config.enabled {
             return None;
         }
@@ -246,17 +257,35 @@ impl VCache {
         let idx = self.set_index(key);
         self.tick += 1;
         let tick = self.tick;
-        match self.sets[idx].iter_mut().find(|l| l.key == key) {
-            Some(line) => {
+        match self.sets[idx]
+            .iter_mut()
+            .enumerate()
+            .find(|(_, l)| l.key == key)
+        {
+            Some((way, line)) => {
                 line.stamp = tick;
                 self.stats.hits += 1;
-                Some(&line.block)
+                Some(LineAt {
+                    set: idx as u32,
+                    way: way as u32,
+                })
             }
             None => {
                 self.stats.misses += 1;
                 None
             }
         }
+    }
+
+    /// The line a [`VCache::lookup`] found.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache changed since that lookup moved the line out
+    /// of range.
+    #[inline]
+    pub fn line(&self, at: LineAt) -> &CachedBlock {
+        &self.sets[at.set as usize][at.way as usize].block
     }
 
     /// Inserts a freshly verified block for the edge `(prev_pc, target)`,
@@ -391,7 +420,8 @@ mod tests {
     fn sealed_edge_hits_forged_edge_misses() {
         let mut c = VCache::new(VCacheConfig::enabled(8, 2));
         c.insert((0x1C, 0x40), block(0x40));
-        assert_eq!(c.lookup(0x1C, 0x40).unwrap().base, 0x40);
+        let at = c.lookup(0x1C, 0x40).unwrap();
+        assert_eq!(c.line(at).base, 0x40);
         // Same target, wrong prevPC: the key includes the edge source.
         assert!(c.lookup(0x5C, 0x40).is_none());
         assert_eq!(c.stats().hits, 1);

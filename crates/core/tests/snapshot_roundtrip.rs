@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sofia_core::machine::{ResetPolicy, SofiaConfig, SofiaMachine};
-use sofia_core::snapshot::{MachineSnapshot, VCacheLine, RAM_PAGE};
+use sofia_core::snapshot::{MachineSnapshot, VCacheLine, MAX_CYCLE_FIELD, RAM_PAGE};
 use sofia_core::timing::{CipherSchedule, SofiaTiming};
 use sofia_core::vcache::{VCacheConfig, VCacheStats};
 use sofia_core::{SliceOutcome, Violation};
@@ -414,4 +414,128 @@ fn structurally_invalid_fields_are_typed_errors() {
             ..
         })
     ));
+}
+
+/// A checksum-valid snapshot whose pipeline penalties, latencies or
+/// reboot time exceed [`MAX_CYCLE_FIELD`] is refused at decode, so no
+/// forged timing field ever reaches the cycle arithmetic; every field at
+/// the bound itself still decodes.
+#[test]
+fn forged_timing_fields_are_refused_at_decode() {
+    type Field = (&'static str, fn(&mut SofiaConfig, u64));
+    let fields: [Field; 15] = [
+        ("icache", |c, v| c.machine.icache.miss_penalty = v as u32),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.taken_branch_penalty = v as u32
+        }),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.direct_jump_penalty = v as u32
+        }),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.indirect_jump_penalty = v as u32
+        }),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.load_use_penalty = v as u32
+        }),
+        ("pipeline", |c, v| c.machine.pipeline.mul_cycles = v as u32),
+        ("pipeline", |c, v| c.machine.pipeline.div_cycles = v as u32),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.drain_cycles = v as u32
+        }),
+        ("pipeline", |c, v| {
+            c.machine.pipeline.data_penalty = v as u32
+        }),
+        ("timing", |c, v| c.timing.cipher_latency = v as u32),
+        ("timing", |c, v| c.timing.cipher_issue_interval = v as u32),
+        ("timing", |c, v| c.timing.verify_latency = v as u32),
+        ("timing", |c, v| c.timing.redirect_setup = v as u32),
+        ("timing", |c, v| c.timing.reboot_cycles = v),
+        ("vcache", |c, v| c.vcache.hit_latency = v as u32),
+    ];
+    let base = arbitrary_snapshot(11);
+    for (i, (name, set)) in fields.iter().enumerate() {
+        let mut snap = base.clone();
+        set(&mut snap.config, u64::from(MAX_CYCLE_FIELD));
+        assert_eq!(
+            MachineSnapshot::from_bytes(&snap.to_bytes()).as_ref(),
+            Ok(&snap),
+            "field {i} ({name}) at the bound"
+        );
+        for forged in [u64::from(MAX_CYCLE_FIELD) + 1, u64::from(u32::MAX)] {
+            let mut snap = base.clone();
+            set(&mut snap.config, forged);
+            match MachineSnapshot::from_bytes(&snap.to_bytes()) {
+                Err(DecodeError::BadField { field, .. }) => assert_eq!(field, *name, "field {i}"),
+                other => panic!("field {i} ({name}) = {forged}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// A machine built in memory with every cycle field at `u32::MAX` never
+/// panics: its cycle arithmetic runs in `u64` and never wraps, in debug
+/// and release builds alike.
+#[test]
+fn extreme_in_memory_timing_never_panics_or_wraps() {
+    let src = "main: li t0, 4
+                     li a0, 0x10000000
+               loop: lw t1, 0(a0)
+                     add t2, t1, t0
+                     mul t2, t2, t0
+                     div t2, t2, t0
+                     sw t2, 4(a0)
+                     jal f
+                     subi t0, t0, 1
+                     bnez t0, loop
+                     halt
+               f:    ret";
+    let keys = KeySet::from_seed(0xE7);
+    let image = Transformer::new(keys.clone())
+        .transform(&asm::parse(src).expect("parses"))
+        .expect("transforms");
+    let max = u32::MAX;
+    for vcache in [VCacheConfig::default(), VCacheConfig::enabled(8, 2)] {
+        let mut config = SofiaConfig {
+            vcache: VCacheConfig {
+                hit_latency: max,
+                ..vcache
+            },
+            reset_policy: ResetPolicy::Reboot { max_resets: 2 },
+            ..SofiaConfig::default()
+        };
+        config.machine.icache.miss_penalty = max;
+        config.machine.pipeline = sofia_cpu::pipeline::PipelineModel {
+            taken_branch_penalty: max,
+            direct_jump_penalty: max,
+            indirect_jump_penalty: max,
+            load_use_penalty: max,
+            mul_cycles: max,
+            div_cycles: max,
+            drain_cycles: max,
+            data_penalty: max,
+        };
+        config.timing = SofiaTiming {
+            schedule: CipherSchedule::PerWord,
+            cipher_latency: max,
+            cipher_issue_interval: max,
+            verify_latency: max,
+            redirect_setup: max,
+            reboot_cycles: max.into(),
+        };
+        let mut m = SofiaMachine::with_config(&image, &keys, &config);
+        assert!(m.run(1_000_000).unwrap().is_halted());
+        let s = m.stats();
+        // Every taken branch alone costs u32::MAX cycles: a wrapped sum
+        // would fall below this.
+        assert!(s.exec.taken_branches >= 3);
+        assert!(s.exec.cycles >= s.exec.taken_branches * u64::from(max));
+
+        // Tampered code reboots, paying u32::MAX cycles per reset.
+        let mut m = SofiaMachine::with_config(&image, &keys, &config);
+        m.mem_mut().rom_mut()[2] ^= 4;
+        let _ = m.run(1_000).unwrap();
+        let s = m.stats();
+        assert!(s.resets >= 1);
+        assert!(s.exec.cycles >= s.resets * u64::from(max));
+    }
 }

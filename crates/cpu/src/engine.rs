@@ -7,13 +7,13 @@
 //! comparisons between them isolate exactly the fetch path by
 //! construction: same engine, different fetch unit.
 
-use sofia_isa::{Instruction, Reg};
+use sofia_isa::Reg;
 
 use crate::exec::{execute, Effect, RegFile};
-use crate::fetch::{Batch, FetchCtx, FetchUnit, Slot, SlotOutcome};
+use crate::fetch::{FetchCtx, FetchUnit, SlotOutcome};
 use crate::icache::{ICache, ICacheConfig, ICacheStats};
 use crate::mem::{Memory, Mmio};
-use crate::pipeline::PipelineModel;
+use crate::pipeline::{PipelineModel, TimingClass};
 use crate::stats::ExecStats;
 use crate::Trap;
 
@@ -175,7 +175,6 @@ pub struct Pipeline<F: FetchUnit> {
     icache: ICache,
     model: PipelineModel,
     stats: ExecStats,
-    batch: Batch,
     prev_load_dest: Option<Reg>,
     halted: bool,
     resets: u64,
@@ -224,14 +223,15 @@ impl<F: FetchUnit> Pipeline<F> {
             icache: ICache::new(config.icache),
             model: config.pipeline,
             stats: ExecStats::default(),
-            batch: Batch::new(),
             prev_load_dest: None,
             halted: false,
             resets: 0,
         }
     }
 
-    /// Fetches one batch from the fetch unit and executes its slots.
+    /// Fetches one batch from the fetch unit and executes its slots
+    /// straight from the slice the unit lends, then reports the batch's
+    /// exit to the unit once ([`FetchUnit::retire`]).
     ///
     /// Violations are returned, not acted upon: the caller applies its
     /// reset policy (and [`Pipeline::force_halt`] / [`Pipeline::reset`]).
@@ -246,81 +246,57 @@ impl<F: FetchUnit> Pipeline<F> {
     /// Panics if called after the machine halted.
     pub fn step_batch(&mut self) -> Result<BatchStep<F::Violation>, Trap> {
         assert!(!self.halted, "step after halt");
-        self.batch.clear();
         let mut ctx = FetchCtx {
             mem: &self.mem,
             icache: &mut self.icache,
             stats: &mut self.stats,
         };
-        if let Some(v) = self.fetch.fetch_batch(&mut ctx, &mut self.batch)? {
-            return Ok(BatchStep {
-                executed_slots: 0,
-                violation: Some(v),
-            });
-        }
-        let len = self.batch.len();
+        let slots = match self.fetch.fetch_batch(&mut ctx)? {
+            Ok(slots) => slots,
+            Err(v) => {
+                return Ok(BatchStep {
+                    executed_slots: 0,
+                    violation: Some(v),
+                })
+            }
+        };
+        // The slots stay borrowed from the fetch unit for the whole loop,
+        // which touches only the architectural state and the counters.
+        let len = slots.len();
         let mut executed = 0u64;
-        for i in 0..len {
-            let Slot { pc, inst } = self.batch.slot(i);
-            let effect = execute(&inst, pc, &mut self.regs, &mut self.mem)?;
+        let mut exit = None;
+        for (i, slot) in slots.iter().enumerate() {
+            let effect = execute(slot.inst(), slot.pc(), &mut self.regs, &mut self.mem)?;
             executed += 1;
-            let taken = inst.is_branch() && matches!(effect, Effect::Jump { .. });
-            self.account(&inst, taken);
-            self.prev_load_dest = if inst.is_load() { inst.def_reg() } else { None };
-            let outcome = match effect {
-                Effect::Next => SlotOutcome::Sequential,
-                Effect::Jump { target } => SlotOutcome::Transfer { target },
+            let class = slot.class();
+            let taken = class.is_branch() && matches!(effect, Effect::Jump { .. });
+            let load_use = self.prev_load_dest.is_some_and(|dest| class.reads(dest));
+            account::<F>(&mut self.stats, &self.model, class, taken, load_use);
+            self.prev_load_dest = class.load_dest();
+            match effect {
+                Effect::Next if i + 1 == len => {
+                    exit = Some((slot.pc(), i, SlotOutcome::Sequential));
+                }
+                Effect::Next => {}
+                Effect::Jump { target } => {
+                    exit = Some((slot.pc(), i, SlotOutcome::Transfer { target }));
+                    break;
+                }
                 Effect::Halt => {
                     self.halted = true;
                     self.stats.cycles += self.model.drain_cycles as u64;
                     break;
                 }
-            };
-            if let Err(v) = self.fetch.retire(pc, i, len, outcome) {
-                return Ok(BatchStep {
-                    executed_slots: executed,
-                    violation: Some(v),
-                });
             }
         }
+        let violation = match exit {
+            Some((pc, i, outcome)) => self.fetch.retire(pc, i, len, outcome).err(),
+            None => None,
+        };
         Ok(BatchStep {
             executed_slots: executed,
-            violation: None,
+            violation,
         })
-    }
-
-    fn account(&mut self, inst: &Instruction, taken: bool) {
-        self.stats.instret += 1;
-        let cycles = self
-            .model
-            .instruction_cycles(inst, taken, self.prev_load_dest) as u64;
-        // Block-structured fetch units already charge one issue slot per
-        // fetched word; only the hazard penalties remain.
-        self.stats.cycles += if F::ISSUE_CHARGED_IN_FETCH {
-            cycles - 1
-        } else {
-            cycles
-        };
-        if inst.is_branch() {
-            self.stats.branches += 1;
-            if taken {
-                self.stats.taken_branches += 1;
-            }
-        }
-        if inst.is_load() {
-            self.stats.loads += 1;
-        }
-        if inst.is_store() {
-            self.stats.stores += 1;
-        }
-        if inst.is_call() {
-            self.stats.calls += 1;
-        }
-        if let Some(dest) = self.prev_load_dest {
-            if inst.use_regs().contains(&dest) {
-                self.stats.load_use_stalls += 1;
-            }
-        }
     }
 
     /// Runs until `halt`, a trap, an exhausted slot budget, or whatever
@@ -480,7 +456,7 @@ impl<F: FetchUnit> Pipeline<F> {
     /// Replaces the engine-owned state wholesale with a previously
     /// exported [`CoreState`] — the restore half of suspend/resume. ROM
     /// is untouched (it was loaded from the sealed image at
-    /// construction), and the in-flight batch buffer is cleared.
+    /// construction).
     ///
     /// # Errors
     ///
@@ -510,7 +486,6 @@ impl<F: FetchUnit> Pipeline<F> {
         self.prev_load_dest = state.prev_load_dest;
         self.halted = state.halted;
         self.resets = state.resets;
-        self.batch.clear();
         Ok(())
     }
 
@@ -525,11 +500,38 @@ impl<F: FetchUnit> Pipeline<F> {
     }
 }
 
+/// Charges one retired slot of class `class` to `stats`.
+#[inline]
+fn account<F: FetchUnit>(
+    stats: &mut ExecStats,
+    model: &PipelineModel,
+    class: TimingClass,
+    taken: bool,
+    load_use: bool,
+) {
+    stats.instret += 1;
+    let cycles = model.slot_cycles(class, taken, load_use);
+    // Block-structured fetch units already charge one issue slot per
+    // fetched word; only the hazard penalties remain.
+    stats.cycles += if F::ISSUE_CHARGED_IN_FETCH {
+        cycles - 1
+    } else {
+        cycles
+    };
+    stats.branches += class.is_branch() as u64;
+    stats.taken_branches += taken as u64;
+    stats.loads += class.is_load() as u64;
+    stats.stores += class.is_store() as u64;
+    stats.calls += class.is_call() as u64;
+    stats.load_use_stalls += load_use as u64;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::PlainFetch;
+    use crate::fetch::{NoViolation, PlainFetch, Slot};
     use crate::mem::{Width, RAM_PAGE};
+    use sofia_isa::Instruction;
 
     fn engine() -> Pipeline<PlainFetch> {
         let config = MachineConfig {
@@ -593,5 +595,134 @@ mod tests {
                 found: 4096
             })
         );
+    }
+
+    /// A unit that delivers one fixed batch and records every retire.
+    struct Scripted {
+        slots: Vec<Slot>,
+        retires: Vec<(u32, usize, usize, SlotOutcome)>,
+    }
+
+    impl FetchUnit for Scripted {
+        type Violation = NoViolation;
+
+        fn fetch_batch(
+            &mut self,
+            _ctx: &mut FetchCtx<'_>,
+        ) -> Result<Result<&[Slot], NoViolation>, Trap> {
+            Ok(Ok(&self.slots))
+        }
+
+        fn retire(
+            &mut self,
+            pc: u32,
+            slot: usize,
+            batch_len: usize,
+            outcome: SlotOutcome,
+        ) -> Result<(), NoViolation> {
+            self.retires.push((pc, slot, batch_len, outcome));
+            Ok(())
+        }
+
+        fn on_reset(&mut self) -> u64 {
+            0
+        }
+    }
+
+    fn scripted(insts: &[Instruction]) -> Pipeline<Scripted> {
+        let slots = insts
+            .iter()
+            .enumerate()
+            .map(|(i, &inst)| Slot::new(0x100 + 4 * i as u32, inst))
+            .collect();
+        let fetch = Scripted {
+            slots,
+            retires: Vec::new(),
+        };
+        Pipeline::new(
+            fetch,
+            0x100,
+            vec![0; 4],
+            0x1000_0000,
+            &[],
+            &MachineConfig::default(),
+        )
+    }
+
+    #[test]
+    fn a_batch_retires_once_at_its_exit() {
+        let addi = Instruction::Addi {
+            rt: Reg::T0,
+            rs: Reg::T0,
+            imm: 1,
+        };
+        // Falling off the last slot is the one sequential exit.
+        let mut e = scripted(&[addi, addi, addi]);
+        let step = e.step_batch().unwrap();
+        assert_eq!(step.executed_slots, 3);
+        assert_eq!(e.fetch().retires, [(0x108, 2, 3, SlotOutcome::Sequential)]);
+        assert_eq!(e.regs().get(Reg::T0), 3);
+
+        // A transfer ends the batch wherever it sits: the slots after it
+        // never execute, and the unit hears of the transfer alone.
+        let mut e = scripted(&[addi, Instruction::J { index: 0x80 }, addi]);
+        let step = e.step_batch().unwrap();
+        assert_eq!(step.executed_slots, 2);
+        assert_eq!(
+            e.fetch().retires,
+            [(0x104, 1, 3, SlotOutcome::Transfer { target: 0x200 })]
+        );
+        assert_eq!(e.regs().get(Reg::T0), 1);
+
+        // A halting batch retires nothing.
+        let mut e = scripted(&[addi, Instruction::Halt]);
+        assert_eq!(e.step_batch().unwrap().executed_slots, 2);
+        assert!(e.is_halted());
+        assert!(e.fetch().retires.is_empty());
+    }
+
+    #[test]
+    fn extreme_pipeline_fields_never_overflow() {
+        let max = u32::MAX;
+        let config = MachineConfig {
+            pipeline: PipelineModel {
+                taken_branch_penalty: max,
+                direct_jump_penalty: max,
+                indirect_jump_penalty: max,
+                load_use_penalty: max,
+                mul_cycles: max,
+                div_cycles: max,
+                drain_cycles: max,
+                data_penalty: max,
+            },
+            ..MachineConfig::default()
+        };
+        let program = sofia_isa::asm::assemble(
+            "main: li t0, 3
+                   li a0, 0x10000000
+             loop: lw t1, 0(a0)
+                   mul t2, t1, t0
+                   div t2, t2, t0
+                   sw t2, 4(a0)
+                   subi t0, t0, 1
+                   bnez t0, loop
+                   halt",
+        )
+        .unwrap();
+        let mut e = Pipeline::new(
+            PlainFetch::new(program.entry),
+            program.text_base,
+            program.words,
+            program.data_base,
+            &program.data,
+            &config,
+        );
+        let outcome = e.run(1000, |v, _| match v {}).unwrap();
+        assert_eq!(outcome, EngineOutcome::Halted);
+        // Per iteration: a load, a store, a mul and a div at u32::MAX
+        // each, plus the taken branch on all but the last.
+        let s = e.stats();
+        assert_eq!(s.taken_branches, 2);
+        assert!(s.cycles >= (4 * 3 + 2) * u64::from(max));
     }
 }

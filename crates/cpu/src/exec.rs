@@ -75,7 +75,7 @@ pub enum Effect {
     /// Transfer control to the given address: a taken branch, jump, call
     /// or return (a not-taken branch is [`Effect::Next`]; the engine
     /// tells the two apart for timing by checking
-    /// [`sofia_isa::Instruction::is_branch`] on the retiring slot).
+    /// [`crate::pipeline::TimingClass::is_branch`] on the retiring slot).
     Jump {
         /// The transfer target.
         target: u32,

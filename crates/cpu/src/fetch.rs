@@ -11,12 +11,11 @@
 //! * future backends (CFI-only ablations, other ciphers, reboot studies)
 //!   implement this trait instead of duplicating a machine.
 
-use std::sync::Arc;
-
 use sofia_isa::Instruction;
 
 use crate::icache::ICache;
 use crate::mem::Memory;
+use crate::pipeline::TimingClass;
 use crate::stats::ExecStats;
 use crate::Trap;
 
@@ -34,22 +33,57 @@ pub struct FetchCtx<'a> {
     pub stats: &'a mut ExecStats,
 }
 
-/// One decoded instruction slot delivered by a fetch unit.
+/// One decoded instruction slot delivered by a fetch unit: the
+/// instruction, where it was fetched from, and its [`TimingClass`],
+/// computed once here at decode so that replaying the slot — every
+/// execution of a verified-block-cache line — classifies nothing again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot {
-    /// The address the instruction was fetched from.
-    pub pc: u32,
-    /// The decoded instruction.
-    pub inst: Instruction,
+    pc: u32,
+    inst: Instruction,
+    class: TimingClass,
 }
 
-/// The control-flow outcome of one executed slot, reported back to the
-/// fetch unit so it can sequence the next batch.
+// Verified-block-cache and refill-memo lines keep their slots per
+// machine: the class must not grow them past 16 bytes each.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
+
+impl Slot {
+    /// Classifies `inst`, fetched from `pc`, into a slot.
+    pub fn new(pc: u32, inst: Instruction) -> Slot {
+        Slot {
+            pc,
+            inst,
+            class: TimingClass::of(&inst),
+        }
+    }
+
+    /// The address the instruction was fetched from.
+    #[inline]
+    pub fn pc(&self) -> u32 {
+        self.pc
+    }
+
+    /// The decoded instruction.
+    #[inline]
+    pub fn inst(&self) -> &Instruction {
+        &self.inst
+    }
+
+    /// The instruction's timing class.
+    #[inline]
+    pub fn class(&self) -> TimingClass {
+        self.class
+    }
+}
+
+/// How an executed batch exited, reported back to the fetch unit so it
+/// can sequence the next batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotOutcome {
-    /// Fell through to the next instruction.
+    /// The last slot fell through to the next instruction.
     Sequential,
-    /// Transferred control (branch taken, jump, call, return).
+    /// A slot transferred control (branch taken, jump, call, return).
     Transfer {
         /// The transfer target.
         target: u32,
@@ -61,110 +95,13 @@ pub enum SlotOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NoViolation {}
 
-/// The slot buffer the engine hands a fetch unit each step.
-///
-/// Two delivery paths share it: units that decode fresh words [`push`]
-/// into an owned buffer (reused across steps, so the steady state is
-/// allocation-free), while units replaying an already-verified block can
-/// [`deliver_shared`] an `Arc<[Slot]>` — the engine then executes
-/// straight from the shared slice, with no per-fetch copy of the slots.
-/// That zero-copy path is what makes a verified-block-cache hit cheap on
-/// the *host*: the simulated-cycle model is unaffected either way.
-///
-/// [`push`]: Batch::push
-/// [`deliver_shared`]: Batch::deliver_shared
-#[derive(Clone, Debug, Default)]
-pub struct Batch {
-    owned: Vec<Slot>,
-    shared: Option<Arc<[Slot]>>,
-}
-
-impl Batch {
-    /// An empty buffer.
-    pub fn new() -> Batch {
-        Batch::default()
-    }
-
-    /// Empties the buffer, keeping the owned allocation for reuse.
-    pub fn clear(&mut self) {
-        self.owned.clear();
-        self.shared = None;
-    }
-
-    /// Appends one freshly decoded slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared slice was already delivered this step — a fetch
-    /// unit delivers one batch per step, owned or shared, never a mix.
-    pub fn push(&mut self, slot: Slot) {
-        assert!(
-            self.shared.is_none(),
-            "cannot push into a batch after deliver_shared"
-        );
-        self.owned.push(slot);
-    }
-
-    /// Delivers a whole verified block as a shared slice — zero-copy: the
-    /// engine executes directly from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slots were already delivered this step.
-    pub fn deliver_shared(&mut self, slots: Arc<[Slot]>) {
-        assert!(
-            self.owned.is_empty() && self.shared.is_none(),
-            "cannot deliver a shared block into a non-empty batch"
-        );
-        self.shared = Some(slots);
-    }
-
-    /// The delivered slots.
-    pub fn as_slice(&self) -> &[Slot] {
-        match &self.shared {
-            Some(shared) => shared,
-            None => &self.owned,
-        }
-    }
-
-    /// Number of delivered slots.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether nothing was delivered.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// Copies out slot `i` (slots are small and `Copy`; the engine reads
-    /// them by value so it can keep mutating architectural state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn slot(&self, i: usize) -> Slot {
-        self.as_slice()[i]
-    }
-
-    /// The batch as a shareable slice: hands back the existing `Arc` when
-    /// the batch was delivered shared (no copy), or freezes the owned
-    /// slots into a new one (one copy — e.g. a cache *insert* after a
-    /// verified miss).
-    pub fn to_shared(&self) -> Arc<[Slot]> {
-        match &self.shared {
-            Some(shared) => Arc::clone(shared),
-            None => Arc::from(self.owned.as_slice()),
-        }
-    }
-}
-
 /// A pluggable instruction-delivery unit in front of the shared pipeline.
 ///
 /// The unit owns all sequencing state (program counter or block cursor)
 /// and all security state; the engine owns the architectural state. Per
-/// step the engine asks for a batch, executes its slots, and reports each
-/// slot's control-flow outcome back via [`FetchUnit::retire`].
+/// step the engine asks for a batch, executes its slots straight from the
+/// slice the unit lends it, and reports how the batch exited once, via
+/// [`FetchUnit::retire`].
 pub trait FetchUnit {
     /// The security-violation type this unit can detect.
     /// [`NoViolation`] (uninhabited) for unchecked fetch.
@@ -177,12 +114,12 @@ pub trait FetchUnit {
     /// base-plus-hazard cost.
     const ISSUE_CHARGED_IN_FETCH: bool = false;
 
-    /// Fetches and decodes the next batch of slots into `out` (cleared by
-    /// the engine beforehand), charging fetch-path cycles through `ctx`.
-    /// Freshly decoded slots are [`Batch::push`]ed; an already-verified
-    /// shared block goes through [`Batch::deliver_shared`] (zero-copy).
+    /// Fetches and decodes the next batch, charging fetch-path cycles
+    /// through `ctx`, and lends the engine its slots until the unit is
+    /// next used. The slice may point into the unit's own buffer or
+    /// straight at a cached line: the engine only reads it.
     ///
-    /// Returns `Ok(Some(violation))` when the unit refuses to deliver the
+    /// Returns `Ok(Err(violation))` when the unit refuses to deliver the
     /// batch (tampered code, forged edge, …) — the engine executes
     /// nothing and lets the machine's reset policy decide what happens.
     ///
@@ -193,15 +130,17 @@ pub trait FetchUnit {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-        out: &mut Batch,
-    ) -> Result<Option<Self::Violation>, Trap>;
+    ) -> Result<Result<&[Slot], Self::Violation>, Trap>;
 
-    /// Reports the control-flow outcome of slot `slot` (of `batch_len`)
-    /// at address `pc`, so the unit can sequence the next fetch.
+    /// Reports how the batch exited, once per batch: slot `slot` (of
+    /// `batch_len`) at address `pc` either fell through as the last slot
+    /// ([`SlotOutcome::Sequential`]) or transferred control, which ends
+    /// the batch wherever it sits. The engine makes no call for a batch
+    /// that halts, traps, or delivers no slots.
     ///
     /// # Errors
     ///
-    /// Returns the violation an outcome constitutes under the unit's
+    /// Returns the violation the exit constitutes under the unit's
     /// policy (e.g. SOFIA's "control can only exit at the final slot").
     fn retire(
         &mut self,
@@ -221,12 +160,17 @@ pub trait FetchUnit {
 pub struct PlainFetch {
     pc: u32,
     entry: u32,
+    slot: Slot,
 }
 
 impl PlainFetch {
     /// A unit starting (and restarting on reset) at `entry`.
     pub fn new(entry: u32) -> PlainFetch {
-        PlainFetch { pc: entry, entry }
+        PlainFetch {
+            pc: entry,
+            entry,
+            slot: Slot::new(entry, Instruction::nop()),
+        }
     }
 
     /// The current program counter.
@@ -246,8 +190,7 @@ impl FetchUnit for PlainFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-        out: &mut Batch,
-    ) -> Result<Option<NoViolation>, Trap> {
+    ) -> Result<Result<&[Slot], NoViolation>, Trap> {
         let pc = self.pc;
         let stall = ctx.icache.access_cycles(pc) as u64;
         ctx.stats.icache_stall_cycles += stall;
@@ -255,8 +198,8 @@ impl FetchUnit for PlainFetch {
         let word = ctx.mem.fetch(pc)?;
         let inst = Instruction::decode(word)
             .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
-        out.push(Slot { pc, inst });
-        Ok(None)
+        self.slot = Slot::new(pc, inst);
+        Ok(Ok(std::slice::from_ref(&self.slot)))
     }
 
     fn retire(

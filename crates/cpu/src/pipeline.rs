@@ -76,47 +76,189 @@ impl PipelineModel {
     }
 }
 
+/// Sentinel for "no register" in a [`TimingClass`] byte.
+const NO_REG: u8 = u8::MAX;
+
+/// What the cycle model and the engine's counters need to know about one
+/// instruction, computed once when the instruction is decoded (see
+/// [`crate::fetch::Slot::new`]) so no executed slot classifies its
+/// instruction again: the registers it reads, the register it loads
+/// into, and one flag bit per class. Four bytes.
+///
+/// # Examples
+///
+/// ```
+/// use sofia_cpu::pipeline::TimingClass;
+/// use sofia_isa::{Instruction, Reg};
+///
+/// let lw = TimingClass::of(&Instruction::Lw { rt: Reg::T0, base: Reg::SP, offset: 0 });
+/// assert!(lw.is_load() && !lw.is_store());
+/// assert_eq!(lw.load_dest(), Some(Reg::T0));
+/// assert!(lw.reads(Reg::SP) && !lw.reads(Reg::T0));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TimingClass {
+    reads: [u8; 2],
+    load_dest: u8,
+    flags: u8,
+}
+
+const BRANCH: u8 = 1 << 0;
+const DIRECT_JUMP: u8 = 1 << 1;
+const INDIRECT_JUMP: u8 = 1 << 2;
+const LOAD: u8 = 1 << 3;
+const STORE: u8 = 1 << 4;
+const CALL: u8 = 1 << 5;
+const MUL: u8 = 1 << 6;
+const DIV: u8 = 1 << 7;
+
+const _: () = assert!(std::mem::size_of::<TimingClass>() == 4);
+
+impl TimingClass {
+    /// Classifies `inst`.
+    pub fn of(inst: &Instruction) -> TimingClass {
+        let reg = |r: Option<Reg>| match r {
+            Some(r) => r.index(),
+            None => NO_REG,
+        };
+        let [a, b] = inst.use_regs();
+        let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+        let load_dest = if inst.is_load() {
+            reg(inst.def_reg())
+        } else {
+            NO_REG
+        };
+        TimingClass {
+            reads: [reg(a), reg(b)],
+            load_dest,
+            flags: flag(inst.is_branch(), BRANCH)
+                | flag(inst.is_direct_jump(), DIRECT_JUMP)
+                | flag(inst.is_indirect_jump(), INDIRECT_JUMP)
+                | flag(inst.is_load(), LOAD)
+                | flag(inst.is_store(), STORE)
+                | flag(inst.is_call(), CALL)
+                | flag(matches!(inst, Instruction::Mul { .. }), MUL)
+                | flag(
+                    matches!(
+                        inst,
+                        Instruction::Div { .. }
+                            | Instruction::Divu { .. }
+                            | Instruction::Rem { .. }
+                            | Instruction::Remu { .. }
+                    ),
+                    DIV,
+                ),
+        }
+    }
+
+    /// Whether the instruction reads `reg`.
+    #[inline]
+    pub fn reads(self, reg: Reg) -> bool {
+        self.reads[0] == reg.index() || self.reads[1] == reg.index()
+    }
+
+    /// The register a load writes (`None` for anything else, and for a
+    /// load into `zero`).
+    #[inline]
+    pub fn load_dest(self) -> Option<Reg> {
+        Reg::new(self.load_dest)
+    }
+
+    /// A conditional branch.
+    #[inline]
+    pub fn is_branch(self) -> bool {
+        self.flags & BRANCH != 0
+    }
+
+    /// A direct jump (`j`/`jal`).
+    #[inline]
+    pub fn is_direct_jump(self) -> bool {
+        self.flags & DIRECT_JUMP != 0
+    }
+
+    /// An indirect jump (`jr`/`jalr`).
+    #[inline]
+    pub fn is_indirect_jump(self) -> bool {
+        self.flags & INDIRECT_JUMP != 0
+    }
+
+    /// A load.
+    #[inline]
+    pub fn is_load(self) -> bool {
+        self.flags & LOAD != 0
+    }
+
+    /// A store.
+    #[inline]
+    pub fn is_store(self) -> bool {
+        self.flags & STORE != 0
+    }
+
+    /// A call (`jal`/`jalr`).
+    #[inline]
+    pub fn is_call(self) -> bool {
+        self.flags & CALL != 0
+    }
+
+    /// A multiply (the iterative multiplier holds EX).
+    #[inline]
+    pub fn is_mul(self) -> bool {
+        self.flags & MUL != 0
+    }
+
+    /// A divide or remainder (the iterative divider holds EX).
+    #[inline]
+    pub fn is_div(self) -> bool {
+        self.flags & DIV != 0
+    }
+}
+
 impl PipelineModel {
-    /// Cycles charged for one retired instruction (excluding I-cache
-    /// effects, which the machine adds separately): 1 base cycle plus
-    /// hazard penalties.
+    /// Cycles charged for one retired instruction of class `class` — the
+    /// model's one cost rule (excluding I-cache effects, which the
+    /// machine adds separately): 1 base cycle plus hazard penalties.
     ///
     /// `taken` reports whether a conditional branch was taken;
-    /// `prev_load_dest` is the destination of the immediately preceding
-    /// instruction *if it was a load*.
+    /// `load_use` whether the instruction reads the destination of the
+    /// immediately preceding load. The sum is `u64`, so no penalty field
+    /// can overflow it; a zero `mul_cycles`/`div_cycles` costs one cycle.
+    #[inline]
+    pub fn slot_cycles(&self, class: TimingClass, taken: bool, load_use: bool) -> u64 {
+        let mut cycles = 1;
+        if load_use {
+            cycles += u64::from(self.load_use_penalty);
+        }
+        if class.is_branch() {
+            if taken {
+                cycles += u64::from(self.taken_branch_penalty);
+            }
+        } else if class.is_direct_jump() {
+            cycles += u64::from(self.direct_jump_penalty);
+        } else if class.is_indirect_jump() {
+            cycles += u64::from(self.indirect_jump_penalty);
+        }
+        if class.is_mul() {
+            cycles += u64::from(self.mul_cycles.saturating_sub(1));
+        } else if class.is_div() {
+            cycles += u64::from(self.div_cycles.saturating_sub(1));
+        }
+        if class.is_load() || class.is_store() {
+            cycles += u64::from(self.data_penalty);
+        }
+        cycles
+    }
+
+    /// [`PipelineModel::slot_cycles`] for an instruction not yet
+    /// classified: `prev_load_dest` is the destination of the immediately
+    /// preceding instruction *if it was a load*.
     pub fn instruction_cycles(
         &self,
         inst: &Instruction,
         taken: bool,
         prev_load_dest: Option<Reg>,
-    ) -> u32 {
-        let mut cycles = 1;
-        if let Some(dest) = prev_load_dest {
-            if inst.use_regs().contains(&dest) {
-                cycles += self.load_use_penalty;
-            }
-        }
-        if inst.is_branch() {
-            if taken {
-                cycles += self.taken_branch_penalty;
-            }
-        } else if inst.is_direct_jump() {
-            cycles += self.direct_jump_penalty;
-        } else if inst.is_indirect_jump() {
-            cycles += self.indirect_jump_penalty;
-        }
-        match inst {
-            Instruction::Mul { .. } => cycles += self.mul_cycles - 1,
-            Instruction::Div { .. }
-            | Instruction::Divu { .. }
-            | Instruction::Rem { .. }
-            | Instruction::Remu { .. } => cycles += self.div_cycles - 1,
-            _ => {}
-        }
-        if inst.is_load() || inst.is_store() {
-            cycles += self.data_penalty;
-        }
-        cycles
+    ) -> u64 {
+        let class = TimingClass::of(inst);
+        self.slot_cycles(class, taken, prev_load_dest.is_some_and(|d| class.reads(d)))
     }
 }
 

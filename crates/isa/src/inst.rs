@@ -405,8 +405,20 @@ impl Instruction {
         }
     }
 
-    /// The registers read by this instruction (at most two).
-    pub fn use_regs(&self) -> Vec<Reg> {
+    /// The registers read by this instruction: at most two, in operand
+    /// order, with `None` in the unused entries. Allocation-free, so the
+    /// pipeline can ask it per executed instruction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sofia_isa::{Instruction, Reg};
+    ///
+    /// let sw = Instruction::Sw { rt: Reg::T0, base: Reg::SP, offset: 4 };
+    /// assert_eq!(sw.use_regs(), [Some(Reg::T0), Some(Reg::SP)]);
+    /// assert_eq!(Instruction::Halt.use_regs(), [None, None]);
+    /// ```
+    pub const fn use_regs(&self) -> [Option<Reg>; 2] {
         use Instruction::*;
         match *self {
             Add { rs, rt, .. }
@@ -430,22 +442,24 @@ impl Instruction {
             | Blt { rs, rt, .. }
             | Bge { rs, rt, .. }
             | Bltu { rs, rt, .. }
-            | Bgeu { rs, rt, .. } => vec![rs, rt],
-            Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => vec![rt],
+            | Bgeu { rs, rt, .. } => [Some(rs), Some(rt)],
+            Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => [Some(rt), None],
             Addi { rs, .. }
             | Slti { rs, .. }
             | Sltiu { rs, .. }
             | Andi { rs, .. }
             | Ori { rs, .. }
-            | Xori { rs, .. } => vec![rs],
+            | Xori { rs, .. } => [Some(rs), None],
             Lb { base, .. }
             | Lbu { base, .. }
             | Lh { base, .. }
             | Lhu { base, .. }
-            | Lw { base, .. } => vec![base],
-            Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => vec![rt, base],
-            Jr { rs } | Jalr { rs, .. } => vec![rs],
-            Lui { .. } | J { .. } | Jal { .. } | Halt => vec![],
+            | Lw { base, .. } => [Some(base), None],
+            Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => {
+                [Some(rt), Some(base)]
+            }
+            Jr { rs } | Jalr { rs, .. } => [Some(rs), None],
+            Lui { .. } | J { .. } | Jal { .. } | Halt => [None, None],
         }
     }
 
