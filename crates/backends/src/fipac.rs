@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, Slot, SlotOutcome};
+use sofia_cpu::pipeline::BlockCost;
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
@@ -204,7 +205,7 @@ impl FetchUnit for FipacFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-    ) -> Result<Result<&[Slot], FipacViolation>, Trap> {
+    ) -> Result<Result<LentBatch<'_>, FipacViolation>, Trap> {
         self.batch.clear();
         let mut pc = self.next_target;
         if self.redirected {
@@ -254,7 +255,7 @@ impl FetchUnit for FipacFetch {
         }
         self.stats.batches += 1;
         self.redirected = false;
-        Ok(Ok(&self.batch))
+        Ok(Ok((&self.batch, BlockCost::of(&self.batch))))
     }
 
     fn retire(

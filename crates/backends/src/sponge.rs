@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, Slot, SlotOutcome};
+use sofia_cpu::pipeline::BlockCost;
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
@@ -202,7 +203,7 @@ impl FetchUnit for SpongeFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-    ) -> Result<Result<&[Slot], SpongeViolation>, Trap> {
+    ) -> Result<Result<LentBatch<'_>, SpongeViolation>, Trap> {
         self.batch.clear();
         let mut pc = self.next_target;
         if self.redirected {
@@ -247,7 +248,7 @@ impl FetchUnit for SpongeFetch {
         }
         self.stats.batches += 1;
         self.redirected = false;
-        Ok(Ok(&self.batch))
+        Ok(Ok((&self.batch, BlockCost::of(&self.batch))))
     }
 
     fn retire(

@@ -1432,13 +1432,13 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
     memo.insert(
         edge,
         &block,
-        CachedBlock {
-            base: block.base,
-            last_word_addr: block.last_word_addr(&image.format),
-            kind: block.path.kind(),
-            words_fetched: block.words_fetched,
-            slots: [].into(),
-        },
+        CachedBlock::new(
+            block.base,
+            block.last_word_addr(&image.format),
+            block.path.kind(),
+            block.words_fetched,
+            [].into(),
+        ),
     );
     let per_call = |f: &mut dyn FnMut()| {
         sampled(reps, || {

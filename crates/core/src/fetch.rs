@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{FetchCtx, FetchUnit, Slot, SlotOutcome};
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, Slot, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{mac, CounterBlock, ExpandedKeys, KeySet, Mac64, Nonce};
 use sofia_isa::Instruction;
@@ -501,13 +501,13 @@ impl SofiaFetchUnit {
         .map_err(LineRejection::Violation)?;
         let mut slots: Vec<Slot> = Vec::with_capacity(block.inst_words().len());
         decode_block_slots(&self.format, &block, |slot| slots.push(slot))?;
-        Ok(CachedBlock {
-            base: block.base,
-            last_word_addr: block.last_word_addr(&self.format),
-            kind: block.path.kind(),
-            words_fetched: block.words_fetched,
-            slots: slots.into(),
-        })
+        Ok(CachedBlock::new(
+            block.base,
+            block.last_word_addr(&self.format),
+            block.path.kind(),
+            block.words_fetched,
+            slots.into(),
+        ))
     }
 
     /// Accounting for a refill, whether the cipher ran or the memo
@@ -599,9 +599,12 @@ impl FetchUnit for SofiaFetchUnit {
     /// travel as `nop`s), so the engine adds only hazard penalties.
     const ISSUE_CHARGED_IN_FETCH: bool = true;
 
-    fn fetch_batch(&mut self, ctx: &mut FetchCtx<'_>) -> Result<Result<&[Slot], Violation>, Trap> {
+    fn fetch_batch(
+        &mut self,
+        ctx: &mut FetchCtx<'_>,
+    ) -> Result<Result<LentBatch<'_>, Violation>, Trap> {
         // Verified-block cache: a hit replays slots already decrypted,
-        // MAC-checked, decoded and classified for exactly this
+        // MAC-checked, decoded, classified and costed for exactly this
         // `(prevPC, PC)` edge, lent to the engine straight from the line —
         // no copy, no refcount traffic.
         let edge = (self.prev_pc, self.next_target);
@@ -612,12 +615,13 @@ impl FetchUnit for SofiaFetchUnit {
                 line.last_word_addr,
                 line.kind,
                 line.words_fetched,
-                line.slots.len(),
+                line.slots().len(),
             );
             self.account_hit(kind, words, len, ctx);
             self.cur_base = base;
             self.cur_last_word = last;
-            return Ok(Ok(&self.vcache.line(at).slots));
+            let line = self.vcache.line(at);
+            return Ok(Ok((line.slots(), line.cost())));
         } else if self.vcache.is_enabled() {
             self.stats.vcache_misses += 1;
         }
@@ -630,11 +634,12 @@ impl FetchUnit for SofiaFetchUnit {
                 Ok(hit.block.clone()),
                 "refill memo diverged from the cipher on edge {edge:#x?}"
             );
-            self.account_block(hit.block.kind, hit.fetched_addrs(), &hit.block.slots, ctx);
+            self.account_block(hit.block.kind, hit.fetched_addrs(), hit.block.slots(), ctx);
             self.slots.clear();
-            self.slots.extend_from_slice(&hit.block.slots);
+            self.slots.extend_from_slice(hit.block.slots());
+            let cost = hit.block.cost();
             self.enter_block(edge, hit.block);
-            return Ok(Ok(&self.slots));
+            return Ok(Ok((&self.slots, cost)));
         }
         let fetched = fetch_block(
             &mut |addr| ctx.mem.fetch(addr).ok(),
@@ -666,17 +671,18 @@ impl FetchUnit for SofiaFetchUnit {
         // rule — may the block enter the memo and the cache: nothing that
         // would trap or violate on the uncached path is ever replayable
         // from either.
-        let line = CachedBlock {
-            base: block.base,
-            last_word_addr: block.last_word_addr(&self.format),
-            kind: block.path.kind(),
-            words_fetched: block.words_fetched,
-            slots: Arc::from(self.slots.as_slice()),
-        };
-        self.account_block(line.kind, block.fetched_addrs(), &line.slots, ctx);
+        let line = CachedBlock::new(
+            block.base,
+            block.last_word_addr(&self.format),
+            block.path.kind(),
+            block.words_fetched,
+            Arc::from(self.slots.as_slice()),
+        );
+        let cost = line.cost();
+        self.account_block(line.kind, block.fetched_addrs(), line.slots(), ctx);
         self.memo.insert(edge, &block, line.clone());
         self.enter_block(edge, line);
-        Ok(Ok(&self.slots))
+        Ok(Ok((&self.slots, cost)))
     }
 
     /// Sequences the next fetch from the block's one exit: its last slot

@@ -89,13 +89,13 @@ impl MemoHit {
 ///     &mut |a| word(&rom, a), &keys.expand(), img.nonce, &img.format,
 ///     img.text_base, rom.len() as u32, edge.1, edge.0, true,
 /// )?;
-/// let line = CachedBlock {
-///     base: block.base,
-///     last_word_addr: block.last_word_addr(&img.format),
-///     kind: block.path.kind(),
-///     words_fetched: block.words_fetched,
-///     slots: [].into(),
-/// };
+/// let line = CachedBlock::new(
+///     block.base,
+///     block.last_word_addr(&img.format),
+///     block.path.kind(),
+///     block.words_fetched,
+///     [].into(),
+/// );
 /// let mut memo = RefillMemo::new(img.format);
 /// memo.insert(edge, &block, line);
 /// assert!(memo.lookup(edge, |a| word(&rom, a)).is_some());

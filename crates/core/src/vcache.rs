@@ -28,10 +28,16 @@
 //! I-cache walk and the decrypt-pipeline refill, charging only the
 //! block's issue slots plus a configurable hit latency — which is the
 //! whole point: hot loops stop paying MAC+CTR on every iteration.
+//!
+//! Host-wise a hit finds its set without a divide: the set index is
+//! `hash % sets`, computed exactly by a multiply with a constant fixed
+//! when the cache is built (Lemire's fastmod), so every edge lands in
+//! the set it always did.
 
 use std::sync::Arc;
 
 use sofia_cpu::fetch::Slot;
+use sofia_cpu::pipeline::BlockCost;
 use sofia_transform::BlockKind;
 
 /// Geometry and policy of the verified-block cache.
@@ -126,7 +132,8 @@ impl VCacheStats {
 
 /// A verified block as the cache stores it: the decoded instruction
 /// slots (already past the SI check, the decoder and the store-position
-/// rule) plus the sequencing facts the fetch unit needs on a hit.
+/// rule) and their [`BlockCost`], plus the sequencing facts the fetch
+/// unit needs on a hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedBlock {
     /// Base address of the block.
@@ -142,7 +149,43 @@ pub struct CachedBlock {
     /// lends them to the engine by reference
     /// ([`sofia_cpu::FetchUnit::fetch_batch`]); the `Arc` only lets the
     /// refill memo and the cache share one copy of a line.
-    pub slots: Arc<[Slot]>,
+    slots: Arc<[Slot]>,
+    /// `BlockCost::of(slots)`, summed once at decode; a hit lends it
+    /// with the slots.
+    cost: BlockCost,
+}
+
+impl CachedBlock {
+    /// A line for `slots`, decoded from the block at `base` whose last
+    /// word is `last_word_addr`; its [`BlockCost`] is summed here, once.
+    pub fn new(
+        base: u32,
+        last_word_addr: u32,
+        kind: BlockKind,
+        words_fetched: u32,
+        slots: Arc<[Slot]>,
+    ) -> CachedBlock {
+        CachedBlock {
+            base,
+            last_word_addr,
+            kind,
+            words_fetched,
+            cost: BlockCost::of(&slots),
+            slots,
+        }
+    }
+
+    /// The decoded, classified instruction slots, in issue order.
+    #[inline]
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// The slots' static pipeline cost.
+    #[inline]
+    pub fn cost(&self) -> BlockCost {
+        self.cost
+    }
 }
 
 /// Where a resident line sits, as [`VCache::lookup`] found it. It stays
@@ -170,13 +213,7 @@ struct Line {
 /// use sofia_transform::BlockKind;
 ///
 /// let mut c = VCache::new(VCacheConfig::enabled(4, 2));
-/// let block = CachedBlock {
-///     base: 0x40,
-///     last_word_addr: 0x5C,
-///     kind: BlockKind::Exec,
-///     words_fetched: 8,
-///     slots: [].into(),
-/// };
+/// let block = CachedBlock::new(0x40, 0x5C, BlockKind::Exec, 8, [].into());
 /// c.insert((0x1C, 0x40), block);
 /// let at = c.lookup(0x1C, 0x40).expect("the sealed edge hits");
 /// assert_eq!(c.line(at).base, 0x40);
@@ -186,8 +223,26 @@ struct Line {
 pub struct VCache {
     config: VCacheConfig,
     sets: Vec<Vec<Line>>,
+    /// [`fastmod_magic`] of the set count (0 when disabled).
+    set_magic: u64,
     tick: u64,
     stats: VCacheStats,
+}
+
+/// The constant [`fastmod`] divides by `d` with: `⌈2⁶⁴ / d⌉`, which
+/// wraps to 0 for `d = 1`.
+fn fastmod_magic(d: u32) -> u64 {
+    (u64::MAX / u64::from(d)).wrapping_add(1)
+}
+
+/// `h % d` without a divide, exact for every `u32` pair (Lemire, Kaser
+/// and Kurz, "Faster Remainder by Direct Computation", 2019): the low 64
+/// bits of `magic · h` are the fraction `h / d` scaled by 2⁶⁴, and the
+/// high half of that fraction times `d` is the remainder.
+#[inline]
+fn fastmod(h: u32, magic: u64, d: u32) -> u32 {
+    let fraction = magic.wrapping_mul(u64::from(h));
+    ((u128::from(fraction) * u128::from(d)) >> 64) as u32
 }
 
 impl VCache {
@@ -198,15 +253,20 @@ impl VCache {
     ///
     /// Panics on an invalid geometry (see [`VCacheConfig::validate`]).
     pub fn new(config: VCacheConfig) -> VCache {
-        let sets = if config.enabled {
+        let (sets, set_magic) = if config.enabled {
             config.validate();
-            vec![Vec::with_capacity(config.ways as usize); config.sets() as usize]
+            let sets = config.sets();
+            (
+                vec![Vec::with_capacity(config.ways as usize); sets as usize],
+                fastmod_magic(sets),
+            )
         } else {
-            Vec::new()
+            (Vec::new(), 0)
         };
         VCache {
             config,
             sets,
+            set_magic,
             tick: 0,
             stats: VCacheStats::default(),
         }
@@ -227,6 +287,7 @@ impl VCache {
         self.stats
     }
 
+    #[inline]
     fn set_index(&self, key: (u32, u32)) -> usize {
         // Word-granular addresses: drop the always-zero low bits, then
         // run the combined edge through a full-avalanche mixer (the
@@ -241,7 +302,7 @@ impl VCache {
         h ^= h >> 15;
         h = h.wrapping_mul(0x846C_A68B);
         h ^= h >> 16;
-        (h as usize) % self.sets.len()
+        fastmod(h, self.set_magic, self.sets.len() as u32) as usize
     }
 
     /// Looks up the edge `(prev_pc, target)`, updating LRU order and the
@@ -399,13 +460,7 @@ mod tests {
     use super::*;
 
     fn block(base: u32) -> CachedBlock {
-        CachedBlock {
-            base,
-            last_word_addr: base + 28,
-            kind: BlockKind::Exec,
-            words_fetched: 8,
-            slots: [].into(),
-        }
+        CachedBlock::new(base, base + 28, BlockKind::Exec, 8, [].into())
     }
 
     #[test]
@@ -478,6 +533,32 @@ mod tests {
         let fanin = spread((0..64).map(|i| (0x100 + 32 * i, 0x1C)).collect());
         assert!(fanout >= 8, "64 successor edges hit only {fanout} sets");
         assert!(fanin >= 8, "64 caller edges hit only {fanin} sets");
+    }
+
+    #[test]
+    fn the_set_index_is_the_remainder() {
+        // Every set count a decodable snapshot can configure (one way per
+        // set at most `MAX_VCACHE_ENTRIES` sets), against random hashes
+        // and the boundaries of each divisor.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        for d in 1..=crate::snapshot::MAX_VCACHE_ENTRIES {
+            let magic = fastmod_magic(d);
+            let boundaries = [0, 1, d - 1, d, d.wrapping_add(1), 2 * d, u32::MAX];
+            let multiples = [u32::MAX / d * d, (u32::MAX / d - 1) * d];
+            let hashes = boundaries
+                .into_iter()
+                .chain(multiples)
+                .chain((0..4).map(|_| random()));
+            for h in hashes {
+                assert_eq!(fastmod(h, magic, d), h % d, "{h} % {d}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::exec::{execute, Effect, RegFile};
 use crate::fetch::{FetchCtx, FetchUnit, SlotOutcome};
 use crate::icache::{ICache, ICacheConfig, ICacheStats};
 use crate::mem::{Memory, Mmio};
-use crate::pipeline::{PipelineModel, TimingClass};
+use crate::pipeline::{BlockCost, PipelineModel};
 use crate::stats::ExecStats;
 use crate::Trap;
 
@@ -230,8 +230,14 @@ impl<F: FetchUnit> Pipeline<F> {
     }
 
     /// Fetches one batch from the fetch unit and executes its slots
-    /// straight from the slice the unit lends, then reports the batch's
-    /// exit to the unit once ([`FetchUnit::retire`]).
+    /// straight from the slice the unit lends, then charges the batch's
+    /// pipeline cost and reports its exit to the unit, once each
+    /// ([`FetchUnit::retire`]).
+    ///
+    /// A batch that retires its last slot is charged the [`BlockCost`]
+    /// the unit lent with it. One that ends early — a trap, or a halt or
+    /// transfer before its last slot — is charged by the same rule for
+    /// the prefix that ran.
     ///
     /// Violations are returned, not acted upon: the caller applies its
     /// reset policy (and [`Pipeline::force_halt`] / [`Pipeline::reset`]).
@@ -251,8 +257,8 @@ impl<F: FetchUnit> Pipeline<F> {
             icache: &mut self.icache,
             stats: &mut self.stats,
         };
-        let slots = match self.fetch.fetch_batch(&mut ctx)? {
-            Ok(slots) => slots,
+        let (slots, cost) = match self.fetch.fetch_batch(&mut ctx)? {
+            Ok(batch) => batch,
             Err(v) => {
                 return Ok(BatchStep {
                     executed_slots: 0,
@@ -261,40 +267,64 @@ impl<F: FetchUnit> Pipeline<F> {
             }
         };
         // The slots stay borrowed from the fetch unit for the whole loop,
-        // which touches only the architectural state and the counters.
+        // which touches only the architectural state; the counters are
+        // charged once, after it.
         let len = slots.len();
-        let mut executed = 0u64;
+        let entry_load_use = match (slots.first(), self.prev_load_dest) {
+            (Some(first), Some(dest)) => first.class().reads(dest),
+            _ => false,
+        };
+        let mut ran = len;
         let mut exit = None;
+        let mut taken_last = false;
+        let mut trap = None;
         for (i, slot) in slots.iter().enumerate() {
-            let effect = execute(slot.inst(), slot.pc(), &mut self.regs, &mut self.mem)?;
-            executed += 1;
-            let class = slot.class();
-            let taken = class.is_branch() && matches!(effect, Effect::Jump { .. });
-            let load_use = self.prev_load_dest.is_some_and(|dest| class.reads(dest));
-            account::<F>(&mut self.stats, &self.model, class, taken, load_use);
-            self.prev_load_dest = class.load_dest();
-            match effect {
-                Effect::Next if i + 1 == len => {
-                    exit = Some((slot.pc(), i, SlotOutcome::Sequential));
-                }
-                Effect::Next => {}
-                Effect::Jump { target } => {
+            match execute(slot.inst(), slot.pc(), &mut self.regs, &mut self.mem) {
+                Ok(Effect::Next) => continue,
+                Ok(Effect::Jump { target }) => {
+                    ran = i + 1;
+                    taken_last = slot.class().is_branch();
                     exit = Some((slot.pc(), i, SlotOutcome::Transfer { target }));
-                    break;
                 }
-                Effect::Halt => {
+                Ok(Effect::Halt) => {
+                    ran = i + 1;
                     self.halted = true;
-                    self.stats.cycles += self.model.drain_cycles as u64;
-                    break;
+                    self.stats.cycles += u64::from(self.model.drain_cycles);
+                }
+                Err(t) => {
+                    ran = i;
+                    trap = Some(t);
                 }
             }
+            break;
+        }
+        if let Some(last) = slots[..ran].last() {
+            let cost = if ran == len {
+                cost
+            } else {
+                BlockCost::of(&slots[..ran])
+            };
+            charge::<F>(
+                &mut self.stats,
+                &self.model,
+                &cost,
+                taken_last,
+                entry_load_use,
+            );
+            self.prev_load_dest = last.class().load_dest();
+            if ran == len && exit.is_none() && !self.halted {
+                exit = Some((last.pc(), len - 1, SlotOutcome::Sequential));
+            }
+        }
+        if let Some(t) = trap {
+            return Err(t);
         }
         let violation = match exit {
             Some((pc, i, outcome)) => self.fetch.retire(pc, i, len, outcome).err(),
             None => None,
         };
         Ok(BatchStep {
-            executed_slots: executed,
+            executed_slots: ran as u64,
             violation,
         })
     }
@@ -500,36 +530,38 @@ impl<F: FetchUnit> Pipeline<F> {
     }
 }
 
-/// Charges one retired slot of class `class` to `stats`.
+/// Charges the retired slots `cost` summarises to `stats`, in one step:
+/// `taken_last` and `entry_load_use` as in
+/// [`PipelineModel::batch_cycles`].
 #[inline]
-fn account<F: FetchUnit>(
+fn charge<F: FetchUnit>(
     stats: &mut ExecStats,
     model: &PipelineModel,
-    class: TimingClass,
-    taken: bool,
-    load_use: bool,
+    cost: &BlockCost,
+    taken_last: bool,
+    entry_load_use: bool,
 ) {
-    stats.instret += 1;
-    let cycles = model.slot_cycles(class, taken, load_use);
+    let cycles = model.batch_cycles(cost, taken_last, entry_load_use);
+    stats.instret += cost.slots();
     // Block-structured fetch units already charge one issue slot per
     // fetched word; only the hazard penalties remain.
     stats.cycles += if F::ISSUE_CHARGED_IN_FETCH {
-        cycles - 1
+        cycles - cost.slots()
     } else {
         cycles
     };
-    stats.branches += class.is_branch() as u64;
-    stats.taken_branches += taken as u64;
-    stats.loads += class.is_load() as u64;
-    stats.stores += class.is_store() as u64;
-    stats.calls += class.is_call() as u64;
-    stats.load_use_stalls += load_use as u64;
+    stats.branches += cost.branches();
+    stats.taken_branches += u64::from(taken_last);
+    stats.loads += cost.loads();
+    stats.stores += cost.stores();
+    stats.calls += cost.calls();
+    stats.load_use_stalls += cost.load_use_pairs() + u64::from(entry_load_use);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::{NoViolation, PlainFetch, Slot};
+    use crate::fetch::{LentBatch, NoViolation, PlainFetch, Slot};
     use crate::mem::{Width, RAM_PAGE};
     use sofia_isa::Instruction;
 
@@ -609,8 +641,8 @@ mod tests {
         fn fetch_batch(
             &mut self,
             _ctx: &mut FetchCtx<'_>,
-        ) -> Result<Result<&[Slot], NoViolation>, Trap> {
-            Ok(Ok(&self.slots))
+        ) -> Result<Result<LentBatch<'_>, NoViolation>, Trap> {
+            Ok(Ok((&self.slots, BlockCost::of(&self.slots))))
         }
 
         fn retire(

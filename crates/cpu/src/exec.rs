@@ -109,6 +109,7 @@ pub enum Effect {
 /// assert_eq!(regs.get(Reg::T0), 5);
 /// # Ok::<(), sofia_cpu::Trap>(())
 /// ```
+#[inline]
 pub fn execute(
     inst: &Instruction,
     pc: u32,

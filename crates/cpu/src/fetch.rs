@@ -15,7 +15,7 @@ use sofia_isa::Instruction;
 
 use crate::icache::ICache;
 use crate::mem::Memory;
-use crate::pipeline::TimingClass;
+use crate::pipeline::{BlockCost, TimingClass};
 use crate::stats::ExecStats;
 use crate::Trap;
 
@@ -77,6 +77,10 @@ impl Slot {
     }
 }
 
+/// What [`FetchUnit::fetch_batch`] lends the engine: the batch's slots
+/// and their [`BlockCost`].
+pub type LentBatch<'a> = (&'a [Slot], BlockCost);
+
 /// How an executed batch exited, reported back to the fetch unit so it
 /// can sequence the next batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,8 +104,8 @@ pub enum NoViolation {}
 /// The unit owns all sequencing state (program counter or block cursor)
 /// and all security state; the engine owns the architectural state. Per
 /// step the engine asks for a batch, executes its slots straight from the
-/// slice the unit lends it, and reports how the batch exited once, via
-/// [`FetchUnit::retire`].
+/// slice the unit lends it, charges the batch's pipeline cost once, and
+/// reports how the batch exited once, via [`FetchUnit::retire`].
 pub trait FetchUnit {
     /// The security-violation type this unit can detect.
     /// [`NoViolation`] (uninhabited) for unchecked fetch.
@@ -110,14 +114,20 @@ pub trait FetchUnit {
     /// Whether the unit already charges one issue cycle per delivered
     /// slot while fetching (block-structured units charge per fetched
     /// word, MAC/pad words included). When `true` the engine charges only
-    /// hazard penalties per retired instruction instead of the full
-    /// base-plus-hazard cost.
+    /// a batch's hazard penalties instead of its full base-plus-hazard
+    /// cost.
     const ISSUE_CHARGED_IN_FETCH: bool = false;
 
     /// Fetches and decodes the next batch, charging fetch-path cycles
     /// through `ctx`, and lends the engine its slots until the unit is
-    /// next used. The slice may point into the unit's own buffer or
-    /// straight at a cached line: the engine only reads it.
+    /// next used, together with their [`BlockCost`] — summed when the
+    /// slots were decoded, and kept beside them wherever the unit caches
+    /// them, so a replayed batch sums nothing again. The slice may point
+    /// into the unit's own buffer or straight at a cached line: the
+    /// engine only reads it. A batch holds at most
+    /// [`crate::pipeline::MAX_BATCH_SLOTS`] slots, and its cost must be
+    /// `BlockCost::of` its slots: the engine charges it whole when the
+    /// batch retires its last slot.
     ///
     /// Returns `Ok(Err(violation))` when the unit refuses to deliver the
     /// batch (tampered code, forged edge, …) — the engine executes
@@ -130,7 +140,7 @@ pub trait FetchUnit {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-    ) -> Result<Result<&[Slot], Self::Violation>, Trap>;
+    ) -> Result<Result<LentBatch<'_>, Self::Violation>, Trap>;
 
     /// Reports how the batch exited, once per batch: slot `slot` (of
     /// `batch_len`) at address `pc` either fell through as the last slot
@@ -190,7 +200,7 @@ impl FetchUnit for PlainFetch {
     fn fetch_batch(
         &mut self,
         ctx: &mut FetchCtx<'_>,
-    ) -> Result<Result<&[Slot], NoViolation>, Trap> {
+    ) -> Result<Result<LentBatch<'_>, NoViolation>, Trap> {
         let pc = self.pc;
         let stall = ctx.icache.access_cycles(pc) as u64;
         ctx.stats.icache_stall_cycles += stall;
@@ -199,7 +209,8 @@ impl FetchUnit for PlainFetch {
         let inst = Instruction::decode(word)
             .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
         self.slot = Slot::new(pc, inst);
-        Ok(Ok(std::slice::from_ref(&self.slot)))
+        let slots = std::slice::from_ref(&self.slot);
+        Ok(Ok((slots, BlockCost::of(slots))))
     }
 
     fn retire(

@@ -49,6 +49,6 @@ mod trap;
 pub use engine::{
     BatchStep, CoreState, CoreStateError, Disposition, EngineOutcome, MachineConfig, Pipeline,
 };
-pub use fetch::{FetchCtx, FetchUnit, NoViolation, PlainFetch, Slot, SlotOutcome};
+pub use fetch::{FetchCtx, FetchUnit, LentBatch, NoViolation, PlainFetch, Slot, SlotOutcome};
 pub use stats::ExecStats;
 pub use trap::Trap;

@@ -11,8 +11,16 @@
 //!   dependent consumer;
 //! * iterative multiply/divide hold EX for several cycles;
 //! * instruction-cache misses stall IF for the refill penalty.
+//!
+//! Everything but two of those terms is static per instruction, so a
+//! batch's cost is summed once, when it is decoded ([`BlockCost`]), and
+//! charged once, when it exits ([`PipelineModel::batch_cycles`]). Only
+//! the first slot's load-use bubble and the last slot's taken branch
+//! depend on the run.
 
 use sofia_isa::{Instruction, Reg};
+
+use crate::fetch::Slot;
 
 /// The seven pipeline stages, in order.
 pub const STAGES: [&str; 7] = ["IF", "ID", "OF", "EX", "MA", "XC", "WB"];
@@ -85,6 +93,10 @@ const NO_REG: u8 = u8::MAX;
 /// instruction again: the registers it reads, the register it loads
 /// into, and one flag bit per class. Four bytes.
 ///
+/// The cost rule tells a conditional branch, a direct jump and an
+/// indirect jump apart in that order, and a multiply before a divide, so
+/// an instruction carries at most one flag of each group.
+///
 /// # Examples
 ///
 /// ```
@@ -132,8 +144,11 @@ impl TimingClass {
             reads: [reg(a), reg(b)],
             load_dest,
             flags: flag(inst.is_branch(), BRANCH)
-                | flag(inst.is_direct_jump(), DIRECT_JUMP)
-                | flag(inst.is_indirect_jump(), INDIRECT_JUMP)
+                | flag(!inst.is_branch() && inst.is_direct_jump(), DIRECT_JUMP)
+                | flag(
+                    !inst.is_branch() && !inst.is_direct_jump() && inst.is_indirect_jump(),
+                    INDIRECT_JUMP,
+                )
                 | flag(inst.is_load(), LOAD)
                 | flag(inst.is_store(), STORE)
                 | flag(inst.is_call(), CALL)
@@ -213,39 +228,178 @@ impl TimingClass {
     }
 }
 
-impl PipelineModel {
-    /// Cycles charged for one retired instruction of class `class` — the
-    /// model's one cost rule (excluding I-cache effects, which the
-    /// machine adds separately): 1 base cycle plus hazard penalties.
+/// Most slots one [`BlockCost`] can summarise — more than any fetch unit
+/// delivers in one batch (SOFIA blocks hold at most
+/// `sofia_transform::MAX_BLOCK_WORDS` words).
+pub const MAX_BATCH_SLOTS: usize = u8::MAX as usize;
+
+/// The static pipeline cost of one batch of slots: how many of its slots
+/// carry each [`TimingClass`] flag, and how many read the register the
+/// slot before them loaded. It is independent of the [`PipelineModel`],
+/// so it is built once, when the batch is decoded ([`BlockCost::of`]),
+/// and a verified-block-cache or refill-memo line keeps it beside its
+/// slots. Ten bytes.
+///
+/// # Examples
+///
+/// ```
+/// use sofia_cpu::fetch::Slot;
+/// use sofia_cpu::pipeline::{BlockCost, PipelineModel};
+/// use sofia_isa::{Instruction, Reg};
+///
+/// let lw = Instruction::Lw { rt: Reg::T0, base: Reg::SP, offset: 0 };
+/// let add = Instruction::Add { rd: Reg::T1, rs: Reg::T0, rt: Reg::T0 };
+/// let cost = BlockCost::of(&[Slot::new(0x100, lw), Slot::new(0x104, add)]);
+/// assert_eq!((cost.slots(), cost.loads(), cost.load_use_pairs()), (2, 1, 1));
+/// // Two issue cycles plus the load-use bubble inside the batch.
+/// assert_eq!(PipelineModel::default().batch_cycles(&cost, false, false), 3);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct BlockCost {
+    /// Byte `i` counts the slots carrying flag bit `i`, so a slot adds
+    /// its flags to all eight counts in one `u64` add ([`spread`]); no
+    /// count exceeds [`MAX_BATCH_SLOTS`], so no add carries into the next
+    /// byte.
+    classes: [u8; 8],
+    slots: u8,
+    load_use_pairs: u8,
+}
+
+// Verified-block-cache and refill-memo lines keep one per line.
+const _: () = assert!(std::mem::size_of::<BlockCost>() <= 16);
+
+/// The byte lanes of [`BlockCost::classes`] whose class has a penalty of
+/// its own in the cost rule: jumps, loads, stores, multiplies, divides.
+const PENALISED: u64 = u64::from_le_bytes([0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0xFF, 0xFF]);
+
+/// `flags` with bit `i` moved to the low bit of byte `i`: replicate the
+/// byte into every lane, keep bit `i` in lane `i`, and carry each kept
+/// bit to its lane's top bit, which the shift then brings down.
+#[inline]
+fn spread(flags: u8) -> u64 {
+    let kept = (u64::from(flags) * 0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    ((kept + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101
+}
+
+impl BlockCost {
+    /// Sums the static cost of `slots`, in issue order.
     ///
-    /// `taken` reports whether a conditional branch was taken;
-    /// `load_use` whether the instruction reads the destination of the
-    /// immediately preceding load. The sum is `u64`, so no penalty field
-    /// can overflow it; a zero `mul_cycles`/`div_cycles` costs one cycle.
+    /// # Panics
+    ///
+    /// Panics if `slots` holds more than [`MAX_BATCH_SLOTS`] slots.
     #[inline]
-    pub fn slot_cycles(&self, class: TimingClass, taken: bool, load_use: bool) -> u64 {
-        let mut cycles = 1;
-        if load_use {
-            cycles += u64::from(self.load_use_penalty);
+    pub fn of(slots: &[Slot]) -> BlockCost {
+        assert!(
+            slots.len() <= MAX_BATCH_SLOTS,
+            "a batch holds at most {MAX_BATCH_SLOTS} slots, not {}",
+            slots.len()
+        );
+        let mut classes = 0u64;
+        let mut load_use_pairs = 0;
+        let mut prev_load_dest = None;
+        for slot in slots {
+            let class = slot.class();
+            classes += spread(class.flags);
+            load_use_pairs += u8::from(prev_load_dest.is_some_and(|d| class.reads(d)));
+            prev_load_dest = class.load_dest();
         }
-        if class.is_branch() {
-            if taken {
-                cycles += u64::from(self.taken_branch_penalty);
-            }
-        } else if class.is_direct_jump() {
-            cycles += u64::from(self.direct_jump_penalty);
-        } else if class.is_indirect_jump() {
-            cycles += u64::from(self.indirect_jump_penalty);
+        BlockCost {
+            classes: classes.to_le_bytes(),
+            slots: slots.len() as u8,
+            load_use_pairs,
         }
-        if class.is_mul() {
-            cycles += u64::from(self.mul_cycles.saturating_sub(1));
-        } else if class.is_div() {
-            cycles += u64::from(self.div_cycles.saturating_sub(1));
-        }
-        if class.is_load() || class.is_store() {
-            cycles += u64::from(self.data_penalty);
+    }
+
+    /// The slots carrying `flag`.
+    #[inline]
+    fn count(&self, flag: u8) -> u64 {
+        self.classes[flag.trailing_zeros() as usize].into()
+    }
+
+    /// Slots in the batch.
+    #[inline]
+    pub fn slots(&self) -> u64 {
+        self.slots.into()
+    }
+
+    /// Conditional branches.
+    #[inline]
+    pub fn branches(&self) -> u64 {
+        self.count(BRANCH)
+    }
+
+    /// Loads.
+    #[inline]
+    pub fn loads(&self) -> u64 {
+        self.count(LOAD)
+    }
+
+    /// Stores.
+    #[inline]
+    pub fn stores(&self) -> u64 {
+        self.count(STORE)
+    }
+
+    /// Calls (`jal`/`jalr`).
+    #[inline]
+    pub fn calls(&self) -> u64 {
+        self.count(CALL)
+    }
+
+    /// Slots that read the register the slot before them loaded: the
+    /// load-use bubbles inside the batch. Whether the first slot reads
+    /// what the previous batch loaded is a fact of the run, not of the
+    /// batch.
+    #[inline]
+    pub fn load_use_pairs(&self) -> u64 {
+        self.load_use_pairs.into()
+    }
+}
+
+impl PipelineModel {
+    /// Cycles charged for a batch that retired every slot `cost`
+    /// summarises — the model's one cost rule (excluding I-cache effects,
+    /// which the machine adds separately): 1 base cycle per slot plus
+    /// hazard penalties.
+    ///
+    /// `taken_last` reports whether the batch's last slot is a conditional
+    /// branch that was taken (a taken branch ends a batch, so no other
+    /// slot can be one); `entry_load_use` whether its first slot reads the
+    /// destination of the load retired just before the batch. The sum is
+    /// `u64`, so no penalty field can overflow it; a zero
+    /// `mul_cycles`/`div_cycles` costs one cycle.
+    #[inline]
+    pub fn batch_cycles(&self, cost: &BlockCost, taken_last: bool, entry_load_use: bool) -> u64 {
+        let times = |count: u64, cycles: u32| count * u64::from(cycles);
+        let mut cycles = cost.slots()
+            + times(
+                cost.load_use_pairs() + u64::from(entry_load_use),
+                self.load_use_penalty,
+            )
+            + times(taken_last.into(), self.taken_branch_penalty);
+        // Batches of ALU ops and branches alone skip the other terms.
+        if u64::from_le_bytes(cost.classes) & PENALISED != 0 {
+            cycles += times(cost.count(DIRECT_JUMP), self.direct_jump_penalty)
+                + times(cost.count(INDIRECT_JUMP), self.indirect_jump_penalty)
+                + times(cost.count(MUL), self.mul_cycles.saturating_sub(1))
+                + times(cost.count(DIV), self.div_cycles.saturating_sub(1))
+                + times(cost.loads() + cost.stores(), self.data_penalty);
         }
         cycles
+    }
+
+    /// [`PipelineModel::batch_cycles`] for one slot of class `class`:
+    /// `taken` reports whether a conditional branch was taken, `load_use`
+    /// whether the slot reads the destination of the immediately
+    /// preceding load.
+    #[inline]
+    pub fn slot_cycles(&self, class: TimingClass, taken: bool, load_use: bool) -> u64 {
+        let cost = BlockCost {
+            classes: spread(class.flags).to_le_bytes(),
+            slots: 1,
+            load_use_pairs: 0,
+        };
+        self.batch_cycles(&cost, taken && class.is_branch(), load_use)
     }
 
     /// [`PipelineModel::slot_cycles`] for an instruction not yet

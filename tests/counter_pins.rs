@@ -6,13 +6,18 @@
 //! statistics. Every `Scale::Test` kernel runs on five machines —
 //! vanilla, SOFIA with the verified-block cache off and on, sponge-CFP
 //! and FIPAC — and each run's counters are one line of
-//! `counter_pins.txt`. A host-speed change to the engine or a fetch
-//! unit must leave that file's lines unchanged.
+//! `counter_pins.txt`. The vanilla and cached SOFIA runs repeat under
+//! [`PipelineModel::paper_memory`], whose data-memory wait states the
+//! default model leaves at zero, so the load/store penalty is pinned
+//! too. A host-speed change to the engine or a fetch unit must leave
+//! that file's lines unchanged.
 
 use sofia::backends::{FipacMachine, SpongeMachine};
 use sofia::core::machine::SofiaMachine;
 use sofia::core::{SofiaConfig, VCacheConfig};
+use sofia::cpu::engine::MachineConfig;
 use sofia::cpu::machine::VanillaMachine;
+use sofia::cpu::pipeline::PipelineModel;
 use sofia::crypto::{KeySet, Nonce};
 use sofia::transform::{install_fipac, seal_sponge};
 use sofia_workloads::{suite, Scale};
@@ -21,7 +26,9 @@ const FUEL: u64 = 200_000_000;
 
 const PINS: &str = include_str!("counter_pins.txt");
 
-/// One line per `(machine, kernel)` run, in suite order per machine.
+/// One line per `(machine, kernel)` run, in suite order per machine:
+/// the five machines under the default model, then vanilla and cached
+/// SOFIA under the paper's memory model.
 fn counter_lines() -> Vec<String> {
     let keys = KeySet::from_seed(0xC0DE);
     let mut lines = Vec::new();
@@ -80,6 +87,38 @@ fn counter_lines() -> Vec<String> {
             m.stats(),
             m.icache_stats(),
             m.fetch().stats()
+        ));
+    }
+
+    let machine = MachineConfig {
+        pipeline: PipelineModel::paper_memory(),
+        ..MachineConfig::default()
+    };
+    for w in suite(Scale::Test) {
+        let mut vm = VanillaMachine::with_config(&w.assembly(), &machine);
+        assert!(vm.run(FUEL).unwrap().is_halted(), "{}", w.name);
+        assert_eq!(vm.mem().mmio.out_words, w.expected, "{}", w.name);
+        lines.push(format!(
+            "vanilla@paper_memory {} {:?} {:?}",
+            w.name,
+            vm.stats(),
+            vm.icache_stats()
+        ));
+
+        let config = SofiaConfig {
+            machine,
+            vcache: VCacheConfig::enabled(256, 8),
+            ..SofiaConfig::default()
+        };
+        let mut m = SofiaMachine::with_config(&w.secure_image(&keys), &keys, &config);
+        assert!(m.run(FUEL).unwrap().is_halted(), "{}", w.name);
+        assert_eq!(m.mem().mmio.out_words, w.expected, "{}", w.name);
+        lines.push(format!(
+            "sofia+vcache@paper_memory {} {:?} {:?} {:?}",
+            w.name,
+            m.stats(),
+            m.icache_stats(),
+            m.vcache_stats()
         ));
     }
     lines
