@@ -95,6 +95,16 @@ pub fn fault_inject_sofia_with(
     config: &SofiaConfig,
     target_offset_blocks: usize,
 ) -> Verdict {
+    classify_sofia_run(fault_injected_sofia(keys, config, target_offset_blocks))
+}
+
+/// The machine [`fault_inject_sofia_with`] attacks: its first block run
+/// and its next fetch redirected.
+pub(crate) fn fault_injected_sofia(
+    keys: &KeySet,
+    config: &SofiaConfig,
+    target_offset_blocks: usize,
+) -> SofiaMachine {
     let module = asm::parse(&rop_victim()).expect("victim parses");
     let image = Transformer::new(keys.clone())
         .transform(&module)
@@ -103,7 +113,7 @@ pub fn fault_inject_sofia_with(
     let _ = m.step_block().expect("first block runs");
     let target = image.text_base + (target_offset_blocks as u32) * image.format.block_bytes();
     m.hijack_next_target(target);
-    classify_sofia_run(m)
+    m
 }
 
 /// The same fault injection against the vanilla machine: execution simply

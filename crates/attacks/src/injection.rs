@@ -84,6 +84,15 @@ pub fn inject_sofia_with(
     config: &SofiaConfig,
     plaintext_overwrite: bool,
 ) -> Verdict {
+    classify_sofia_run(tampered_sofia(keys, config, plaintext_overwrite))
+}
+
+/// The machine [`inject_sofia_with`] attacks, tampered and not yet run.
+pub(crate) fn tampered_sofia(
+    keys: &KeySet,
+    config: &SofiaConfig,
+    plaintext_overwrite: bool,
+) -> SofiaMachine {
     let module = asm::parse(&control_loop_victim(8)).expect("victim parses");
     let image = Transformer::new(keys.clone())
         .transform(&module)
@@ -109,7 +118,7 @@ pub fn inject_sofia_with(
     } else {
         m.mem_mut().rom_mut()[idx] ^= evil_diff();
     }
-    classify_sofia_run(m)
+    m
 }
 
 /// Decrypts the interior (sequentially chained) words of an image sealed

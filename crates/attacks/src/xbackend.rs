@@ -24,7 +24,9 @@
 
 use std::fmt;
 
-use sofia_backends::{BackendMachine, BackendOutcome, FipacMachine, SpongeMachine};
+use sofia_backends::{BackendConfig, FipacFetch, FipacMachine, SpongeFetch, SpongeMachine};
+use sofia_core::machine::{Machine, RunOutcome};
+use sofia_core::SofiaConfig;
 use sofia_cpu::FetchUnit;
 use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm;
@@ -32,7 +34,7 @@ use sofia_isa::{Instruction, Reg};
 use sofia_transform::{install_fipac, seal_sponge};
 
 use crate::victims::{control_loop_victim, rop_victim, EVIL_VALUE, SAFE_VALUE};
-use crate::{hijack, injection, Verdict, FUEL};
+use crate::{hijack, injection, FUEL};
 
 /// The outcome of one attack against one backend, ordered roughly from
 /// best (for the defender) to worst.
@@ -102,8 +104,9 @@ pub struct XRow {
     pub fipac: XVerdict,
 }
 
-/// Classifies a finished backend run by observable effect.
-fn classify<F>(mut m: BackendMachine<F>) -> XVerdict
+/// Runs any machine — SOFIA, sponge or FIPAC — and classifies the run
+/// by observable effect.
+fn classify<F>(mut m: Machine<F>) -> XVerdict
 where
     F: FetchUnit,
     F::Violation: fmt::Display,
@@ -111,30 +114,18 @@ where
     let outcome = m.run(FUEL);
     let evil = m.mem().mmio.actuator_writes.contains(&EVIL_VALUE);
     match outcome {
-        Ok(BackendOutcome::ViolationStop(v)) if evil => XVerdict::CompromisedFlagged(v.to_string()),
-        Ok(BackendOutcome::ViolationStop(v)) => XVerdict::Detected(v.to_string()),
-        Ok(BackendOutcome::ResetLoop { resets }) => {
+        Ok(RunOutcome::ViolationStop(v)) if evil => XVerdict::CompromisedFlagged(v.to_string()),
+        Ok(RunOutcome::ViolationStop(v)) => XVerdict::Detected(v.to_string()),
+        Ok(RunOutcome::ResetLoop { resets }) => {
             XVerdict::Detected(format!("persistent violation, {resets} resets"))
         }
-        Ok(BackendOutcome::Halted) if evil => {
+        Ok(RunOutcome::Halted) if evil => {
             XVerdict::CompromisedSilent(format!("actuator received {EVIL_VALUE:#x}"))
         }
-        Ok(BackendOutcome::Halted) => XVerdict::Neutralized("halted without the evil write".into()),
-        Ok(BackendOutcome::OutOfFuel) => XVerdict::Neutralized("diverged into a loop".into()),
+        Ok(RunOutcome::Halted) => XVerdict::Neutralized("halted without the evil write".into()),
+        Ok(RunOutcome::OutOfFuel) => XVerdict::Neutralized("diverged into a loop".into()),
         Err(t) if evil => XVerdict::CompromisedFlagged(format!("crashed after the write: {t}")),
         Err(t) => XVerdict::Neutralized(format!("crashed: {t}")),
-    }
-}
-
-/// Maps the coarse SOFIA verdict onto the finer scale. SOFIA detection is
-/// pre-execution (the block never leaves the verify unit), so a plain
-/// `Compromised` can only mean *silent* compromise.
-fn from_sofia(v: Verdict) -> XVerdict {
-    match v {
-        Verdict::Detected { violation } => XVerdict::Detected(violation.to_string()),
-        Verdict::Compromised { detail } => XVerdict::CompromisedSilent(detail),
-        Verdict::Neutralized { detail } => XVerdict::Neutralized(detail),
-        Verdict::Crashed { trap } => XVerdict::Neutralized(format!("crashed: {trap}")),
     }
 }
 
@@ -161,13 +152,13 @@ fn evil_diff() -> u32 {
 fn sponge_victim(keys: &KeySet, src: &str) -> SpongeMachine {
     let module = asm::parse(src).expect("victim parses");
     let image = seal_sponge(&module, keys, Nonce::new(1)).expect("victim seals");
-    SpongeMachine::new(&image, keys)
+    SpongeFetch::machine(&image, keys, &BackendConfig::default())
 }
 
 fn fipac_victim(keys: &KeySet, src: &str) -> FipacMachine {
     let module = asm::parse(src).expect("victim parses");
     let image = install_fipac(&module, keys, Nonce::new(1)).expect("victim installs");
-    FipacMachine::new(&image, keys)
+    FipacFetch::machine(&image, keys, &BackendConfig::default())
 }
 
 /// The `word-tamper` row: XOR the safe→evil immediate difference into
@@ -184,7 +175,11 @@ pub fn word_tamper(keys: &KeySet) -> XRow {
 
     XRow {
         attack: "word-tamper",
-        sofia: from_sofia(injection::inject_sofia(keys, true, false)),
+        sofia: classify(injection::tampered_sofia(
+            keys,
+            &SofiaConfig::default(),
+            false,
+        )),
         sponge: classify(sponge),
         fipac: classify(fipac),
     }
@@ -207,7 +202,11 @@ pub fn gadget_hijack(keys: &KeySet) -> XRow {
         attack: "gadget-hijack",
         // SOFIA's layout is block-structured, so the equivalent fault
         // lands the cursor in a mid-program block; same adversary power.
-        sofia: from_sofia(hijack::fault_inject_sofia(keys, 3)),
+        sofia: classify(hijack::fault_injected_sofia(
+            keys,
+            &SofiaConfig::default(),
+            3,
+        )),
         sponge: classify(sponge),
         fipac: classify(fipac),
     }
@@ -231,7 +230,14 @@ pub fn check_elision(keys: &KeySet) -> XRow {
         attack: "check-elision",
         // SOFIA's comparator is the SI unit's MAC compare; eliding it
         // leaves CFI-only decryption, which CTR malleability defeats.
-        sofia: from_sofia(injection::inject_sofia(keys, false, false)),
+        sofia: classify(injection::tampered_sofia(
+            keys,
+            &SofiaConfig {
+                enforce_si: false,
+                ..SofiaConfig::default()
+            },
+            false,
+        )),
         sponge: classify(sponge),
         fipac: classify(fipac),
     }

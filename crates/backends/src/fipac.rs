@@ -6,12 +6,16 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, Slot, SlotOutcome};
-use sofia_cpu::pipeline::BlockCost;
+use sofia_core::machine::Machine;
+use sofia_cpu::engine::Pipeline;
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
-use sofia_transform::{FipacImage, RESET_PREV_PC};
+use sofia_transform::FipacImage;
+
+use crate::chain::ChainSequencer;
+use crate::BackendConfig;
 
 /// What the FIPAC unit detects. All of it is *deferred*: the running
 /// state diverges silently and only a signature point surfaces the
@@ -96,75 +100,61 @@ pub struct FipacStats {
     pub unpatched_edges: u64,
 }
 
-const MAX_BATCH: usize = 8;
+/// The FIPAC-style machine (Schilling, Nasahl, Mangard): the shared
+/// [`Machine`] around a [`FipacFetch`]. Build one with
+/// [`FipacFetch::machine`].
+pub type FipacMachine = Machine<FipacFetch>;
 
 /// A [`FetchUnit`] that fetches plaintext words, folds each into a keyed
 /// CBC-MAC-style running state, and compares the state against installed
 /// signatures at every justifying check point.
 #[derive(Clone, Debug)]
 pub struct FipacFetch {
+    chain: ChainSequencer,
     cipher: Rectangle,
-    patches: Arc<BTreeMap<(u32, u32), u64>>,
     checks: Arc<BTreeMap<u32, u64>>,
-    text_base: u32,
-    text_words: u32,
-    entry: u32,
-    boot_state: u64,
-    state: u64,
-    next_target: u32,
-    prev_pc: u32,
-    redirected: bool,
     enforce_checks: bool,
+    checks_passed: u64,
     timing: FipacTiming,
-    stats: FipacStats,
-    /// The slots of the batch delivered last.
-    batch: Vec<Slot>,
 }
 
 impl FipacFetch {
     /// Builds the unit for an installed image under the device keys.
     pub fn new(image: &FipacImage, keys: &KeySet, timing: FipacTiming) -> FipacFetch {
-        let cipher = keys.expand().mac_exec;
         let boot_state = sofia_transform::fipac::reset_state(keys, image.nonce, image.entry);
-        let mut unit = FipacFetch {
-            cipher,
-            patches: Arc::new(image.patches.clone()),
+        FipacFetch {
+            chain: ChainSequencer::new(
+                &image.patches,
+                image.text_base,
+                image.words.len(),
+                image.entry,
+                boot_state,
+            ),
+            cipher: keys.expand().mac_exec,
             checks: Arc::new(image.checks.clone()),
-            text_base: image.text_base,
-            text_words: image.words.len() as u32,
-            entry: image.entry,
-            boot_state,
-            state: 0,
-            next_target: image.entry,
-            prev_pc: RESET_PREV_PC,
-            redirected: true,
             enforce_checks: true,
+            checks_passed: 0,
             timing,
-            stats: FipacStats::default(),
-            batch: Vec::with_capacity(MAX_BATCH),
-        };
-        unit.boot();
-        unit
-    }
-
-    fn boot(&mut self) {
-        self.state = self.boot_state ^ self.patch(RESET_PREV_PC, self.entry);
-        self.next_target = self.entry;
-        self.prev_pc = RESET_PREV_PC;
-        self.redirected = true;
-    }
-
-    fn patch(&mut self, from: u32, to: u32) -> u64 {
-        match self.patches.get(&(from, to)) {
-            Some(&p) => {
-                self.stats.patched_edges += 1;
-                p
-            }
-            None => {
-                self.stats.unpatched_edges += 1;
-                0
-            }
         }
+    }
+
+    /// Builds a FIPAC machine: this unit (default timing) on the shared
+    /// pipeline, with the plaintext words in ROM and the data in RAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data section does not fit in RAM.
+    pub fn machine(image: &FipacImage, keys: &KeySet, config: &BackendConfig) -> FipacMachine {
+        let unit = FipacFetch::new(image, keys, FipacTiming::default());
+        let engine = Pipeline::new(
+            unit,
+            image.text_base,
+            image.words.clone(),
+            image.data_base,
+            &image.data,
+            &config.machine,
+        );
+        Machine::from_engine(engine, config.reset_policy)
     }
 
     /// The timing model in force.
@@ -172,20 +162,27 @@ impl FipacFetch {
         self.timing
     }
 
-    /// Fetch-path counters.
+    /// Fetch-path counters. Every word fetched is one state update.
     pub fn stats(&self) -> FipacStats {
-        self.stats
+        let c = self.chain.counters();
+        FipacStats {
+            words_fetched: c.words,
+            updates: c.words,
+            checks_passed: self.checks_passed,
+            batches: c.batches,
+            patched_edges: c.patched_edges,
+            unpatched_edges: c.unpatched_edges,
+        }
     }
 
     /// The address the next batch will be fetched from.
     pub fn next_target(&self) -> u32 {
-        self.next_target
+        self.chain.next_target()
     }
 
     /// Redirects the next fetch — the attack harness's hijack channel.
     pub fn hijack(&mut self, target: u32) {
-        self.next_target = target;
-        self.redirected = true;
+        self.chain.hijack(target);
     }
 
     /// Disables the signature *comparison* — the harness's model of a
@@ -206,56 +203,34 @@ impl FetchUnit for FipacFetch {
         &mut self,
         ctx: &mut FetchCtx<'_>,
     ) -> Result<Result<LentBatch<'_>, FipacViolation>, Trap> {
-        self.batch.clear();
-        let mut pc = self.next_target;
-        if self.redirected {
-            ctx.stats.cycles += self.timing.redirect_setup as u64;
-        }
-        for _ in 0..MAX_BATCH {
-            if pc % 4 != 0 || pc < self.text_base || (pc - self.text_base) / 4 >= self.text_words {
-                if self.batch.is_empty() {
-                    return Ok(Err(FipacViolation::FetchOutOfImage { addr: pc }));
-                }
-                break;
-            }
-            let stall = ctx.icache.access_cycles(pc) as u64;
-            ctx.stats.icache_stall_cycles += stall;
-            ctx.stats.cycles += stall;
-            let word = ctx.mem.fetch(pc)?;
-            // Signature points gate *before* the word issues.
-            if let Some(&expected) = self.checks.get(&pc) {
-                ctx.stats.cycles += self.timing.check_latency as u64;
-                if self.enforce_checks && self.state != expected {
-                    if self.batch.is_empty() {
+        let (cipher, checks, timing) = (&self.cipher, &self.checks, self.timing);
+        let (enforce, passed) = (self.enforce_checks, &mut self.checks_passed);
+        self.chain.fetch_batch(
+            ctx,
+            timing.redirect_setup,
+            |addr| FipacViolation::FetchOutOfImage { addr },
+            |state, ctx, pc, word| {
+                let inst = Instruction::decode(word)
+                    .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
+                let check = checks.get(&pc);
+                // Signature points gate *before* the word issues.
+                if let Some(&expected) = check {
+                    ctx.stats.cycles += u64::from(timing.check_latency);
+                    if enforce && *state != expected {
                         return Ok(Err(FipacViolation::StateMismatch { pc }));
                     }
-                    break;
+                    *passed += 1;
                 }
-                self.stats.checks_passed += 1;
-            }
-            let inst = Instruction::decode(word)
-                .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
-            if matches!(inst, Instruction::Halt) && !self.checks.contains_key(&pc) {
-                if self.batch.is_empty() {
+                if matches!(inst, Instruction::Halt) && check.is_none() {
                     return Ok(Err(FipacViolation::UnjustifiedExit { pc }));
                 }
-                break;
-            }
-            // One issue cycle per word; the keyed update pipelines off
-            // the critical path.
-            ctx.stats.cycles += 1;
-            self.state = self.cipher.encrypt_block(self.state ^ u64::from(word));
-            self.stats.words_fetched += 1;
-            self.stats.updates += 1;
-            self.batch.push(Slot::new(pc, inst));
-            if inst.is_control_transfer() || !inst.falls_through() {
-                break;
-            }
-            pc = pc.wrapping_add(4);
-        }
-        self.stats.batches += 1;
-        self.redirected = false;
-        Ok(Ok((&self.batch, BlockCost::of(&self.batch))))
+                // One issue cycle per word; the keyed update pipelines off
+                // the critical path.
+                ctx.stats.cycles += 1;
+                *state = cipher.encrypt_block(*state ^ u64::from(word));
+                Ok(Ok(inst))
+            },
+        )
     }
 
     fn retire(
@@ -266,25 +241,12 @@ impl FetchUnit for FipacFetch {
         outcome: SlotOutcome,
     ) -> Result<(), FipacViolation> {
         debug_assert!(slot < batch_len);
-        match outcome {
-            SlotOutcome::Sequential => {
-                self.next_target = pc.wrapping_add(4);
-                self.prev_pc = pc;
-            }
-            SlotOutcome::Transfer { target } => {
-                let p = self.patch(pc, target);
-                self.state ^= p;
-                self.next_target = target;
-                self.prev_pc = pc;
-                self.redirected = true;
-            }
-        }
+        self.chain.retire(pc, outcome);
         Ok(())
     }
 
     fn on_reset(&mut self) -> u64 {
-        self.boot();
-        self.stats = FipacStats::default();
+        self.chain.boot();
         self.timing.reboot_cycles
     }
 }

@@ -2,16 +2,18 @@
 //! authenticity (Werner et al., PAPERS.md; installer in
 //! [`sofia_transform::sponge`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
-use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, Slot, SlotOutcome};
-use sofia_cpu::pipeline::BlockCost;
+use sofia_core::machine::Machine;
+use sofia_cpu::engine::Pipeline;
+use sofia_cpu::fetch::{FetchCtx, FetchUnit, LentBatch, SlotOutcome};
 use sofia_cpu::Trap;
 use sofia_crypto::{KeySet, Rectangle};
 use sofia_isa::Instruction;
-use sofia_transform::{SpongeImage, RESET_PREV_PC};
+use sofia_transform::SpongeImage;
+
+use crate::chain::ChainSequencer;
+use crate::BackendConfig;
 
 /// What the sponge unit can detect *directly*. Garbage decodes are the
 /// scheme's only data-integrity signal — there is no MAC — so most
@@ -94,81 +96,54 @@ pub struct SpongeStats {
     pub unpatched_edges: u64,
 }
 
-/// Longest batch the unit delivers before handing control back to the
-/// engine (mirrors SOFIA's 8-word block granularity so the comparison
-/// is geometry-fair).
-const MAX_BATCH: usize = 8;
+/// The sponge-CFP machine (Werner et al. SCFP): the shared [`Machine`]
+/// around a [`SpongeFetch`]. Build one with [`SpongeFetch::machine`].
+pub type SpongeMachine = Machine<SpongeFetch>;
 
 /// A [`FetchUnit`] that decrypts each word with the running sponge state
 /// and absorbs the plaintext, trapping (as a violation) on the first
 /// garbage decode. See the crate docs for the scheme's contract.
 #[derive(Clone, Debug)]
 pub struct SpongeFetch {
+    chain: ChainSequencer,
     cipher: Rectangle,
-    patches: Arc<BTreeMap<(u32, u32), u64>>,
-    text_base: u32,
-    text_words: u32,
-    entry: u32,
-    boot_state: u64,
-    state: u64,
-    next_target: u32,
-    prev_pc: u32,
-    redirected: bool,
-    last_pc: u32,
     timing: SpongeTiming,
-    stats: SpongeStats,
-    /// The slots of the batch delivered last.
-    batch: Vec<Slot>,
 }
 
 impl SpongeFetch {
     /// Builds the unit for a sealed image under the device keys.
     pub fn new(image: &SpongeImage, keys: &KeySet, timing: SpongeTiming) -> SpongeFetch {
-        let cipher = keys.expand().ctr;
         let boot_state = sofia_transform::sponge::reset_state(keys, image.nonce, image.entry);
-        let mut unit = SpongeFetch {
-            cipher,
-            patches: Arc::new(image.patches.clone()),
-            text_base: image.text_base,
-            text_words: image.ctext.len() as u32,
-            entry: image.entry,
-            boot_state,
-            state: 0,
-            next_target: image.entry,
-            prev_pc: RESET_PREV_PC,
-            redirected: true,
-            last_pc: image.entry,
+        SpongeFetch {
+            chain: ChainSequencer::new(
+                &image.patches,
+                image.text_base,
+                image.ctext.len(),
+                image.entry,
+                boot_state,
+            ),
+            cipher: keys.expand().ctr,
             timing,
-            stats: SpongeStats::default(),
-            batch: Vec::with_capacity(MAX_BATCH),
-        };
-        unit.boot();
-        unit
-    }
-
-    fn boot(&mut self) {
-        // Reset is an edge like any other: boot state plus the
-        // installer's reset patch lands on the canonical chain.
-        self.state = self.boot_state ^ self.patch(RESET_PREV_PC, self.entry);
-        self.next_target = self.entry;
-        self.prev_pc = RESET_PREV_PC;
-        self.redirected = true;
-    }
-
-    fn patch(&mut self, from: u32, to: u32) -> u64 {
-        match self.patches.get(&(from, to)) {
-            Some(&p) => {
-                self.stats.patched_edges += 1;
-                p
-            }
-            None => {
-                // Hardware reads whatever patch bits sit at the branch
-                // site; an unenumerated edge finds none — model that as
-                // zero and let the state diverge.
-                self.stats.unpatched_edges += 1;
-                0
-            }
         }
+    }
+
+    /// Builds a sponge-CFP machine: this unit (default timing) on the
+    /// shared pipeline, with the ciphertext in ROM and the data in RAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data section does not fit in RAM.
+    pub fn machine(image: &SpongeImage, keys: &KeySet, config: &BackendConfig) -> SpongeMachine {
+        let unit = SpongeFetch::new(image, keys, SpongeTiming::default());
+        let engine = Pipeline::new(
+            unit,
+            image.text_base,
+            image.ctext.clone(),
+            image.data_base,
+            &image.data,
+            &config.machine,
+        );
+        Machine::from_engine(engine, config.reset_policy)
     }
 
     /// The timing model in force.
@@ -176,22 +151,28 @@ impl SpongeFetch {
         self.timing
     }
 
-    /// Fetch-path counters.
+    /// Fetch-path counters. Every word absorbed is one permutation.
     pub fn stats(&self) -> SpongeStats {
-        self.stats
+        let c = self.chain.counters();
+        SpongeStats {
+            words_fetched: c.words,
+            permutes: c.words,
+            batches: c.batches,
+            patched_edges: c.patched_edges,
+            unpatched_edges: c.unpatched_edges,
+        }
     }
 
     /// The address the next batch will be fetched from.
     pub fn next_target(&self) -> u32 {
-        self.next_target
+        self.chain.next_target()
     }
 
     /// Redirects the next fetch — the attack harness's hijack channel.
     /// The sponge state is left untouched: exactly what a control-flow
     /// hijack looks like to this hardware.
     pub fn hijack(&mut self, target: u32) {
-        self.next_target = target;
-        self.redirected = true;
+        self.chain.hijack(target);
     }
 }
 
@@ -204,51 +185,26 @@ impl FetchUnit for SpongeFetch {
         &mut self,
         ctx: &mut FetchCtx<'_>,
     ) -> Result<Result<LentBatch<'_>, SpongeViolation>, Trap> {
-        self.batch.clear();
-        let mut pc = self.next_target;
-        if self.redirected {
-            ctx.stats.cycles += self.timing.redirect_setup as u64;
-        }
-        for _ in 0..MAX_BATCH {
-            if pc % 4 != 0 || pc < self.text_base || (pc - self.text_base) / 4 >= self.text_words {
-                // Deliver what already decoded; stop the machine if the
-                // very first word is out of image.
-                if self.batch.is_empty() {
-                    return Ok(Err(SpongeViolation::FetchOutOfImage { addr: pc }));
-                }
-                break;
-            }
-            let stall = ctx.icache.access_cycles(pc) as u64;
-            ctx.stats.icache_stall_cycles += stall;
-            ctx.stats.cycles += stall;
-            let word = ctx.mem.fetch(pc)?;
-            let plain = word ^ (self.state as u32);
-            let Ok(inst) = Instruction::decode(plain) else {
-                // The garbage word is not absorbed, so a refetch sees the
-                // same state and the same garbage — detection is sticky.
-                if self.batch.is_empty() {
+        let (cipher, timing) = (&self.cipher, self.timing);
+        self.chain.fetch_batch(
+            ctx,
+            timing.redirect_setup,
+            |addr| SpongeViolation::FetchOutOfImage { addr },
+            |state, ctx, pc, word| {
+                let plain = word ^ (*state as u32);
+                let Ok(inst) = Instruction::decode(plain) else {
+                    // The garbage word is not absorbed, so a refetch sees
+                    // the same state and the same garbage — detection is
+                    // sticky.
                     return Ok(Err(SpongeViolation::GarbageDecode { pc, word: plain }));
-                }
-                // The decoded prefix executes; the next batch re-arrives
-                // here and reports the violation.
-                break;
-            };
-            self.state = self.cipher.encrypt_block(self.state ^ u64::from(plain));
-            self.stats.words_fetched += 1;
-            self.stats.permutes += 1;
-            // Serial decrypt-absorb: every word pays the permutation
-            // latency (issue cycle included).
-            ctx.stats.cycles += self.timing.permute_latency as u64;
-            self.batch.push(Slot::new(pc, inst));
-            self.last_pc = pc;
-            if inst.is_control_transfer() || !inst.falls_through() {
-                break;
-            }
-            pc = pc.wrapping_add(4);
-        }
-        self.stats.batches += 1;
-        self.redirected = false;
-        Ok(Ok((&self.batch, BlockCost::of(&self.batch))))
+                };
+                *state = cipher.encrypt_block(*state ^ u64::from(plain));
+                // Serial decrypt-absorb: every word pays the permutation
+                // latency (issue cycle included).
+                ctx.stats.cycles += u64::from(timing.permute_latency);
+                Ok(Ok(inst))
+            },
+        )
     }
 
     fn retire(
@@ -259,25 +215,12 @@ impl FetchUnit for SpongeFetch {
         outcome: SlotOutcome,
     ) -> Result<(), SpongeViolation> {
         debug_assert!(slot < batch_len);
-        match outcome {
-            SlotOutcome::Sequential => {
-                self.next_target = pc.wrapping_add(4);
-                self.prev_pc = pc;
-            }
-            SlotOutcome::Transfer { target } => {
-                let p = self.patch(pc, target);
-                self.state ^= p;
-                self.next_target = target;
-                self.prev_pc = pc;
-                self.redirected = true;
-            }
-        }
+        self.chain.retire(pc, outcome);
         Ok(())
     }
 
     fn on_reset(&mut self) -> u64 {
-        self.boot();
-        self.stats = SpongeStats::default();
+        self.chain.boot();
         self.timing.reboot_cycles
     }
 }

@@ -3,9 +3,10 @@
 //! hijacks are detected through each scheme's own mechanism.
 
 use sofia_backends::{
-    BackendConfig, BackendOutcome, FipacMachine, FipacViolation, SpongeMachine, SpongeViolation,
+    BackendConfig, FipacFetch, FipacMachine, FipacViolation, SpongeFetch, SpongeMachine,
+    SpongeViolation,
 };
-use sofia_core::machine::ResetPolicy;
+use sofia_core::machine::{ResetPolicy, RunOutcome};
 use sofia_cpu::machine::VanillaMachine;
 use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm;
@@ -41,13 +42,13 @@ fn vanilla_out(src: &str) -> (Vec<u32>, u64) {
 fn sponge(src: &str) -> SpongeMachine {
     let module = asm::parse(src).unwrap();
     let image = seal_sponge(&module, &keys(), Nonce::new(7)).unwrap();
-    SpongeMachine::new(&image, &keys())
+    SpongeFetch::machine(&image, &keys(), &BackendConfig::default())
 }
 
 fn fipac(src: &str) -> FipacMachine {
     let module = asm::parse(src).unwrap();
     let image = install_fipac(&module, &keys(), Nonce::new(7)).unwrap();
-    FipacMachine::new(&image, &keys())
+    FipacFetch::machine(&image, &keys(), &BackendConfig::default())
 }
 
 #[test]
@@ -58,7 +59,7 @@ fn sponge_clean_run_matches_vanilla_architecturally() {
     assert_eq!(m.mem().mmio.out_words, out);
     assert!(m.violations().is_empty());
     // The serial permute makes the sponge strictly slower than baseline.
-    assert!(m.stats().cycles > vanilla_cycles);
+    assert!(m.exec_stats().cycles > vanilla_cycles);
 }
 
 #[test]
@@ -71,8 +72,8 @@ fn fipac_clean_run_matches_vanilla_and_is_cheaper_than_sponge() {
     let mut s = sponge(SUM_LOOP);
     assert!(s.run(FUEL).unwrap().is_halted());
     // Overhead ordering: vanilla <= fipac < sponge on the same workload.
-    assert!(f.stats().cycles >= vanilla_cycles);
-    assert!(f.stats().cycles < s.stats().cycles);
+    assert!(f.exec_stats().cycles >= vanilla_cycles);
+    assert!(f.exec_stats().cycles < s.exec_stats().cycles);
 }
 
 #[test]
@@ -80,7 +81,7 @@ fn sponge_tampered_word_is_detected() {
     let mut m = sponge(SUM_LOOP);
     m.mem_mut().rom_mut()[2] ^= 0xFFFF_FFFF;
     match m.run(FUEL) {
-        Ok(BackendOutcome::ViolationStop(_)) | Err(_) => {}
+        Ok(RunOutcome::ViolationStop(_)) | Err(_) => {}
         other => panic!("tamper survived: {other:?}"),
     }
 }
@@ -95,12 +96,9 @@ fn sponge_detection_is_sticky_across_refetch() {
         reset_policy: ResetPolicy::Reboot { max_resets: 3 },
         ..BackendConfig::default()
     };
-    let mut m = SpongeMachine::sponge_with_config(&image, &keys(), &config);
+    let mut m = SpongeFetch::machine(&image, &keys(), &config);
     m.mem_mut().rom_mut()[0] ^= 0xFFFF_FFFF;
-    assert_eq!(
-        m.run(FUEL).unwrap(),
-        BackendOutcome::ResetLoop { resets: 3 }
-    );
+    assert_eq!(m.run(FUEL).unwrap(), RunOutcome::ResetLoop { resets: 3 });
     assert_eq!(m.violations().len(), 4); // initial + one per reset
 }
 
@@ -110,7 +108,7 @@ fn sponge_hijack_desynchronises_the_state() {
     let target = m.fetch().next_target() + 8; // skip into the program
     m.fetch_mut().hijack(target);
     match m.run(FUEL) {
-        Ok(BackendOutcome::ViolationStop(_)) | Err(_) => {}
+        Ok(RunOutcome::ViolationStop(_)) | Err(_) => {}
         other => panic!("hijack survived: {other:?}"),
     }
     assert!(m.fetch().stats().patched_edges <= 1);
@@ -126,13 +124,13 @@ fn fipac_tampered_word_is_caught_at_the_next_check() {
     assert!(
         matches!(
             outcome,
-            BackendOutcome::ViolationStop(FipacViolation::StateMismatch { .. })
+            RunOutcome::ViolationStop(FipacViolation::StateMismatch { .. })
         ),
         "{outcome:?}"
     );
     // Deferred detection: the tampered instruction (and the nops) retired
     // before the signature point fired.
-    assert!(m.stats().instret >= 3, "{}", m.stats().instret);
+    assert!(m.exec_stats().instret >= 3, "{}", m.exec_stats().instret);
 }
 
 #[test]
@@ -144,7 +142,7 @@ fn fipac_hijack_is_caught_at_the_next_check() {
     assert!(
         matches!(
             outcome,
-            BackendOutcome::ViolationStop(FipacViolation::StateMismatch { .. })
+            RunOutcome::ViolationStop(FipacViolation::StateMismatch { .. })
         ),
         "{outcome:?}"
     );
@@ -159,7 +157,7 @@ fn fipac_conjured_halt_is_an_unjustified_exit() {
     assert!(
         matches!(
             outcome,
-            BackendOutcome::ViolationStop(FipacViolation::UnjustifiedExit { .. })
+            RunOutcome::ViolationStop(FipacViolation::UnjustifiedExit { .. })
         ),
         "{outcome:?}"
     );
@@ -183,12 +181,64 @@ fn out_of_image_fetch_is_refused_by_both() {
     s.fetch_mut().hijack(0x10);
     assert!(matches!(
         s.run(FUEL).unwrap(),
-        BackendOutcome::ViolationStop(SpongeViolation::FetchOutOfImage { addr: 0x10 })
+        RunOutcome::ViolationStop(SpongeViolation::FetchOutOfImage { addr: 0x10 })
     ));
     let mut f = fipac(SUM_LOOP);
     f.fetch_mut().hijack(0x10);
     assert!(matches!(
         f.run(FUEL).unwrap(),
-        BackendOutcome::ViolationStop(FipacViolation::FetchOutOfImage { addr: 0x10 })
+        RunOutcome::ViolationStop(FipacViolation::FetchOutOfImage { addr: 0x10 })
     ));
+}
+
+/// Stores 7 to the output port, then halts.
+const STORE_7: &str = "main: li t0, 7\n li a0, 0xFFFF0000\n sw t0, 0(a0)\n halt";
+
+#[test]
+fn fetch_counters_survive_a_reset_on_both_backends() {
+    // Like the engine's counters and the violation log, the fetch
+    // counters keep counting across reboots: every issued word retires,
+    // and every boot takes the patched reset edge.
+    let module = asm::parse(STORE_7).unwrap();
+    let config = BackendConfig {
+        reset_policy: ResetPolicy::Reboot { max_resets: 3 },
+        ..BackendConfig::default()
+    };
+    let image = seal_sponge(&module, &keys(), Nonce::new(7)).unwrap();
+    let mut s = SpongeFetch::machine(&image, &keys(), &config);
+    s.mem_mut().rom_mut()[3] ^= 0xFFFF_FFFF; // the halt decrypts to garbage
+    assert_eq!(s.run(FUEL).unwrap(), RunOutcome::ResetLoop { resets: 3 });
+    assert_eq!(s.exec_stats().instret, 12);
+    assert_eq!(s.fetch().stats().words_fetched, s.exec_stats().instret);
+    assert_eq!(s.fetch().stats().patched_edges, 4);
+
+    let image = install_fipac(&module, &keys(), Nonce::new(7)).unwrap();
+    let mut f = FipacFetch::machine(&image, &keys(), &config);
+    f.mem_mut().rom_mut()[0] ^= 0x2; // the halt signature no longer matches
+    assert_eq!(f.run(FUEL).unwrap(), RunOutcome::ResetLoop { resets: 3 });
+    assert_eq!(f.exec_stats().instret, 12);
+    assert_eq!(f.fetch().stats().words_fetched, f.exec_stats().instret);
+    assert_eq!(f.fetch().stats().patched_edges, 4);
+}
+
+#[test]
+fn fipac_runs_the_decoded_prefix_before_an_undecodable_word() {
+    // An undecodable word ends the batch like any refused word: the
+    // prefix before it retires, and the trap comes with the word itself,
+    // exactly where the unchecked baseline traps.
+    let mut program = asm::assemble(STORE_7).unwrap();
+    program.words[3] = 0xFFFF_FFFF;
+    let mut v = VanillaMachine::new(&program);
+    let vanilla = v.run(FUEL);
+    let mut f = fipac(STORE_7);
+    f.mem_mut().rom_mut()[3] = 0xFFFF_FFFF;
+    let fipac = f.run(FUEL);
+    assert!(vanilla.is_err());
+    assert_eq!(fipac.unwrap_err(), vanilla.unwrap_err());
+    assert_eq!(f.mem().mmio.out_words, vec![7]);
+    assert_eq!(f.mem().mmio.out_words, v.mem().mmio.out_words);
+    assert_eq!(f.exec_stats().instret, v.stats().instret);
+    // The signature gate before the halt was never reached, so it was
+    // never charged.
+    assert_eq!(f.fetch().stats().checks_passed, 0);
 }

@@ -714,7 +714,8 @@ fn records_digest(
     sofia_transform::decode::fnv64(&bytes)
 }
 
-/// Runs the async serving workload — the [`WfqMix`] of `tenants` tenants
+/// Runs the async serving workload — the WFQ serving mix of `tenants`
+/// tenants (interactive, batch and best-effort classes, weighted 8/2/1)
 /// on a driver over `threads` host threads — and asserts the report
 /// bit-identical to a run at one host thread.
 ///
@@ -861,7 +862,8 @@ pub fn fleet_json(
 // ---------------------------------------------------------------------
 
 use sofia_attacks::xbackend::{self, XRow};
-use sofia_backends::{BackendMachine, FipacMachine, SpongeMachine};
+use sofia_backends::{BackendConfig, FipacFetch, SpongeFetch};
+use sofia_core::machine::Machine;
 use sofia_cpu::fetch::FetchUnit;
 use sofia_crypto::Nonce;
 use sofia_isa::{asm, Instruction, Reg};
@@ -935,16 +937,17 @@ fn sled_victim(nops: usize) -> String {
     src
 }
 
-/// Runs a sponge or FIPAC machine and returns its counters. A clean run
-/// passes its golden output as `expected` and must halt with it; a
-/// tampered run passes `None` and must stop on a violation.
+/// Runs any machine — SOFIA, sponge or FIPAC — and returns its engine
+/// counters. A clean run passes its golden output as `expected` and must
+/// halt with it; a tampered run passes `None` and must stop on a
+/// violation.
 ///
 /// # Panics
 ///
 /// Panics on a trap or an outcome of the wrong kind.
 fn run_backend<F: FetchUnit>(
     backend: &str,
-    mut m: BackendMachine<F>,
+    mut m: Machine<F>,
     expected: Option<&[u32]>,
 ) -> ExecStats {
     let outcome = m
@@ -960,7 +963,7 @@ fn run_backend<F: FetchUnit>(
             "{backend} missed the tamper: {outcome:?}"
         ),
     }
-    m.stats()
+    m.exec_stats()
 }
 
 /// Runs the comparison workload on every backend, checking outputs
@@ -985,8 +988,17 @@ pub fn backend_cycle_points(workload: &Workload, keys: &KeySet) -> (u64, Vec<Bac
     let fipac = install_fipac(&module, keys, Nonce::new(1))
         .unwrap_or_else(|e| panic!("workload installs for FIPAC: {e:?}"));
     let expected = Some(&workload.expected[..]);
-    let sponge = run_backend("sponge", SpongeMachine::new(&sponge, keys), expected);
-    let fipac = run_backend("fipac", FipacMachine::new(&fipac, keys), expected);
+    let config = BackendConfig::default();
+    let sponge = run_backend(
+        "sponge",
+        SpongeFetch::machine(&sponge, keys, &config),
+        expected,
+    );
+    let fipac = run_backend(
+        "fipac",
+        FipacFetch::machine(&fipac, keys, &config),
+        expected,
+    );
     let points = vec![
         point("sofia", row.sofia_cycles),
         point("sponge", sponge.cycles),
@@ -1044,27 +1056,26 @@ pub fn detection_latency_points(keys: &KeySet) -> Vec<DetectionLatencyPoint> {
     let block_words = image.format.block_words();
     let per_block = block_words - 2;
     let stored = (k / per_block) * block_words + 2 + (k % per_block);
-    let mut m = SofiaMachine::new(&image, keys);
-    m.mem_mut().rom_mut()[stored] = evil;
-    let outcome = m
-        .run(FUEL)
-        .unwrap_or_else(|e| panic!("sofia run traps: {e:?}"));
-    assert!(!outcome.is_halted(), "sofia missed the sled tamper");
+    let mut sofia = SofiaMachine::new(&image, keys);
+    sofia.mem_mut().rom_mut()[stored] = evil;
 
-    let mut sponge = SpongeMachine::new(
+    let config = BackendConfig::default();
+    let mut sponge = SpongeFetch::machine(
         &seal_sponge(&module, keys, Nonce::new(1))
             .unwrap_or_else(|e| panic!("sled victim seals: {e:?}")),
         keys,
+        &config,
     );
     sponge.mem_mut().rom_mut()[k] = evil;
-    let mut fipac = FipacMachine::new(
+    let mut fipac = FipacFetch::machine(
         &install_fipac(&module, keys, Nonce::new(1))
             .unwrap_or_else(|e| panic!("sled victim installs: {e:?}")),
         keys,
+        &config,
     );
     fipac.mem_mut().rom_mut()[k] = evil;
     vec![
-        point("sofia", m.stats().exec.instret),
+        point("sofia", run_backend("sofia", sofia, None).instret),
         point("sponge", run_backend("sponge", sponge, None).instret),
         point("fipac", run_backend("fipac", fipac, None).instret),
     ]

@@ -12,7 +12,10 @@
 //! exactly the cost of the security architecture:
 //!
 //! * [`fetch`] — the block sequencer + CFI decrypt + SI verify unit;
-//! * [`machine`] — [`machine::SofiaMachine`], with reset/reboot policies;
+//! * [`machine`] — [`machine::Machine`], the one machine around any fetch
+//!   unit (the shared engine, a reset/reboot policy and the violation
+//!   log), which the alternative backends (`sofia-backends`) reuse, and
+//!   [`machine::SofiaMachine`], its SOFIA instance;
 //! * [`timing`] — the cipher schedule and store-gate model (Figs. 5/6);
 //! * [`vcache`] — the verified-block cache: post-verification caching
 //!   keyed by the control-flow edge `(prevPC, PC)`, so hot edges skip

@@ -1,11 +1,13 @@
-//! The SOFIA machine: the shared pipeline engine behind the CFI/SI fetch
-//! unit.
+//! The machine around the shared pipeline engine: one [`Machine`] for
+//! any fetch unit, plus what is SOFIA's own — its configuration, its
+//! fetch-path statistics and its suspend/resume seam.
 
 use sofia_cpu::engine::{Disposition, EngineOutcome, Pipeline};
 use sofia_cpu::exec::RegFile;
+use sofia_cpu::icache::ICacheStats;
 use sofia_cpu::machine::MachineConfig;
 use sofia_cpu::mem::Memory;
-use sofia_cpu::{ExecStats, Trap};
+use sofia_cpu::{ExecStats, FetchUnit, Trap};
 use sofia_crypto::KeySet;
 use sofia_transform::SecureImage;
 
@@ -32,9 +34,8 @@ pub enum ResetPolicy {
 
 impl ResetPolicy {
     /// What this policy does about a violation after `resets_so_far`
-    /// resets — the single dispatch [`SofiaMachine::step_block`],
-    /// [`SofiaMachine::run`] and the alternative-backend machines
-    /// (`sofia-backends`) all apply.
+    /// resets — the single dispatch [`Machine::step_block`] and
+    /// [`Machine::run`] apply, whatever the fetch unit.
     pub fn dispose(self, resets_so_far: u64) -> Disposition {
         match self {
             ResetPolicy::HaltAndReport => Disposition::Stop,
@@ -78,15 +79,16 @@ impl Default for SofiaConfig {
     }
 }
 
-/// Why a [`SofiaMachine::run`] call returned.
+/// Why a [`Machine::run`] call returned, generic over the fetch unit's
+/// violation type (SOFIA's [`Violation`] by default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
+pub enum RunOutcome<V = Violation> {
     /// The program executed `halt` normally.
     Halted,
     /// The step budget ran out.
     OutOfFuel,
     /// A violation was detected (policy [`ResetPolicy::HaltAndReport`]).
-    ViolationStop(Violation),
+    ViolationStop(V),
     /// Persistent tampering kept resetting the core
     /// (policy [`ResetPolicy::Reboot`]).
     ResetLoop {
@@ -95,14 +97,14 @@ pub enum RunOutcome {
     },
 }
 
-impl RunOutcome {
+impl<V: Copy> RunOutcome<V> {
     /// Whether the program reached `halt` untampered.
     pub fn is_halted(&self) -> bool {
         matches!(self, RunOutcome::Halted)
     }
 
     /// The violation that stopped the run, if any.
-    pub fn violation(&self) -> Option<Violation> {
+    pub fn violation(&self) -> Option<V> {
         match self {
             RunOutcome::ViolationStop(v) => Some(*v),
             _ => None,
@@ -173,13 +175,24 @@ impl SofiaStats {
     }
 }
 
-/// A processor with the SOFIA extension, executing a [`SecureImage`].
+/// A processor: the shared [`Pipeline`] engine around a fetch unit, a
+/// [`ResetPolicy`] and the log of every violation the unit reported.
 ///
-/// The same generic [`Pipeline`] engine as the baseline
-/// [`sofia_cpu::machine::VanillaMachine`], wrapped around a
-/// [`SofiaFetchUnit`] instead of plaintext fetch — which is exactly the
-/// paper's structure (Fig. 1) and what makes vanilla-vs-SOFIA
-/// comparisons meaningful: same engine, different fetch unit.
+/// Only the fetch path differs between machines — which is exactly the
+/// paper's structure (Fig. 1) and what makes cross-machine comparisons
+/// meaningful: same engine, same reset line, different fetch unit.
+/// [`SofiaMachine`] wraps the [`SofiaFetchUnit`]; the sponge and FIPAC
+/// machines of `sofia-backends` wrap theirs. (The baseline
+/// [`sofia_cpu::machine::VanillaMachine`] sits below this crate and has
+/// no reset line.)
+#[derive(Clone, Debug)]
+pub struct Machine<F: FetchUnit> {
+    engine: Pipeline<F>,
+    reset_policy: ResetPolicy,
+    violations: Vec<F::Violation>,
+}
+
+/// A processor with the SOFIA extension, executing a [`SecureImage`].
 ///
 /// # Examples
 ///
@@ -202,12 +215,7 @@ impl SofiaStats {
 /// assert_eq!(m.mem().mmio.out_words, vec![5]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct SofiaMachine {
-    engine: Pipeline<SofiaFetchUnit>,
-    reset_policy: ResetPolicy,
-    violations: Vec<Violation>,
-}
+pub type SofiaMachine = Machine<SofiaFetchUnit>;
 
 // Compile-time guarantee: SOFIA machines move onto fleet worker threads.
 // An `Rc`/`RefCell` regression anywhere in the machine (engine, fetch
@@ -232,26 +240,26 @@ pub struct ResumeEdge {
     pub next_target: u32,
 }
 
-/// Why a [`SofiaMachine::run_slice`] call returned.
+/// Why a [`Machine::run_slice`] call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SliceOutcome {
+pub enum SliceOutcome<V = Violation> {
     /// The job finished: halt, stopping violation, or reset-loop
     /// abandon. Never [`RunOutcome::OutOfFuel`] — an expired slice
     /// always surfaces as [`SliceOutcome::Preempted`], because the slice
     /// cannot distinguish its own bound from the job's overall budget.
     /// Budget exhaustion is the caller's bookkeeping: a job whose
     /// remaining fuel reaches zero while preempted is out of fuel.
-    Done(RunOutcome),
+    Done(RunOutcome<V>),
     /// The slice budget ran out with the job still runnable: the machine
     /// is suspended between blocks, resumable by the next `run_slice`.
     Preempted,
 }
 
-/// Result of one [`SofiaMachine::run_slice`] call.
+/// Result of one [`Machine::run_slice`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SliceRun {
+pub struct SliceRun<V = Violation> {
     /// How the slice ended.
-    pub outcome: SliceOutcome,
+    pub outcome: SliceOutcome<V>,
     /// Fuel actually consumed, which can overshoot the slice: blocks are
     /// atomic. Deduct exactly this from the job's remaining budget — that
     /// is what makes slicing bit-identical to a single run (see
@@ -259,40 +267,27 @@ pub struct SliceRun {
     pub consumed: u64,
 }
 
-impl SofiaMachine {
-    /// Builds a machine with default configuration.
-    pub fn new(image: &SecureImage, keys: &KeySet) -> SofiaMachine {
-        Self::with_config(image, keys, &SofiaConfig::default())
-    }
+/// Result of [`Machine::step_block`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepBlock<V = Violation> {
+    /// Instruction slots executed (0 when a violation fired).
+    pub executed_slots: u64,
+    /// The violation detected during this step, if any.
+    pub violation: Option<V>,
+}
 
-    /// Builds a machine, loading ciphertext into ROM and data into RAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data section does not fit in RAM.
-    pub fn with_config(image: &SecureImage, keys: &KeySet, config: &SofiaConfig) -> SofiaMachine {
-        let unit = SofiaFetchUnit::with_vcache(
-            image,
-            keys,
-            config.timing,
-            config.enforce_si,
-            config.vcache,
-        );
-        SofiaMachine {
-            engine: Pipeline::new(
-                unit,
-                image.text_base,
-                image.ctext.clone(),
-                image.data_base,
-                &image.data,
-                &config.machine,
-            ),
-            reset_policy: config.reset_policy,
+impl<F: FetchUnit> Machine<F> {
+    /// Wraps a ready engine (fetch unit, ROM and RAM loaded) under a
+    /// reset policy.
+    pub fn from_engine(engine: Pipeline<F>, reset_policy: ResetPolicy) -> Machine<F> {
+        Machine {
+            engine,
+            reset_policy,
             violations: Vec::new(),
         }
     }
 
-    /// Fetches, verifies and executes one block.
+    /// Fetches and executes one batch (a verified block, under SOFIA).
     ///
     /// Returns the number of instruction slots executed, or `Ok(0)` when
     /// a violation was absorbed by the reboot policy.
@@ -306,7 +301,7 @@ impl SofiaMachine {
     ///
     /// Panics if called after the machine halted or stopped on a
     /// violation under [`ResetPolicy::HaltAndReport`].
-    pub fn step_block(&mut self) -> Result<StepBlock, Trap> {
+    pub fn step_block(&mut self) -> Result<StepBlock<F::Violation>, Trap> {
         let step = self.engine.step_batch()?;
         if let Some(v) = step.violation {
             self.violations.push(v);
@@ -335,7 +330,7 @@ impl SofiaMachine {
     /// # Errors
     ///
     /// Propagates architectural traps.
-    pub fn run(&mut self, max_slots: u64) -> Result<RunOutcome, Trap> {
+    pub fn run(&mut self, max_slots: u64) -> Result<RunOutcome<F::Violation>, Trap> {
         let (outcome, _) = self.run_engine(max_slots)?;
         Ok(outcome)
     }
@@ -348,13 +343,13 @@ impl SofiaMachine {
     /// unit's edge registers — see [`SofiaMachine::edge`] — carry the
     /// sealed resume point), and the reported consumption is exact, so a
     /// sequence of slices replays the identical batch sequence as one
-    /// [`SofiaMachine::run`] with the summed budget: same results, traps
-    /// and violation reports, bit for bit.
+    /// [`Machine::run`] with the summed budget: same results, traps and
+    /// violation reports, bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates architectural traps.
-    pub fn run_slice(&mut self, slice: u64) -> Result<SliceRun, Trap> {
+    pub fn run_slice(&mut self, slice: u64) -> Result<SliceRun<F::Violation>, Trap> {
         let (outcome, consumed) = self.run_engine(slice)?;
         Ok(SliceRun {
             outcome: match outcome {
@@ -365,7 +360,7 @@ impl SofiaMachine {
         })
     }
 
-    fn run_engine(&mut self, max_slots: u64) -> Result<(RunOutcome, u64), Trap> {
+    fn run_engine(&mut self, max_slots: u64) -> Result<(RunOutcome<F::Violation>, u64), Trap> {
         let policy = self.reset_policy;
         let violations = &mut self.violations;
         let (outcome, consumed) = self.engine.run_metered(max_slots, |v, resets_so_far| {
@@ -384,6 +379,103 @@ impl SofiaMachine {
             EngineOutcome::ResetLoop { resets } => RunOutcome::ResetLoop { resets },
         };
         Ok((outcome, consumed))
+    }
+
+    /// Whether the machine reached `halt` (or stopped on a violation).
+    pub fn is_halted(&self) -> bool {
+        self.engine.is_halted()
+    }
+
+    /// The architectural registers.
+    pub fn regs(&self) -> &RegFile {
+        self.engine.regs()
+    }
+
+    /// Memory (ROM image, RAM, MMIO logs).
+    pub fn mem(&self) -> &Memory {
+        self.engine.mem()
+    }
+
+    /// Mutable memory — the attack harness's tamper channel.
+    pub fn mem_mut(&mut self) -> &mut Memory {
+        self.engine.mem_mut()
+    }
+
+    /// The engine's baseline counters (cycles, retired instructions,
+    /// hazards, …). They keep counting across reboots.
+    pub fn exec_stats(&self) -> ExecStats {
+        self.engine.stats()
+    }
+
+    /// Instruction-cache statistics.
+    pub fn icache_stats(&self) -> ICacheStats {
+        self.engine.icache_stats()
+    }
+
+    /// Every violation detected so far (reboot policy accumulates them).
+    pub fn violations(&self) -> &[F::Violation] {
+        &self.violations
+    }
+
+    /// Resets performed (reboot policy).
+    pub fn resets(&self) -> u64 {
+        self.engine.resets()
+    }
+
+    /// The fetch unit.
+    pub fn fetch(&self) -> &F {
+        self.engine.fetch()
+    }
+
+    /// Mutable fetch-unit access — hijack and fault channels.
+    pub fn fetch_mut(&mut self) -> &mut F {
+        self.engine.fetch_mut()
+    }
+
+    /// The engine, for the snapshot module (same crate).
+    pub(crate) fn engine(&self) -> &Pipeline<F> {
+        &self.engine
+    }
+
+    /// Mutable engine access, for the snapshot module (same crate).
+    pub(crate) fn engine_mut(&mut self) -> &mut Pipeline<F> {
+        &mut self.engine
+    }
+
+    /// Replaces the violation log wholesale (snapshot restore).
+    pub(crate) fn set_violations(&mut self, violations: Vec<F::Violation>) {
+        self.violations = violations;
+    }
+}
+
+impl Machine<SofiaFetchUnit> {
+    /// Builds a machine with default configuration.
+    pub fn new(image: &SecureImage, keys: &KeySet) -> SofiaMachine {
+        Self::with_config(image, keys, &SofiaConfig::default())
+    }
+
+    /// Builds a machine, loading ciphertext into ROM and data into RAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data section does not fit in RAM.
+    pub fn with_config(image: &SecureImage, keys: &KeySet, config: &SofiaConfig) -> SofiaMachine {
+        let unit = SofiaFetchUnit::with_vcache(
+            image,
+            keys,
+            config.timing,
+            config.enforce_si,
+            config.vcache,
+        );
+        let engine = Pipeline::new(
+            unit,
+            image.text_base,
+            image.ctext.clone(),
+            image.data_base,
+            &image.data,
+            &config.machine,
+        );
+        Machine::from_engine(engine, config.reset_policy)
     }
 
     /// The full configuration this machine runs under, reconstructed
@@ -420,8 +512,8 @@ impl SofiaMachine {
     /// mid-program: the fetch unit is reconstructed around the
     /// snapshot's [`ResumeEdge`], the verified-block cache re-earns
     /// every line against the image's MACs, and the next
-    /// [`SofiaMachine::run`]/[`SofiaMachine::run_slice`] continues
-    /// bit-for-bit where the snapshot left off.
+    /// [`Machine::run`]/[`Machine::run_slice`] continues bit-for-bit
+    /// where the snapshot left off.
     ///
     /// # Errors
     ///
@@ -436,50 +528,15 @@ impl SofiaMachine {
         crate::snapshot::rebuild(image, keys, snapshot)
     }
 
-    /// The engine, for the snapshot module (same crate).
-    pub(crate) fn engine(&self) -> &Pipeline<SofiaFetchUnit> {
-        &self.engine
-    }
-
-    /// Mutable engine access, for the snapshot module (same crate).
-    pub(crate) fn engine_mut(&mut self) -> &mut Pipeline<SofiaFetchUnit> {
-        &mut self.engine
-    }
-
-    /// Replaces the violation log wholesale (snapshot restore).
-    pub(crate) fn set_violations(&mut self, violations: Vec<Violation>) {
-        self.violations = violations;
-    }
-
     /// The fetch unit's edge registers — the sealed resume point of a
     /// suspended job (see [`ResumeEdge`]). Stable across a
     /// suspend/resume cycle by construction: preemption happens only
     /// between blocks, and nothing but retirement writes the registers.
     pub fn edge(&self) -> ResumeEdge {
         ResumeEdge {
-            prev_pc: self.engine.fetch().prev_pc(),
-            next_target: self.engine.fetch().next_target(),
+            prev_pc: self.prev_pc(),
+            next_target: self.next_target(),
         }
-    }
-
-    /// Whether the machine reached `halt` (or stopped on a violation).
-    pub fn is_halted(&self) -> bool {
-        self.engine.is_halted()
-    }
-
-    /// The architectural registers.
-    pub fn regs(&self) -> &RegFile {
-        self.engine.regs()
-    }
-
-    /// Memory (ROM ciphertext, RAM, MMIO logs).
-    pub fn mem(&self) -> &Memory {
-        self.engine.mem()
-    }
-
-    /// Mutable memory — the attack harness's tamper channel.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        self.engine.mem_mut()
     }
 
     /// Accumulated statistics, combining the engine's baseline counters
@@ -518,16 +575,6 @@ impl SofiaMachine {
         self.engine.fetch().refill_memo_stats()
     }
 
-    /// Instruction-cache statistics.
-    pub fn icache_stats(&self) -> sofia_cpu::icache::ICacheStats {
-        self.engine.icache_stats()
-    }
-
-    /// Every violation detected so far (reboot policy accumulates them).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
     /// The next transfer target (diagnostic).
     pub fn next_target(&self) -> u32 {
         self.engine.fetch().next_target()
@@ -549,15 +596,6 @@ impl SofiaMachine {
     pub fn hijack_next_target(&mut self, target: u32) {
         self.engine.fetch_mut().hijack(target);
     }
-}
-
-/// Result of [`SofiaMachine::step_block`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepBlock {
-    /// Instruction slots executed (0 when a violation fired).
-    pub executed_slots: u64,
-    /// The violation detected during this step, if any.
-    pub violation: Option<Violation>,
 }
 
 #[cfg(test)]

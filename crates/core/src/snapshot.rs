@@ -25,10 +25,10 @@
 //!   at installation ("these keys are known only by the software
 //!   provider").
 //! * **No decrypted plaintext.** The verified-block cache is serialised
-//!   as edge *keys* and LRU stamps only; [`rebuild`] re-runs the full
-//!   decrypt → MAC-verify → decode path for every line against the
-//!   restoring host's image, so a line can never smuggle unverified
-//!   instructions across a migration. (Consequence: ciphertext tampered
+//!   as edge *keys* and LRU stamps only; [`SofiaMachine::restore`]
+//!   re-runs the full decrypt → MAC-verify → decode path for every line
+//!   against the restoring host's image, so a line can never smuggle
+//!   unverified instructions across a migration. (Consequence: ciphertext tampered
 //!   *after* a line was filled resumes as a [`RestoreError`] instead of
 //!   replaying the stale verified plaintext a warm uninterrupted
 //!   machine would — strictly more detection, never less.)
@@ -296,7 +296,7 @@ impl MachineSnapshot {
     /// The stream is length-checked end to end: the trailing checksum is
     /// verified before a single field is parsed, every count is bounded
     /// by the bytes actually present, and every tag, geometry and
-    /// ordering constraint that a later [`rebuild`] relies on is
+    /// ordering constraint that a later [`SofiaMachine::restore`] relies on is
     /// validated here — so corruption (any single flipped byte, any
     /// truncation) is a typed [`DecodeError`], never a panic.
     ///

@@ -7,7 +7,7 @@
 //! three existing seams:
 //!
 //! * **Yield point** — the engine's fuel-slice seam
-//!   ([`sofia_core::SofiaMachine::run_slice`] / cooperative preemption
+//!   ([`sofia_core::machine::Machine::run_slice`] / cooperative preemption
 //!   on [`sofia_core::ResumeEdge`]): a job runs one quantum, then the
 //!   driver decides who runs next. No job ever owns an OS thread.
 //! * **Cold parking** — a job that waits too long has its machine

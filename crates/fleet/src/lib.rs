@@ -85,7 +85,7 @@
 pub mod admission;
 pub mod chaos;
 mod checkpoint;
-mod executor;
+pub mod executor;
 mod fleet;
 mod job;
 mod quarantine;

@@ -5,7 +5,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`]: a fixed `usize` or a
+/// Length specifications accepted by [`vec()`]: a fixed `usize` or a
 /// `Range<usize>`.
 pub trait IntoLenRange {
     /// Lower bound (inclusive) and upper bound (exclusive).
@@ -24,7 +24,7 @@ impl IntoLenRange for Range<usize> {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -3,8 +3,9 @@
 //!
 //! FIPAC leaves the text **in plaintext** and instead maintains a keyed
 //! running CFI state — a CBC-MAC-style chain over the executed SL32
-//! words under the device MAC key (see [`crate::chain`]) — with per-edge
-//! patch values reconciling joins, exactly like the sponge backend.
+//! words under the device MAC key, built by the chain pass it shares
+//! with [`crate::sponge`] — with per-edge patch values reconciling
+//! joins, exactly like the sponge backend.
 //! Integrity is enforced at **justifying signature points**: at every
 //! function return and every `halt` the installer records the canonical
 //! state, and the fetch unit compares its runtime state against that

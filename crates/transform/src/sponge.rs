@@ -3,8 +3,8 @@
 //!
 //! SCFP keeps the text section encrypted under a **sponge state** that
 //! absorbs every decrypted instruction word: word *i* is decrypted with
-//! the keystream of the canonical chain state `Sᵢ` (see
-//! [`crate::chain`]), and the state then absorbs the plaintext. There is
+//! the keystream of the canonical chain state `Sᵢ` (the chain shared with
+//! [`crate::fipac`]), and the state then absorbs the plaintext. There is
 //! **no MAC anywhere** — authenticity is implicit. Tamper with a word, or
 //! arrive over an edge the installer never enumerated, and the runtime
 //! state diverges from the canonical chain: every subsequent word

@@ -3,13 +3,17 @@
 //! integrity via decrypt-absorb) and the FIPAC-style fetch unit (keyed
 //! CFI state, checked at signature points) — then the same tamper, to
 //! show *when* each scheme detects, and the cross-backend attack matrix.
+//! All three are the one `Machine<F>` around a different fetch unit, so
+//! one helper drives them.
 //!
 //! ```text
 //! cargo run --example backend_gallery --release
 //! ```
 
 use sofia::attacks::xbackend;
-use sofia::backends::BackendOutcome;
+use sofia::backends::{BackendConfig, FipacFetch, SpongeFetch};
+use sofia::core::machine::Machine;
+use sofia::cpu::FetchUnit;
 use sofia::crypto::{KeySet, Nonce};
 use sofia::prelude::*;
 use sofia_workloads::kernels;
@@ -34,11 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sofia_m.run(100_000_000)?;
 
     let sponge_img = seal_sponge(&module, &keys, Nonce::new(1))?;
-    let mut sponge_m = SpongeMachine::new(&sponge_img, &keys);
+    let config = BackendConfig::default();
+    let mut sponge_m = SpongeFetch::machine(&sponge_img, &keys, &config);
     sponge_m.run(100_000_000)?;
 
     let fipac_img = install_fipac(&module, &keys, Nonce::new(1))?;
-    let mut fipac_m = FipacMachine::new(&fipac_img, &keys);
+    let mut fipac_m = FipacFetch::machine(&fipac_img, &keys, &config);
     fipac_m.run(100_000_000)?;
 
     let pct = |c: u64| (c as f64 / vanilla_cycles as f64 - 1.0) * 100.0;
@@ -46,15 +51,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, cycles, hw) in [
         (
             "sofia",
-            sofia_m.stats().exec.cycles,
+            sofia_m.exec_stats().cycles,
             sofia::hwmodel::sofia(sofia::hwmodel::PAPER_UNROLL),
         ),
         (
             "sponge",
-            sponge_m.stats().cycles,
+            sponge_m.exec_stats().cycles,
             sofia::hwmodel::sponge_cfp(),
         ),
-        ("fipac", fipac_m.stats().cycles, sofia::hwmodel::fipac()),
+        (
+            "fipac",
+            fipac_m.exec_stats().cycles,
+            sofia::hwmodel::fipac(),
+        ),
     ] {
         println!(
             "  {label:<8} {cycles:>9}   {:>+8.1}%   {:>6.0}   {:>5.1} MHz",
@@ -68,30 +77,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // watch *when* the schemes notice.
     println!("\nbit-flip in the stored image, word 4:");
 
-    let mut m = SofiaMachine::new(&image, &keys);
-    m.mem_mut().rom_mut()[4] ^= 1;
-    let outcome = m.run(100_000_000)?;
     println!(
-        "  sofia:  {outcome:?} after {} instructions (block refused pre-execution)",
-        m.stats().exec.instret
+        "  sofia:  {} (block refused pre-execution)",
+        flip_word_4(SofiaMachine::new(&image, &keys))
     );
-
-    let mut m = SpongeMachine::new(&sponge_img, &keys);
-    m.mem_mut().rom_mut()[4] ^= 1;
-    let outcome = m.run(100_000_000);
     println!(
-        "  sponge: {} after {} instructions (chain desynchronises; only garbage follows)",
-        describe(outcome),
-        m.stats().instret
+        "  sponge: {} (chain desynchronises; only garbage follows)",
+        flip_word_4(SpongeFetch::machine(&sponge_img, &keys, &config))
     );
-
-    let mut m = FipacMachine::new(&fipac_img, &keys);
-    m.mem_mut().rom_mut()[4] ^= 1;
-    let outcome = m.run(100_000_000);
     println!(
-        "  fipac:  {} after {} instructions (runs until the next signature point)",
-        describe(outcome),
-        m.stats().instret
+        "  fipac:  {} (runs until the next signature point)",
+        flip_word_4(FipacFetch::machine(&fipac_img, &keys, &config))
     );
 
     // The discriminating rows.
@@ -112,14 +108,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn describe<V: std::fmt::Debug, E: std::fmt::Debug>(
-    outcome: Result<BackendOutcome<V>, E>,
-) -> String {
-    match outcome {
-        Ok(BackendOutcome::ViolationStop(v)) => format!("ViolationStop({v:?})"),
-        Ok(other) => format!("{other:?}"),
+/// Flips bit 0 of stored word 4, runs, and describes the outcome and
+/// how many instructions retired before it.
+fn flip_word_4<F: FetchUnit>(mut m: Machine<F>) -> String {
+    m.mem_mut().rom_mut()[4] ^= 1;
+    let outcome = match m.run(100_000_000) {
+        Ok(o) => format!("{o:?}"),
         // A trap is a contained outcome too: the garbled word executed
         // briefly and crashed before achieving anything.
         Err(t) => format!("trap {t:?}"),
-    }
+    };
+    format!("{outcome} after {} instructions", m.exec_stats().instret)
 }

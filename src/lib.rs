@@ -22,8 +22,8 @@
 //! | [`cfg`](mod@cfg) | instruction-level control-flow-graph analysis |
 //! | [`cpu`] | the vanilla 7-stage pipeline simulator (LEON3-like baseline) |
 //! | [`transform`] | the secure installer (blocks, mux trees, MAC-then-Encrypt) |
-//! | [`core`] | the SOFIA machine: CFI decrypt + SI verify + reset logic |
-//! | [`backends`] | alternative integrity backends (sponge CFP, FIPAC) behind the same fetch seam |
+//! | [`core`] | the one `Machine<F>` around any fetch unit (engine, reset policy, violation log) and SOFIA's CFI decrypt + SI verify fetch unit |
+//! | [`backends`] | alternative integrity backends (sponge CFP, FIPAC): fetch units for the same `Machine<F>` |
 //! | [`workloads`] | ADPCM and other embedded kernels with golden models |
 //! | [`attacks`] | the adversary harness (injection, relocation, hijack, forgery) |
 //! | [`hwmodel`] | the calibrated FPGA area / critical-path cost model |
@@ -73,10 +73,19 @@ pub use sofia_transform as transform;
 pub use sofia_workloads as workloads;
 
 /// The most commonly used types, re-exported for `use sofia::prelude::*`.
+/// Every protected machine is a `Machine<F>`: [`SofiaMachine`],
+/// [`SpongeMachine`] (built by [`SpongeFetch::machine`]) and
+/// [`FipacMachine`] (built by [`FipacFetch::machine`]).
+///
+/// [`SofiaMachine`]: prelude::SofiaMachine
+/// [`SpongeMachine`]: prelude::SpongeMachine
+/// [`SpongeFetch::machine`]: prelude::SpongeFetch::machine
+/// [`FipacMachine`]: prelude::FipacMachine
+/// [`FipacFetch::machine`]: prelude::FipacFetch::machine
 pub mod prelude {
-    pub use sofia_backends::{FipacMachine, SpongeMachine};
+    pub use sofia_backends::{BackendConfig, FipacFetch, FipacMachine, SpongeFetch, SpongeMachine};
     pub use sofia_core::{
-        machine::{RunOutcome, SofiaMachine},
+        machine::{Machine, RunOutcome, SofiaMachine},
         security, ResumeEdge, SliceOutcome, SofiaConfig, VCacheConfig, Violation,
     };
     pub use sofia_cpu::{machine::VanillaMachine, Trap};

@@ -152,7 +152,6 @@ pub fn assert_invisible(what: &str, src: &str, keys: &KeySet) {
 // vocabulary covers all three.
 // ---------------------------------------------------------------------
 
-use sofia::backends::{BackendMachine, BackendOutcome, FipacMachine, SpongeMachine};
 use sofia::cpu::FetchUnit;
 use sofia::crypto::Nonce;
 
@@ -190,20 +189,11 @@ pub struct BackendRun {
     pub cycles: u64,
 }
 
-fn reduce_backend<F>(mut m: BackendMachine<F>, fuel: u64) -> BackendRun
-where
-    F: FetchUnit,
-    F::Violation: std::fmt::Debug,
-{
+/// Runs any machine and reduces the run; the three backends differ only
+/// in the fetch unit, so one reduction serves all of them.
+fn reduce<F: FetchUnit>(mut m: Machine<F>, fuel: u64) -> BackendRun {
     let outcome = match m.run(fuel) {
-        Ok(o) => match o {
-            // Render through RunOutcome's vocabulary so results compare
-            // 1:1 with SOFIA runs reduced by `run_config`.
-            BackendOutcome::Halted => "Halted".to_string(),
-            BackendOutcome::OutOfFuel => "OutOfFuel".to_string(),
-            BackendOutcome::ViolationStop(v) => format!("ViolationStop({v:?})"),
-            BackendOutcome::ResetLoop { resets } => format!("ResetLoop {{ resets: {resets} }}"),
-        },
+        Ok(o) => format!("{o:?}"),
         Err(t) => format!("trap: {t:?}"),
     };
     BackendRun {
@@ -211,10 +201,10 @@ where
             outcome,
             mmio: m.mem().mmio.out_words.clone(),
             actuators: m.mem().mmio.actuator_writes.clone(),
-            instret: m.stats().instret,
+            instret: m.exec_stats().instret,
             violations: m.violations().iter().map(|v| format!("{v:?}")).collect(),
         },
-        cycles: m.stats().cycles,
+        cycles: m.exec_stats().cycles,
     }
 }
 
@@ -237,34 +227,21 @@ pub fn run_backend_with(
                 .unwrap_or_else(|e| panic!("sofia: transform: {e:?}"));
             let mut m = SofiaMachine::new(&image, keys);
             prepare(m.mem_mut().rom_mut());
-            let outcome = match m.run(fuel) {
-                Ok(o) => format!("{o:?}"),
-                Err(t) => format!("trap: {t:?}"),
-            };
-            BackendRun {
-                arch: ArchResult {
-                    outcome,
-                    mmio: m.mem().mmio.out_words.clone(),
-                    actuators: m.mem().mmio.actuator_writes.clone(),
-                    instret: m.stats().exec.instret,
-                    violations: m.violations().iter().map(|v| format!("{v:?}")).collect(),
-                },
-                cycles: m.stats().exec.cycles,
-            }
+            reduce(m, fuel)
         }
         Backend::Sponge => {
             let image = seal_sponge(&module, keys, Nonce::new(1))
                 .unwrap_or_else(|e| panic!("sponge: seal: {e:?}"));
-            let mut m = SpongeMachine::new(&image, keys);
+            let mut m = SpongeFetch::machine(&image, keys, &BackendConfig::default());
             prepare(m.mem_mut().rom_mut());
-            reduce_backend(m, fuel)
+            reduce(m, fuel)
         }
         Backend::Fipac => {
             let image = install_fipac(&module, keys, Nonce::new(1))
                 .unwrap_or_else(|e| panic!("fipac: install: {e:?}"));
-            let mut m = FipacMachine::new(&image, keys);
+            let mut m = FipacFetch::machine(&image, keys, &BackendConfig::default());
             prepare(m.mem_mut().rom_mut());
-            reduce_backend(m, fuel)
+            reduce(m, fuel)
         }
     }
 }

@@ -12,7 +12,7 @@
 //! too. A host-speed change to the engine or a fetch unit must leave
 //! that file's lines unchanged.
 
-use sofia::backends::{FipacMachine, SpongeMachine};
+use sofia::backends::{BackendConfig, FipacFetch, SpongeFetch};
 use sofia::core::machine::SofiaMachine;
 use sofia::core::{SofiaConfig, VCacheConfig};
 use sofia::cpu::engine::MachineConfig;
@@ -66,25 +66,25 @@ fn counter_lines() -> Vec<String> {
 
         let module = w.module();
         let sponge = seal_sponge(&module, &keys, Nonce::new(1)).unwrap();
-        let mut m = SpongeMachine::new(&sponge, &keys);
+        let mut m = SpongeFetch::machine(&sponge, &keys, &BackendConfig::default());
         assert!(m.run(FUEL).unwrap().is_halted(), "sponge {}", w.name);
         assert_eq!(m.mem().mmio.out_words, w.expected, "sponge {}", w.name);
         lines.push(format!(
             "sponge {} {:?} {:?} {:?}",
             w.name,
-            m.stats(),
+            m.exec_stats(),
             m.icache_stats(),
             m.fetch().stats()
         ));
 
         let fipac = install_fipac(&module, &keys, Nonce::new(1)).unwrap();
-        let mut m = FipacMachine::new(&fipac, &keys);
+        let mut m = FipacFetch::machine(&fipac, &keys, &BackendConfig::default());
         assert!(m.run(FUEL).unwrap().is_halted(), "fipac {}", w.name);
         assert_eq!(m.mem().mmio.out_words, w.expected, "fipac {}", w.name);
         lines.push(format!(
             "fipac {} {:?} {:?} {:?}",
             w.name,
-            m.stats(),
+            m.exec_stats(),
             m.icache_stats(),
             m.fetch().stats()
         ));
