@@ -19,8 +19,9 @@ use sofia_transform::RESET_PREV_PC;
 const MAX_BATCH: usize = 8;
 
 /// What a per-word rule makes of one fetched word: the instruction to
-/// issue (the rule has absorbed it into the state and paid its cycles),
-/// or the violation or trap that stops the batch before it.
+/// issue (the rule has absorbed it into the state and added its cycles
+/// to the count it is given), or the violation or trap that stops the
+/// batch before it.
 pub(crate) type Word<V> = Result<Result<Instruction, V>, Trap>;
 
 /// Counters the sequencer keeps for both units. Like the engine's
@@ -126,17 +127,19 @@ impl ChainSequencer {
     }
 
     /// Fetches one batch: up to [`MAX_BATCH`] words from the next
-    /// target, each through the I-cache and then `rule`, ending after a
+    /// target, each through `rule` and the I-cache, ending after a
     /// control transfer or `halt`. A word outside the text, or one the
     /// rule refuses, ends a non-empty batch before it — the decoded
     /// prefix executes and the next batch re-arrives at the word — and
-    /// is reported only as the first word of its batch.
+    /// is reported only as the first word of its batch. Only there is
+    /// it charged (its I-cache access and the cycles the rule counted),
+    /// so a refused word costs what it costs once.
     pub(crate) fn fetch_batch<V>(
         &mut self,
         ctx: &mut FetchCtx<'_>,
         redirect_setup: u32,
         out_of_image: fn(u32) -> V,
-        mut rule: impl FnMut(&mut u64, &mut FetchCtx<'_>, u32, u32) -> Word<V>,
+        mut rule: impl FnMut(&mut u64, &mut u64, u32, u32) -> Word<V>,
     ) -> Result<Result<LentBatch<'_>, V>, Trap> {
         self.batch.clear();
         let mut pc = self.next_target;
@@ -144,18 +147,24 @@ impl ChainSequencer {
             ctx.stats.cycles += u64::from(redirect_setup);
         }
         for _ in 0..MAX_BATCH {
-            let word = if self.in_text(pc) {
-                let stall = ctx.icache.access_cycles(pc) as u64;
-                ctx.stats.icache_stall_cycles += stall;
-                ctx.stats.cycles += stall;
+            let in_text = self.in_text(pc);
+            let mut cycles = 0;
+            let word = if in_text {
                 let word = ctx.mem.fetch(pc)?;
-                rule(&mut self.state, ctx, pc, word)
+                rule(&mut self.state, &mut cycles, pc, word)
             } else {
                 Ok(Err(out_of_image(pc)))
             };
+            if !matches!(word, Ok(Ok(_))) && !self.batch.is_empty() {
+                break;
+            }
+            if in_text {
+                let stall = u64::from(ctx.icache.access_cycles(pc));
+                ctx.stats.icache_stall_cycles += stall;
+                ctx.stats.cycles += stall + cycles;
+            }
             let inst = match word {
                 Ok(Ok(inst)) => inst,
-                _ if !self.batch.is_empty() => break,
                 Ok(Err(v)) => return Ok(Err(v)),
                 Err(trap) => return Err(trap),
             };

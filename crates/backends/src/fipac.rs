@@ -209,13 +209,13 @@ impl FetchUnit for FipacFetch {
             ctx,
             timing.redirect_setup,
             |addr| FipacViolation::FetchOutOfImage { addr },
-            |state, ctx, pc, word| {
+            |state, cycles, pc, word| {
                 let inst = Instruction::decode(word)
                     .map_err(|e| Trap::IllegalInstruction { word: e.word(), pc })?;
                 let check = checks.get(&pc);
                 // Signature points gate *before* the word issues.
                 if let Some(&expected) = check {
-                    ctx.stats.cycles += u64::from(timing.check_latency);
+                    *cycles += u64::from(timing.check_latency);
                     if enforce && *state != expected {
                         return Ok(Err(FipacViolation::StateMismatch { pc }));
                     }
@@ -226,7 +226,7 @@ impl FetchUnit for FipacFetch {
                 }
                 // One issue cycle per word; the keyed update pipelines off
                 // the critical path.
-                ctx.stats.cycles += 1;
+                *cycles += 1;
                 *state = cipher.encrypt_block(*state ^ u64::from(word));
                 Ok(Ok(inst))
             },

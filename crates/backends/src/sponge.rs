@@ -190,7 +190,7 @@ impl FetchUnit for SpongeFetch {
             ctx,
             timing.redirect_setup,
             |addr| SpongeViolation::FetchOutOfImage { addr },
-            |state, ctx, pc, word| {
+            |state, cycles, pc, word| {
                 let plain = word ^ (*state as u32);
                 let Ok(inst) = Instruction::decode(plain) else {
                     // The garbage word is not absorbed, so a refetch sees
@@ -201,7 +201,7 @@ impl FetchUnit for SpongeFetch {
                 *state = cipher.encrypt_block(*state ^ u64::from(plain));
                 // Serial decrypt-absorb: every word pays the permutation
                 // latency (issue cycle included).
-                ctx.stats.cycles += u64::from(timing.permute_latency);
+                *cycles += u64::from(timing.permute_latency);
                 Ok(Ok(inst))
             },
         )

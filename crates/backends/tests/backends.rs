@@ -3,10 +3,11 @@
 //! hijacks are detected through each scheme's own mechanism.
 
 use sofia_backends::{
-    BackendConfig, FipacFetch, FipacMachine, FipacViolation, SpongeFetch, SpongeMachine,
-    SpongeViolation,
+    BackendConfig, FipacFetch, FipacMachine, FipacTiming, FipacViolation, SpongeFetch,
+    SpongeMachine, SpongeViolation,
 };
-use sofia_core::machine::{ResetPolicy, RunOutcome};
+use sofia_core::machine::{Machine, ResetPolicy, RunOutcome};
+use sofia_cpu::engine::Pipeline;
 use sofia_cpu::machine::VanillaMachine;
 use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm;
@@ -241,4 +242,45 @@ fn fipac_runs_the_decoded_prefix_before_an_undecodable_word() {
     // The signature gate before the halt was never reached, so it was
     // never charged.
     assert_eq!(f.fetch().stats().checks_passed, 0);
+}
+
+#[test]
+fn fipac_charges_a_failed_gate_once() {
+    // The halt's gate fails mid-batch: the prefix retires, and the next
+    // batch re-arrives at the halt and reports the mismatch. The refused
+    // word is charged there only — one I-cache access per word, one
+    // check latency — so the stop moves with the latency one for one.
+    let image = install_fipac(&asm::parse(STORE_7).unwrap(), &keys(), Nonce::new(7)).unwrap();
+    let config = BackendConfig::default();
+    for (check_latency, cycles) in [(0, 14), (1, 15), (10, 24)] {
+        let timing = FipacTiming {
+            check_latency,
+            ..FipacTiming::default()
+        };
+        let unit = FipacFetch::new(&image, &keys(), timing);
+        let engine = Pipeline::new(
+            unit,
+            image.text_base,
+            image.words.clone(),
+            image.data_base,
+            &image.data,
+            &config.machine,
+        );
+        let mut f: FipacMachine = Machine::from_engine(engine, config.reset_policy);
+        f.mem_mut().rom_mut()[0] ^= 0x2; // the halt signature no longer matches
+        let outcome = f.run(FUEL).unwrap();
+        assert!(
+            matches!(
+                outcome,
+                RunOutcome::ViolationStop(FipacViolation::StateMismatch { .. })
+            ),
+            "{outcome:?}"
+        );
+        let icache = f.icache_stats();
+        assert_eq!(
+            (f.exec_stats().cycles, icache.hits + icache.misses),
+            (cycles, 4),
+            "check_latency {check_latency}"
+        );
+    }
 }

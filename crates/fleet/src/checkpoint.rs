@@ -22,7 +22,7 @@ use sofia_transform::cache::SealError;
 use sofia_transform::decode::{DecodeError, Reader, Writer};
 
 use crate::admission::AdmitError;
-use crate::fleet::FleetError;
+use crate::executor::FleetError;
 use crate::job::{Sabotage, TenantId};
 
 /// Container magic for serialised job checkpoints.

@@ -41,7 +41,9 @@
 //! yet) and the snapshot of every queued job that cools to parked this
 //! tick. The coordinator publishes the wave and then runs tasks itself
 //! beside `threads − 1` pool threads, so no thread sleeps while work is
-//! left. Results come back in task order.
+//! left. Results come back in task order. A lane carries its whole job
+//! — spec, machine (unbuilt, live or parked) and run history — to its
+//! runner and back, so a runner shares nothing but the seal cache.
 //!
 //! ## Migration
 //!
@@ -66,22 +68,65 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use sofia_core::machine::SofiaMachine;
-use sofia_core::MachineSnapshot;
+use sofia_core::machine::{RunOutcome, SliceOutcome, SofiaMachine};
+use sofia_core::{MachineSnapshot, ResetPolicy, SofiaConfig, SofiaStats, Violation};
 use sofia_crypto::KeySet;
-use sofia_transform::cache::{image_key, ImageCache, ImageKey};
+use sofia_transform::cache::{image_key, ImageCache, ImageKey, SealError};
+use sofia_transform::SecureImage;
 
 use crate::admission::{AdmissionConfig, AdmitError, ClassId, Rejection};
 use crate::chaos::{ChaosPlan, InjectedFault, Seam};
 use crate::checkpoint::{AdoptError, JobCheckpoint};
-use crate::fleet::{
-    catch_quantum, finish, needs_containment, restore_against, seal_run, FleetConfig, FleetError,
-    JobRun, SchedMode,
-};
-use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, TenantId};
+use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 use crate::quarantine::{fold_policy, QuarantinePolicy, TenantState};
 use crate::resilience::{ResilienceConfig, ResilienceEvent, ResilienceState, ResilienceStats};
 use crate::stats::TenantStats;
+
+/// How the worker pool shares machine time between jobs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SchedMode {
+    /// Each worker runs its job to a verdict before taking the next —
+    /// minimal overhead, but a long job monopolises its worker.
+    #[default]
+    RunToCompletion,
+    /// Preemptive round-robin on the engine's fuel seam: every quantum a
+    /// job gets at most `slice` instruction slots, then re-queues behind
+    /// the waiting jobs. A long ADPCM job cannot starve short jobs.
+    FuelSliced {
+        /// Instruction slots per scheduler quantum (clamped to ≥ 1).
+        slice: u64,
+    },
+}
+
+/// Why the fleet refused an operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FleetError {
+    /// The tenant was never registered.
+    UnknownTenant(TenantId),
+    /// [`crate::Fleet::register_tenant`] for an id already present.
+    TenantExists(TenantId),
+    /// The tenant is suspended by its quarantine.
+    Quarantined(TenantId),
+    /// The tenant was evicted; this fleet will not serve it again.
+    Evicted(TenantId),
+    /// No job with this id is queued (it finished, was checkpointed
+    /// away, or never existed).
+    UnknownJob(JobId),
+}
+
+impl std::fmt::Display for FleetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetError::UnknownTenant(t) => write!(f, "{t} is not registered"),
+            FleetError::TenantExists(t) => write!(f, "{t} is already registered"),
+            FleetError::Quarantined(t) => write!(f, "{t} is quarantined"),
+            FleetError::Evicted(t) => write!(f, "{t} was evicted"),
+            FleetError::UnknownJob(j) => write!(f, "{j} is not queued"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
 
 /// Full configuration of an [`AsyncFleet`].
 #[derive(Clone, Debug)]
@@ -91,10 +136,9 @@ pub struct AsyncConfig {
     /// alone at 1. Pure host parallelism: provably cannot affect
     /// results, records or virtual time — only wall-clock.
     pub threads: usize,
-    /// Virtual lanes served per tick (clamped to ≥ 1) — the async
-    /// analogue of [`FleetConfig::workers`]. Part of the deterministic
-    /// surface: changing it changes the schedule (but never what any
-    /// job computes).
+    /// Virtual lanes served per tick (clamped to ≥ 1). Part of the
+    /// deterministic surface: changing it changes the schedule (but
+    /// never what any job computes).
     pub workers: usize,
     /// Scheduling discipline. [`SchedMode::FuelSliced`] is the point of
     /// the async driver; run-to-completion still works (each quantum is
@@ -103,7 +147,7 @@ pub struct AsyncConfig {
     /// Containment for violating (or worker-crashing) tenants.
     pub quarantine: QuarantinePolicy,
     /// The SOFIA machine configuration every job runs under.
-    pub sofia: sofia_core::SofiaConfig,
+    pub sofia: SofiaConfig,
     /// Admission policy: queue caps, class weights, fuel quotas.
     pub admission: AdmissionConfig,
     /// Park a waiting job's machine to `SOFS1` bytes after this many
@@ -170,14 +214,64 @@ pub struct AsyncStats {
     pub evictions: u64,
 }
 
-/// One queued job plus its async bookkeeping. Travels whole to a pool
-/// thread for its quantum and comes back in the lane's result.
-struct Pending {
-    run: JobRun,
-    /// `SOFS1` bytes of the parked machine (`run.machine` is `None`
-    /// while this is `Some`).
-    parked: Option<Vec<u8>>,
+/// Where a job's machine is between quanta. Inline: boxing the live
+/// variant would cost a heap allocation per machine built.
+#[allow(clippy::large_enum_variant)]
+enum MachineState {
+    /// Not built: the job has not run yet, or a failure dropped it.
+    Unbuilt,
+    /// Resident, suspended between blocks.
+    Live(SofiaMachine),
+    /// Serialised to `SOFS1` bytes and dropped; revived on the job's
+    /// next quantum.
+    Parked(Vec<u8>),
+}
+
+impl MachineState {
+    /// The resident machine, if there is one.
+    fn live(&self) -> Option<&SofiaMachine> {
+        match self {
+            MachineState::Live(machine) => Some(machine),
+            _ => None,
+        }
+    }
+
+    /// Takes the resident machine out, leaving the state unbuilt.
+    fn take_live(&mut self) -> Option<SofiaMachine> {
+        match std::mem::replace(self, MachineState::Unbuilt) {
+            MachineState::Live(machine) => Some(machine),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+/// One admitted job: its spec, its machine, the run state it
+/// accumulates across quanta (seal attribution, reboot-retry, slices)
+/// and the driver's queue bookkeeping. Travels whole to a runner inside
+/// its [`Lane`] and comes back in it.
+struct Job {
+    id: JobId,
+    spec: JobSpec,
+    keys: KeySet,
     class: ClassId,
+    image: Option<Arc<SecureImage>>,
+    machine: MachineState,
+    remaining: u64,
+    seal_cache_hit: bool,
+    /// The coordinator's seal attribution for this job's cold start.
+    /// `Some` overrides what the cache reports to [`seal`], so lanes
+    /// racing for one cold image record the same hits at any thread
+    /// count. `None` takes the cache's report.
+    attributed_hit: Option<bool>,
+    retried: bool,
+    /// Violations and statistics of the first (violating) run, kept
+    /// while the reboot-retry runs — merged into the final record.
+    prior: Option<(Vec<Violation>, SofiaStats)>,
+    slices: u32,
+    slice_cycles: Vec<u64>,
     arrival_tick: u64,
     /// Virtual-clock reading at admission — the sojourn baseline.
     arrival_cycles: u64,
@@ -186,11 +280,19 @@ struct Pending {
     idle_ticks: u64,
 }
 
+impl Job {
+    /// Whether the job has neither a machine nor a sealed image: its
+    /// first quantum seals.
+    fn cold(&self) -> bool {
+        matches!(self.machine, MachineState::Unbuilt) && self.image.is_none()
+    }
+}
+
 /// Per-class WFQ state.
 struct ClassState {
     /// Total virtual service charged, in simulated cycles.
     vservice: u64,
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Job>,
 }
 
 struct AsyncTenant {
@@ -209,9 +311,11 @@ struct Arrival {
     spec: JobSpec,
 }
 
-/// One lane's work for a tick.
-struct LaneTask {
-    pending: Pending,
+/// One lane of a tick: the job selected for a quantum and what the
+/// coordinator decided for it, handed to a runner, which fills in what
+/// the quantum produced and hands it back.
+struct Lane {
+    job: Job,
     /// The WFQ charge applied at selection, to true up after the run.
     provisional: u64,
     /// The fault the chaos plan assigned to this lane, if any. Decided
@@ -221,111 +325,326 @@ struct LaneTask {
     /// seals before any injected fault applies, so the cache sees one
     /// lookup per distinct image in the wave, faulted claimer or not.
     claims_seal: bool,
-}
-
-struct LaneResult {
-    pending: Pending,
-    provisional: u64,
+    /// The finished record, or `None` if the job re-queues.
     record: Option<JobRecord>,
+    /// Whether the lane revived a parked machine.
     revived: bool,
 }
 
-/// Revives a parked run in place. Any failure is a *host* fault (the
+// ---------------------------------------------------------------------
+// One lane's quantum: the per-job state machine, run on a pool thread
+// (or inline when `threads == 1`).
+// ---------------------------------------------------------------------
+
+/// Serves one lane behind the panic barrier: a panic anywhere in it
+/// (the sealer, the simulator, a deliberate
+/// [`Sabotage::PanicInWorker`]) is caught here and becomes a typed
+/// [`JobOutcome::WorkerPanic`] record, so one bad job degrades to a
+/// quarantined per-tenant failure instead of unwinding through the
+/// pool — the lock-poisoning cascade the panic-isolation suite pins
+/// against. An injected stall then taxes the lane's quantum in
+/// *virtual* cycles, so the schedule model (and every sojourn derived
+/// from it) prices the slow host; the machine's own cycles are
+/// untouched.
+fn run_lane(mut lane: Lane, config: &AsyncConfig, cache: &ImageCache) -> Lane {
+    let charged = lane.job.slices;
+    // `AssertUnwindSafe` is honest here: on unwind `fail` drops the
+    // job's machine wholesale, so no torn machine state is observed.
+    let served = std::panic::catch_unwind(AssertUnwindSafe(|| serve(&mut lane, config, cache)));
+    let mut record = match served {
+        Ok(Ok(settled)) => settled,
+        Ok(Err(outcome)) => Some(fail(&mut lane.job, charged, outcome)),
+        Err(payload) => Some(fail(
+            &mut lane.job,
+            charged,
+            JobOutcome::WorkerPanic(panic_message(payload)),
+        )),
+    };
+    if let Some(InjectedFault::Stall { cycles }) = lane.fault {
+        let costs = match record.as_mut() {
+            Some(r) => &mut r.slice_cycles,
+            None => &mut lane.job.slice_cycles,
+        };
+        if let Some(last) = costs.last_mut() {
+            *last = last.saturating_add(cycles);
+        }
+    }
+    lane.record = record;
+    lane
+}
+
+/// A lane's work: its seal claim, a revival if the job is parked, then
+/// the injected fault or one quantum. A failure comes back as the
+/// outcome [`fail`] finishes the job with.
+fn serve(
+    lane: &mut Lane,
+    config: &AsyncConfig,
+    cache: &ImageCache,
+) -> Result<Option<JobRecord>, JobOutcome> {
+    let job = &mut lane.job;
+    if lane.claims_seal {
+        // A failed seal leaves the image unset: the quantum seals again
+        // and fails the same way (seals are deterministic), typed.
+        let _ = seal(job, cache);
+    }
+    if let MachineState::Parked(bytes) = &job.machine {
+        let machine = revive(job, bytes).map_err(JobOutcome::RevivalFailed)?;
+        job.machine = MachineState::Live(machine);
+        lane.revived = true;
+    }
+    match lane.fault {
+        // An injected seal fault: the job's fresh seal "failed".
+        Some(InjectedFault::SealFault) => Err(JobOutcome::SealFailed(
+            "chaos: injected seal-farm fault".to_string(),
+        )),
+        // An injected worker death: no real panic ever unwinds (the
+        // "never a panic" contract) — the record a caught panic would
+        // produce.
+        Some(InjectedFault::WorkerPanic) => Err(JobOutcome::WorkerPanic(
+            "chaos: injected worker fault".to_string(),
+        )),
+        Some(InjectedFault::Stall { .. }) | None => service_quantum(job, config, cache),
+    }
+}
+
+/// The one failure rule: a job whose quantum failed — a caught panic, a
+/// seal error, a failed revival, an injected seal fault or worker death
+/// — loses its machine and finishes with `outcome`. If the quantum
+/// failed before charging its slice (`charged` is the slice count it
+/// started with), it costs one zero-cycle slice, so the schedule model
+/// still gives the job its tick.
+fn fail(job: &mut Job, charged: u32, outcome: JobOutcome) -> JobRecord {
+    job.machine = MachineState::Unbuilt;
+    if job.slices == charged {
+        job.slices += 1;
+        job.slice_cycles.push(0);
+    }
+    finish(job, outcome)
+}
+
+/// Renders a panic payload for the [`JobOutcome::WorkerPanic`] record.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Revives a parked job's machine. Any failure is a *host* fault (the
 /// snapshot was produced by this very driver, so corruption means the
 /// bytes rotted in storage or transit), reported as the typed
 /// [`JobOutcome::RevivalFailed`] — never a security verdict.
-fn revive(run: &mut JobRun, bytes: &[u8]) -> Result<(), String> {
+fn revive(job: &Job, bytes: &[u8]) -> Result<SofiaMachine, String> {
     let snap = MachineSnapshot::from_bytes(bytes).map_err(|e| format!("revive decode: {e}"))?;
-    let Some(image) = run.image.clone() else {
+    let Some(image) = job.image.as_deref() else {
         return Err("parked job lost its sealed image".to_string());
     };
-    let machine = restore_against(&image, &run.keys, &snap, run.spec.sabotage)
-        .map_err(|e| format!("revive restore: {e:?}"))?;
-    run.machine = Some(machine);
-    Ok(())
+    restore_against(image, &job.keys, &snap, job.spec.sabotage)
+        .map_err(|e| format!("revive restore: {e:?}"))
 }
 
-/// Serves one lane: revive if parked, apply any injected fault, then
-/// one quantum through the panic barrier. Runs on a pool thread (or
-/// inline when `threads == 1`).
-fn run_lane(mut task: LaneTask, config: &FleetConfig, cache: &ImageCache) -> LaneResult {
-    let run = &mut task.pending.run;
-    if task.claims_seal {
-        // A failed seal leaves the image unset: the quantum seals again
-        // and fails the same way (seals are deterministic), typed.
-        let _ = seal_run(run, cache);
+/// Serves one scheduler quantum of `job`: seals and boots on first
+/// service, then advances the machine by the mode's fuel slice. Returns
+/// the finished record, or `None` if the job was preempted and must
+/// re-queue.
+fn service_quantum(
+    job: &mut Job,
+    config: &AsyncConfig,
+    cache: &ImageCache,
+) -> Result<Option<JobRecord>, JobOutcome> {
+    if job.spec.sabotage == Some(Sabotage::PanicInWorker) {
+        panic!("sabotage: deliberate panic while servicing {}", job.id);
     }
-    let mut revived = false;
-    if let Some(bytes) = task.pending.parked.take() {
-        match revive(run, &bytes) {
-            Ok(()) => revived = true,
-            Err(msg) => {
-                // Mirror a seal failure's accounting: one zero-cost
-                // quantum so the schedule model still prices the tick.
-                run.slices += 1;
-                run.slice_cycles.push(0);
-                let record = finish(run, JobOutcome::RevivalFailed(msg));
-                return LaneResult {
-                    pending: task.pending,
-                    provisional: task.provisional,
-                    record: Some(record),
-                    revived: false,
-                };
-            }
-        }
+    if let MachineState::Unbuilt = job.machine {
+        // The lane's own seal claim may already have sealed this job's
+        // image (and set its cache attribution); only seal here if the
+        // job arrived at its first quantum still cold.
+        let image = match &job.image {
+            Some(image) => Arc::clone(image),
+            None => seal(job, cache).map_err(|e| JobOutcome::SealFailed(e.to_string()))?,
+        };
+        job.machine = MachineState::Live(boot(&image, &job.keys, &config.sofia, job.spec.sabotage));
     }
-    let record = match task.fault.take() {
-        // An injected seal fault: the job's fresh seal "failed" — the
-        // same typed, zero-cost-quantum shape as a real seal error.
-        Some(InjectedFault::SealFault) => {
-            run.slices += 1;
-            run.slice_cycles.push(0);
-            Some(finish(
-                run,
-                JobOutcome::SealFailed("chaos: injected seal-farm fault".to_string()),
-            ))
-        }
-        // An injected worker death: no real panic ever unwinds (the
-        // "never a panic" contract) — the machine is dropped and the
-        // same typed record a caught panic would produce is emitted.
-        Some(InjectedFault::WorkerPanic) => {
-            run.machine = None;
-            run.slices += 1;
-            run.slice_cycles.push(0);
-            Some(finish(
-                run,
-                JobOutcome::WorkerPanic("chaos: injected worker fault".to_string()),
-            ))
-        }
-        // An injected stall: the quantum runs normally, then its lane
-        // cost is taxed in *virtual* cycles, so the schedule model (and
-        // every sojourn derived from it) prices the slow host. The
-        // machine's own simulated cycles are untouched — a stall is
-        // scheduler time, not device work.
-        Some(InjectedFault::Stall { cycles }) => {
-            let mut record = catch_quantum(run, config, cache);
-            match record.as_mut() {
-                Some(r) => {
-                    if let Some(last) = r.slice_cycles.last_mut() {
-                        *last = last.saturating_add(cycles);
-                    }
-                }
-                None => {
-                    if let Some(last) = run.slice_cycles.last_mut() {
-                        *last = last.saturating_add(cycles);
-                    }
-                }
-            }
-            record
-        }
-        None => catch_quantum(run, config, cache),
+    let quantum = match config.mode {
+        SchedMode::RunToCompletion => job.remaining,
+        SchedMode::FuelSliced { slice } => slice.max(1).min(job.remaining),
     };
-    LaneResult {
-        pending: task.pending,
-        provisional: task.provisional,
-        record,
-        revived,
+    let MachineState::Live(machine) = &mut job.machine else {
+        unreachable!("a served job's machine is revived or built above");
+    };
+    let cycles_before = machine.stats().exec.cycles;
+    let slice = machine.run_slice(quantum);
+    let cycles_after = machine.stats().exec.cycles;
+    job.slices += 1;
+    job.slice_cycles.push(cycles_after - cycles_before);
+    let s = match slice {
+        Err(trap) => return Ok(Some(finish(job, JobOutcome::Trapped(trap)))),
+        Ok(s) => s,
+    };
+    job.remaining = job.remaining.saturating_sub(s.consumed);
+    Ok(match s.outcome {
+        SliceOutcome::Done(outcome) => {
+            let outcome = JobOutcome::Completed(outcome);
+            if arm_retry(job, &outcome, config) {
+                None // the reboot-retry re-queues like a fresh run
+            } else {
+                Some(finish(job, outcome))
+            }
+        }
+        SliceOutcome::Preempted if job.remaining == 0 => {
+            Some(finish(job, JobOutcome::Completed(RunOutcome::OutOfFuel)))
+        }
+        SliceOutcome::Preempted => None,
+    })
+}
+
+/// Seals `job`'s image through the shared cache and records its
+/// attribution: the coordinator's [`Job::attributed_hit`] when set,
+/// else whether the cache already held the image.
+fn seal(job: &mut Job, cache: &ImageCache) -> Result<Arc<SecureImage>, SealError> {
+    let (image, hit) = cache.get_or_seal_traced(&job.keys, &job.spec.source)?;
+    job.seal_cache_hit = job.attributed_hit.take().unwrap_or(hit);
+    job.image = Some(Arc::clone(&image));
+    Ok(image)
+}
+
+/// Boots a fresh machine on `image`, applying any harness ROM
+/// sabotage.
+fn boot(
+    image: &SecureImage,
+    keys: &KeySet,
+    sofia: &SofiaConfig,
+    sabotage: Option<Sabotage>,
+) -> SofiaMachine {
+    let mut machine = SofiaMachine::with_config(image, keys, sofia);
+    if let Some(Sabotage::FlipRomWord { word, mask }) = sabotage {
+        if let Some(w) = machine.mem_mut().rom_mut().get_mut(word) {
+            *w ^= mask;
+        }
     }
+    machine
+}
+
+/// Restores a suspended machine against its sealed image, re-applying
+/// any harness sabotage first: the machine's ROM is the image *as the
+/// job ran it*, and the restore path re-verifies warm cache lines
+/// against that ROM. Shared by [`AsyncFleet::adopt_job`] (cross-fleet
+/// migration) and [`revive`].
+fn restore_against(
+    image: &SecureImage,
+    keys: &KeySet,
+    snap: &MachineSnapshot,
+    sabotage: Option<Sabotage>,
+) -> Result<SofiaMachine, sofia_core::RestoreError> {
+    match sabotage {
+        Some(Sabotage::FlipRomWord { word, mask }) => {
+            let mut tampered = image.clone();
+            if let Some(w) = tampered.ctext.get_mut(word) {
+                *w ^= mask;
+            }
+            SofiaMachine::restore(&tampered, keys, snap)
+        }
+        Some(Sabotage::PanicInWorker) | None => SofiaMachine::restore(image, keys, snap),
+    }
+}
+
+/// If the quarantine policy owes this violating job a reboot-retry,
+/// re-arms it with a fresh machine under [`ResetPolicy::Reboot`] (same
+/// sealed image, same sabotage, full fuel budget) and keeps the first
+/// run's violations and statistics for the final record. The retry then
+/// flows through the normal quantum loop — under fuel-sliced scheduling
+/// it is preempted like any other job, so an attacker cannot buy a
+/// worker-monopolising mega-quantum by triggering violations.
+/// Deterministic per job, so the fleet ≡ serial invariant survives.
+fn arm_retry(job: &mut Job, outcome: &JobOutcome, config: &AsyncConfig) -> bool {
+    let QuarantinePolicy::RetryWithReboot { max_resets } = config.quarantine else {
+        return false;
+    };
+    if !outcome.is_violation() || job.retried {
+        return false;
+    }
+    // A violation verdict implies the job ran, so machine and image are
+    // both present; their absence is a driver bug (caught by the lane's
+    // panic barrier, not by poisoning the pool).
+    let (Some(first), Some(image)) = (job.machine.live(), job.image.clone()) else {
+        unreachable!("retry after a sealed run");
+    };
+    job.retried = true;
+    job.prior = Some((first.violations().to_vec(), first.stats()));
+    let reboot = SofiaConfig {
+        reset_policy: ResetPolicy::Reboot { max_resets },
+        ..config.sofia
+    };
+    job.machine = MachineState::Live(boot(&image, &job.keys, &reboot, job.spec.sabotage));
+    job.remaining = job.spec.fuel;
+    true
+}
+
+/// Assembles `job`'s record from its machine (if any) and history; the
+/// driver fills in the ticks and the sojourn when it settles.
+fn finish(job: &mut Job, outcome: JobOutcome) -> JobRecord {
+    let (out_words, mut violations, mut stats) = match job.machine.live() {
+        Some(m) => (
+            m.mem().mmio.out_words.clone(),
+            m.violations().to_vec(),
+            m.stats(),
+        ),
+        None => (Vec::new(), Vec::new(), Default::default()),
+    };
+    if let Some((first_violations, first_stats)) = job.prior.take() {
+        // The record covers the whole job: first (violating) run plus the
+        // reboot-retry, in order.
+        let mut all = first_violations;
+        all.extend(violations);
+        violations = all;
+        let mut merged = first_stats;
+        merged.merge(&stats);
+        stats = merged;
+    }
+    JobRecord {
+        job: job.id,
+        tenant: job.spec.tenant,
+        outcome,
+        out_words,
+        violations,
+        stats,
+        seal_cache_hit: job.seal_cache_hit,
+        retried: job.retried,
+        slices: job.slices,
+        slice_cycles: std::mem::take(&mut job.slice_cycles),
+        start_tick: 0,
+        end_tick: 0,
+        arrival_tick: 0,
+        sojourn_cycles: 0,
+    }
+}
+
+/// Whether a finished job triggers its tenant's quarantine: a violation
+/// verdict, any run that *detected* violations and still did not end in
+/// a clean halt, or a worker fault. The second arm closes the
+/// reboot-retry's fuel loophole — a retry that runs out of fuel
+/// mid-reboot-loop has not cleared the device, and a persistently
+/// tampered tenant must not stay in service just because its budget
+/// expired before its reset budget. (A retried run that reaches `halt`
+/// is the recovery the reboot policy exists for, and is not contained.)
+/// The worker-panic arm is defensive, not a security verdict: a job
+/// that crashed its worker once can do it again, so its tenant is
+/// contained like a violator while the rest of the fleet keeps serving.
+/// A failed revival ([`JobOutcome::RevivalFailed`]) is contained for
+/// the same reason — a tenant whose snapshots keep rotting keeps
+/// costing revive attempts. A deadline shed is *not* contained: the
+/// job never ran, and being queued behind a slow fleet is not the
+/// tenant's fault.
+fn needs_containment(record: &JobRecord) -> bool {
+    record.outcome.is_violation()
+        || (!record.outcome.is_halted() && !record.violations.is_empty())
+        || matches!(
+            record.outcome,
+            JobOutcome::WorkerPanic(_) | JobOutcome::RevivalFailed(_)
+        )
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +667,7 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[allow(clippy::large_enum_variant)]
 enum Task {
     /// Serve one lane's quantum.
-    Lane(LaneTask),
+    Lane(Lane),
     /// Serialise a cooling job's machine to `SOFS1` bytes.
     Park {
         machine: SofiaMachine,
@@ -359,11 +678,11 @@ enum Task {
 /// A task's result, in the shape of its [`Task`].
 #[allow(clippy::large_enum_variant)]
 enum Done {
-    Lane(LaneResult),
+    Lane(Lane),
     Park(Vec<u8>),
 }
 
-fn run_task(task: Task, config: &FleetConfig, cache: &ImageCache) -> Done {
+fn run_task(task: Task, config: &AsyncConfig, cache: &ImageCache) -> Done {
     match task {
         Task::Lane(lane) => Done::Lane(run_lane(lane, config, cache)),
         Task::Park { machine, remaining } => Done::Park(machine.snapshot(remaining).to_bytes()),
@@ -375,11 +694,11 @@ fn run_task(task: Task, config: &FleetConfig, cache: &ImageCache) -> Done {
 /// coordinator included) claims indices until none are left, and the
 /// coordinator then blocks on `done` until every task settles.
 /// Poisoning is shrugged off everywhere ([`lock_clean`]) — a panicking
-/// quantum is already contained by [`catch_quantum`], and a poisoned
+/// lane is already contained by [`run_lane`], and a poisoned
 /// flag must not take the driver down (the whole point of the
 /// panic-isolation fix).
 struct PoolShared {
-    config: FleetConfig,
+    config: Arc<AsyncConfig>,
     cache: Arc<ImageCache>,
     state: Mutex<PoolState>,
     /// Signalled when a wave is published or on shutdown.
@@ -438,7 +757,7 @@ struct Pool {
 impl Pool {
     /// A pool of `workers` threads; the coordinator is the wave's
     /// other runner.
-    fn new(workers: usize, config: FleetConfig, cache: Arc<ImageCache>) -> Pool {
+    fn new(workers: usize, config: Arc<AsyncConfig>, cache: Arc<ImageCache>) -> Pool {
         let shared = Arc::new(PoolShared {
             config,
             cache,
@@ -534,12 +853,12 @@ fn worker_loop(shared: &PoolShared) {
 // The driver.
 // ---------------------------------------------------------------------
 
-/// The async multi-tenant driver. See the [module docs](self) for the
-/// architecture; the API shape mirrors the batch [`crate::Fleet`]
-/// (register, submit, drive, drain) with two async additions: a virtual
-/// clock ([`AsyncFleet::tick`] / [`AsyncFleet::now`]) and scheduled
-/// arrivals with deferred typed rejection ([`AsyncFleet::submit_at`] /
-/// [`AsyncFleet::drain_rejected`]).
+/// The fleet driver, and the only one: the batch [`crate::Fleet`] is a
+/// facade over it. See the [module docs](self) for the architecture.
+/// Register tenants, submit jobs, drive ticks, drain records; the clock
+/// is virtual ([`AsyncFleet::tick`] / [`AsyncFleet::now`]), and arrivals
+/// can be scheduled ahead with deferred typed rejection
+/// ([`AsyncFleet::submit_at`] / [`AsyncFleet::drain_rejected`]).
 ///
 /// # Examples
 ///
@@ -570,11 +889,8 @@ fn worker_loop(shared: &PoolShared) {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct AsyncFleet {
-    config: AsyncConfig,
-    /// The per-quantum configuration shared verbatim with the batch
-    /// fleet's quantum loop — the seam that makes per-job execution
-    /// bit-identical across the two drivers.
-    fleet_config: FleetConfig,
+    /// Shared with the pool's runners, which read the quantum fields.
+    config: Arc<AsyncConfig>,
     cache: Arc<ImageCache>,
     /// Lazily spawned on the first multi-threaded dispatch.
     pool: Option<Pool>,
@@ -599,17 +915,10 @@ pub struct AsyncFleet {
 impl AsyncFleet {
     /// An empty driver.
     pub fn new(config: AsyncConfig) -> AsyncFleet {
-        let fleet_config = FleetConfig {
-            workers: config.workers.max(1),
-            mode: config.mode,
-            quarantine: config.quarantine,
-            sofia: config.sofia,
-        };
         let chaos = config.chaos.clone();
         let res = ResilienceState::new(config.resilience.clone());
         AsyncFleet {
-            config,
-            fleet_config,
+            config: Arc::new(config),
             cache: Arc::new(ImageCache::default()),
             pool: None,
             tenants: BTreeMap::new(),
@@ -704,7 +1013,7 @@ impl AsyncFleet {
         self.classes
             .values()
             .flat_map(|c| c.queue.iter())
-            .filter(|p| p.parked.is_some())
+            .filter(|job| matches!(job.machine, MachineState::Parked(_)))
             .count()
     }
 
@@ -840,34 +1149,37 @@ impl AsyncFleet {
             return 0;
         }
         let clock = self.stats.makespan_cycles;
-        let mut shed: Vec<(Pending, u64, u64)> = Vec::new();
+        let mut shed: Vec<(Job, u64, u64)> = Vec::new();
         for (&class_id, state) in self.classes.iter_mut() {
             let Some(deadline) = self.res.deadline(ClassId(class_id)) else {
                 continue;
             };
             let mut kept = VecDeque::with_capacity(state.queue.len());
-            for pending in state.queue.drain(..) {
-                let waited = clock.saturating_sub(pending.arrival_cycles);
+            for job in state.queue.drain(..) {
+                let waited = clock.saturating_sub(job.arrival_cycles);
                 if waited > deadline {
-                    shed.push((pending, waited, deadline));
+                    shed.push((job, waited, deadline));
                 } else {
-                    kept.push_back(pending);
+                    kept.push_back(job);
                 }
             }
             state.queue = kept;
         }
         let count = shed.len();
-        for (mut pending, waited, deadline) in shed {
-            let job = pending.run.id;
-            let tenant = pending.run.spec.tenant;
-            self.res
-                .note_deadline_shed(now, job, tenant, waited, deadline);
-            self.res.finish_job(job);
+        for (job, waited, deadline) in shed {
+            let (id, tenant) = (job.id, job.spec.tenant);
+            self.res.record(ResilienceEvent::DeadlineShed {
+                tick: now,
+                job: id,
+                tenant,
+                waited_cycles: waited,
+                deadline_cycles: deadline,
+            });
+            self.res.finish_job(id);
             // The record of a job that never ran: empty outputs, zero
             // machine work, sojourn = the wait that killed it.
-            pending.run.machine = None;
             let record = JobRecord {
-                job,
+                job: id,
                 tenant,
                 outcome: JobOutcome::DeadlineMissed {
                     deadline_cycles: deadline,
@@ -877,14 +1189,14 @@ impl AsyncFleet {
                 stats: Default::default(),
                 seal_cache_hit: false,
                 retried: false,
-                slices: pending.run.slices,
-                slice_cycles: std::mem::take(&mut pending.run.slice_cycles),
-                start_tick: pending.start_tick.unwrap_or(now),
+                slices: job.slices,
+                slice_cycles: job.slice_cycles,
+                start_tick: job.start_tick.unwrap_or(now),
                 end_tick: now,
-                arrival_tick: pending.arrival_tick,
+                arrival_tick: job.arrival_tick,
                 sojourn_cycles: waited,
             };
-            self.fold_finished(&record, pending.run.spec.fuel);
+            self.fold_finished(&record, job.spec.fuel);
             self.finished.push(record);
         }
         self.stats.finished += count as u64;
@@ -897,60 +1209,73 @@ impl AsyncFleet {
     /// one fault strikes a lane per tick (seam priority: snapshot →
     /// seal → panic → stall), and every strike lands exactly one typed
     /// [`ResilienceEvent::FaultInjected`].
-    fn inject_faults(&mut self, now: u64, lanes: &mut [LaneTask]) {
+    fn inject_faults(&mut self, now: u64, lanes: &mut [Lane]) {
         if self.chaos.is_none() {
             return;
         }
-        for task in lanes.iter_mut() {
-            let job = task.pending.run.id;
-            let tenant = task.pending.run.spec.tenant;
-            if task.pending.parked.is_some() && self.chaos.strikes(Seam::Snapshot, now, job.0) {
-                if let Some(bytes) = task.pending.parked.as_mut() {
-                    self.chaos.corrupt_snapshot(bytes, now, job.0);
+        for lane in lanes.iter_mut() {
+            let job = &mut lane.job;
+            let (id, tenant) = (job.id, job.spec.tenant);
+            if let MachineState::Parked(bytes) = &mut job.machine {
+                if self.chaos.strikes(Seam::Snapshot, now, id.0) {
+                    self.chaos.corrupt_snapshot(bytes, now, id.0);
+                    self.res
+                        .note_fault(now, Seam::Snapshot, Some(id), Some(tenant));
+                    continue;
                 }
-                self.res
-                    .note_fault(now, Seam::Snapshot, Some(job), Some(tenant));
-                continue;
             }
             // Seal faults strike only *fresh* transforms: a lane whose
             // image is already sealed (or cached) has no seal work for
             // the fault to hit — which is exactly why a 100%-seal-fault
             // storm still serves warm tenants.
-            let cold = task.pending.run.machine.is_none() && task.pending.run.image.is_none();
-            if cold
-                && !self.cache.contains(&image_key(
-                    &task.pending.run.keys,
-                    &task.pending.run.spec.source,
-                ))
-                && self.chaos.strikes(Seam::Seal, now, job.0)
+            let (seam, fault) = if job.cold()
+                && !self.cache.contains(&image_key(&job.keys, &job.spec.source))
+                && self.chaos.strikes(Seam::Seal, now, id.0)
             {
-                task.fault = Some(InjectedFault::SealFault);
-                self.res
-                    .note_fault(now, Seam::Seal, Some(job), Some(tenant));
+                (Seam::Seal, InjectedFault::SealFault)
+            } else if self.chaos.strikes(Seam::Panic, now, id.0) {
+                (Seam::Panic, InjectedFault::WorkerPanic)
+            } else if self.chaos.strikes(Seam::Stall, now, id.0) {
+                let cycles = self.chaos.stall_cycles;
+                (Seam::Stall, InjectedFault::Stall { cycles })
+            } else {
                 continue;
-            }
-            if self.chaos.strikes(Seam::Panic, now, job.0) {
-                task.fault = Some(InjectedFault::WorkerPanic);
-                self.res
-                    .note_fault(now, Seam::Panic, Some(job), Some(tenant));
-                continue;
-            }
-            if self.chaos.strikes(Seam::Stall, now, job.0) {
-                task.fault = Some(InjectedFault::Stall {
-                    cycles: self.chaos.stall_cycles,
-                });
-                self.res
-                    .note_fault(now, Seam::Stall, Some(job), Some(tenant));
-            }
+            };
+            lane.fault = Some(fault);
+            self.res.note_fault(now, seam, Some(id), Some(tenant));
         }
     }
 
     /// Admits one job at the current tick: the [`AsyncFleet::gate`], then
-    /// a fresh run on its class queue.
-    fn admit(&mut self, job: JobId, spec: JobSpec) -> Result<(), AdmitError> {
+    /// a fresh job on its class queue.
+    fn admit(&mut self, id: JobId, spec: JobSpec) -> Result<(), AdmitError> {
         let (class, keys) = self.gate(&spec)?;
-        self.enqueue(class, JobRun::new(job, keys, spec));
+        let job = self.new_job(id, class, keys, spec);
+        self.enqueue(job);
         Ok(())
+    }
+
+    /// A never-serviced job for an admitted spec, arriving now.
+    fn new_job(&self, id: JobId, class: ClassId, keys: KeySet, spec: JobSpec) -> Job {
+        Job {
+            id,
+            remaining: spec.fuel,
+            spec,
+            keys,
+            class,
+            image: None,
+            machine: MachineState::Unbuilt,
+            seal_cache_hit: false,
+            attributed_hit: None,
+            retried: false,
+            prior: None,
+            slices: 0,
+            slice_cycles: Vec::new(),
+            arrival_tick: self.now,
+            arrival_cycles: self.stats.makespan_cycles,
+            start_tick: None,
+            idle_ticks: 0,
+        }
     }
 
     /// Admission gate for one job at the current tick: tenant state,
@@ -971,7 +1296,11 @@ impl AsyncFleet {
         if self.res.sheds(budget.weight.max(1)) {
             // The circuit breaker is open and this class is light
             // enough to shed: refuse before any queue/fuel accounting.
-            self.res.note_load_shed(self.now, spec.tenant, class);
+            self.res.record(ResilienceEvent::LoadShed {
+                tick: self.now,
+                tenant: spec.tenant,
+                class,
+            });
             return Err(AdmitError::LoadShed {
                 tenant: spec.tenant,
                 class,
@@ -1007,13 +1336,13 @@ impl AsyncFleet {
         Ok((class, tenant.keys.clone()))
     }
 
-    /// Queues a run that passed the [`AsyncFleet::gate`]: charges its
+    /// Queues a job that passed the [`AsyncFleet::gate`]: charges its
     /// fuel budget to the tenant's quota and appends it to its class.
-    fn enqueue(&mut self, class: ClassId, run: JobRun) {
-        if let Some(tenant) = self.tenants.get_mut(&run.spec.tenant.0) {
-            tenant.outstanding_fuel += run.spec.fuel;
+    fn enqueue(&mut self, job: Job) {
+        if let Some(tenant) = self.tenants.get_mut(&job.spec.tenant.0) {
+            tenant.outstanding_fuel += job.spec.fuel;
         }
-        let arrival_cycles = self.stats.makespan_cycles;
+        let class = job.class;
         let floor = self.backlog_vservice_floor();
         let weight = self.config.admission.class(class).weight.max(1);
         let Some(state) = self.classes.get_mut(&class.0) else {
@@ -1027,15 +1356,7 @@ impl AsyncFleet {
                 state.vservice = state.vservice.max(floor.saturating_mul(weight));
             }
         }
-        state.queue.push_back(Pending {
-            run,
-            parked: None,
-            class,
-            arrival_tick: self.now,
-            arrival_cycles,
-            start_tick: None,
-            idle_ticks: 0,
-        });
+        state.queue.push_back(job);
         self.stats.admitted += 1;
     }
 
@@ -1043,7 +1364,7 @@ impl AsyncFleet {
     pub(crate) fn queued_ids(&self) -> Vec<JobId> {
         self.classes
             .values()
-            .flat_map(|c| c.queue.iter().map(|p| p.run.id))
+            .flat_map(|c| c.queue.iter().map(|job| job.id))
             .collect()
     }
 
@@ -1062,36 +1383,39 @@ impl AsyncFleet {
     /// [`FleetError::UnknownJob`] if `id` is not queued (it finished,
     /// was already checkpointed, has not arrived yet, or never existed).
     pub fn checkpoint_job(&mut self, id: JobId) -> Result<JobCheckpoint, FleetError> {
-        let Pending { run, parked, .. } = self
+        let job = self
             .classes
             .values_mut()
             .find_map(|state| {
-                let at = state.queue.iter().position(|p| p.run.id == id)?;
+                let at = state.queue.iter().position(|job| job.id == id)?;
                 state.queue.remove(at)
             })
             .ok_or(FleetError::UnknownJob(id))?;
-        let machine = match parked {
+        let machine = match job.machine {
             // Chaos corrupts only a lane's copy of the bytes, never the
             // queued job's, so these are exactly what `to_bytes` wrote.
-            Some(bytes) => Some(MachineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| {
-                unreachable!("parked bytes this driver wrote fail to decode: {e}")
-            })),
-            None => run.machine.as_ref().map(|m| m.snapshot(run.remaining)),
+            MachineState::Parked(bytes) => {
+                Some(MachineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| {
+                    unreachable!("parked bytes this driver wrote fail to decode: {e}")
+                }))
+            }
+            MachineState::Live(machine) => Some(machine.snapshot(job.remaining)),
+            MachineState::Unbuilt => None,
         };
-        if let Some(t) = self.tenants.get_mut(&run.spec.tenant.0) {
-            t.outstanding_fuel = t.outstanding_fuel.saturating_sub(run.spec.fuel);
+        if let Some(t) = self.tenants.get_mut(&job.spec.tenant.0) {
+            t.outstanding_fuel = t.outstanding_fuel.saturating_sub(job.spec.fuel);
         }
         self.res.finish_job(id);
         Ok(JobCheckpoint {
-            tenant: run.spec.tenant,
-            source: run.spec.source,
-            fuel: run.spec.fuel,
-            sabotage: run.spec.sabotage,
-            remaining: run.remaining,
-            retried: run.retried,
-            prior: run.prior,
-            slices: run.slices,
-            slice_cycles: run.slice_cycles,
+            tenant: job.spec.tenant,
+            source: job.spec.source,
+            fuel: job.spec.fuel,
+            sabotage: job.spec.sabotage,
+            remaining: job.remaining,
+            retried: job.retried,
+            prior: job.prior,
+            slices: job.slices,
+            slice_cycles: job.slice_cycles,
             machine,
         })
     }
@@ -1122,25 +1446,20 @@ impl AsyncFleet {
         };
         let (class, keys) = self.gate(&spec).map_err(AdoptError::Admit)?;
         let id = JobId(self.next_job);
-        let mut run = JobRun::new(id, keys, spec);
+        let mut job = self.new_job(id, class, keys, spec);
         if let Some(snap) = &ckpt.machine {
-            let (image, hit) = self
-                .cache
-                .get_or_seal_traced(&run.keys, &run.spec.source)
-                .map_err(AdoptError::Seal)?;
-            let machine = restore_against(&image, &run.keys, snap, run.spec.sabotage)
+            let image = seal(&mut job, &self.cache).map_err(AdoptError::Seal)?;
+            let machine = restore_against(&image, &job.keys, snap, job.spec.sabotage)
                 .map_err(AdoptError::Restore)?;
-            run.image = Some(image);
-            run.machine = Some(machine);
-            run.seal_cache_hit = hit;
+            job.machine = MachineState::Live(machine);
         }
-        run.remaining = ckpt.remaining;
-        run.retried = ckpt.retried;
-        run.prior = ckpt.prior;
-        run.slices = ckpt.slices;
-        run.slice_cycles = ckpt.slice_cycles;
+        job.remaining = ckpt.remaining;
+        job.retried = ckpt.retried;
+        job.prior = ckpt.prior;
+        job.slices = ckpt.slices;
+        job.slice_cycles = ckpt.slice_cycles;
         self.next_job += 1;
-        self.enqueue(class, run);
+        self.enqueue(job);
         Ok(id)
     }
 
@@ -1186,9 +1505,9 @@ impl AsyncFleet {
     /// one tick's picks rotate across classes instead of draining the
     /// cheapest one; it is trued up with actual cycles in
     /// [`AsyncFleet::settle`].
-    fn select_lanes(&mut self) -> Vec<LaneTask> {
+    fn select_lanes(&mut self) -> Vec<Lane> {
         let workers = self.config.workers.max(1);
-        let mut lanes: Vec<LaneTask> = Vec::new();
+        let mut lanes: Vec<Lane> = Vec::new();
         for _ in 0..workers {
             let Some(class_id) = self.cheapest_backlogged_class() else {
                 break;
@@ -1196,19 +1515,21 @@ impl AsyncFleet {
             let Some(state) = self.classes.get_mut(&class_id) else {
                 break;
             };
-            let Some(pending) = state.queue.pop_front() else {
+            let Some(job) = state.queue.pop_front() else {
                 break;
             };
             let provisional = match self.config.mode {
-                SchedMode::FuelSliced { slice } => slice.max(1).min(pending.run.remaining.max(1)),
-                SchedMode::RunToCompletion => pending.run.remaining.max(1),
+                SchedMode::FuelSliced { slice } => slice.max(1).min(job.remaining.max(1)),
+                SchedMode::RunToCompletion => job.remaining.max(1),
             };
             state.vservice = state.vservice.saturating_add(provisional);
-            lanes.push(LaneTask {
-                pending,
+            lanes.push(Lane {
+                job,
                 provisional,
                 fault: None,
                 claims_seal: false,
+                record: None,
+                revived: false,
             });
         }
         lanes
@@ -1241,25 +1562,25 @@ impl AsyncFleet {
     /// every queued job cooling to parked — and returns the lane results
     /// in lane order. The snapshot bytes go back into their jobs here,
     /// before the lanes settle.
-    fn execute(&mut self, lanes: Vec<LaneTask>) -> Vec<LaneResult> {
+    fn execute(&mut self, lanes: Vec<Lane>) -> Vec<Lane> {
         let (parks, cooling) = self.take_cooling();
         let tasks = lanes.into_iter().map(Task::Lane).chain(parks).collect();
         let mut results = Vec::new();
         let mut cooling = cooling.into_iter();
         for done in self.run_wave(tasks) {
             match done {
-                Done::Lane(result) => results.push(result),
+                Done::Lane(lane) => results.push(lane),
                 Done::Park(bytes) => {
                     let Some((class, at)) = cooling.next() else {
                         debug_assert!(false, "more park results than cooling jobs");
                         continue;
                     };
-                    if let Some(pending) = self
+                    if let Some(job) = self
                         .classes
                         .get_mut(&class)
                         .and_then(|state| state.queue.get_mut(at))
                     {
-                        pending.parked = Some(bytes);
+                        job.machine = MachineState::Parked(bytes);
                         self.stats.parks += 1;
                     }
                 }
@@ -1276,11 +1597,15 @@ impl AsyncFleet {
         if threads <= 1 || tasks.len() <= 1 {
             return tasks
                 .into_iter()
-                .map(|t| run_task(t, &self.fleet_config, &self.cache))
+                .map(|t| run_task(t, &self.config, &self.cache))
                 .collect();
         }
         let pool = self.pool.get_or_insert_with(|| {
-            Pool::new(threads - 1, self.fleet_config, Arc::clone(&self.cache))
+            Pool::new(
+                threads - 1,
+                Arc::clone(&self.config),
+                Arc::clone(&self.cache),
+            )
         });
         pool.dispatch(tasks)
     }
@@ -1291,19 +1616,16 @@ impl AsyncFleet {
     /// lanes' seals then race. The first cold lane of each image claims
     /// its seal. A lane struck by an injected seal fault never seals, so
     /// it neither claims nor is attributed.
-    fn attribute_seals(&self, lanes: &mut [LaneTask]) {
+    fn attribute_seals(&self, lanes: &mut [Lane]) {
         let mut claimed: HashSet<ImageKey> = HashSet::new();
-        for task in lanes.iter_mut() {
-            let run = &mut task.pending.run;
-            if task.fault == Some(InjectedFault::SealFault)
-                || run.machine.is_some()
-                || run.image.is_some()
-            {
+        for lane in lanes.iter_mut() {
+            let job = &mut lane.job;
+            if lane.fault == Some(InjectedFault::SealFault) || !job.cold() {
                 continue;
             }
-            let key = image_key(&run.keys, &run.spec.source);
-            task.claims_seal = claimed.insert(key);
-            run.attributed_hit = Some(!task.claims_seal || self.cache.contains(&key));
+            let key = image_key(&job.keys, &job.spec.source);
+            lane.claims_seal = claimed.insert(key);
+            job.attributed_hit = Some(!lane.claims_seal || self.cache.contains(&key));
         }
     }
 
@@ -1319,14 +1641,14 @@ impl AsyncFleet {
             return (tasks, cooling);
         };
         for (&class, state) in self.classes.iter_mut() {
-            for (at, pending) in state.queue.iter_mut().enumerate() {
-                if pending.idle_ticks + 1 < after {
+            for (at, job) in state.queue.iter_mut().enumerate() {
+                if job.idle_ticks + 1 < after {
                     continue;
                 }
-                if let Some(machine) = pending.run.machine.take() {
+                if let Some(machine) = job.machine.take_live() {
                     tasks.push(Task::Park {
                         machine,
-                        remaining: pending.run.remaining,
+                        remaining: job.remaining,
                     });
                     cooling.push((class, at));
                 }
@@ -1337,41 +1659,39 @@ impl AsyncFleet {
 
     /// Prices the tick and folds its lane results, in lane order:
     /// finished records gain their arrival/sojourn fields and fold into
-    /// stats + quarantine; preempted runs re-queue FIFO in their class.
-    fn settle(&mut self, now: u64, results: Vec<LaneResult>) -> usize {
+    /// stats + quarantine; preempted jobs re-queue FIFO in their class.
+    fn settle(&mut self, now: u64, lanes: Vec<Lane>) -> usize {
         // Tick cost: max quantum cost among the served lanes — the
         // barrier-synchronous pricing rule of `crate::schedule`.
-        let lane_cost = |r: &LaneResult| match &r.record {
+        let lane_cost = |lane: &Lane| match &lane.record {
             Some(record) => record.slice_cycles.last().copied().unwrap_or(0),
-            None => r.pending.run.slice_cycles.last().copied().unwrap_or(0),
+            None => lane.job.slice_cycles.last().copied().unwrap_or(0),
         };
-        let tick_cost = results.iter().map(lane_cost).max().unwrap_or(0);
+        let tick_cost = lanes.iter().map(lane_cost).max().unwrap_or(0);
         self.stats.makespan_cycles += tick_cost;
         let clock = self.stats.makespan_cycles;
 
         let mut finished = 0usize;
-        for result in results {
+        for lane in lanes {
             self.stats.quanta += 1;
-            self.stats.revives += result.revived as u64;
-            let actual = lane_cost(&result);
-            let mut pending = result.pending;
-            if let Some(state) = self.classes.get_mut(&pending.class.0) {
+            self.stats.revives += lane.revived as u64;
+            let actual = lane_cost(&lane);
+            let mut job = lane.job;
+            if let Some(state) = self.classes.get_mut(&job.class.0) {
                 // True up the WFQ charge with the quantum's actual cost.
                 state.vservice = state
                     .vservice
                     .saturating_add(actual)
-                    .saturating_sub(result.provisional);
+                    .saturating_sub(lane.provisional);
             }
-            pending.idle_ticks = 0;
-            if pending.start_tick.is_none() {
-                pending.start_tick = Some(now);
-            }
-            match result.record {
+            job.idle_ticks = 0;
+            let start_tick = *job.start_tick.get_or_insert(now);
+            match lane.record {
                 Some(mut record) => {
-                    record.arrival_tick = pending.arrival_tick;
-                    record.start_tick = pending.start_tick.unwrap_or(now);
+                    record.arrival_tick = job.arrival_tick;
+                    record.start_tick = start_tick;
                     record.end_tick = now + 1;
-                    record.sojourn_cycles = clock.saturating_sub(pending.arrival_cycles);
+                    record.sojourn_cycles = clock.saturating_sub(job.arrival_cycles);
                     let infra_fault = matches!(
                         record.outcome,
                         JobOutcome::SealFailed(_)
@@ -1387,7 +1707,13 @@ impl AsyncFleet {
                         // One breaker feed per fault *record* — retried
                         // or not, the infrastructure failed once.
                         self.res.feed_breaker(now);
-                        if let Some(attempt) = self.res.take_retry(now, record.job, record.tenant) {
+                        let chaos = &self.chaos;
+                        let jitter = |max, attempt: u32| {
+                            chaos.jitter(max, now, record.job.0 ^ ((attempt as u64) << 48))
+                        };
+                        if let Some(resume) =
+                            self.res.take_retry(now, record.job, record.tenant, jitter)
+                        {
                             // Retry instead of finishing: release the
                             // fuel claim (the retry arrival re-charges
                             // it) and re-queue the job with backoff +
@@ -1397,53 +1723,36 @@ impl AsyncFleet {
                             // and the breaker feed.
                             if let Some(t) = self.tenants.get_mut(&record.tenant.0) {
                                 t.outstanding_fuel =
-                                    t.outstanding_fuel.saturating_sub(pending.run.spec.fuel);
+                                    t.outstanding_fuel.saturating_sub(job.spec.fuel);
                             }
-                            let backoff = self.res.config.backoff_ticks(attempt);
-                            let jitter = self.chaos.jitter(
-                                self.res.config.backoff_jitter_ticks,
-                                now,
-                                record.job.0 ^ ((attempt as u64) << 48),
-                            );
-                            let resume = now
-                                .saturating_add(1)
-                                .saturating_add(backoff)
-                                .saturating_add(jitter);
-                            self.res.note_retry_scheduled(
-                                now,
-                                record.job,
-                                record.tenant,
-                                attempt,
-                                resume,
-                            );
                             self.arrivals.entry(resume).or_default().push(Arrival {
                                 job: record.job,
-                                spec: pending.run.spec.clone(),
+                                spec: job.spec,
                             });
                             continue;
                         }
                     }
                     self.res.finish_job(record.job);
-                    if let Some(deadline) = self.res.deadline(pending.class) {
+                    if let Some(deadline) = self.res.deadline(job.class) {
                         if record.sojourn_cycles > deadline {
-                            self.res.note_deadline_late(
-                                now,
-                                record.job,
-                                record.tenant,
-                                record.sojourn_cycles,
-                                deadline,
-                            );
+                            self.res.record(ResilienceEvent::DeadlineLate {
+                                tick: now,
+                                job: record.job,
+                                tenant: record.tenant,
+                                sojourn_cycles: record.sojourn_cycles,
+                                deadline_cycles: deadline,
+                            });
                         }
                     }
-                    self.fold_finished(&record, pending.run.spec.fuel);
+                    self.fold_finished(&record, job.spec.fuel);
                     self.finished.push(record);
                     finished += 1;
                 }
                 None => {
-                    if let Some(state) = self.classes.get_mut(&pending.class.0) {
-                        state.queue.push_back(pending);
+                    if let Some(state) = self.classes.get_mut(&job.class.0) {
+                        state.queue.push_back(job);
                     } else {
-                        debug_assert!(false, "missing class state for {}", pending.class);
+                        debug_assert!(false, "missing class state for {}", job.class);
                     }
                 }
             }
@@ -1453,10 +1762,10 @@ impl AsyncFleet {
     }
 
     /// Stats + quarantine fold for one finished record (deterministic:
-    /// called in tick order, lane order). Containment matches the batch
-    /// fleet's contract: jobs already admitted still run — their results
-    /// stay bit-identical to serial execution — and only *future*
-    /// admission is refused, with the typed [`AdmitError`].
+    /// called in tick order, lane order). Containment never stops a job
+    /// already admitted — its result stays bit-identical to serial
+    /// execution — it only refuses *future* admission, with the typed
+    /// [`AdmitError`].
     fn fold_finished(&mut self, record: &JobRecord, fuel: u64) {
         let Some(tenant) = self.tenants.get_mut(&record.tenant.0) else {
             debug_assert!(false, "record for unregistered {}", record.tenant);
@@ -1478,10 +1787,9 @@ impl AsyncFleet {
         if fold.purge {
             // Re-purge on *every* evicted-tenant record: jobs admitted
             // before the eviction keep running (their results stay
-            // bit-identical to the batch driver's), and any of them can
+            // bit-identical to serial execution), and any of them can
             // re-seal the tenant's image into the shared cache after the
-            // eviction-time purge. One purge per fold keeps the cache
-            // state identical to the batch fleet's end-of-batch fold.
+            // eviction-time purge.
             self.cache.purge(&tenant.keys);
         }
     }
@@ -1497,16 +1805,16 @@ impl AsyncFleet {
         let mut resident = 0u64;
         let mut parks = 0u64;
         for state in self.classes.values_mut() {
-            for pending in state.queue.iter_mut() {
-                pending.idle_ticks += 1;
-                let cold = park_after.is_some_and(|after| pending.idle_ticks >= after);
+            for job in state.queue.iter_mut() {
+                job.idle_ticks += 1;
+                let cold = park_after.is_some_and(|after| job.idle_ticks >= after);
                 if cold {
-                    if let Some(machine) = pending.run.machine.take() {
-                        let snap = machine.snapshot(pending.run.remaining);
-                        pending.parked = Some(snap.to_bytes());
+                    if let Some(machine) = job.machine.take_live() {
+                        let snap = machine.snapshot(job.remaining);
+                        job.machine = MachineState::Parked(snap.to_bytes());
                         parks += 1;
                     }
-                } else if pending.run.machine.is_some() {
+                } else if job.machine.live().is_some() {
                     resident += 1;
                 }
             }

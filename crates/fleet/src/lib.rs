@@ -96,8 +96,8 @@ mod stats;
 pub use admission::{AdmissionConfig, AdmitError, ClassConfig, ClassId, Rejection};
 pub use chaos::{ChaosPlan, FaultRate, Seam};
 pub use checkpoint::{AdoptError, JobCheckpoint};
-pub use executor::{AsyncConfig, AsyncFleet, AsyncStats};
-pub use fleet::{Fleet, FleetConfig, FleetError, SchedMode};
+pub use executor::{AsyncConfig, AsyncFleet, AsyncStats, FleetError, SchedMode};
+pub use fleet::{Fleet, FleetConfig};
 pub use job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 pub use quarantine::{QuarantinePolicy, TenantState};
 pub use resilience::{BreakerConfig, ResilienceConfig, ResilienceEvent, ResilienceStats};

@@ -71,17 +71,16 @@ pub(crate) struct PolicyFold {
 }
 
 /// Folds one finished record's containment verdict into the tenant's
-/// state. This is **the** policy-semantics function, shared verbatim by
-/// the batch fleet's end-of-batch fold and the async driver's per-settle
-/// [`fold_finished`](crate::AsyncFleet) — both drivers must quarantine
-/// identically for the bit-for-bit parity contract to hold.
+/// state: the policy semantics, applied by the driver's per-record
+/// `fold_finished` in [`crate::AsyncFleet`].
 ///
-/// `contained` is [`crate::fleet::needs_containment`] for the record.
-/// Note [`QuarantinePolicy::RetryWithReboot`] intentionally folds like
+/// `contained` is whether the record needs containment (a violation,
+/// violations without a clean halt, or a worker fault). Note
+/// [`QuarantinePolicy::RetryWithReboot`] intentionally folds like
 /// [`QuarantinePolicy::Suspend`] here: the reboot-retry itself is armed
-/// *during service* (in the shared `service_quantum` seam, before any
-/// record exists), so a record reaching the fold under that policy has
-/// already spent its retry — persistent tamper, suspend.
+/// *during service* (in the job's quantum, before any record exists),
+/// so a record reaching the fold under that policy has already spent
+/// its retry — persistent tamper, suspend.
 pub(crate) fn fold_policy(
     policy: QuarantinePolicy,
     state: &mut TenantState,

@@ -194,8 +194,11 @@ pub enum ResilienceEvent {
 }
 
 /// Counters over the resilience event stream — the roll-up
-/// `BENCH_chaos.json` and operators read. Every counter here has a
-/// corresponding typed [`ResilienceEvent`].
+/// `BENCH_chaos.json` and operators read. Each is folded from the typed
+/// [`ResilienceEvent`]s as they are recorded, so folding the drained
+/// events reproduces them: `breaker_open_ticks` adds, at each close,
+/// the span from the open to the cooldown end its `BreakerOpened`
+/// announced.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Total chaos strikes across all seams.
@@ -261,7 +264,42 @@ impl ResilienceState {
         std::mem::take(&mut self.events)
     }
 
-    /// Record a chaos strike: one typed event + the per-seam counter.
+    /// The one recording path: folds `event` into the counters and
+    /// appends it to the log, so every counter is a fold of the events.
+    /// A close adds its span up to the cooldown's end, which the open
+    /// breaker still holds — exact even for a zero cooldown, whose close
+    /// lands a tick after its end.
+    pub(crate) fn record(&mut self, event: ResilienceEvent) {
+        let stats = &mut self.stats;
+        match &event {
+            ResilienceEvent::FaultInjected { seam, .. } => {
+                stats.faults_injected += 1;
+                *match seam {
+                    Seam::Seal => &mut stats.seal_faults,
+                    Seam::Snapshot => &mut stats.snapshot_corruptions,
+                    Seam::Stall => &mut stats.worker_stalls,
+                    Seam::Panic => &mut stats.worker_panics_injected,
+                    Seam::Checkpoint => &mut stats.checkpoint_truncations,
+                    Seam::Storm => &mut stats.storm_bursts,
+                } += 1;
+            }
+            ResilienceEvent::RetryScheduled { .. } => stats.retries_scheduled += 1,
+            ResilienceEvent::RetriesExhausted { .. } => stats.retries_exhausted += 1,
+            ResilienceEvent::DeadlineShed { .. } => stats.deadline_shed += 1,
+            ResilienceEvent::DeadlineLate { .. } => stats.deadline_late += 1,
+            ResilienceEvent::LoadShed { .. } => stats.load_shed += 1,
+            ResilienceEvent::BreakerOpened { .. } => stats.breaker_opens += 1,
+            ResilienceEvent::BreakerClosed { opened_tick, .. } => {
+                stats.breaker_closes += 1;
+                if let Some((_, until)) = self.breaker_open {
+                    stats.breaker_open_ticks += until - opened_tick;
+                }
+            }
+        }
+        self.events.push(event);
+    }
+
+    /// Records a chaos strike.
     pub(crate) fn note_fault(
         &mut self,
         tick: u64,
@@ -269,16 +307,7 @@ impl ResilienceState {
         job: Option<JobId>,
         tenant: Option<TenantId>,
     ) {
-        self.stats.faults_injected += 1;
-        match seam {
-            Seam::Seal => self.stats.seal_faults += 1,
-            Seam::Snapshot => self.stats.snapshot_corruptions += 1,
-            Seam::Stall => self.stats.worker_stalls += 1,
-            Seam::Panic => self.stats.worker_panics_injected += 1,
-            Seam::Checkpoint => self.stats.checkpoint_truncations += 1,
-            Seam::Storm => self.stats.storm_bursts += 1,
-        }
-        self.events.push(ResilienceEvent::FaultInjected {
+        self.record(ResilienceEvent::FaultInjected {
             tick,
             seam,
             job,
@@ -305,8 +334,7 @@ impl ResilienceState {
         if self.breaker_open.is_none() && recent >= breaker.fault_threshold {
             let until = tick.saturating_add(breaker.cooldown_ticks);
             self.breaker_open = Some((tick, until));
-            self.stats.breaker_opens += 1;
-            self.events.push(ResilienceEvent::BreakerOpened {
+            self.record(ResilienceEvent::BreakerOpened {
                 tick,
                 until_tick: until,
                 recent_faults: recent,
@@ -319,13 +347,11 @@ impl ResilienceState {
     pub(crate) fn breaker_tick(&mut self, tick: u64) {
         if let Some((opened, until)) = self.breaker_open {
             if tick >= until {
-                self.breaker_open = None;
-                self.stats.breaker_closes += 1;
-                self.stats.breaker_open_ticks += until - opened;
-                self.events.push(ResilienceEvent::BreakerClosed {
+                self.record(ResilienceEvent::BreakerClosed {
                     tick,
                     opened_tick: opened,
                 });
+                self.breaker_open = None;
             }
         }
     }
@@ -338,19 +364,18 @@ impl ResilienceState {
         }
     }
 
-    pub(crate) fn note_load_shed(&mut self, tick: u64, tenant: TenantId, class: ClassId) {
-        self.stats.load_shed += 1;
-        self.events.push(ResilienceEvent::LoadShed {
-            tick,
-            tenant,
-            class,
-        });
-    }
-
-    /// Consume one retry from `job`'s budget. Returns
-    /// `Some(attempt_number)` if the job may retry, `None` (plus the
-    /// exhaustion event, when the budget existed) if the fault stands.
-    pub(crate) fn take_retry(&mut self, tick: u64, job: JobId, tenant: TenantId) -> Option<u32> {
+    /// Consume one retry from `job`'s budget. If the job may retry,
+    /// records the retry and returns the tick it re-arrives at: after
+    /// the backoff for its attempt number plus `jitter(max, attempt)`
+    /// seeded ticks. Otherwise returns `None`, recording the exhaustion
+    /// when a budget existed: the fault stands.
+    pub(crate) fn take_retry(
+        &mut self,
+        tick: u64,
+        job: JobId,
+        tenant: TenantId,
+        jitter: impl FnOnce(u64, u32) -> u64,
+    ) -> Option<u64> {
         if !self.config.retryable() {
             return None;
         }
@@ -358,13 +383,22 @@ impl ResilienceState {
         if *used < self.config.max_retries {
             *used += 1;
             let attempt = *used;
-            self.stats.retries_scheduled += 1;
-            Some(attempt)
+            let resume_tick = tick
+                .saturating_add(1)
+                .saturating_add(self.config.backoff_ticks(attempt))
+                .saturating_add(jitter(self.config.backoff_jitter_ticks, attempt));
+            self.record(ResilienceEvent::RetryScheduled {
+                tick,
+                job,
+                tenant,
+                attempt,
+                resume_tick,
+            });
+            Some(resume_tick)
         } else {
             let attempts = *used;
             self.attempts.remove(&job.0);
-            self.stats.retries_exhausted += 1;
-            self.events.push(ResilienceEvent::RetriesExhausted {
+            self.record(ResilienceEvent::RetriesExhausted {
                 tick,
                 job,
                 tenant,
@@ -372,23 +406,6 @@ impl ResilienceState {
             });
             None
         }
-    }
-
-    pub(crate) fn note_retry_scheduled(
-        &mut self,
-        tick: u64,
-        job: JobId,
-        tenant: TenantId,
-        attempt: u32,
-        resume_tick: u64,
-    ) {
-        self.events.push(ResilienceEvent::RetryScheduled {
-            tick,
-            job,
-            tenant,
-            attempt,
-            resume_tick,
-        });
     }
 
     /// Forget a job's retry ledger once it finishes for good.
@@ -400,47 +417,15 @@ impl ResilienceState {
     pub(crate) fn deadline(&self, class: ClassId) -> Option<u64> {
         self.config.deadlines.get(&class).copied()
     }
-
-    pub(crate) fn note_deadline_shed(
-        &mut self,
-        tick: u64,
-        job: JobId,
-        tenant: TenantId,
-        waited_cycles: u64,
-        deadline_cycles: u64,
-    ) {
-        self.stats.deadline_shed += 1;
-        self.events.push(ResilienceEvent::DeadlineShed {
-            tick,
-            job,
-            tenant,
-            waited_cycles,
-            deadline_cycles,
-        });
-    }
-
-    pub(crate) fn note_deadline_late(
-        &mut self,
-        tick: u64,
-        job: JobId,
-        tenant: TenantId,
-        sojourn_cycles: u64,
-        deadline_cycles: u64,
-    ) {
-        self.stats.deadline_late += 1;
-        self.events.push(ResilienceEvent::DeadlineLate {
-            tick,
-            job,
-            tenant,
-            sojourn_cycles,
-            deadline_cycles,
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn no_jitter(_max: u64, _attempt: u32) -> u64 {
+        0
+    }
 
     #[test]
     fn default_config_is_inert() {
@@ -451,7 +436,9 @@ mod tests {
         let mut state = ResilienceState::new(cfg);
         state.feed_breaker(5);
         assert!(!state.sheds(1));
-        assert!(state.take_retry(5, JobId(1), TenantId(1)).is_none());
+        assert!(state
+            .take_retry(5, JobId(1), TenantId(1), no_jitter)
+            .is_none());
         assert!(state.drain_events().is_empty());
         assert_eq!(state.stats, ResilienceStats::default());
     }
@@ -494,13 +481,14 @@ mod tests {
         cfg.max_retries = 2;
         let mut state = ResilienceState::new(cfg);
         let (job, tenant) = (JobId(9), TenantId(3));
-        assert_eq!(state.take_retry(1, job, tenant), Some(1));
-        assert_eq!(state.take_retry(2, job, tenant), Some(2));
-        assert_eq!(state.take_retry(3, job, tenant), None);
+        // Re-arrival = tick + 1 + (2 << (attempt - 1)) with no jitter.
+        assert_eq!(state.take_retry(1, job, tenant, no_jitter), Some(4));
+        assert_eq!(state.take_retry(2, job, tenant, no_jitter), Some(7));
+        assert_eq!(state.take_retry(3, job, tenant, no_jitter), None);
         assert_eq!(state.stats.retries_scheduled, 2);
         assert_eq!(state.stats.retries_exhausted, 1);
         // A different job has its own budget.
-        assert_eq!(state.take_retry(4, JobId(10), tenant), Some(1));
+        assert_eq!(state.take_retry(4, JobId(10), tenant, |_, _| 3), Some(10));
     }
 
     #[test]
@@ -562,9 +550,25 @@ mod tests {
     fn every_counter_bump_has_a_typed_event() {
         let mut state = ResilienceState::new(ResilienceConfig::standard());
         state.note_fault(1, Seam::Snapshot, Some(JobId(1)), Some(TenantId(1)));
-        state.note_deadline_shed(2, JobId(2), TenantId(1), 900, 500);
-        state.note_deadline_late(3, JobId(3), TenantId(1), 700, 500);
-        state.note_load_shed(4, TenantId(2), ClassId(0));
+        state.record(ResilienceEvent::DeadlineShed {
+            tick: 2,
+            job: JobId(2),
+            tenant: TenantId(1),
+            waited_cycles: 900,
+            deadline_cycles: 500,
+        });
+        state.record(ResilienceEvent::DeadlineLate {
+            tick: 3,
+            job: JobId(3),
+            tenant: TenantId(1),
+            sojourn_cycles: 700,
+            deadline_cycles: 500,
+        });
+        state.record(ResilienceEvent::LoadShed {
+            tick: 4,
+            tenant: TenantId(2),
+            class: ClassId(0),
+        });
         let events = state.drain_events();
         assert_eq!(events.len(), 4);
         assert_eq!(state.stats.faults_injected, 1);

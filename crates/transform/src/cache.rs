@@ -290,9 +290,14 @@ const _: () = {
 pub struct ImageKey((u64, u64));
 
 /// The [`ImageKey`] that [`ImageCache::get_or_seal`] files `(keys,
-/// source)` under. Equal keys always collapse to one seal; distinct
-/// requests get distinct keys (up to fingerprint collision, which only
-/// costs an extra cache share, never cross-domain ciphertext).
+/// source)` under: two 64-bit FNV fingerprints, one of the key material
+/// and one of the source. Equal requests always collapse to one seal.
+/// Distinct requests get distinct keys only up to a fingerprint
+/// collision, and the cache stores nothing else to tell them apart: a
+/// colliding pair is served the other pair's image — ciphertext sealed
+/// under the other tenant's keys, or for the other program. Keying
+/// cache entries by the full key material and source bytes is ROADMAP
+/// item 2.
 pub fn image_key(keys: &KeySet, source: &str) -> ImageKey {
     ImageKey((fingerprint_keys(keys), hash64(source.as_bytes())))
 }

@@ -35,9 +35,11 @@
 use std::collections::BTreeMap;
 
 use sofia_cfg::{Cfg, EdgeKind};
+use sofia_crypto::{CounterBlock, Nonce, Rectangle};
 use sofia_isa::asm::{Assembly, LayoutOptions, Module};
 
 use crate::error::TransformError;
+use crate::{RESET_PREV_PC, UNREACHABLE_PREV_PC};
 
 /// The canonical chain of a laid-out module: the plain [`Assembly`], the
 /// state *before* each text word, and the patch table over all
@@ -51,27 +53,33 @@ pub(crate) struct Chain {
     pub patches: BTreeMap<(u32, u32), u64>,
 }
 
-/// Lays out `module` with the plain assembler rules and walks the keyed
-/// chain over its text.
-///
-/// * `permute` — the keyed permutation `P`;
-/// * `init` — the pre-permutation seed of the canonical chain;
-/// * `reset_state` — the state the *fetch unit* boots with (it must be
-///   derivable from public image fields alone); the reset edge's patch
-///   moves it onto the canonical chain at the entry word.
+/// The state a fetch unit keyed with `cipher` boots with, derived from
+/// public header fields only: the permuted counter block of the reset
+/// edge into `entry`. The reset edge's patch moves it onto the
+/// canonical chain.
+pub(crate) fn boot_state(cipher: &Rectangle, nonce: Nonce, entry: u32) -> u64 {
+    cipher.encrypt_block(CounterBlock::from_edge(nonce, RESET_PREV_PC, entry).as_u64())
+}
+
+/// Lays out `module` once with the plain assembler rules and walks the
+/// chain keyed by `cipher` (the permutation `P`) over its text. The
+/// chain's public seed is a counter block over the unreachable edge, so
+/// it collides with no real control-flow edge; the reset edge's patch
+/// moves the [`boot_state`] onto the canonical state at the entry word.
 pub(crate) fn build_chain(
     module: &Module,
-    permute: &dyn Fn(u64) -> u64,
-    init: u64,
-    reset_state: u64,
+    cipher: &Rectangle,
+    nonce: Nonce,
 ) -> Result<Chain, TransformError> {
+    let assembly = module
+        .layout(&LayoutOptions::default())
+        .map_err(TransformError::Layout)?;
     if module.text.is_empty() {
         return Err(TransformError::EmptyProgram);
     }
     let cfg = Cfg::build(module)?;
-    let assembly = module
-        .layout(&LayoutOptions::default())
-        .map_err(TransformError::Layout)?;
+    let permute = |x: u64| cipher.encrypt_block(x);
+    let init = CounterBlock::from_edge(nonce, UNREACHABLE_PREV_PC, assembly.text_base).as_u64();
 
     let n = assembly.words.len();
     let mut states = Vec::with_capacity(n + 1);
@@ -97,12 +105,10 @@ pub(crate) fn build_chain(
             );
         }
     }
-    // The reset edge: the fetch unit derives `reset_state` from public
-    // header fields and patches onto the canonical entry state.
     let entry_index = (assembly.entry - assembly.text_base) / 4;
     patches.insert(
-        (crate::RESET_PREV_PC, assembly.entry),
-        reset_state ^ states[entry_index as usize],
+        (RESET_PREV_PC, assembly.entry),
+        boot_state(cipher, nonce, assembly.entry) ^ states[entry_index as usize],
     );
 
     Ok(Chain {

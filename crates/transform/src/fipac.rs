@@ -17,13 +17,12 @@
 use std::collections::BTreeMap;
 
 use sofia_cfg::is_return;
-use sofia_crypto::{CounterBlock, KeySet, Nonce};
+use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm::Module;
 use sofia_isa::Instruction;
 
-use crate::chain::build_chain;
+use crate::chain::{boot_state, build_chain};
 use crate::error::TransformError;
-use crate::RESET_PREV_PC;
 
 /// A program installed for the FIPAC fetch unit: plaintext words plus
 /// the public patch table and the expected-state table at every
@@ -55,8 +54,7 @@ pub struct FipacImage {
 /// The state a FIPAC fetch unit boots with, derived from public header
 /// fields only.
 pub fn reset_state(keys: &KeySet, nonce: Nonce, entry: u32) -> u64 {
-    let cipher = keys.expand().mac_exec;
-    cipher.encrypt_block(CounterBlock::from_edge(nonce, RESET_PREV_PC, entry).as_u64())
+    boot_state(&keys.expand().mac_exec, nonce, entry)
 }
 
 /// Installs `module` for the FIPAC backend.
@@ -70,16 +68,7 @@ pub fn install_fipac(
     keys: &KeySet,
     nonce: Nonce,
 ) -> Result<FipacImage, TransformError> {
-    let cipher = keys.expand().mac_exec;
-    let permute = |x: u64| cipher.encrypt_block(x);
-
-    let probe = module
-        .layout(&sofia_isa::asm::LayoutOptions::default())
-        .map_err(TransformError::Layout)?;
-    let boot = permute(CounterBlock::from_edge(nonce, RESET_PREV_PC, probe.entry).as_u64());
-    let seed = CounterBlock::from_edge(nonce, crate::UNREACHABLE_PREV_PC, probe.text_base).as_u64();
-
-    let chain = build_chain(module, &permute, seed, boot)?;
+    let chain = build_chain(module, &keys.expand().mac_exec, nonce)?;
 
     // Signature points: every conventional return and every halt. (The
     // fetch unit additionally treats a `halt` *without* a check entry as
@@ -111,6 +100,7 @@ pub fn install_fipac(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RESET_PREV_PC;
     use sofia_isa::asm;
 
     fn keys() -> KeySet {

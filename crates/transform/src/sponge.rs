@@ -16,12 +16,11 @@
 
 use std::collections::BTreeMap;
 
-use sofia_crypto::{CounterBlock, KeySet, Nonce};
-
-use crate::chain::build_chain;
-use crate::error::TransformError;
-use crate::RESET_PREV_PC;
+use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm::Module;
+
+use crate::chain::{boot_state, build_chain};
+use crate::error::TransformError;
 
 /// A program sealed for the sponge-CFP fetch unit: encrypted text, the
 /// public patch table, and the plaintext data section.
@@ -59,17 +58,10 @@ impl SpongeImage {
     }
 }
 
-/// The public seed of the canonical chain: a counter block over the
-/// unreachable edge, so it collides with no real control-flow edge.
-fn chain_seed(nonce: Nonce, text_base: u32) -> u64 {
-    CounterBlock::from_edge(nonce, crate::UNREACHABLE_PREV_PC, text_base).as_u64()
-}
-
 /// The state a sponge fetch unit boots with, derived from public header
 /// fields only (the reset-edge patch moves it onto the canonical chain).
 pub fn reset_state(keys: &KeySet, nonce: Nonce, entry: u32) -> u64 {
-    let cipher = keys.expand().ctr;
-    cipher.encrypt_block(CounterBlock::from_edge(nonce, RESET_PREV_PC, entry).as_u64())
+    boot_state(&keys.expand().ctr, nonce, entry)
 }
 
 /// Seals `module` for the sponge-CFP backend.
@@ -83,18 +75,7 @@ pub fn seal_sponge(
     keys: &KeySet,
     nonce: Nonce,
 ) -> Result<SpongeImage, TransformError> {
-    let cipher = keys.expand().ctr;
-    let permute = |x: u64| cipher.encrypt_block(x);
-
-    // The reset state depends on the entry address, which the layout
-    // determines — lay out once (cheap) to learn it, then build the
-    // chain with the matching reset patch.
-    let probe = module
-        .layout(&sofia_isa::asm::LayoutOptions::default())
-        .map_err(TransformError::Layout)?;
-    let boot = permute(CounterBlock::from_edge(nonce, RESET_PREV_PC, probe.entry).as_u64());
-
-    let chain = build_chain(module, &permute, chain_seed(nonce, probe.text_base), boot)?;
+    let chain = build_chain(module, &keys.expand().ctr, nonce)?;
     let a = chain.assembly;
 
     let ctext = a
@@ -119,6 +100,7 @@ pub fn seal_sponge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RESET_PREV_PC;
     use sofia_isa::asm;
 
     fn keys() -> KeySet {

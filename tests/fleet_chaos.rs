@@ -22,8 +22,8 @@
 use proptest::prelude::*;
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, AsyncFleet, ChaosPlan, ClassId, FaultRate, JobOutcome, JobRecord, JobSpec,
-    ResilienceConfig, ResilienceEvent, SchedMode, Seam, TenantId,
+    AsyncConfig, AsyncFleet, BreakerConfig, ChaosPlan, ClassId, FaultRate, JobOutcome, JobRecord,
+    JobSpec, ResilienceConfig, ResilienceEvent, ResilienceStats, SchedMode, Seam, TenantId,
 };
 
 fn loop_job(n: u32) -> String {
@@ -209,6 +209,105 @@ fn every_fault_is_exactly_one_typed_event() {
     // Conservation: every submitted job settled into exactly one
     // record (retries re-queue the job, they never fork or drop it).
     assert_eq!(records.len(), jobs.len());
+}
+
+/// Folds an event stream into counters, independently of the driver:
+/// a breaker close adds the span from its open to the cooldown end the
+/// open announced.
+fn fold_events(events: &[ResilienceEvent]) -> ResilienceStats {
+    use ResilienceEvent as E;
+    let mut s = ResilienceStats::default();
+    let mut open_until = None;
+    for event in events {
+        match *event {
+            E::FaultInjected { seam, .. } => {
+                s.faults_injected += 1;
+                match seam {
+                    Seam::Seal => s.seal_faults += 1,
+                    Seam::Snapshot => s.snapshot_corruptions += 1,
+                    Seam::Stall => s.worker_stalls += 1,
+                    Seam::Panic => s.worker_panics_injected += 1,
+                    Seam::Checkpoint => s.checkpoint_truncations += 1,
+                    Seam::Storm => s.storm_bursts += 1,
+                }
+            }
+            E::RetryScheduled { .. } => s.retries_scheduled += 1,
+            E::RetriesExhausted { .. } => s.retries_exhausted += 1,
+            E::DeadlineShed { .. } => s.deadline_shed += 1,
+            E::DeadlineLate { .. } => s.deadline_late += 1,
+            E::LoadShed { .. } => s.load_shed += 1,
+            E::BreakerOpened { until_tick, .. } => {
+                s.breaker_opens += 1;
+                open_until = Some(until_tick);
+            }
+            E::BreakerClosed { opened_tick, .. } => {
+                s.breaker_closes += 1;
+                let until = open_until.take().expect("a close follows an open");
+                s.breaker_open_ticks += until - opened_tick;
+            }
+        }
+    }
+    s
+}
+
+/// Every resilience counter is a fold of the event stream: folding the
+/// drained events of a storm run — retries, sheds, late finishes,
+/// breaker cycles and load sheds under staggered arrivals — reproduces
+/// `resilience_stats()` at 1, 2 and 4 host threads, breaker open time
+/// included, also under a zero cooldown (whose close lands a tick after
+/// its cooldown ends).
+#[test]
+fn resilience_stats_are_the_fold_of_their_events() {
+    let tenant_set = tenants(6);
+    for cooldown_ticks in [0, 6] {
+        let mut reference = None;
+        for threads in [1usize, 2, 4] {
+            let mut resilience = ResilienceConfig::standard();
+            resilience.deadlines.insert(ClassId(0), 2_500);
+            resilience.breaker = Some(BreakerConfig {
+                window_ticks: 16,
+                fault_threshold: 2,
+                cooldown_ticks,
+                shed_max_weight: 1,
+            });
+            let mut fleet = AsyncFleet::new(AsyncConfig {
+                threads,
+                workers: 3,
+                mode: SchedMode::FuelSliced { slice: 120 },
+                park_after: Some(2),
+                chaos: ChaosPlan::uniform(0x5707_F01D, FaultRate::ppm(80_000)),
+                resilience,
+                ..Default::default()
+            });
+            for (id, keys) in &tenant_set {
+                fleet
+                    .register_tenant(*id, keys.clone(), ClassId(0))
+                    .unwrap();
+            }
+            for i in 0..36u32 {
+                let spec = JobSpec::new(TenantId(1 + i % 6), loop_job(20 + 7 * (i % 5)), 100_000);
+                fleet.submit_at(spec, u64::from(i / 2));
+            }
+            fleet.run_until_idle();
+            let stats = fleet.resilience_stats();
+            let events = fleet.drain_resilience_events();
+            assert_eq!(fold_events(&events), stats, "{threads} threads");
+            let exercised = [
+                stats.retries_scheduled,
+                stats.deadline_shed,
+                stats.deadline_late,
+                stats.breaker_closes,
+            ];
+            assert!(!exercised.contains(&0), "{stats:?}");
+            // A zero cooldown closes before the next tick admits, so
+            // only a real cooldown sheds load.
+            assert_eq!(stats.load_shed > 0, cooldown_ticks > 0, "{stats:?}");
+            match &reference {
+                None => reference = Some(events),
+                Some(events_at_1) => assert_eq!(&events, events_at_1, "{threads} threads"),
+            }
+        }
+    }
 }
 
 /// Harness-drawn seams (checkpoint truncation, quarantine storms) are
