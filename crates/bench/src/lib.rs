@@ -1286,7 +1286,7 @@ pub struct RefillCipherCost {
     pub mac_blocks: usize,
     /// ns per [`sofia_crypto::mac::mac_words`] chain.
     pub mac_ns: Spread,
-    /// ns per [`sofia_core::memo::RefillMemo::lookup`] hit on one
+    /// ns per [`sofia_core::memo::RefillMemo::get_or_refill`] hit on one
     /// execution block (its ciphertext re-read and compared).
     pub memo_hit_ns: Spread,
 }
@@ -1427,30 +1427,29 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
             .copied()
     };
     let edge = (sofia_transform::RESET_PREV_PC, image.entry);
-    let block = sofia_core::fetch::fetch_block(
-        &mut |addr| rom(addr),
-        &keys,
-        image.nonce,
-        &image.format,
-        image.text_base,
-        image.ctext.len() as u32,
-        edge.1,
-        edge.0,
-        true,
-    )
-    .unwrap_or_else(|v| panic!("the sealed entry block verifies: {v:?}"));
+    let refill = || {
+        sofia_core::fetch::fetch_block(
+            &mut |addr| rom(addr),
+            &keys,
+            image.nonce,
+            &image.format,
+            image.text_base,
+            image.ctext.len() as u32,
+            edge.1,
+            edge.0,
+            true,
+        )
+        .map(|block| {
+            let last = block.last_word_addr(&image.format);
+            let line =
+                CachedBlock::new(block.base, last, block.path, block.words_fetched, [].into());
+            (line, block)
+        })
+    };
     let mut memo = RefillMemo::new(image.format);
-    memo.insert(
-        edge,
-        &block,
-        CachedBlock::new(
-            block.base,
-            block.last_word_addr(&image.format),
-            block.path.kind(),
-            block.words_fetched,
-            [].into(),
-        ),
-    );
+    if let Err(v) = memo.get_or_refill(edge, rom, refill) {
+        panic!("the sealed entry block verifies: {v:?}");
+    }
     let per_call = |f: &mut dyn FnMut()| {
         sampled(reps, || {
             secs(|| (0..CALLS).for_each(|_| f())) * 1e9 / CALLS as f64
@@ -1470,7 +1469,10 @@ fn host_refill_cipher(reps: u32) -> RefillCipherCost {
             ));
         }),
         memo_hit_ns: per_call(&mut || {
-            std::hint::black_box(memo.lookup(std::hint::black_box(edge), rom));
+            std::hint::black_box(
+                memo.get_or_refill(std::hint::black_box(edge), rom, refill)
+                    .is_ok(),
+            );
         }),
     }
 }

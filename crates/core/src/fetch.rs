@@ -17,7 +17,7 @@ use sofia_transform::{BlockFormat, BlockKind, SecureImage, MAX_BLOCK_WORDS, RESE
 use crate::memo::{RefillMemo, RefillMemoStats};
 use crate::timing::SofiaTiming;
 use crate::vcache::{CachedBlock, VCache, VCacheConfig, VCacheStats};
-use crate::Violation;
+use crate::{SofiaStats, Violation};
 
 /// Which entry a transfer target selected (paper §II-E call-site
 /// convention: offset 0 → execution block; offset 4 → mux path 1;
@@ -229,14 +229,13 @@ pub fn fetch_block(
     Ok(block)
 }
 
-/// Why a cached edge from a snapshot could not re-earn its cache line
-/// during restore (see [`SofiaFetchUnit::reverify_line`]).
+/// Why a refill produced no verified line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LineRejection {
-    /// The full fetch path raised a violation for this edge.
+    /// The fetch path raised a violation for this edge.
     Violation(Violation),
-    /// A decrypted word no longer decodes (it would have trapped on the
-    /// live path, so it can never have been cached honestly).
+    /// A decrypted word does not decode: the live path traps on it, and
+    /// a restored line holding it can never have been cached honestly.
     Undecodable {
         /// Address of the undecodable word.
         pc: u32,
@@ -245,74 +244,75 @@ pub(crate) enum LineRejection {
     },
 }
 
-/// Decodes a verified block's instruction words into slots, enforcing
-/// the store-position rule before any architectural effect — the
-/// **single** implementation shared by the live fetch path
-/// ([`SofiaFetchUnit::fetch_batch`]) and snapshot-restore
-/// re-verification ([`SofiaFetchUnit::reverify_line`]), so the two can
-/// never diverge on what a verified block is allowed to contain.
-///
-/// # Errors
-///
-/// [`LineRejection`] naming the offending word; callers map it to
-/// their surface ([`Trap::IllegalInstruction`] / [`Violation`] on the
-/// live path, a restore error on the snapshot path).
-fn decode_block_slots(
-    format: &BlockFormat,
-    block: &VerifiedBlock,
-    mut sink: impl FnMut(Slot),
-) -> Result<(), LineRejection> {
-    let first_word = format.mac_words(block.path.kind());
-    let insts = block.inst_addrs().iter().zip(block.inst_words());
-    for (idx, (&pc, &word)) in insts.enumerate() {
-        let inst = Instruction::decode(word)
-            .map_err(|e| LineRejection::Undecodable { pc, word: e.word() })?;
-        let word_pos = first_word + idx;
-        if inst.is_store() && word_pos < format.store_safe_word_offset {
-            return Err(LineRejection::Violation(Violation::StoreTooEarly {
-                pc,
-                word_pos,
-            }));
-        }
-        sink(Slot::new(pc, inst));
-    }
-    Ok(())
+/// What a refill is a pure function of besides the edge and the
+/// ciphertext its path reads: the unit's fixed state.
+#[derive(Clone, Debug)]
+struct Refill {
+    keys: ExpandedKeys,
+    nonce: Nonce,
+    format: BlockFormat,
+    text_base: u32,
+    text_words: u32,
+    enforce_si: bool,
 }
 
-/// Counters specific to the SOFIA fetch path, accumulated by
-/// [`SofiaFetchUnit`] on top of the engine's baseline
-/// [`sofia_cpu::ExecStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FetchPathStats {
-    /// Blocks fetched and verified.
-    pub blocks: u64,
-    /// Execution blocks among them.
-    pub exec_blocks: u64,
-    /// Multiplexor blocks among them.
-    pub mux_blocks: u64,
-    /// MAC words that travelled the pipeline as `nop` slots.
-    pub mac_nop_slots: u64,
-    /// CTR operations issued by the cipher.
-    pub ctr_ops: u64,
-    /// CBC-MAC operations issued by the cipher.
-    pub cbc_ops: u64,
-    /// Stall cycles from cipher backpressure.
-    pub cipher_stall_cycles: u64,
-    /// Decrypt-pipeline refill cycles after redirects.
-    pub redirect_fill_cycles: u64,
-    /// Stall cycles inserted by the store gate.
-    pub store_gate_stall_cycles: u64,
-    /// Verified-block cache hits (fetches that skipped decrypt + MAC).
-    pub vcache_hits: u64,
-    /// Verified-block cache misses (fetches through the full path while
-    /// the cache was enabled).
-    pub vcache_misses: u64,
-    /// Verified lines evicted from the cache.
-    pub vcache_evictions: u64,
-    /// Fetch-path cycles (issue slots for MAC words, cipher stalls,
-    /// redirect refills) the verified-block cache saved on hits, net of
-    /// the hit latency it charged instead.
-    pub crypto_cycles_saved: u64,
+impl Refill {
+    /// The refill: decrypts and verifies the block `edge` enters
+    /// ([`fetch_block`]), decodes its instruction words and enforces the
+    /// store-position rule before any architectural effect — the
+    /// **single** implementation behind the live fetch path, the memo's
+    /// debug cross-check and snapshot restore, so they can never diverge
+    /// on what a verified line is. Returns the line with the block it was
+    /// decoded from. `fetch_block` allocates nothing; the line's slots
+    /// are its one allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`LineRejection`] naming the violation or the undecodable word;
+    /// callers map it to their surface ([`Trap::IllegalInstruction`] or
+    /// a [`Violation`] on the live path, a restore error on the snapshot
+    /// path).
+    fn line(
+        &self,
+        read_word: &mut dyn FnMut(u32) -> Option<u32>,
+        (prev_pc, target): (u32, u32),
+    ) -> Result<(CachedBlock, VerifiedBlock), LineRejection> {
+        let block = fetch_block(
+            read_word,
+            &self.keys,
+            self.nonce,
+            &self.format,
+            self.text_base,
+            self.text_words,
+            target,
+            prev_pc,
+            self.enforce_si,
+        )
+        .map_err(LineRejection::Violation)?;
+        let first_word = self.format.mac_words(block.path.kind());
+        let mut slots = [Slot::new(0, Instruction::nop()); MAX_BLOCK_WORDS];
+        let insts = block.inst_addrs().iter().zip(block.inst_words());
+        for (idx, (slot, (&pc, &word))) in slots.iter_mut().zip(insts).enumerate() {
+            let inst = Instruction::decode(word)
+                .map_err(|e| LineRejection::Undecodable { pc, word: e.word() })?;
+            let word_pos = first_word + idx;
+            if inst.is_store() && word_pos < self.format.store_safe_word_offset {
+                return Err(LineRejection::Violation(Violation::StoreTooEarly {
+                    pc,
+                    word_pos,
+                }));
+            }
+            *slot = Slot::new(pc, inst);
+        }
+        let line = CachedBlock::new(
+            block.base,
+            block.last_word_addr(&self.format),
+            block.path,
+            block.words_fetched,
+            Arc::from(&slots[..block.inst_words().len()]),
+        );
+        Ok((line, block))
+    }
 }
 
 /// The SOFIA fetch unit: the CFI decrypt unit, the SI verify unit and the
@@ -326,25 +326,19 @@ pub struct FetchPathStats {
 /// experiment.
 #[derive(Clone, Debug)]
 pub struct SofiaFetchUnit {
-    keys: ExpandedKeys,
-    nonce: Nonce,
-    format: BlockFormat,
+    refill: Refill,
     timing: SofiaTiming,
-    enforce_si: bool,
-    text_base: u32,
-    text_words: u32,
     entry: u32,
     next_target: u32,
     prev_pc: u32,
     redirected: bool,
     cur_base: u32,
     cur_last_word: u32,
-    stats: FetchPathStats,
+    /// The fetch-path counters. `exec`, `violations`, `resets` and the
+    /// `vcache_*` fields stay unused: their owners keep them.
+    stats: SofiaStats,
     vcache: VCache,
     memo: RefillMemo,
-    /// The last batch's slots when they did not come straight from a
-    /// verified-block-cache line (a fresh decode or a memo hit).
-    slots: Vec<Slot>,
 }
 
 impl SofiaFetchUnit {
@@ -367,29 +361,37 @@ impl SofiaFetchUnit {
         vcache: VCacheConfig,
     ) -> Self {
         SofiaFetchUnit {
-            keys: keys.expand(),
-            nonce: image.nonce,
-            format: image.format,
+            refill: Refill {
+                keys: keys.expand(),
+                nonce: image.nonce,
+                format: image.format,
+                text_base: image.text_base,
+                text_words: image.ctext.len() as u32,
+                enforce_si,
+            },
             timing,
-            enforce_si,
-            text_base: image.text_base,
-            text_words: image.ctext.len() as u32,
             entry: image.entry,
             next_target: image.entry,
             prev_pc: RESET_PREV_PC,
             redirected: true,
             cur_base: image.entry,
             cur_last_word: RESET_PREV_PC,
-            stats: FetchPathStats::default(),
+            stats: SofiaStats::default(),
             vcache: VCache::new(vcache),
             memo: RefillMemo::new(image.format),
-            slots: Vec::new(),
         }
     }
 
-    /// Fetch-path counters, including the verified-block cache's.
-    pub fn stats(&self) -> FetchPathStats {
-        self.stats
+    /// Fetch-path counters, the verified-block cache's included. The
+    /// machine fills in `exec`, `violations` and `resets`
+    /// ([`crate::machine::SofiaMachine::stats`]); here they read zero.
+    pub fn stats(&self) -> SofiaStats {
+        SofiaStats {
+            exec: Default::default(),
+            violations: 0,
+            resets: 0,
+            ..self.stats.with_vcache(&self.vcache.stats())
+        }
     }
 
     /// Raw verified-block cache counters.
@@ -428,7 +430,7 @@ impl SofiaFetchUnit {
 
     /// Whether the SI unit's MAC comparison is enforced.
     pub(crate) fn enforce_si(&self) -> bool {
-        self.enforce_si
+        self.refill.enforce_si
     }
 
     /// Sequencer state beyond the edge registers: `(redirected,
@@ -456,7 +458,7 @@ impl SofiaFetchUnit {
     }
 
     /// Replaces the fetch-path counters wholesale (snapshot restore).
-    pub(crate) fn set_stats(&mut self, stats: FetchPathStats) {
+    pub(crate) fn set_stats(&mut self, stats: SofiaStats) {
         self.stats = stats;
     }
 
@@ -470,125 +472,31 @@ impl SofiaFetchUnit {
         &mut self.vcache
     }
 
-    /// Re-runs the full decrypt → MAC-verify → decode → store-rule path
-    /// for one cached edge against `read_word` ciphertext, producing the
-    /// cache line a hit would replay. This is how a restored snapshot
-    /// re-warms the verified-block cache: the snapshot carries only edge
-    /// *keys*, never decrypted plaintext, so every line re-earns its
-    /// residency against the MAC-protected image on the restoring host.
+    /// The verified line for one cached edge, against `read_word`
+    /// ciphertext. This is how a restored snapshot re-warms the
+    /// verified-block cache: the snapshot carries only edge *keys*, never
+    /// decrypted plaintext, so every line re-earns its residency against
+    /// the MAC-protected image on the restoring host.
     ///
     /// # Errors
     ///
-    /// The violation (or the undecodable word's address) that would have
-    /// fired on the live fetch path.
-    pub(crate) fn reverify_line(
+    /// The violation (or the undecodable word) that would have fired on
+    /// the live fetch path.
+    pub(crate) fn refill_line(
         &self,
         read_word: &mut dyn FnMut(u32) -> Option<u32>,
-        prev_pc: u32,
-        target: u32,
+        edge: (u32, u32),
     ) -> Result<CachedBlock, LineRejection> {
-        let block = fetch_block(
-            read_word,
-            &self.keys,
-            self.nonce,
-            &self.format,
-            self.text_base,
-            self.text_words,
-            target,
-            prev_pc,
-            self.enforce_si,
-        )
-        .map_err(LineRejection::Violation)?;
-        let mut slots: Vec<Slot> = Vec::with_capacity(block.inst_words().len());
-        decode_block_slots(&self.format, &block, |slot| slots.push(slot))?;
-        Ok(CachedBlock::new(
-            block.base,
-            block.last_word_addr(&self.format),
-            block.path.kind(),
-            block.words_fetched,
-            slots.into(),
-        ))
+        self.refill.line(read_word, edge).map(|(line, _)| line)
     }
+}
 
-    /// Accounting for a refill, whether the cipher ran or the memo
-    /// served it: `addrs` are the words the path fetched.
-    fn account_block(
-        &mut self,
-        kind: BlockKind,
-        addrs: &[u32],
-        slots: &[Slot],
-        ctx: &mut FetchCtx<'_>,
-    ) {
-        let words_fetched = addrs.len() as u32;
-        let bt = self
-            .timing
-            .block_cycles(&self.format, kind, words_fetched, self.redirected);
-        self.stats.blocks += 1;
-        match kind {
-            BlockKind::Exec => self.stats.exec_blocks += 1,
-            BlockKind::Mux => self.stats.mux_blocks += 1,
-        }
-        self.stats.mac_nop_slots += (addrs.len() - slots.len()) as u64;
-        self.stats.ctr_ops += bt.ctr_ops as u64;
-        self.stats.cbc_ops += bt.cbc_ops as u64;
-        self.stats.cipher_stall_cycles += bt.cipher_stall;
-        self.stats.redirect_fill_cycles += bt.redirect_fill;
-        ctx.stats.cycles += bt.total();
-        // Store-gate stalls for stores the format allows in the stall
-        // window (zero under the default format — the Fig. 6 argument).
-        let first_word = self.format.mac_words(kind);
-        for (idx, slot) in slots.iter().enumerate() {
-            if slot.class().is_store() {
-                let stall = self.timing.store_gate_stall(&self.format, first_word + idx);
-                self.stats.store_gate_stall_cycles += stall;
-                ctx.stats.cycles += stall;
-            }
-        }
-        // I-cache: ciphertext words are cached in front of the decrypt
-        // unit (Fig. 1), so every fetched word touches the cache.
-        for &addr in addrs {
-            let stall = ctx.icache.access_cycles(addr) as u64;
-            ctx.stats.icache_stall_cycles += stall;
-            ctx.stats.cycles += stall;
-        }
-    }
-
-    /// Accounting for a verified-block cache hit: the plaintext slots
-    /// stream straight from the cache, so the block charges its issue
-    /// slots plus the hit latency — no cipher ops, no redirect refill,
-    /// and **no ciphertext I-cache walk** (the ciphertext is never read,
-    /// so charging `ICache::access_cycles` here would double-bill the
-    /// fetch; see the regression test pinning this).
-    fn account_hit(
-        &mut self,
-        kind: BlockKind,
-        words_fetched: u32,
-        slots: usize,
-        ctx: &mut FetchCtx<'_>,
-    ) {
-        self.stats.vcache_hits += 1;
-        self.stats.blocks += 1;
-        match kind {
-            BlockKind::Exec => self.stats.exec_blocks += 1,
-            BlockKind::Mux => self.stats.mux_blocks += 1,
-        }
-        let skipped = self
-            .timing
-            .block_cycles(&self.format, kind, words_fetched, self.redirected);
-        let hit_cycles = slots as u64 + u64::from(self.vcache.config().hit_latency);
-        ctx.stats.cycles += hit_cycles;
-        self.stats.crypto_cycles_saved += skipped.total().saturating_sub(hit_cycles);
-    }
-
-    /// Sequences into a refilled, verified block and offers it to the
-    /// verified-block cache.
-    fn enter_block(&mut self, edge: (u32, u32), block: CachedBlock) {
-        self.cur_base = block.base;
-        self.cur_last_word = block.last_word_addr;
-        if self.vcache.is_enabled() {
-            let evicted = self.vcache.insert(edge, block);
-            self.stats.vcache_evictions += evicted as u64;
-        }
+/// Counts one block delivered along a path of `kind`.
+fn count_block(stats: &mut SofiaStats, kind: BlockKind) {
+    stats.blocks += 1;
+    match kind {
+        BlockKind::Exec => stats.exec_blocks += 1,
+        BlockKind::Mux => stats.mux_blocks += 1,
     }
 }
 
@@ -603,86 +511,84 @@ impl FetchUnit for SofiaFetchUnit {
         &mut self,
         ctx: &mut FetchCtx<'_>,
     ) -> Result<Result<LentBatch<'_>, Violation>, Trap> {
+        let edge = (self.prev_pc, self.next_target);
+        let format = &self.refill.format;
         // Verified-block cache: a hit replays slots already decrypted,
         // MAC-checked, decoded, classified and costed for exactly this
         // `(prevPC, PC)` edge, lent to the engine straight from the line —
-        // no copy, no refcount traffic.
-        let edge = (self.prev_pc, self.next_target);
+        // no copy, no refcount traffic. It charges the block's issue
+        // slots plus the hit latency: no cipher ops, no redirect refill,
+        // and **no ciphertext I-cache walk** (the ciphertext is never
+        // read, so charging `ICache::access_cycles` here would
+        // double-bill the fetch; a regression test pins this).
         if let Some(at) = self.vcache.lookup(edge.0, edge.1) {
             let line = self.vcache.line(at);
-            let (base, last, kind, words, len) = (
-                line.base,
-                line.last_word_addr,
-                line.kind,
-                line.words_fetched,
-                line.slots().len(),
-            );
-            self.account_hit(kind, words, len, ctx);
-            self.cur_base = base;
-            self.cur_last_word = last;
-            let line = self.vcache.line(at);
+            let kind = line.path.kind();
+            let skipped =
+                self.timing
+                    .block_cycles(format, kind, line.words_fetched, self.redirected);
+            let hit_cycles =
+                line.slots().len() as u64 + u64::from(self.vcache.config().hit_latency);
+            ctx.stats.cycles += hit_cycles;
+            self.stats.crypto_cycles_saved += skipped.total().saturating_sub(hit_cycles);
+            count_block(&mut self.stats, kind);
+            self.cur_base = line.base;
+            self.cur_last_word = line.last_word_addr;
             return Ok(Ok((line.slots(), line.cost())));
-        } else if self.vcache.is_enabled() {
-            self.stats.vcache_misses += 1;
         }
         // Refill memo: the same edge over the same ciphertext verifies to
-        // the same block, so a hit skips only the host's cipher work and
-        // is charged exactly like the refill below.
-        if let Some(hit) = self.memo.lookup(edge, |addr| ctx.mem.fetch(addr).ok()) {
-            debug_assert_eq!(
-                self.reverify_line(&mut |addr| ctx.mem.fetch(addr).ok(), edge.0, edge.1),
-                Ok(hit.block.clone()),
-                "refill memo diverged from the cipher on edge {edge:#x?}"
-            );
-            self.account_block(hit.block.kind, hit.fetched_addrs(), hit.block.slots(), ctx);
-            self.slots.clear();
-            self.slots.extend_from_slice(hit.block.slots());
-            let cost = hit.block.cost();
-            self.enter_block(edge, hit.block);
-            return Ok(Ok((&self.slots, cost)));
-        }
-        let fetched = fetch_block(
-            &mut |addr| ctx.mem.fetch(addr).ok(),
-            &self.keys,
-            self.nonce,
-            &self.format,
-            self.text_base,
-            self.text_words,
-            self.next_target,
-            self.prev_pc,
-            self.enforce_si,
+        // the same line, so a hit skips only the host's cipher work and
+        // is charged exactly like the refill it stands for. Only a line
+        // past the MAC, the decoder and the store-position rule enters
+        // the memo or the cache: nothing that would trap or violate on
+        // the uncached path is ever replayable from either.
+        let refill = &self.refill;
+        let line = self.memo.get_or_refill(
+            edge,
+            |addr| ctx.mem.fetch(addr).ok(),
+            || refill.line(&mut |addr| ctx.mem.fetch(addr).ok(), edge),
         );
-        let block = match fetched {
-            Ok(b) => b,
-            Err(v) => return Ok(Err(v)),
-        };
-        // Decode everything up front; check the store-position rule before
-        // any architectural effect (the hardware's early-store reset).
-        self.slots.clear();
-        let slots = &mut self.slots;
-        match decode_block_slots(&self.format, &block, |slot| slots.push(slot)) {
-            Ok(()) => {}
+        let line = match line {
+            Ok(line) => line,
             Err(LineRejection::Undecodable { pc, word }) => {
                 return Err(Trap::IllegalInstruction { word, pc })
             }
             Err(LineRejection::Violation(v)) => return Ok(Err(v)),
+        };
+        let kind = line.path.kind();
+        let bt = self
+            .timing
+            .block_cycles(format, kind, line.words_fetched, self.redirected);
+        count_block(&mut self.stats, kind);
+        self.stats.mac_nop_slots += u64::from(line.words_fetched) - line.slots().len() as u64;
+        self.stats.ctr_ops += bt.ctr_ops as u64;
+        self.stats.cbc_ops += bt.cbc_ops as u64;
+        self.stats.cipher_stall_cycles += bt.cipher_stall;
+        self.stats.redirect_fill_cycles += bt.redirect_fill;
+        ctx.stats.cycles += bt.total();
+        // Store-gate stalls for stores the format allows in the stall
+        // window (zero under the default format — the Fig. 6 argument).
+        let first_word = format.mac_words(kind);
+        for (idx, slot) in line.slots().iter().enumerate() {
+            if slot.class().is_store() {
+                let stall = self.timing.store_gate_stall(format, first_word + idx);
+                self.stats.store_gate_stall_cycles += stall;
+                ctx.stats.cycles += stall;
+            }
         }
-        // Only now — past the MAC, the decoder and the store-position
-        // rule — may the block enter the memo and the cache: nothing that
-        // would trap or violate on the uncached path is ever replayable
-        // from either.
-        let line = CachedBlock::new(
-            block.base,
-            block.last_word_addr(&self.format),
-            block.path.kind(),
-            block.words_fetched,
-            Arc::from(self.slots.as_slice()),
-        );
-        let cost = line.cost();
-        self.account_block(line.kind, block.fetched_addrs(), line.slots(), ctx);
-        self.memo.insert(edge, &block, line.clone());
-        self.enter_block(edge, line);
-        Ok(Ok((&self.slots, cost)))
+        // I-cache: ciphertext words are cached in front of the decrypt
+        // unit (Fig. 1), so every fetched word touches the cache.
+        for addr in line.fetched_addrs(format) {
+            let stall = ctx.icache.access_cycles(addr) as u64;
+            ctx.stats.icache_stall_cycles += stall;
+            ctx.stats.cycles += stall;
+        }
+        self.cur_base = line.base;
+        self.cur_last_word = line.last_word_addr;
+        if self.vcache.is_enabled() {
+            self.vcache.insert(edge, line.clone());
+        }
+        Ok(Ok((line.slots(), line.cost())))
     }
 
     /// Sequences the next fetch from the block's one exit: its last slot
@@ -697,7 +603,7 @@ impl FetchUnit for SofiaFetchUnit {
     ) -> Result<(), Violation> {
         match outcome {
             SlotOutcome::Sequential => {
-                self.next_target = self.cur_base + self.format.block_bytes();
+                self.next_target = self.cur_base + self.refill.format.block_bytes();
                 self.redirected = false;
             }
             SlotOutcome::Transfer { target } => {

@@ -157,21 +157,48 @@ impl SofiaStats {
     /// fleet tenant's across jobs.
     pub fn merge(&mut self, other: &SofiaStats) {
         self.exec.merge(&other.exec);
-        self.blocks += other.blocks;
-        self.exec_blocks += other.exec_blocks;
-        self.mux_blocks += other.mux_blocks;
-        self.mac_nop_slots += other.mac_nop_slots;
-        self.ctr_ops += other.ctr_ops;
-        self.cbc_ops += other.cbc_ops;
-        self.cipher_stall_cycles += other.cipher_stall_cycles;
-        self.redirect_fill_cycles += other.redirect_fill_cycles;
-        self.store_gate_stall_cycles += other.store_gate_stall_cycles;
-        self.vcache_hits += other.vcache_hits;
-        self.vcache_misses += other.vcache_misses;
-        self.vcache_evictions += other.vcache_evictions;
-        self.crypto_cycles_saved += other.crypto_cycles_saved;
+        let mut other = *other;
+        for (mine, theirs) in self
+            .fetch_counters()
+            .into_iter()
+            .zip(other.fetch_counters())
+        {
+            *mine += *theirs;
+        }
         self.violations += other.violations;
         self.resets += other.resets;
+    }
+
+    /// The fetch-path counters — every field but `exec`, `violations` and
+    /// `resets` — in the order the `SOFS1` and `SOFJ1` containers carry
+    /// them.
+    pub(crate) fn fetch_counters(&mut self) -> [&mut u64; 13] {
+        [
+            &mut self.blocks,
+            &mut self.exec_blocks,
+            &mut self.mux_blocks,
+            &mut self.mac_nop_slots,
+            &mut self.ctr_ops,
+            &mut self.cbc_ops,
+            &mut self.cipher_stall_cycles,
+            &mut self.redirect_fill_cycles,
+            &mut self.store_gate_stall_cycles,
+            &mut self.vcache_hits,
+            &mut self.vcache_misses,
+            &mut self.vcache_evictions,
+            &mut self.crypto_cycles_saved,
+        ]
+    }
+
+    /// These counters with the verified-block cache's own hit, miss and
+    /// eviction counts, which the cache alone keeps.
+    pub(crate) fn with_vcache(self, cache: &VCacheStats) -> SofiaStats {
+        SofiaStats {
+            vcache_hits: cache.hits,
+            vcache_misses: cache.misses,
+            vcache_evictions: cache.evictions,
+            ..self
+        }
     }
 }
 
@@ -539,27 +566,15 @@ impl Machine<SofiaFetchUnit> {
         }
     }
 
-    /// Accumulated statistics, combining the engine's baseline counters
-    /// with the fetch unit's security-path counters.
+    /// Accumulated statistics: the fetch unit's security-path counters
+    /// with the engine's baseline counters, the violation count and the
+    /// resets filled in.
     pub fn stats(&self) -> SofiaStats {
-        let f = self.engine.fetch().stats();
         SofiaStats {
             exec: self.engine.stats(),
-            blocks: f.blocks,
-            exec_blocks: f.exec_blocks,
-            mux_blocks: f.mux_blocks,
-            mac_nop_slots: f.mac_nop_slots,
-            ctr_ops: f.ctr_ops,
-            cbc_ops: f.cbc_ops,
-            cipher_stall_cycles: f.cipher_stall_cycles,
-            redirect_fill_cycles: f.redirect_fill_cycles,
-            store_gate_stall_cycles: f.store_gate_stall_cycles,
-            vcache_hits: f.vcache_hits,
-            vcache_misses: f.vcache_misses,
-            vcache_evictions: f.vcache_evictions,
-            crypto_cycles_saved: f.crypto_cycles_saved,
             violations: self.violations.len() as u64,
             resets: self.engine.resets(),
+            ..self.engine.fetch().stats()
         }
     }
 

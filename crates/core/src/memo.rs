@@ -1,14 +1,15 @@
 //! The refill memo: a host-only memo of verified refills, so the
 //! simulator pays the cipher once per distinct `(edge, ciphertext)`.
 //!
-//! [`crate::fetch::fetch_block`] plus the decoder is a pure function of
-//! the unit's fixed state (keys, nonce, format, text bounds,
+//! A refill — [`crate::fetch::fetch_block`] plus the decoder — is a pure
+//! function of the unit's fixed state (keys, nonce, format, text bounds,
 //! `enforce_si`), the edge `(prevPC, PC)` and the ciphertext words the
-//! path reads. The memo keys a line by the edge and keeps the ciphertext
-//! beside the verified, decoded result. A lookup re-reads every word of
-//! the path and hits only if all of them equal the stored ciphertext, so
-//! a tampered or fault-flipped word misses and takes the real cipher
-//! path, where the MAC catches it.
+//! path reads. The memo keys a verified line ([`CachedBlock`]) by the
+//! edge and keeps the ciphertext beside it. A lookup re-reads every word
+//! the line's path fetches and hits only if all of them equal the stored
+//! ciphertext, so a tampered or fault-flipped word misses and takes the
+//! real cipher path, where the MAC catches it. In debug builds every hit
+//! is also checked against the refill it replaces.
 //!
 //! This is **not** the verified-block cache ([`crate::vcache`]). The
 //! vcache models hardware: a hit skips the cipher's cycles, its lines
@@ -18,15 +19,16 @@
 //! cipher op counts, the ciphertext I-cache walk), no counter, record or
 //! snapshot sees it, and a park or restore starts it empty.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use sofia_transform::{BlockFormat, MAX_BLOCK_WORDS};
 
-use crate::fetch::{EntryPath, VerifiedBlock};
+use crate::fetch::VerifiedBlock;
 use crate::vcache::CachedBlock;
 
-/// Lines one memo holds. Inserting a new edge into a full memo empties it
-/// first, so a machine's memo never holds more than this many lines.
+/// Lines one memo holds. A memo that holds this many empties itself at
+/// its next lookup, so it never holds more.
 pub const REFILL_MEMO_LINES: usize = 256;
 
 /// Host-side counters of a [`RefillMemo`]. They are kept apart from
@@ -38,7 +40,7 @@ pub struct RefillMemoStats {
     /// Refills that paid the cipher (stale lines included).
     pub misses: u64,
     /// Misses on an edge whose line held different ciphertext; the
-    /// stale line is dropped.
+    /// stale line is replaced, or dropped if the refill fails.
     pub stale: u64,
     /// Lines resident now.
     pub lines: u64,
@@ -46,28 +48,20 @@ pub struct RefillMemoStats {
 
 #[derive(Clone, Debug)]
 struct MemoLine {
-    path: EntryPath,
     ctext: [u32; MAX_BLOCK_WORDS],
     block: CachedBlock,
 }
 
-/// A memo hit: the verified line and the addresses its path fetched.
-#[derive(Clone, Debug)]
-pub struct MemoHit {
-    /// The verified, decoded block the path's ciphertext yields.
-    pub block: CachedBlock,
-    addrs: [u32; MAX_BLOCK_WORDS],
-}
-
-impl MemoHit {
-    /// Addresses the path fetched, in fetch order (for I-cache
-    /// accounting).
-    pub fn fetched_addrs(&self) -> &[u32] {
-        &self.addrs[..self.block.words_fetched as usize]
+impl MemoLine {
+    fn new((block, verified): (CachedBlock, VerifiedBlock)) -> MemoLine {
+        let mut ctext = [0; MAX_BLOCK_WORDS];
+        let fetched = verified.ciphertext();
+        ctext[..fetched.len()].copy_from_slice(fetched);
+        MemoLine { ctext, block }
     }
 }
 
-/// Verified refills keyed by the edge `(prevPC, PC)`, each holding the
+/// Verified lines keyed by the edge `(prevPC, PC)`, each holding the
 /// ciphertext it was verified from. See the [module docs](self).
 ///
 /// # Examples
@@ -85,22 +79,21 @@ impl MemoHit {
 /// let mut rom = img.ctext.clone();
 /// let word = |rom: &[u32], addr: u32| rom.get(((addr - img.text_base) / 4) as usize).copied();
 /// let edge = (RESET_PREV_PC, img.entry);
-/// let block = fetch_block(
-///     &mut |a| word(&rom, a), &keys.expand(), img.nonce, &img.format,
-///     img.text_base, rom.len() as u32, edge.1, edge.0, true,
-/// )?;
-/// let line = CachedBlock::new(
-///     block.base,
-///     block.last_word_addr(&img.format),
-///     block.path.kind(),
-///     block.words_fetched,
-///     [].into(),
-/// );
+/// let refill = |rom: &[u32]| {
+///     let block = fetch_block(
+///         &mut |a| word(rom, a), &keys.expand(), img.nonce, &img.format,
+///         img.text_base, rom.len() as u32, edge.1, edge.0, true,
+///     )?;
+///     let last = block.last_word_addr(&img.format);
+///     let line = CachedBlock::new(block.base, last, block.path, block.words_fetched, [].into());
+///     Ok::<_, sofia_core::Violation>((line, block))
+/// };
 /// let mut memo = RefillMemo::new(img.format);
-/// memo.insert(edge, &block, line);
-/// assert!(memo.lookup(edge, |a| word(&rom, a)).is_some());
-/// rom[3] ^= 1; // a tampered word misses
-/// assert!(memo.lookup(edge, |a| word(&rom, a)).is_none());
+/// memo.get_or_refill(edge, |a| word(&rom, a), || refill(&rom))?;
+/// memo.get_or_refill(edge, |a| word(&rom, a), || refill(&rom))?;
+/// assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
+/// rom[3] ^= 1; // a tampered word misses, and the refill fails its MAC
+/// assert!(memo.get_or_refill(edge, |a| word(&rom, a), || refill(&rom)).is_err());
 /// assert_eq!(memo.stats().stale, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -126,58 +119,62 @@ impl RefillMemo {
         }
     }
 
-    /// The line for `edge`, if every word its path fetches still reads,
-    /// through `read_word`, as the ciphertext it was verified from. A
-    /// line whose ciphertext changed is dropped.
-    pub fn lookup(
+    /// The verified line for `edge`: the resident one if every word its
+    /// path fetches still reads, through `read_word`, as the ciphertext
+    /// it was verified from, else the one `refill` verifies, which then
+    /// takes its place. A failed refill leaves no line for `edge`.
+    /// Callers' `refill` returns only lines past the MAC, the decoder and
+    /// the store-position rule.
+    ///
+    /// # Errors
+    ///
+    /// `refill`'s error when a miss had to run it.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `refill` disagrees with a line that hit.
+    pub fn get_or_refill<E: std::fmt::Debug + PartialEq>(
         &mut self,
         edge: (u32, u32),
         mut read_word: impl FnMut(u32) -> Option<u32>,
-    ) -> Option<MemoHit> {
-        let Some(line) = self.lines.get(&edge) else {
-            self.misses += 1;
-            return None;
-        };
-        let mut addrs = [0; MAX_BLOCK_WORDS];
-        for (addr, w) in addrs.iter_mut().zip(line.path.fetched_words(&self.format)) {
-            *addr = line.block.base + 4 * w as u32;
-        }
-        let n = line.block.words_fetched as usize;
-        if addrs[..n]
-            .iter()
-            .zip(&line.ctext)
-            .all(|(&addr, &c)| read_word(addr) == Some(c))
-        {
-            self.hits += 1;
-            return Some(MemoHit {
-                block: line.block.clone(),
-                addrs,
-            });
-        }
-        self.lines.remove(&edge);
-        self.stale += 1;
-        self.misses += 1;
-        None
-    }
-
-    /// Records that `block`'s ciphertext, fetched over `edge`, verified
-    /// and decoded to `line`. Callers insert only blocks that passed the
-    /// MAC, the decoder and the store-position rule.
-    pub fn insert(&mut self, edge: (u32, u32), block: &VerifiedBlock, line: CachedBlock) {
-        if self.lines.len() >= REFILL_MEMO_LINES && !self.lines.contains_key(&edge) {
+        refill: impl FnOnce() -> Result<(CachedBlock, VerifiedBlock), E>,
+    ) -> Result<&CachedBlock, E> {
+        if self.lines.len() >= REFILL_MEMO_LINES {
             self.lines.clear();
         }
-        let mut ctext = [0; MAX_BLOCK_WORDS];
-        let fetched = block.ciphertext();
-        ctext[..fetched.len()].copy_from_slice(fetched);
-        self.lines.insert(
-            edge,
-            MemoLine {
-                path: block.path,
-                ctext,
-                block: line,
-            },
-        );
+        match self.lines.entry(edge) {
+            Entry::Occupied(mut resident) => {
+                let line = resident.get();
+                let current = (line.block.fetched_addrs(&self.format).zip(&line.ctext))
+                    .all(|(addr, &c)| read_word(addr) == Some(c));
+                if current {
+                    self.hits += 1;
+                    let line = &resident.into_mut().block;
+                    debug_assert_eq!(
+                        refill().map(|(fresh, _)| fresh).as_ref(),
+                        Ok(line),
+                        "refill memo diverged from the cipher on edge {edge:#x?}"
+                    );
+                    return Ok(line);
+                }
+                self.stale += 1;
+                self.misses += 1;
+                match refill() {
+                    Ok(fresh) => {
+                        resident.insert(MemoLine::new(fresh));
+                        Ok(&resident.into_mut().block)
+                    }
+                    Err(e) => {
+                        resident.remove();
+                        Err(e)
+                    }
+                }
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                Ok(&slot.insert(MemoLine::new(refill()?)).block)
+            }
+        }
     }
 
     /// Hit, miss and stale counts plus the lines resident now.

@@ -54,11 +54,11 @@ use sofia_isa::Reg;
 use sofia_transform::decode::{DecodeError, Reader, Writer};
 use sofia_transform::SecureImage;
 
-use crate::fetch::{FetchPathStats, LineRejection};
+use crate::fetch::LineRejection;
 use crate::machine::{ResetPolicy, SofiaConfig, SofiaMachine};
 use crate::timing::{CipherSchedule, SofiaTiming};
 use crate::vcache::{VCacheConfig, VCacheStats};
-use crate::{ResumeEdge, Violation};
+use crate::{ResumeEdge, SofiaStats, Violation};
 
 /// Container magic for serialised machine snapshots.
 const MAGIC: &[u8] = b"SOFS1\0";
@@ -130,8 +130,6 @@ pub struct MachineSnapshot {
     pub cur_last_word: u32,
     /// Whether the machine had already halted.
     pub halted: bool,
-    /// Resets performed so far.
-    pub resets: u64,
     /// Register index of the immediately preceding load's destination
     /// (load-use hazard tracker), if any.
     pub prev_load_dest: Option<u8>,
@@ -143,10 +141,10 @@ pub struct MachineSnapshot {
     pub ram_pages: Vec<(u32, Vec<u8>)>,
     /// MMIO output logs.
     pub mmio: Mmio,
-    /// Baseline execution counters.
-    pub exec: ExecStats,
-    /// Fetch-path counters.
-    pub fetch: FetchPathStats,
+    /// Every counter [`SofiaMachine::stats`] reports. `SOFS1` derives
+    /// `violations` from the violation log and writes the
+    /// `vcache_*` counters from [`MachineSnapshot::vcache_stats`].
+    pub stats: SofiaStats,
     /// Violations detected so far, in detection order.
     pub violations: Vec<Violation>,
     /// I-cache line tags, in set order (addresses only).
@@ -221,7 +219,7 @@ impl MachineSnapshot {
         w.u32(self.cur_base);
         w.u32(self.cur_last_word);
         w.bool(self.halted);
-        w.u64(self.resets);
+        w.u64(self.stats.resets);
         w.u8(self.prev_load_dest.unwrap_or(0xFF));
         for r in self.regs {
             w.u32(r);
@@ -241,25 +239,8 @@ impl MachineSnapshot {
         for &v in &self.mmio.actuator_writes {
             w.u32(v);
         }
-        write_exec_stats(&mut w, &self.exec);
-        let f = self.fetch;
-        for v in [
-            f.blocks,
-            f.exec_blocks,
-            f.mux_blocks,
-            f.mac_nop_slots,
-            f.ctr_ops,
-            f.cbc_ops,
-            f.cipher_stall_cycles,
-            f.redirect_fill_cycles,
-            f.store_gate_stall_cycles,
-            f.vcache_hits,
-            f.vcache_misses,
-            f.vcache_evictions,
-            f.crypto_cycles_saved,
-        ] {
-            w.u64(v);
-        }
+        write_exec_stats(&mut w, &self.stats.exec);
+        write_fetch_counters(&mut w, self.stats.with_vcache(&self.vcache_stats));
         w.u32(self.violations.len() as u32);
         for v in &self.violations {
             write_violation(&mut w, v);
@@ -503,28 +484,19 @@ impl MachineSnapshot {
             actuator_writes,
         };
 
-        let exec = read_exec_stats(&mut r)?;
-        let fetch = FetchPathStats {
-            blocks: r.u64()?,
-            exec_blocks: r.u64()?,
-            mux_blocks: r.u64()?,
-            mac_nop_slots: r.u64()?,
-            ctr_ops: r.u64()?,
-            cbc_ops: r.u64()?,
-            cipher_stall_cycles: r.u64()?,
-            redirect_fill_cycles: r.u64()?,
-            store_gate_stall_cycles: r.u64()?,
-            vcache_hits: r.u64()?,
-            vcache_misses: r.u64()?,
-            vcache_evictions: r.u64()?,
-            crypto_cycles_saved: r.u64()?,
+        let mut stats = SofiaStats {
+            exec: read_exec_stats(&mut r)?,
+            resets,
+            ..Default::default()
         };
+        read_fetch_counters(&mut r, &mut stats)?;
 
         let n = r.count("violations", 5)?;
         let mut violations = Vec::with_capacity(n);
         for _ in 0..n {
             violations.push(read_violation(&mut r)?);
         }
+        stats.violations = n as u64;
 
         let expected_lines = (icache.size_bytes / icache.line_bytes) as u64;
         let n = r.count("icache_tags", 1)?;
@@ -561,6 +533,16 @@ impl MachineSnapshot {
             insertions: r.u64()?,
             flushed: r.u64()?,
         };
+        if stats.with_vcache(&vcache_stats) != stats {
+            return Err(DecodeError::BadField {
+                field: "vcache_stats",
+                reason: format!(
+                    "cache counts {vcache_stats:?} disagree with the fetch-path copy \
+                     (hits {}, misses {}, evictions {})",
+                    stats.vcache_hits, stats.vcache_misses, stats.vcache_evictions
+                ),
+            });
+        }
         let n = r.count("vcache_lines", 16)?;
         let cap = if vcache.enabled {
             vcache.entries as u64
@@ -593,13 +575,11 @@ impl MachineSnapshot {
             cur_base,
             cur_last_word,
             halted,
-            resets,
             prev_load_dest,
             regs,
             ram_pages,
             mmio,
-            exec,
-            fetch,
+            stats,
             violations,
             icache_tags,
             icache_stats,
@@ -717,7 +697,6 @@ pub(crate) fn capture(m: &SofiaMachine, fuel_remaining: u64) -> MachineSnapshot 
         cur_base,
         cur_last_word,
         halted: core.halted,
-        resets: core.resets,
         prev_load_dest: core.prev_load_dest.map(|r| r.index()),
         regs: core.regs.words(),
         ram_pages: core
@@ -726,8 +705,7 @@ pub(crate) fn capture(m: &SofiaMachine, fuel_remaining: u64) -> MachineSnapshot 
             .filter(|(_, page)| page.iter().any(|&b| b != 0))
             .collect(),
         mmio: core.mmio,
-        exec: core.stats,
-        fetch: f.stats(),
+        stats: m.stats(),
         violations: m.violations().to_vec(),
         icache_tags: core.icache_tags,
         icache_stats: core.icache_stats,
@@ -769,8 +747,9 @@ pub(crate) fn rebuild(
         let mem = m.engine().mem();
         let f = m.engine().fetch();
         for line in &snap.vcache_lines {
+            let edge = (line.prev_pc, line.target);
             let block = f
-                .reverify_line(&mut |addr| mem.fetch(addr).ok(), line.prev_pc, line.target)
+                .refill_line(&mut |addr| mem.fetch(addr).ok(), edge)
                 .map_err(|e| match e {
                     LineRejection::Violation(violation) => RestoreError::LineRejected {
                         prev_pc: line.prev_pc,
@@ -783,7 +762,7 @@ pub(crate) fn rebuild(
                         pc,
                     },
                 })?;
-            lines.push(((line.prev_pc, line.target), line.stamp, block));
+            lines.push((edge, line.stamp, block));
         }
     }
 
@@ -795,12 +774,12 @@ pub(crate) fn rebuild(
             ram_size: snap.config.machine.ram_size,
             ram_pages: snap.ram_pages.clone(),
             mmio: snap.mmio.clone(),
-            stats: snap.exec,
+            stats: snap.stats.exec,
             icache_tags: snap.icache_tags.clone(),
             icache_stats: snap.icache_stats,
             prev_load_dest: snap.prev_load_dest.and_then(Reg::new),
             halted: snap.halted,
-            resets: snap.resets,
+            resets: snap.stats.resets,
         })
         .map_err(RestoreError::Core)?;
 
@@ -812,7 +791,7 @@ pub(crate) fn rebuild(
         snap.cur_base,
         snap.cur_last_word,
     );
-    f.set_stats(snap.fetch);
+    f.set_stats(snap.stats);
     f.vcache_mut()
         .restore_state(lines, snap.vcache_tick, snap.vcache_stats)
         .map_err(|(prev_pc, target)| RestoreError::LinePlacement { prev_pc, target })?;
@@ -912,54 +891,44 @@ pub fn read_exec_stats(r: &mut Reader<'_>) -> Result<ExecStats, DecodeError> {
     })
 }
 
-/// Writes a full [`crate::SofiaStats`] in the snapshot wire format.
-pub fn write_sofia_stats(w: &mut Writer, s: &crate::SofiaStats) {
-    write_exec_stats(w, &s.exec);
-    for v in [
-        s.blocks,
-        s.exec_blocks,
-        s.mux_blocks,
-        s.mac_nop_slots,
-        s.ctr_ops,
-        s.cbc_ops,
-        s.cipher_stall_cycles,
-        s.redirect_fill_cycles,
-        s.store_gate_stall_cycles,
-        s.vcache_hits,
-        s.vcache_misses,
-        s.vcache_evictions,
-        s.crypto_cycles_saved,
-        s.violations,
-        s.resets,
-    ] {
-        w.u64(v);
+/// Writes `s`'s fetch-path counters ([`SofiaStats::fetch_counters`]),
+/// the block both `SOFS1` and [`write_sofia_stats`] carry.
+fn write_fetch_counters(w: &mut Writer, mut s: SofiaStats) {
+    for v in s.fetch_counters() {
+        w.u64(*v);
     }
 }
 
-/// Reads a [`crate::SofiaStats`] written by [`write_sofia_stats`].
+/// Reads the counters [`write_fetch_counters`] wrote into `s`.
+fn read_fetch_counters(r: &mut Reader<'_>, s: &mut SofiaStats) -> Result<(), DecodeError> {
+    for v in s.fetch_counters() {
+        *v = r.u64()?;
+    }
+    Ok(())
+}
+
+/// Writes a full [`SofiaStats`] in the snapshot wire format.
+pub fn write_sofia_stats(w: &mut Writer, s: &SofiaStats) {
+    write_exec_stats(w, &s.exec);
+    write_fetch_counters(w, *s);
+    w.u64(s.violations);
+    w.u64(s.resets);
+}
+
+/// Reads a [`SofiaStats`] written by [`write_sofia_stats`].
 ///
 /// # Errors
 ///
 /// [`DecodeError::Truncated`].
-pub fn read_sofia_stats(r: &mut Reader<'_>) -> Result<crate::SofiaStats, DecodeError> {
-    Ok(crate::SofiaStats {
+pub fn read_sofia_stats(r: &mut Reader<'_>) -> Result<SofiaStats, DecodeError> {
+    let mut s = SofiaStats {
         exec: read_exec_stats(r)?,
-        blocks: r.u64()?,
-        exec_blocks: r.u64()?,
-        mux_blocks: r.u64()?,
-        mac_nop_slots: r.u64()?,
-        ctr_ops: r.u64()?,
-        cbc_ops: r.u64()?,
-        cipher_stall_cycles: r.u64()?,
-        redirect_fill_cycles: r.u64()?,
-        store_gate_stall_cycles: r.u64()?,
-        vcache_hits: r.u64()?,
-        vcache_misses: r.u64()?,
-        vcache_evictions: r.u64()?,
-        crypto_cycles_saved: r.u64()?,
-        violations: r.u64()?,
-        resets: r.u64()?,
-    })
+        ..Default::default()
+    };
+    read_fetch_counters(r, &mut s)?;
+    s.violations = r.u64()?;
+    s.resets = r.u64()?;
+    Ok(s)
 }
 
 #[cfg(test)]

@@ -33,12 +33,20 @@
 //! `hash % sets`, computed exactly by a multiply with a constant fixed
 //! when the cache is built (Lemire's fastmod), so every edge lands in
 //! the set it always did.
+//!
+//! A line is a [`CachedBlock`], the fetch path's one verified-line type:
+//! every refill produces one, the host-only refill memo
+//! ([`crate::memo`]) keeps the same line, and a hit or a memo hit lends
+//! the engine the line's own slots. The cache alone counts its hits,
+//! misses and evictions; [`crate::SofiaStats`] reads them from it.
 
 use std::sync::Arc;
 
 use sofia_cpu::fetch::Slot;
 use sofia_cpu::pipeline::BlockCost;
-use sofia_transform::BlockKind;
+use sofia_transform::BlockFormat;
+
+use crate::fetch::EntryPath;
 
 /// Geometry and policy of the verified-block cache.
 ///
@@ -130,25 +138,27 @@ impl VCacheStats {
     }
 }
 
-/// A verified block as the cache stores it: the decoded instruction
-/// slots (already past the SI check, the decoder and the store-position
-/// rule) and their [`BlockCost`], plus the sequencing facts the fetch
-/// unit needs on a hit.
+/// A verified line: the decoded instruction slots of one block entered
+/// along one path (already past the SI check, the decoder and the
+/// store-position rule) and their [`BlockCost`], plus the sequencing
+/// facts the fetch unit needs to replay it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedBlock {
     /// Base address of the block.
     pub base: u32,
     /// Address of the block's last word (the `prevPC` its exits present).
     pub last_word_addr: u32,
-    /// Exec or mux block (for the per-kind counters).
-    pub kind: BlockKind,
+    /// The entry path the line was verified along (its kind feeds the
+    /// per-kind counters, its words the I-cache walk).
+    pub path: EntryPath,
     /// Ciphertext words the uncached fetch walks for this entry path —
     /// what a hit *saves* in issue slots and cipher work.
     pub words_fetched: u32,
-    /// The decoded, classified instruction slots, in issue order. A hit
-    /// lends them to the engine by reference
-    /// ([`sofia_cpu::FetchUnit::fetch_batch`]); the `Arc` only lets the
-    /// refill memo and the cache share one copy of a line.
+    /// The decoded, classified instruction slots, in issue order. Every
+    /// fetch the line serves — a vcache hit, a memo hit or the refill
+    /// that made it — lends them to the engine by reference
+    /// ([`sofia_cpu::FetchUnit::fetch_batch`]); the `Arc` lets the refill
+    /// memo and the cache share one copy of a line.
     slots: Arc<[Slot]>,
     /// `BlockCost::of(slots)`, summed once at decode; a hit lends it
     /// with the slots.
@@ -157,18 +167,19 @@ pub struct CachedBlock {
 
 impl CachedBlock {
     /// A line for `slots`, decoded from the block at `base` whose last
-    /// word is `last_word_addr`; its [`BlockCost`] is summed here, once.
+    /// word is `last_word_addr` and entered along `path`; its
+    /// [`BlockCost`] is summed here, once.
     pub fn new(
         base: u32,
         last_word_addr: u32,
-        kind: BlockKind,
+        path: EntryPath,
         words_fetched: u32,
         slots: Arc<[Slot]>,
     ) -> CachedBlock {
         CachedBlock {
             base,
             last_word_addr,
-            kind,
+            path,
             words_fetched,
             cost: BlockCost::of(&slots),
             slots,
@@ -185,6 +196,15 @@ impl CachedBlock {
     #[inline]
     pub fn cost(&self) -> BlockCost {
         self.cost
+    }
+
+    /// Addresses of the words the line's path fetches, in fetch order:
+    /// what a refill walks the ciphertext I-cache over, and what the
+    /// refill memo re-reads to check a line is still current.
+    pub(crate) fn fetched_addrs(&self, format: &BlockFormat) -> impl Iterator<Item = u32> + '_ {
+        self.path
+            .fetched_words(format)
+            .map(|w| self.base + 4 * w as u32)
     }
 }
 
@@ -209,11 +229,11 @@ struct Line {
 /// # Examples
 ///
 /// ```
+/// use sofia_core::fetch::EntryPath;
 /// use sofia_core::vcache::{CachedBlock, VCache, VCacheConfig};
-/// use sofia_transform::BlockKind;
 ///
 /// let mut c = VCache::new(VCacheConfig::enabled(4, 2));
-/// let block = CachedBlock::new(0x40, 0x5C, BlockKind::Exec, 8, [].into());
+/// let block = CachedBlock::new(0x40, 0x5C, EntryPath::Exec, 8, [].into());
 /// c.insert((0x1C, 0x40), block);
 /// let at = c.lookup(0x1C, 0x40).expect("the sealed edge hits");
 /// assert_eq!(c.line(at).base, 0x40);
@@ -351,10 +371,10 @@ impl VCache {
 
     /// Inserts a freshly verified block for the edge `(prev_pc, target)`,
     /// evicting the set's least-recently-used line if the set is full.
-    /// No-op when disabled. Returns whether a line was evicted.
-    pub fn insert(&mut self, key: (u32, u32), block: CachedBlock) -> bool {
+    /// No-op when disabled.
+    pub fn insert(&mut self, key: (u32, u32), block: CachedBlock) {
         if !self.config.enabled {
-            return false;
+            return;
         }
         let idx = self.set_index(key);
         self.tick += 1;
@@ -365,10 +385,9 @@ impl VCache {
             // insert-racing path was taken on a miss): refresh in place.
             line.stamp = tick;
             line.block = block;
-            return false;
+            return;
         }
-        let evicted = set.len() as u32 >= self.config.ways;
-        if evicted {
+        if set.len() as u32 >= self.config.ways {
             let lru = set
                 .iter()
                 .enumerate()
@@ -384,7 +403,6 @@ impl VCache {
             block,
         });
         self.stats.insertions += 1;
-        evicted
     }
 
     /// Drops every line (core reset: the reboot must restore a safe
@@ -460,7 +478,7 @@ mod tests {
     use super::*;
 
     fn block(base: u32) -> CachedBlock {
-        CachedBlock::new(base, base + 28, BlockKind::Exec, 8, [].into())
+        CachedBlock::new(base, base + 28, EntryPath::Exec, 8, [].into())
     }
 
     #[test]

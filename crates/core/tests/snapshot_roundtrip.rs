@@ -10,7 +10,7 @@ use sofia_core::machine::{ResetPolicy, SofiaConfig, SofiaMachine};
 use sofia_core::snapshot::{MachineSnapshot, VCacheLine, MAX_CYCLE_FIELD, RAM_PAGE};
 use sofia_core::timing::{CipherSchedule, SofiaTiming};
 use sofia_core::vcache::{VCacheConfig, VCacheStats};
-use sofia_core::{SliceOutcome, Violation};
+use sofia_core::{SliceOutcome, SofiaStats, Violation};
 use sofia_cpu::icache::{ICacheConfig, ICacheStats};
 use sofia_cpu::machine::MachineConfig;
 use sofia_cpu::mem::Mmio;
@@ -109,7 +109,7 @@ fn arbitrary_snapshot(seed: u64) -> MachineSnapshot {
         }
     }
 
-    let violations = (0..rng.below(6))
+    let violations: Vec<Violation> = (0..rng.below(6))
         .map(|_| match rng.below(5) {
             0 => Violation::MacMismatch {
                 block_base: rng.next() as u32,
@@ -153,27 +153,16 @@ fn arbitrary_snapshot(seed: u64) -> MachineSnapshot {
         }
     }
 
-    MachineSnapshot {
-        config,
-        fuel_remaining: rng.next(),
-        prev_pc: rng.next() as u32,
-        next_target: rng.next() as u32,
-        redirected: rng.below(2) == 0,
-        cur_base: rng.next() as u32,
-        cur_last_word: rng.next() as u32,
-        halted: rng.below(8) == 0,
-        resets: rng.below(100),
-        prev_load_dest: match rng.below(4) {
-            0 => None,
-            _ => Some(rng.below(32) as u8),
-        },
-        regs,
-        ram_pages,
-        mmio: Mmio {
-            out_words: (0..rng.below(20)).map(|_| rng.next() as u32).collect(),
-            out_bytes: (0..rng.below(20)).map(|_| rng.next() as u8).collect(),
-            actuator_writes: (0..rng.below(8)).map(|_| rng.next() as u32).collect(),
-        },
+    let vcache_stats = VCacheStats {
+        hits: rng.next(),
+        misses: rng.next(),
+        evictions: rng.next(),
+        insertions: rng.next(),
+        flushed: rng.next(),
+    };
+    // The counters a live machine reports: the violation count is the
+    // log's length, and the vcache counters are the cache's own.
+    let stats = SofiaStats {
         exec: ExecStats {
             cycles: rng.next(),
             instret: rng.next(),
@@ -185,21 +174,44 @@ fn arbitrary_snapshot(seed: u64) -> MachineSnapshot {
             load_use_stalls: rng.next(),
             icache_stall_cycles: rng.next(),
         },
-        fetch: sofia_core::fetch::FetchPathStats {
-            blocks: rng.next(),
-            exec_blocks: rng.next(),
-            mux_blocks: rng.next(),
-            mac_nop_slots: rng.next(),
-            ctr_ops: rng.next(),
-            cbc_ops: rng.next(),
-            cipher_stall_cycles: rng.next(),
-            redirect_fill_cycles: rng.next(),
-            store_gate_stall_cycles: rng.next(),
-            vcache_hits: rng.next(),
-            vcache_misses: rng.next(),
-            vcache_evictions: rng.next(),
-            crypto_cycles_saved: rng.next(),
+        blocks: rng.next(),
+        exec_blocks: rng.next(),
+        mux_blocks: rng.next(),
+        mac_nop_slots: rng.next(),
+        ctr_ops: rng.next(),
+        cbc_ops: rng.next(),
+        cipher_stall_cycles: rng.next(),
+        redirect_fill_cycles: rng.next(),
+        store_gate_stall_cycles: rng.next(),
+        vcache_hits: vcache_stats.hits,
+        vcache_misses: vcache_stats.misses,
+        vcache_evictions: vcache_stats.evictions,
+        crypto_cycles_saved: rng.next(),
+        violations: violations.len() as u64,
+        resets: rng.below(100),
+    };
+
+    MachineSnapshot {
+        config,
+        fuel_remaining: rng.next(),
+        prev_pc: rng.next() as u32,
+        next_target: rng.next() as u32,
+        redirected: rng.below(2) == 0,
+        cur_base: rng.next() as u32,
+        cur_last_word: rng.next() as u32,
+        halted: rng.below(8) == 0,
+        prev_load_dest: match rng.below(4) {
+            0 => None,
+            _ => Some(rng.below(32) as u8),
         },
+        regs,
+        ram_pages,
+        mmio: Mmio {
+            out_words: (0..rng.below(20)).map(|_| rng.next() as u32).collect(),
+            out_bytes: (0..rng.below(20)).map(|_| rng.next() as u8).collect(),
+            actuator_writes: (0..rng.below(8)).map(|_| rng.next() as u32).collect(),
+        },
+        stats,
         violations,
         icache_tags,
         icache_stats: ICacheStats {
@@ -207,13 +219,7 @@ fn arbitrary_snapshot(seed: u64) -> MachineSnapshot {
             misses: rng.next(),
         },
         vcache_tick: rng.next(),
-        vcache_stats: VCacheStats {
-            hits: rng.next(),
-            misses: rng.next(),
-            evictions: rng.next(),
-            insertions: rng.next(),
-            flushed: rng.next(),
-        },
+        vcache_stats,
         vcache_lines,
     }
 }
@@ -538,4 +544,64 @@ fn extreme_in_memory_timing_never_panics_or_wraps() {
         assert!(s.resets >= 1);
         assert!(s.exec.cycles >= s.resets * u64::from(max));
     }
+}
+
+/// `SOFS1` carries the vcache hit, miss and eviction counts twice: among
+/// the fetch-path counters and in the cache's own counters. The encoder
+/// writes the cache's values into both positions, and the decoder
+/// refuses a checksum-valid stream whose two copies disagree instead of
+/// restoring one of them.
+#[test]
+fn disagreeing_vcache_counter_copies_are_refused() {
+    let src = "main: li t0, 30
+         loop: subi t0, t0, 1
+               bnez t0, loop
+               halt";
+    let keys = KeySet::from_seed(0x5AF6);
+    let image = Transformer::new(keys.clone())
+        .transform(&asm::parse(src).unwrap())
+        .unwrap();
+    let config = SofiaConfig {
+        vcache: VCacheConfig::enabled(16, 4),
+        ..SofiaConfig::default()
+    };
+    let mut m = SofiaMachine::with_config(&image, &keys, &config);
+    assert_eq!(m.run_slice(60).unwrap().outcome, SliceOutcome::Preempted);
+    let snap = m.snapshot(1_000);
+    let hits = snap.vcache_stats.hits;
+    assert!(hits > 0, "the loop should hit its cached edge");
+    let bytes = snap.to_bytes();
+
+    // The in-memory fetch-path copy does not reach the stream.
+    let mut ignored = snap.clone();
+    ignored.stats.vcache_hits += 1;
+    assert_eq!(ignored.to_bytes(), bytes);
+
+    // Locate the fetch-path counters: `blocks` leads them, and
+    // `vcache_hits` follows nine counters later.
+    let mut moved = snap.clone();
+    moved.stats.blocks ^= 1;
+    let blocks_at = bytes
+        .iter()
+        .zip(moved.to_bytes())
+        .position(|(a, b)| *a != b)
+        .expect("blocks is serialised");
+    let hits_at = blocks_at + 9 * 8;
+    assert_eq!(bytes[hits_at..hits_at + 8], hits.to_le_bytes());
+
+    let mut forged = bytes[..bytes.len() - 8].to_vec();
+    forged[hits_at..hits_at + 8].copy_from_slice(&(hits + 1).to_le_bytes());
+    let digest = sofia_transform::decode::fnv64(&forged);
+    forged.extend_from_slice(&digest.to_le_bytes());
+    assert!(
+        matches!(
+            MachineSnapshot::from_bytes(&forged),
+            Err(DecodeError::BadField {
+                field: "vcache_stats",
+                ..
+            })
+        ),
+        "{:?}",
+        MachineSnapshot::from_bytes(&forged)
+    );
 }

@@ -9,8 +9,11 @@
 //! `sub_column`, derived from the algebraic normal form of
 //! [`crate::SBOX`], is therefore the crate's **only** S-box: the scalar
 //! [`Rectangle::encrypt_block`] and the key schedule run it on one
-//! block's 16-bit rows, the passes below on row words. `SBOX`/`SBOX_INV`
-//! remain as the specification and the oracle of `tests/kat.rs`.
+//! block's 16-bit rows, the passes below on row words. The passes only
+//! encrypt: CTR mode and CBC-MAC never run the inverse permutation, so
+//! the inverse circuit `sub_column_inv` serves the scalar
+//! [`Rectangle::decrypt_block`] alone. `SBOX`/`SBOX_INV` remain as the
+//! specification and the oracle of `tests/kat.rs`.
 //!
 //! # Layout
 //!
@@ -126,7 +129,8 @@ pub(crate) fn sub_column([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     [y0, y1, y2, y3]
 }
 
-/// The inverse S-box circuit (ANF of [`crate::SBOX_INV`]).
+/// The inverse S-box circuit (ANF of [`crate::SBOX_INV`]), for the
+/// scalar [`Rectangle::decrypt_block`].
 #[inline(always)]
 pub(crate) fn sub_column_inv([x0, x1, x2, x3]: [u64; 4]) -> [u64; 4] {
     let t01 = x0 & x1;
@@ -193,32 +197,13 @@ fn encrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
     unpack(&st, blocks);
 }
 
-/// Decrypts one full pass of `4·G` blocks in place.
-fn decrypt_pass<const G: usize>(cipher: &Rectangle, blocks: &mut [u64]) {
-    let mut st = pack::<G>(blocks);
-    for s in &mut st {
-        *s = add_key(*s, &cipher.round_keys[ROUNDS]);
-    }
-    for rk in cipher.round_keys[..ROUNDS].iter().rev() {
-        for s in &mut st {
-            let unshifted = [s[0], rotl16(s[1], 15), rotl16(s[2], 4), rotl16(s[3], 3)];
-            *s = add_key(sub_column_inv(unshifted), rk);
-        }
-    }
-    unpack(&st, blocks);
-}
-
 /// Runs `pass` over `blocks` in chunks of `4·G` lanes. A ragged final
-/// chunk goes back through `dispatch` at the narrower width sized to it
-/// when one exists; otherwise it is zero-padded to a full pass (padding
-/// lanes are ciphered and discarded). Lane independence makes the real
-/// lanes bit-identical either way, and to every other width's.
-fn drive<const G: usize>(
-    cipher: &Rectangle,
-    blocks: &mut [u64],
-    pass: fn(&Rectangle, &mut [u64]),
-    dispatch: fn(&Rectangle, &mut [u64], LaneWidth),
-) {
+/// chunk goes back through [`encrypt_blocks`] at the narrower width
+/// sized to it when one exists; otherwise it is zero-padded to a full
+/// pass (padding lanes are ciphered and discarded). Lane independence
+/// makes the real lanes bit-identical either way, and to every other
+/// width's.
+fn drive<const G: usize>(cipher: &Rectangle, blocks: &mut [u64], pass: fn(&Rectangle, &mut [u64])) {
     let lanes = LANES_PER_WORD * G;
     let mut chunks = blocks.chunks_exact_mut(lanes);
     for chunk in &mut chunks {
@@ -228,7 +213,7 @@ fn drive<const G: usize>(
     let tail = LaneWidth::for_batch(rem.len());
     if rem.is_empty() {
     } else if tail.lanes() < lanes {
-        dispatch(cipher, rem, tail);
+        encrypt_blocks(cipher, rem, tail);
     } else {
         let mut buf = [0u64; 64];
         buf[..rem.len()].copy_from_slice(rem);
@@ -238,22 +223,11 @@ fn drive<const G: usize>(
 }
 
 pub(crate) fn encrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    let f = encrypt_blocks;
     match width {
-        LaneWidth::W8 => drive::<2>(cipher, blocks, encrypt_pass::<2>, f),
-        LaneWidth::W16 => drive::<4>(cipher, blocks, encrypt_pass::<4>, f),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, encrypt_pass::<8>, f),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, encrypt_pass::<16>, f),
-    }
-}
-
-pub(crate) fn decrypt_blocks(cipher: &Rectangle, blocks: &mut [u64], width: LaneWidth) {
-    let f = decrypt_blocks;
-    match width {
-        LaneWidth::W8 => drive::<2>(cipher, blocks, decrypt_pass::<2>, f),
-        LaneWidth::W16 => drive::<4>(cipher, blocks, decrypt_pass::<4>, f),
-        LaneWidth::W32 => drive::<8>(cipher, blocks, decrypt_pass::<8>, f),
-        LaneWidth::W64 => drive::<16>(cipher, blocks, decrypt_pass::<16>, f),
+        LaneWidth::W8 => drive::<2>(cipher, blocks, encrypt_pass::<2>),
+        LaneWidth::W16 => drive::<4>(cipher, blocks, encrypt_pass::<4>),
+        LaneWidth::W32 => drive::<8>(cipher, blocks, encrypt_pass::<8>),
+        LaneWidth::W64 => drive::<16>(cipher, blocks, encrypt_pass::<16>),
     }
 }
 
@@ -306,12 +280,9 @@ mod tests {
         for width in LaneWidth::ALL {
             let blocks: Vec<u64> = (0..width.lanes()).map(|_| x.next_u64()).collect();
             let expect: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
-            let mut enc = blocks.clone();
+            let mut enc = blocks;
             super::encrypt_blocks(&cipher, &mut enc, width);
             assert_eq!(enc, expect, "{width}");
-            let mut dec = enc;
-            super::decrypt_blocks(&cipher, &mut dec, width);
-            assert_eq!(dec, blocks, "{width}");
         }
     }
 
@@ -323,11 +294,9 @@ mod tests {
             for n in [0usize, 1, 3, 4, 15, 16, 17, 31, 33, 63, 65, 100] {
                 let blocks: Vec<u64> = (0..n).map(|_| x.next_u64()).collect();
                 let expect: Vec<u64> = blocks.iter().map(|&b| cipher.encrypt_block(b)).collect();
-                let mut got = blocks.clone();
+                let mut got = blocks;
                 super::encrypt_blocks(&cipher, &mut got, width);
                 assert_eq!(got, expect, "{width}, batch of {n}");
-                super::decrypt_blocks(&cipher, &mut got, width);
-                assert_eq!(got, blocks, "{width}, roundtrip of {n}");
             }
         }
     }

@@ -235,17 +235,6 @@ impl Rectangle {
     pub fn encrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
         bitslice::encrypt_blocks(self, blocks, width);
     }
-
-    /// Decrypts a batch of independent 64-bit blocks in place — the
-    /// inverse of [`Rectangle::encrypt_blocks`], same engine.
-    pub fn decrypt_blocks(&self, blocks: &mut [u64]) {
-        bitslice::decrypt_blocks(self, blocks, LaneWidth::for_batch(blocks.len()));
-    }
-
-    /// [`Rectangle::decrypt_blocks`] at an explicit lane width.
-    pub fn decrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
-        bitslice::decrypt_blocks(self, blocks, width);
-    }
 }
 
 impl std::fmt::Debug for Rectangle {

@@ -98,6 +98,17 @@ pub enum SchedMode {
     },
 }
 
+impl SchedMode {
+    /// Instruction slots the next quantum of a job with `remaining` fuel
+    /// may run: the whole budget, or one slice of it.
+    pub(crate) fn quantum(self, remaining: u64) -> u64 {
+        match self {
+            SchedMode::RunToCompletion => remaining,
+            SchedMode::FuelSliced { slice } => slice.max(1).min(remaining),
+        }
+    }
+}
+
 /// Why the fleet refused an operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FleetError {
@@ -468,16 +479,13 @@ fn service_quantum(
         };
         job.machine = MachineState::Live(boot(&image, &job.keys, &config.sofia, job.spec.sabotage));
     }
-    let quantum = match config.mode {
-        SchedMode::RunToCompletion => job.remaining,
-        SchedMode::FuelSliced { slice } => slice.max(1).min(job.remaining),
-    };
+    let quantum = config.mode.quantum(job.remaining);
     let MachineState::Live(machine) = &mut job.machine else {
         unreachable!("a served job's machine is revived or built above");
     };
-    let cycles_before = machine.stats().exec.cycles;
+    let cycles_before = machine.exec_stats().cycles;
     let slice = machine.run_slice(quantum);
-    let cycles_after = machine.stats().exec.cycles;
+    let cycles_after = machine.exec_stats().cycles;
     job.slices += 1;
     job.slice_cycles.push(cycles_after - cycles_before);
     let s = match slice {
@@ -635,9 +643,9 @@ fn finish(job: &mut Job, outcome: JobOutcome) -> JobRecord {
 /// contained like a violator while the rest of the fleet keeps serving.
 /// A failed revival ([`JobOutcome::RevivalFailed`]) is contained for
 /// the same reason — a tenant whose snapshots keep rotting keeps
-/// costing revive attempts. A deadline shed is *not* contained: the
-/// job never ran, and being queued behind a slow fleet is not the
-/// tenant's fault.
+/// costing revive attempts. A deadline shed is *not* contained unless
+/// it carries a first run's violations: being queued behind a slow
+/// fleet is not the tenant's fault.
 fn needs_containment(record: &JobRecord) -> bool {
     record.outcome.is_violation()
         || (!record.outcome.is_halted() && !record.violations.is_empty())
@@ -1141,8 +1149,10 @@ impl AsyncFleet {
     /// this tick's arrivals: closes the breaker when its cooldown has
     /// elapsed, then sheds every queued job whose virtual-time wait has
     /// exceeded its class deadline. Shed jobs finish with a typed
-    /// [`JobOutcome::DeadlineMissed`] record — no quarantine (the job
-    /// never ran; the fleet was slow, not the tenant hostile).
+    /// [`JobOutcome::DeadlineMissed`] record — no quarantine for a job
+    /// that never ran (the fleet was slow, not the tenant hostile). A
+    /// shed reboot-retry keeps its first run's violations and statistics,
+    /// so its tenant is contained like any other violator.
     fn resilience_pass(&mut self, now: u64) -> usize {
         self.res.breaker_tick(now);
         if self.res.config.deadlines.is_empty() {
@@ -1176,8 +1186,9 @@ impl AsyncFleet {
                 deadline_cycles: deadline,
             });
             self.res.finish_job(id);
-            // The record of a job that never ran: empty outputs, zero
-            // machine work, sojourn = the wait that killed it.
+            // No outputs, sojourn = the wait that killed it; the only
+            // machine work on record is an armed reboot-retry's first run.
+            let (violations, stats) = job.prior.unwrap_or_default();
             let record = JobRecord {
                 job: id,
                 tenant,
@@ -1185,10 +1196,10 @@ impl AsyncFleet {
                     deadline_cycles: deadline,
                 },
                 out_words: Vec::new(),
-                violations: Vec::new(),
-                stats: Default::default(),
+                violations,
+                stats,
                 seal_cache_hit: false,
-                retried: false,
+                retried: job.retried,
                 slices: job.slices,
                 slice_cycles: job.slice_cycles,
                 start_tick: job.start_tick.unwrap_or(now),
@@ -1518,10 +1529,7 @@ impl AsyncFleet {
             let Some(job) = state.queue.pop_front() else {
                 break;
             };
-            let provisional = match self.config.mode {
-                SchedMode::FuelSliced { slice } => slice.max(1).min(job.remaining.max(1)),
-                SchedMode::RunToCompletion => job.remaining.max(1),
-            };
+            let provisional = self.config.mode.quantum(job.remaining).max(1);
             state.vservice = state.vservice.saturating_add(provisional);
             lanes.push(Lane {
                 job,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sofia::crypto::KeySet;
 use sofia::fleet::{
     AsyncConfig, AsyncFleet, ClassId, Fleet, FleetConfig, FleetError, JobOutcome, JobRecord,
-    JobSpec, QuarantinePolicy, Sabotage, SchedMode, TenantId,
+    JobSpec, QuarantinePolicy, ResilienceConfig, Sabotage, SchedMode, TenantId, TenantState,
 };
 use sofia::prelude::RunOutcome;
 use sofia_attacks::victims;
@@ -204,6 +204,56 @@ fn fuel_starved_retry_still_quarantines() {
         fleet.submit(victim_job()).unwrap_err(),
         FleetError::Quarantined(VICTIM)
     );
+}
+
+/// A reboot-retry that blows its class deadline while it waits in the
+/// queue is shed, but the shed record still carries the first run: its
+/// violation, its statistics and the retry flag. So the tenant is
+/// contained like any other violator instead of escaping through the
+/// deadline.
+#[test]
+fn a_deadline_shed_retry_keeps_the_first_runs_violation() {
+    let mut resilience = ResilienceConfig::default();
+    resilience.deadlines.insert(ClassId(0), 1);
+    let mut fleet = AsyncFleet::new(AsyncConfig {
+        threads: 1,
+        workers: 1,
+        quarantine: QuarantinePolicy::RetryWithReboot { max_resets: 1 },
+        resilience,
+        ..Default::default()
+    });
+    fleet
+        .register_tenant(VICTIM, victim_keys(), ClassId(0))
+        .unwrap();
+    let loop_src = "main: li t0, 40
+                    li t1, 0
+              loop: add t1, t1, t0
+                    subi t0, t0, 1
+                    bnez t0, loop
+                    li a0, 0xFFFF0000
+                    sw t1, 0(a0)
+                    halt";
+    fleet
+        .submit(
+            JobSpec::new(VICTIM, loop_src.to_string(), 100_000)
+                .with_sabotage(Sabotage::FlipRomWord { word: 8, mask: 1 }),
+        )
+        .unwrap();
+    fleet.run_until_idle();
+    let records = fleet.drain_finished();
+    assert_eq!(records.len(), 1);
+    let r = &records[0];
+    assert!(
+        matches!(r.outcome, JobOutcome::DeadlineMissed { .. }),
+        "{:?}",
+        r.outcome
+    );
+    assert!(r.retried, "the shed job had armed its reboot-retry");
+    assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+    assert_eq!(r.stats.violations, 1);
+    assert!(r.stats.exec.cycles > 0, "the first run's work is kept");
+    assert_eq!(fleet.tenant_state(VICTIM), Some(TenantState::Suspended));
+    assert_eq!(fleet.stats().quarantines, 1);
 }
 
 #[test]

@@ -167,14 +167,30 @@ const SOFS1_DIGESTS: &[(&str, [u64; 3])] = &[
     ("strsearch", [0xc76a_c98f_6ded_4b19, 0xf6e5_9c1e_1984_2aa1, 0x9387_d432_cc8c_76e4]),
 ];
 
+/// The same digests with a warm 256×8 verified-block cache, so the
+/// vcache counters and the line list are pinned with values other than
+/// zero.
+#[rustfmt::skip]
+const SOFS1_VCACHE_DIGESTS: &[(&str, [u64; 3])] = &[
+    ("adpcm", [0x5864_72a3_5537_5c4d, 0x660f_fcc6_0441_7ce2, 0x613c_c929_f3c9_3e37]),
+    ("fib", [0x5aa3_180e_8484_13ba, 0xce6f_4e99_d15a_8752, 0xc1b5_3bf4_052c_2147]),
+    ("crc32", [0x58b6_9dac_2b70_cb4d, 0x7441_93f1_a264_6317, 0x9de9_e226_e48c_236d]),
+    ("bubble_sort", [0xdb23_d3f4_cd09_3f51, 0x01b7_28ee_530d_9517, 0x2ce4_72b1_f11d_30e1]),
+    ("fir", [0x78a2_2c23_cc78_7366, 0xac0f_0612_f326_31bb, 0x4fb5_5801_111b_b395]),
+    ("matmul", [0xcb66_4fe6_9abf_74a6, 0xe4f0_fbbd_dba6_4222, 0x26ff_fc42_1a01_b3ef]),
+    ("memcpy", [0x6960_2c0c_a558_cb4c, 0x4c1f_ebad_7fab_c63c, 0x7a86_5d6c_802d_9f9a]),
+    ("dispatch", [0x864e_c11e_28fd_0413, 0xaa72_8687_7589_c8d2, 0x50f3_2ef7_96c8_7fb9]),
+    ("quicksort", [0xde1c_130d_3202_f41c, 0x7815_b1aa_0b22_6291, 0x096e_188e_a4ad_e6e2]),
+    ("strsearch", [0x5ced_4f22_ad22_3c0f, 0x4ab2_eefc_822e_dec2, 0x972e_84e5_9f89_14d7]),
+];
+
 /// The serialised snapshots at the first three slice boundaries of a
-/// default-configured run, digested.
-fn first_boundary_digests(image: &SecureImage, keys: &KeySet) -> [u64; 3] {
-    let config = SofiaConfig::default();
-    let mut whole = SofiaMachine::with_config(image, keys, &config);
+/// run under `config`, digested.
+fn first_boundary_digests(image: &SecureImage, keys: &KeySet, config: &SofiaConfig) -> [u64; 3] {
+    let mut whole = SofiaMachine::with_config(image, keys, config);
     let instret = run_to_end(&mut whole, common::FUEL).stats.exec.instret;
     let slice = (instret / 12).max(24);
-    let mut m = SofiaMachine::with_config(image, keys, &config);
+    let mut m = SofiaMachine::with_config(image, keys, config);
     let mut remaining = common::FUEL;
     let mut digests = [0u64; 3];
     for d in &mut digests {
@@ -189,20 +205,30 @@ fn first_boundary_digests(image: &SecureImage, keys: &KeySet) -> [u64; 3] {
 #[test]
 fn sofs1_bytes_are_pinned_per_workload() {
     let keys = keys();
-    let got: Vec<(String, [u64; 3])> = suite(Scale::Test)
-        .iter()
-        .map(|w| {
-            (
-                w.name.to_string(),
-                first_boundary_digests(&w.secure_image(&keys), &keys),
-            )
-        })
-        .collect();
-    let want: Vec<(String, [u64; 3])> = SOFS1_DIGESTS
-        .iter()
-        .map(|(n, d)| (n.to_string(), *d))
-        .collect();
-    assert_eq!(got, want, "SOFS1 snapshot bytes moved");
+    let cached = SofiaConfig {
+        vcache: VCacheConfig::enabled(256, 8),
+        ..Default::default()
+    };
+    for (config, pins) in [
+        (SofiaConfig::default(), SOFS1_DIGESTS),
+        (cached, SOFS1_VCACHE_DIGESTS),
+    ] {
+        let got: Vec<(String, [u64; 3])> = suite(Scale::Test)
+            .iter()
+            .map(|w| {
+                (
+                    w.name.to_string(),
+                    first_boundary_digests(&w.secure_image(&keys), &keys, &config),
+                )
+            })
+            .collect();
+        let want: Vec<(String, [u64; 3])> = pins.iter().map(|(n, d)| (n.to_string(), *d)).collect();
+        assert_eq!(
+            got, want,
+            "SOFS1 snapshot bytes moved ({:?})",
+            config.vcache
+        );
+    }
 }
 
 /// A decoded snapshot may carry a page that is all zero (capture never
