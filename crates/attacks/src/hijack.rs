@@ -15,17 +15,18 @@
 use sofia_core::machine::SofiaMachine;
 use sofia_core::SofiaConfig;
 use sofia_cpu::machine::VanillaMachine;
+use sofia_cpu::mem::Width;
+use sofia_cpu::NoViolation;
 use sofia_crypto::KeySet;
 use sofia_isa::asm;
 use sofia_transform::Transformer;
 
-use crate::injection::classify_sofia_run;
-use crate::victims::{rop_victim, EVIL_VALUE};
-use crate::{Verdict, FUEL};
+use crate::victims::{rop_victim, seal};
+use crate::{evil_write, judge, run_judged, Verdict, FUEL};
 
 /// Poisons the victim's spilled continuation slot with the gadget
 /// address on the **unprotected** machine: the gadget runs.
-pub fn poison_vanilla() -> Verdict {
+pub fn poison_vanilla() -> Verdict<NoViolation> {
     let program = asm::assemble(&rop_victim()).expect("victim assembles");
     let gadget = program.symbols["gadget"];
     let slot = program.symbols["target_slot"];
@@ -37,40 +38,16 @@ pub fn poison_vanilla() -> Verdict {
         m.step().expect("prologue executes");
     }
     m.mem_mut()
-        .store(slot, sofia_cpu::mem::Width::Word, gadget)
+        .store(slot, Width::Word, gadget)
         .expect("slot is writable data");
-    match m.run(FUEL) {
-        Ok(r) if r.is_halted() => {
-            if m.mem().mmio.actuator_writes.contains(&EVIL_VALUE) {
-                Verdict::Compromised {
-                    detail: "gadget wrote the actuator".into(),
-                }
-            } else {
-                Verdict::Neutralized {
-                    detail: "gadget did not run".into(),
-                }
-            }
-        }
-        Ok(_) => Verdict::Neutralized {
-            detail: "did not halt".into(),
-        },
-        Err(t) => Verdict::Crashed { trap: t },
-    }
+    judge(m.run(FUEL), &[], evil_write(m.mem()))
 }
 
 /// The same poisoning against SOFIA: the declared-target dispatch refuses
 /// the gadget (it is on no CFG edge), so the malicious write never
 /// happens.
-pub fn poison_sofia(keys: &KeySet) -> Verdict {
-    poison_sofia_with(keys, &SofiaConfig::default())
-}
-
-/// [`poison_sofia`] under an arbitrary machine configuration.
-pub fn poison_sofia_with(keys: &KeySet, config: &SofiaConfig) -> Verdict {
-    let module = asm::parse(&rop_victim()).expect("victim parses");
-    let image = Transformer::new(keys.clone())
-        .transform(&module)
-        .expect("victim transforms");
+pub fn poison_sofia(keys: &KeySet, config: &SofiaConfig) -> Verdict {
+    let image = seal(Transformer::new(keys.clone()), &rop_victim());
     let gadget = image.symbols["gadget"];
     let slot = image.symbols["target_slot"];
     let mut m = SofiaMachine::with_config(&image, keys, config);
@@ -78,37 +55,29 @@ pub fn poison_sofia_with(keys: &KeySet, config: &SofiaConfig) -> Verdict {
     // `process` loads the continuation.
     let _ = m.step_block().expect("prologue executes");
     m.mem_mut()
-        .store(slot, sofia_cpu::mem::Width::Word, gadget)
+        .store(slot, Width::Word, gadget)
         .expect("slot is writable data");
-    classify_sofia_run(m)
+    run_judged(m).0
 }
 
 /// PC fault injection against SOFIA: force the next fetch into the middle
 /// of the program along an edge that does not exist in the CFG.
-pub fn fault_inject_sofia(keys: &KeySet, target_offset_blocks: usize) -> Verdict {
-    fault_inject_sofia_with(keys, &SofiaConfig::default(), target_offset_blocks)
-}
-
-/// [`fault_inject_sofia`] under an arbitrary machine configuration.
-pub fn fault_inject_sofia_with(
+pub fn fault_inject_sofia(
     keys: &KeySet,
     config: &SofiaConfig,
     target_offset_blocks: usize,
 ) -> Verdict {
-    classify_sofia_run(fault_injected_sofia(keys, config, target_offset_blocks))
+    run_judged(fault_injected_sofia(keys, config, target_offset_blocks)).0
 }
 
-/// The machine [`fault_inject_sofia_with`] attacks: its first block run
-/// and its next fetch redirected.
+/// The machine [`fault_inject_sofia`] attacks: its first block run and
+/// its next fetch redirected.
 pub(crate) fn fault_injected_sofia(
     keys: &KeySet,
     config: &SofiaConfig,
     target_offset_blocks: usize,
 ) -> SofiaMachine {
-    let module = asm::parse(&rop_victim()).expect("victim parses");
-    let image = Transformer::new(keys.clone())
-        .transform(&module)
-        .expect("victim transforms");
+    let image = seal(Transformer::new(keys.clone()), &rop_victim());
     let mut m = SofiaMachine::with_config(&image, keys, config);
     let _ = m.step_block().expect("first block runs");
     let target = image.text_base + (target_offset_blocks as u32) * image.format.block_bytes();
@@ -118,34 +87,20 @@ pub(crate) fn fault_injected_sofia(
 
 /// The same fault injection against the vanilla machine: execution simply
 /// continues at the attacker's address.
-pub fn fault_inject_vanilla() -> Verdict {
+pub fn fault_inject_vanilla() -> Verdict<NoViolation> {
     let program = asm::assemble(&rop_victim()).expect("victim assembles");
     let gadget = program.symbols["gadget"];
     let mut m = VanillaMachine::new(&program);
     m.step().expect("first instruction runs");
     m.hijack_pc(gadget);
-    match m.run(FUEL) {
-        Ok(r) if r.is_halted() => {
-            if m.mem().mmio.actuator_writes.contains(&EVIL_VALUE) {
-                Verdict::Compromised {
-                    detail: "fault-injected jump reached the gadget".into(),
-                }
-            } else {
-                Verdict::Neutralized {
-                    detail: "gadget did not run".into(),
-                }
-            }
-        }
-        Ok(_) => Verdict::Neutralized {
-            detail: "did not halt".into(),
-        },
-        Err(t) => Verdict::Crashed { trap: t },
-    }
+    judge(m.run(FUEL), &[], evil_write(m.mem()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::victims::EVIL_VALUE;
 
     #[test]
     fn clean_victim_runs_on_both_machines() {
@@ -159,8 +114,7 @@ mod tests {
         assert!(!vm.mem().mmio.actuator_writes.contains(&EVIL_VALUE));
 
         let keys = KeySet::from_seed(5);
-        let module = asm::parse(&rop_victim()).unwrap();
-        let image = Transformer::new(keys.clone()).transform(&module).unwrap();
+        let image = seal(Transformer::new(keys.clone()), &rop_victim());
         let mut sm = SofiaMachine::new(&image, &keys);
         assert!(sm.run(FUEL).unwrap().is_halted());
         assert_eq!(
@@ -178,7 +132,7 @@ mod tests {
     #[test]
     fn sofia_neutralizes_poisoned_indirect() {
         let keys = KeySet::from_seed(6);
-        let v = poison_sofia(&keys);
+        let v = poison_sofia(&keys, &SofiaConfig::default());
         assert!(!v.is_compromised(), "{v}");
     }
 
@@ -192,7 +146,7 @@ mod tests {
     fn sofia_detects_pc_faults_at_every_block() {
         let keys = KeySet::from_seed(7);
         for block in 1..6 {
-            let v = fault_inject_sofia(&keys, block);
+            let v = fault_inject_sofia(&keys, &SofiaConfig::default(), block);
             assert!(v.is_detected() || !v.is_compromised(), "block {block}: {v}");
         }
     }

@@ -1,60 +1,46 @@
 //! Code-injection attacks: tampering with the stored program image.
 
-use sofia_core::machine::{RunOutcome, SofiaMachine};
+use sofia_core::machine::SofiaMachine;
 use sofia_core::SofiaConfig;
 use sofia_cpu::machine::VanillaMachine;
+use sofia_cpu::NoViolation;
 use sofia_crypto::KeySet;
 use sofia_isa::asm;
 use sofia_isa::{Instruction, Reg};
 use sofia_transform::{SecureImage, Transformer};
 
-use crate::victims::{control_loop_victim, EVIL_VALUE, SAFE_VALUE};
-use crate::{Verdict, FUEL};
+use crate::victims::{control_loop_victim, seal, EVIL_VALUE, SAFE_VALUE};
+use crate::{evil_write, judge, run_judged, Verdict, FUEL};
 
 /// Locates the word index of the `li t1, SAFE_VALUE` instruction (an
 /// `addi`) in a flat instruction stream. The attacker is assumed to know
 /// the program layout — standard for firmware attacks.
-fn find_safe_imm(words: &[u32]) -> Option<usize> {
-    words.iter().position(|&w| {
-        Instruction::decode(w)
-            == Ok(Instruction::Addi {
-                rt: Reg::T1,
-                rs: Reg::ZERO,
-                imm: SAFE_VALUE as i16,
-            })
-    })
+pub(crate) fn find_safe_imm(words: &[u32]) -> usize {
+    words
+        .iter()
+        .position(|&w| {
+            Instruction::decode(w)
+                == Ok(Instruction::Addi {
+                    rt: Reg::T1,
+                    rs: Reg::ZERO,
+                    imm: SAFE_VALUE as i16,
+                })
+        })
+        .expect("victim contains the safe li")
 }
 
 /// The bit-difference between the safe and evil immediates — XORing it
 /// into the instruction word turns `li t1, SAFE` into `li t1, EVIL`.
-fn evil_diff() -> u32 {
-    SAFE_VALUE ^ EVIL_VALUE
-}
+pub(crate) const EVIL_DIFF: u32 = SAFE_VALUE ^ EVIL_VALUE;
 
 /// Injects the evil immediate into the **unprotected** machine's ROM:
 /// the vanilla core executes the tampered instruction without noticing.
-pub fn inject_vanilla() -> Verdict {
+pub fn inject_vanilla() -> Verdict<NoViolation> {
     let program = asm::assemble(&control_loop_victim(8)).expect("victim assembles");
     let mut m = VanillaMachine::new(&program);
-    let idx = find_safe_imm(m.mem().rom()).expect("victim contains the safe li");
-    m.mem_mut().rom_mut()[idx] ^= evil_diff();
-    match m.run(FUEL) {
-        Ok(r) if r.is_halted() => {
-            if m.mem().mmio.actuator_writes.contains(&EVIL_VALUE) {
-                Verdict::Compromised {
-                    detail: format!("actuator received {EVIL_VALUE:#x} undetected"),
-                }
-            } else {
-                Verdict::Neutralized {
-                    detail: "tampered run halted without the evil write".into(),
-                }
-            }
-        }
-        Ok(_) => Verdict::Neutralized {
-            detail: "tampered run did not halt".into(),
-        },
-        Err(t) => Verdict::Crashed { trap: t },
-    }
+    let idx = find_safe_imm(m.mem().rom());
+    m.mem_mut().rom_mut()[idx] ^= EVIL_DIFF;
+    judge(m.run(FUEL), &[], evil_write(m.mem()))
 }
 
 /// The same layout-aware attack against a SOFIA image. Two strategies:
@@ -64,48 +50,25 @@ pub fn inject_vanilla() -> Verdict {
 /// * otherwise — the **CTR-malleability** attack: XOR the known
 ///   plaintext difference into the ciphertext, which decrypts to exactly
 ///   the evil instruction. This defeats encryption-only ISR; only the
-///   MAC stops it (set `enforce_si = false` to watch it succeed).
-pub fn inject_sofia(keys: &KeySet, enforce_si: bool, plaintext_overwrite: bool) -> Verdict {
-    inject_sofia_with(
-        keys,
-        &SofiaConfig {
-            enforce_si,
-            ..Default::default()
-        },
-        plaintext_overwrite,
-    )
+///   MAC stops it (set `config.enforce_si = false` to watch it succeed).
+pub fn inject_sofia(keys: &KeySet, config: &SofiaConfig, plaintext_overwrite: bool) -> Verdict {
+    run_judged(tampered_sofia(keys, config, plaintext_overwrite)).0
 }
 
-/// [`inject_sofia`] under an arbitrary machine configuration — the
-/// security matrix uses this to prove ablations (CFI-only) and additions
-/// (the verified-block cache) change nothing about the verdict.
-pub fn inject_sofia_with(
-    keys: &KeySet,
-    config: &SofiaConfig,
-    plaintext_overwrite: bool,
-) -> Verdict {
-    classify_sofia_run(tampered_sofia(keys, config, plaintext_overwrite))
-}
-
-/// The machine [`inject_sofia_with`] attacks, tampered and not yet run.
+/// The machine [`inject_sofia`] attacks, tampered and not yet run.
 pub(crate) fn tampered_sofia(
     keys: &KeySet,
     config: &SofiaConfig,
     plaintext_overwrite: bool,
 ) -> SofiaMachine {
-    let module = asm::parse(&control_loop_victim(8)).expect("victim parses");
-    let image = Transformer::new(keys.clone())
-        .transform(&module)
-        .expect("victim transforms");
+    let src = control_loop_victim(8);
+    let image = seal(Transformer::new(keys.clone()), &src);
     // The transformer is deterministic, so the attacker learns the target
     // word *index* by sealing their own copy of the (public) program
     // under throwaway keys and decrypting it.
     let probe_keys = KeySet::from_seed(0xEEEE);
-    let probe = Transformer::new(probe_keys.clone())
-        .transform(&module)
-        .expect("probe transforms");
-    let probe_plain = decrypt_interior_words(&probe, &probe_keys);
-    let idx = find_safe_imm(&probe_plain).expect("probe contains the safe li");
+    let probe = seal(Transformer::new(probe_keys.clone()), &src);
+    let idx = find_safe_imm(&decrypt_interior_words(&probe, &probe_keys));
 
     let mut m = SofiaMachine::with_config(&image, keys, config);
     if plaintext_overwrite {
@@ -116,7 +79,7 @@ pub(crate) fn tampered_sofia(
         }
         .encode();
     } else {
-        m.mem_mut().rom_mut()[idx] ^= evil_diff();
+        m.mem_mut().rom_mut()[idx] ^= EVIL_DIFF;
     }
     m
 }
@@ -141,29 +104,6 @@ fn decrypt_interior_words(image: &SecureImage, keys: &KeySet) -> Vec<u32> {
     out
 }
 
-/// Runs a (possibly tampered) SOFIA machine and classifies the outcome by
-/// observable effect.
-pub(crate) fn classify_sofia_run(mut m: SofiaMachine) -> Verdict {
-    match m.run(FUEL) {
-        Ok(RunOutcome::ViolationStop(v)) => Verdict::Detected { violation: v },
-        Ok(RunOutcome::ResetLoop { .. }) => Verdict::Detected {
-            violation: *m.violations().last().expect("reset loop has violations"),
-        },
-        Ok(RunOutcome::Halted) | Ok(RunOutcome::OutOfFuel) => {
-            if m.mem().mmio.actuator_writes.contains(&EVIL_VALUE) {
-                Verdict::Compromised {
-                    detail: format!("actuator received {EVIL_VALUE:#x} undetected"),
-                }
-            } else {
-                Verdict::Neutralized {
-                    detail: "no malicious effect observed".into(),
-                }
-            }
-        }
-        Err(t) => Verdict::Crashed { trap: t },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +116,7 @@ mod tests {
     #[test]
     fn sofia_detects_plaintext_overwrite() {
         let keys = KeySet::from_seed(42);
-        let v = inject_sofia(&keys, true, true);
+        let v = inject_sofia(&keys, &SofiaConfig::default(), true);
         assert!(v.is_detected(), "{v}");
     }
 
@@ -185,7 +125,7 @@ mod tests {
         // The XOR attack decrypts to a perfectly valid evil instruction —
         // only the MAC catches it.
         let keys = KeySet::from_seed(42);
-        let v = inject_sofia(&keys, true, false);
+        let v = inject_sofia(&keys, &SofiaConfig::default(), false);
         assert!(v.is_detected(), "{v}");
     }
 
@@ -194,7 +134,11 @@ mod tests {
         // With the SI check ablated, the malleability attack succeeds:
         // the paper's argument for combining CFI with SI (§II-A/§II-C).
         let keys = KeySet::from_seed(42);
-        let v = inject_sofia(&keys, false, false);
+        let cfi_only = SofiaConfig {
+            enforce_si: false,
+            ..SofiaConfig::default()
+        };
+        let v = inject_sofia(&keys, &cfi_only, false);
         assert!(v.is_compromised(), "{v}");
     }
 
@@ -203,11 +147,10 @@ mod tests {
         // Flipping the same bits of a *different* word garbles it and the
         // MAC rejects the block.
         let keys = KeySet::from_seed(43);
-        let module = asm::parse(&control_loop_victim(4)).unwrap();
-        let image = Transformer::new(keys.clone()).transform(&module).unwrap();
+        let image = seal(Transformer::new(keys.clone()), &control_loop_victim(4));
         let mut m = SofiaMachine::new(&image, &keys);
-        m.mem_mut().rom_mut()[5] ^= evil_diff();
-        let v = classify_sofia_run(m);
+        m.mem_mut().rom_mut()[5] ^= EVIL_DIFF;
+        let (v, _) = run_judged(m);
         assert!(v.is_detected(), "{v}");
     }
 }

@@ -11,38 +11,30 @@
 use sofia_core::machine::SofiaMachine;
 use sofia_core::SofiaConfig;
 use sofia_cpu::machine::VanillaMachine;
+use sofia_cpu::NoViolation;
 use sofia_crypto::{KeySet, Nonce};
-use sofia_isa::asm;
+use sofia_isa::{asm, Instruction, Reg};
 use sofia_transform::Transformer;
 
-use crate::injection::classify_sofia_run;
-use crate::victims::{control_loop_expected, control_loop_victim};
-use crate::{Verdict, FUEL};
+use crate::victims::{control_loop_expected, control_loop_victim, seal};
+use crate::{judge, run_judged, Verdict, FUEL};
 
 /// Swaps two whole blocks of the SOFIA ciphertext (attacker splicing
 /// code they cannot read).
-pub fn swap_blocks_sofia(keys: &KeySet, a: usize, b: usize) -> Verdict {
-    swap_blocks_sofia_with(keys, &SofiaConfig::default(), a, b)
-}
-
-/// [`swap_blocks_sofia`] under an arbitrary machine configuration.
-pub fn swap_blocks_sofia_with(keys: &KeySet, config: &SofiaConfig, a: usize, b: usize) -> Verdict {
-    let module = asm::parse(&control_loop_victim(8)).expect("victim parses");
-    let image = Transformer::new(keys.clone())
-        .transform(&module)
-        .expect("victim transforms");
+pub fn swap_blocks_sofia(keys: &KeySet, config: &SofiaConfig, a: usize, b: usize) -> Verdict {
+    let image = seal(Transformer::new(keys.clone()), &control_loop_victim(8));
     let bw = image.format.block_words();
     assert!(a != b && (a + 1) * bw <= image.ctext.len() && (b + 1) * bw <= image.ctext.len());
     let mut m = SofiaMachine::with_config(&image, keys, config);
     for w in 0..bw {
         m.mem_mut().rom_mut().swap(a * bw + w, b * bw + w);
     }
-    classify_sofia_run(m)
+    run_judged(m).0
 }
 
 /// The same wholesale swap on the **unprotected** machine: execution
 /// continues with reordered code and produces a silently wrong result.
-pub fn swap_code_vanilla() -> Verdict {
+pub fn swap_code_vanilla() -> Verdict<NoViolation> {
     let program = asm::assemble(&control_loop_victim(8)).expect("victim assembles");
     let expected = control_loop_expected(8);
     let mut m = VanillaMachine::new(&program);
@@ -50,75 +42,45 @@ pub fn swap_code_vanilla() -> Verdict {
     // `add s2, s2, t0`: the accumulate then consumes a stale `t0`,
     // shifting the whole sum by one sample — silently wrong output.
     let rom = m.mem_mut().rom_mut();
-    let lw_idx = rom
-        .iter()
-        .position(|&w| {
-            sofia_isa::Instruction::decode(w)
-                == Ok(sofia_isa::Instruction::Lw {
-                    rt: sofia_isa::Reg::T0,
-                    base: sofia_isa::Reg::S0,
-                    offset: 0,
-                })
-        })
-        .expect("victim has the sensor load");
-    let add_idx = rom
-        .iter()
-        .position(|&w| {
-            sofia_isa::Instruction::decode(w)
-                == Ok(sofia_isa::Instruction::Add {
-                    rd: sofia_isa::Reg::S2,
-                    rs: sofia_isa::Reg::S2,
-                    rt: sofia_isa::Reg::T0,
-                })
-        })
-        .expect("victim has the accumulate");
+    let find = |inst: Instruction| rom.iter().position(|&w| Instruction::decode(w) == Ok(inst));
+    let lw_idx = find(Instruction::Lw {
+        rt: Reg::T0,
+        base: Reg::S0,
+        offset: 0,
+    })
+    .expect("victim has the sensor load");
+    let add_idx = find(Instruction::Add {
+        rd: Reg::S2,
+        rs: Reg::S2,
+        rt: Reg::T0,
+    })
+    .expect("victim has the accumulate");
     rom.swap(lw_idx, add_idx);
-    match m.run(FUEL) {
-        Ok(r) if r.is_halted() => {
-            let out = &m.mem().mmio.out_words;
-            if *out != expected {
-                Verdict::Compromised {
-                    detail: format!("silently wrong output {out:x?} (expected {expected:x?})"),
-                }
-            } else {
-                Verdict::Neutralized {
-                    detail: "output unchanged".into(),
-                }
-            }
-        }
-        Ok(_) => Verdict::Neutralized {
-            detail: "did not halt".into(),
-        },
-        Err(t) => Verdict::Crashed { trap: t },
-    }
+    let ran = m.run(FUEL);
+    let out = &m.mem().mmio.out_words;
+    let landed = (*out != expected)
+        .then(|| format!("silently wrong output {out:x?} (expected {expected:x?})"));
+    judge(ran, &[], landed)
 }
 
 /// Splices a block from *version 2* of the program (same keys, different
 /// nonce ω) into version 1 — the downgrade/mix-and-match attack the
 /// per-program nonce exists to stop.
-pub fn cross_version_splice(keys: &KeySet) -> Verdict {
-    cross_version_splice_with(keys, &SofiaConfig::default())
-}
-
-/// [`cross_version_splice`] under an arbitrary machine configuration.
-pub fn cross_version_splice_with(keys: &KeySet, config: &SofiaConfig) -> Verdict {
-    let module = asm::parse(&control_loop_victim(8)).expect("victim parses");
-    let v1 = Transformer::new(keys.clone())
-        .with_nonce(Nonce::new(1))
-        .transform(&module)
-        .expect("v1 transforms");
-    let v2 = Transformer::new(keys.clone())
-        .with_nonce(Nonce::new(2))
-        .transform(&module)
-        .expect("v2 transforms");
+pub fn cross_version_splice(keys: &KeySet, config: &SofiaConfig) -> Verdict {
+    let src = control_loop_victim(8);
+    let version = |n| {
+        seal(
+            Transformer::new(keys.clone()).with_nonce(Nonce::new(n)),
+            &src,
+        )
+    };
+    let (v1, v2) = (version(1), version(2));
     let bw = v1.format.block_words();
     let mut m = SofiaMachine::with_config(&v1, keys, config);
     // Replace v1's second block with v2's bit-for-bit (same program, so
     // same plaintext — only ω differs).
-    for w in 0..bw {
-        m.mem_mut().rom_mut()[bw + w] = v2.ctext[bw + w];
-    }
-    classify_sofia_run(m)
+    m.mem_mut().rom_mut()[bw..2 * bw].copy_from_slice(&v2.ctext[bw..2 * bw]);
+    run_judged(m).0
 }
 
 #[cfg(test)]
@@ -134,16 +96,16 @@ mod tests {
     #[test]
     fn sofia_detects_block_swaps() {
         let keys = KeySet::from_seed(77);
-        let v = swap_blocks_sofia(&keys, 0, 1);
+        let v = swap_blocks_sofia(&keys, &SofiaConfig::default(), 0, 1);
         assert!(v.is_detected(), "{v}");
-        let v = swap_blocks_sofia(&keys, 1, 2);
+        let v = swap_blocks_sofia(&keys, &SofiaConfig::default(), 1, 2);
         assert!(v.is_detected(), "{v}");
     }
 
     #[test]
     fn sofia_detects_cross_version_splice() {
         let keys = KeySet::from_seed(78);
-        let v = cross_version_splice(&keys);
+        let v = cross_version_splice(&keys, &SofiaConfig::default());
         assert!(v.is_detected(), "{v}");
     }
 }

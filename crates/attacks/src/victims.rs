@@ -7,6 +7,8 @@
 //! that writes the attacker's value to the actuator — which is never
 //! reached on any legitimate path.
 
+use sofia_transform::{SecureImage, Transformer};
+
 /// MMIO actuator port (see `sofia_cpu::mem::MMIO_ACTUATOR`).
 pub const ACTUATOR: u32 = 0xFFFF_0010;
 
@@ -164,4 +166,10 @@ phase2:
 /// Word emitted by a clean run of [`two_phase_victim`].
 pub fn two_phase_expected() -> Vec<u32> {
     vec![60 + 120]
+}
+
+/// Parses a victim's source and seals it with `transformer`.
+pub(crate) fn seal(transformer: Transformer, src: &str) -> SecureImage {
+    let module = sofia_isa::asm::parse(src).expect("victim parses");
+    transformer.transform(&module).expect("victim transforms")
 }

@@ -1,8 +1,8 @@
 //! Cross-backend attack matrix: the same attacks run against SOFIA, the
-//! sponge-CFP backend and the FIPAC backend, classified by a *finer*
-//! verdict than [`crate::Verdict`] — the schemes differ precisely in
-//! *when* they detect, so "compromised" splits into flagged-late versus
-//! never-flagged.
+//! sponge-CFP backend and the FIPAC backend, each run judged by
+//! [`crate::judge`] and then read on a *finer* scale, [`XVerdict`] — the
+//! schemes differ precisely in *when* they detect, so "compromised"
+//! splits into flagged-late versus never-flagged.
 //!
 //! Three rows, each chosen to discriminate:
 //!
@@ -25,16 +25,16 @@
 use std::fmt;
 
 use sofia_backends::{BackendConfig, FipacFetch, FipacMachine, SpongeFetch, SpongeMachine};
-use sofia_core::machine::{Machine, RunOutcome};
+use sofia_core::machine::Machine;
 use sofia_core::SofiaConfig;
 use sofia_cpu::FetchUnit;
 use sofia_crypto::{KeySet, Nonce};
 use sofia_isa::asm;
-use sofia_isa::{Instruction, Reg};
 use sofia_transform::{install_fipac, seal_sponge};
 
-use crate::victims::{control_loop_victim, rop_victim, EVIL_VALUE, SAFE_VALUE};
-use crate::{hijack, injection, FUEL};
+use crate::injection::{find_safe_imm, EVIL_DIFF};
+use crate::victims::{control_loop_victim, rop_victim};
+use crate::{hijack, injection, run_judged, Verdict};
 
 /// The outcome of one attack against one backend, ordered roughly from
 /// best (for the defender) to worst.
@@ -53,6 +53,24 @@ pub enum XVerdict {
 }
 
 impl XVerdict {
+    /// Reads a judged run on the finer scale: `landed` (whether the
+    /// attacker's effect reached memory) splits a detection or a crash
+    /// into flagged-after-the-effect or not; a compromise is silent.
+    pub fn of<V: fmt::Display>(verdict: &Verdict<V>, landed: bool) -> XVerdict {
+        match verdict {
+            Verdict::Detected { violation } if landed => {
+                XVerdict::CompromisedFlagged(violation.to_string())
+            }
+            Verdict::Detected { violation } => XVerdict::Detected(violation.to_string()),
+            Verdict::Crashed { trap } if landed => {
+                XVerdict::CompromisedFlagged(format!("crashed after the effect: {trap}"))
+            }
+            Verdict::Crashed { trap } => XVerdict::Neutralized(format!("crashed: {trap}")),
+            Verdict::Compromised { detail } => XVerdict::CompromisedSilent(detail.clone()),
+            Verdict::Neutralized { detail } => XVerdict::Neutralized(detail.clone()),
+        }
+    }
+
     /// Whether the scheme fired at all (before or after the effect).
     pub fn is_flagged(&self) -> bool {
         matches!(
@@ -104,49 +122,14 @@ pub struct XRow {
     pub fipac: XVerdict,
 }
 
-/// Runs any machine — SOFIA, sponge or FIPAC — and classifies the run
-/// by observable effect.
-fn classify<F>(mut m: Machine<F>) -> XVerdict
+/// Runs any machine — SOFIA, sponge or FIPAC — and reads its judged
+/// run on the [`XVerdict`] scale.
+fn judged<F: FetchUnit>(m: Machine<F>) -> XVerdict
 where
-    F: FetchUnit,
     F::Violation: fmt::Display,
 {
-    let outcome = m.run(FUEL);
-    let evil = m.mem().mmio.actuator_writes.contains(&EVIL_VALUE);
-    match outcome {
-        Ok(RunOutcome::ViolationStop(v)) if evil => XVerdict::CompromisedFlagged(v.to_string()),
-        Ok(RunOutcome::ViolationStop(v)) => XVerdict::Detected(v.to_string()),
-        Ok(RunOutcome::ResetLoop { resets }) => {
-            XVerdict::Detected(format!("persistent violation, {resets} resets"))
-        }
-        Ok(RunOutcome::Halted) if evil => {
-            XVerdict::CompromisedSilent(format!("actuator received {EVIL_VALUE:#x}"))
-        }
-        Ok(RunOutcome::Halted) => XVerdict::Neutralized("halted without the evil write".into()),
-        Ok(RunOutcome::OutOfFuel) => XVerdict::Neutralized("diverged into a loop".into()),
-        Err(t) if evil => XVerdict::CompromisedFlagged(format!("crashed after the write: {t}")),
-        Err(t) => XVerdict::Neutralized(format!("crashed: {t}")),
-    }
-}
-
-/// Word index of the `li t1, SAFE_VALUE` instruction in the plaintext
-/// layout (the attacker knows the firmware layout).
-fn safe_imm_index(words: &[u32]) -> usize {
-    words
-        .iter()
-        .position(|&w| {
-            Instruction::decode(w)
-                == Ok(Instruction::Addi {
-                    rt: Reg::T1,
-                    rs: Reg::ZERO,
-                    imm: SAFE_VALUE as i16,
-                })
-        })
-        .expect("victim contains the safe li")
-}
-
-fn evil_diff() -> u32 {
-    SAFE_VALUE ^ EVIL_VALUE
+    let (verdict, landed) = run_judged(m);
+    XVerdict::of(&verdict, landed)
 }
 
 fn sponge_victim(keys: &KeySet, src: &str) -> SpongeMachine {
@@ -161,27 +144,31 @@ fn fipac_victim(keys: &KeySet, src: &str) -> FipacMachine {
     FipacFetch::machine(&image, keys, &BackendConfig::default())
 }
 
+/// The sponge and FIPAC victims with the safe→evil immediate difference
+/// XORed into the stored image at the known layout position.
+fn tampered_backends(keys: &KeySet) -> (SpongeMachine, FipacMachine) {
+    let src = control_loop_victim(8);
+    let idx = find_safe_imm(&asm::assemble(&src).expect("victim assembles").words);
+    let mut sponge = sponge_victim(keys, &src);
+    sponge.mem_mut().rom_mut()[idx] ^= EVIL_DIFF;
+    let mut fipac = fipac_victim(keys, &src);
+    fipac.mem_mut().rom_mut()[idx] ^= EVIL_DIFF;
+    (sponge, fipac)
+}
+
 /// The `word-tamper` row: XOR the safe→evil immediate difference into
 /// the stored image at the known layout position.
 pub fn word_tamper(keys: &KeySet) -> XRow {
-    let src = control_loop_victim(8);
-    let idx = safe_imm_index(&asm::assemble(&src).expect("victim assembles").words);
-
-    let mut sponge = sponge_victim(keys, &src);
-    sponge.mem_mut().rom_mut()[idx] ^= evil_diff();
-
-    let mut fipac = fipac_victim(keys, &src);
-    fipac.mem_mut().rom_mut()[idx] ^= evil_diff();
-
+    let (sponge, fipac) = tampered_backends(keys);
     XRow {
         attack: "word-tamper",
-        sofia: classify(injection::tampered_sofia(
+        sofia: judged(injection::tampered_sofia(
             keys,
             &SofiaConfig::default(),
             false,
         )),
-        sponge: classify(sponge),
-        fipac: classify(fipac),
+        sponge: judged(sponge),
+        fipac: judged(fipac),
     }
 }
 
@@ -202,13 +189,13 @@ pub fn gadget_hijack(keys: &KeySet) -> XRow {
         attack: "gadget-hijack",
         // SOFIA's layout is block-structured, so the equivalent fault
         // lands the cursor in a mid-program block; same adversary power.
-        sofia: classify(hijack::fault_injected_sofia(
+        sofia: judged(hijack::fault_injected_sofia(
             keys,
             &SofiaConfig::default(),
             3,
         )),
-        sponge: classify(sponge),
-        fipac: classify(fipac),
+        sponge: judged(sponge),
+        fipac: judged(fipac),
     }
 }
 
@@ -216,21 +203,13 @@ pub fn gadget_hijack(keys: &KeySet) -> XRow {
 /// `word-tamper` payload. The sponge has no comparator — its cell is the
 /// tamper alone.
 pub fn check_elision(keys: &KeySet) -> XRow {
-    let src = control_loop_victim(8);
-    let idx = safe_imm_index(&asm::assemble(&src).expect("victim assembles").words);
-
-    let mut sponge = sponge_victim(keys, &src);
-    sponge.mem_mut().rom_mut()[idx] ^= evil_diff();
-
-    let mut fipac = fipac_victim(keys, &src);
-    fipac.mem_mut().rom_mut()[idx] ^= evil_diff();
+    let (sponge, mut fipac) = tampered_backends(keys);
     fipac.fetch_mut().elide_checks();
-
     XRow {
         attack: "check-elision",
         // SOFIA's comparator is the SI unit's MAC compare; eliding it
         // leaves CFI-only decryption, which CTR malleability defeats.
-        sofia: classify(injection::tampered_sofia(
+        sofia: judged(injection::tampered_sofia(
             keys,
             &SofiaConfig {
                 enforce_si: false,
@@ -238,12 +217,59 @@ pub fn check_elision(keys: &KeySet) -> XRow {
             },
             false,
         )),
-        sponge: classify(sponge),
-        fipac: classify(fipac),
+        sponge: judged(sponge),
+        fipac: judged(fipac),
     }
 }
 
 /// The full cross-backend matrix.
 pub fn matrix(keys: &KeySet) -> Vec<XRow> {
     vec![word_tamper(keys), gadget_hijack(keys), check_elision(keys)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sofia_core::Violation;
+    use sofia_cpu::Trap;
+
+    #[test]
+    fn the_finer_scale_splits_detections_and_crashes_by_the_effect() {
+        let mac = Violation::MacMismatch { block_base: 0x100 };
+        let trap = Trap::FetchFault { addr: 0x10 };
+        let cases: [(Verdict, &str, &str); 4] = [
+            (
+                Verdict::Detected { violation: mac },
+                "detected",
+                "compromised-flagged",
+            ),
+            (
+                Verdict::Crashed { trap },
+                "neutralized",
+                "compromised-flagged",
+            ),
+            (
+                Verdict::Compromised {
+                    detail: "effect".into(),
+                },
+                "compromised-silent",
+                "compromised-silent",
+            ),
+            (
+                Verdict::Neutralized {
+                    detail: "nothing".into(),
+                },
+                "neutralized",
+                "neutralized",
+            ),
+        ];
+        for (verdict, clean, landed) in cases {
+            assert_eq!(XVerdict::of(&verdict, false).label(), clean, "{verdict}");
+            assert_eq!(XVerdict::of(&verdict, true).label(), landed, "{verdict}");
+        }
+        assert_eq!(
+            XVerdict::of(&Verdict::Detected { violation: mac }, false),
+            XVerdict::Detected(mac.to_string())
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //! any fetch unit, plus what is SOFIA's own — its configuration, its
 //! fetch-path statistics and its suspend/resume seam.
 
-use sofia_cpu::engine::{Disposition, EngineOutcome, Pipeline};
+use sofia_cpu::engine::{Disposition, Pipeline};
 use sofia_cpu::exec::RegFile;
 use sofia_cpu::icache::ICacheStats;
 use sofia_cpu::machine::MachineConfig;
@@ -79,38 +79,9 @@ impl Default for SofiaConfig {
     }
 }
 
-/// Why a [`Machine::run`] call returned, generic over the fetch unit's
-/// violation type (SOFIA's [`Violation`] by default).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunOutcome<V = Violation> {
-    /// The program executed `halt` normally.
-    Halted,
-    /// The step budget ran out.
-    OutOfFuel,
-    /// A violation was detected (policy [`ResetPolicy::HaltAndReport`]).
-    ViolationStop(V),
-    /// Persistent tampering kept resetting the core
-    /// (policy [`ResetPolicy::Reboot`]).
-    ResetLoop {
-        /// Resets performed before giving up.
-        resets: u32,
-    },
-}
-
-impl<V: Copy> RunOutcome<V> {
-    /// Whether the program reached `halt` untampered.
-    pub fn is_halted(&self) -> bool {
-        matches!(self, RunOutcome::Halted)
-    }
-
-    /// The violation that stopped the run, if any.
-    pub fn violation(&self) -> Option<V> {
-        match self {
-            RunOutcome::ViolationStop(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
+/// Why a [`Machine::run`] call returned — the engine's
+/// [`sofia_cpu::RunOutcome`], with SOFIA's [`Violation`] by default.
+pub type RunOutcome<V = Violation> = sofia_cpu::RunOutcome<V>;
 
 /// Statistics specific to the SOFIA fetch path, on top of the baseline
 /// [`ExecStats`].
@@ -211,7 +182,7 @@ impl SofiaStats {
 /// [`SofiaMachine`] wraps the [`SofiaFetchUnit`]; the sponge and FIPAC
 /// machines of `sofia-backends` wrap theirs. (The baseline
 /// [`sofia_cpu::machine::VanillaMachine`] sits below this crate and has
-/// no reset line.)
+/// no reset line; its run ends in the same [`sofia_cpu::RunOutcome`].)
 #[derive(Clone, Debug)]
 pub struct Machine<F: FetchUnit> {
     engine: Pipeline<F>,
@@ -271,12 +242,12 @@ pub struct ResumeEdge {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SliceOutcome<V = Violation> {
     /// The job finished: halt, stopping violation, or reset-loop
-    /// abandon. Never [`RunOutcome::OutOfFuel`] — an expired slice
+    /// abandon. Never [`sofia_cpu::RunOutcome::OutOfFuel`] — an expired slice
     /// always surfaces as [`SliceOutcome::Preempted`], because the slice
     /// cannot distinguish its own bound from the job's overall budget.
     /// Budget exhaustion is the caller's bookkeeping: a job whose
     /// remaining fuel reaches zero while preempted is out of fuel.
-    Done(RunOutcome<V>),
+    Done(sofia_cpu::RunOutcome<V>),
     /// The slice budget ran out with the job still runnable: the machine
     /// is suspended between blocks, resumable by the next `run_slice`.
     Preempted,
@@ -357,7 +328,7 @@ impl<F: FetchUnit> Machine<F> {
     /// # Errors
     ///
     /// Propagates architectural traps.
-    pub fn run(&mut self, max_slots: u64) -> Result<RunOutcome<F::Violation>, Trap> {
+    pub fn run(&mut self, max_slots: u64) -> Result<sofia_cpu::RunOutcome<F::Violation>, Trap> {
         let (outcome, _) = self.run_engine(max_slots)?;
         Ok(outcome)
     }
@@ -380,30 +351,30 @@ impl<F: FetchUnit> Machine<F> {
         let (outcome, consumed) = self.run_engine(slice)?;
         Ok(SliceRun {
             outcome: match outcome {
-                RunOutcome::OutOfFuel => SliceOutcome::Preempted,
+                sofia_cpu::RunOutcome::OutOfFuel => SliceOutcome::Preempted,
                 done => SliceOutcome::Done(done),
             },
             consumed,
         })
     }
 
-    fn run_engine(&mut self, max_slots: u64) -> Result<(RunOutcome<F::Violation>, u64), Trap> {
+    fn run_engine(
+        &mut self,
+        max_slots: u64,
+    ) -> Result<(sofia_cpu::RunOutcome<F::Violation>, u64), Trap> {
         let policy = self.reset_policy;
         let violations = &mut self.violations;
         let (outcome, consumed) = self.engine.run_metered(max_slots, |v, resets_so_far| {
             violations.push(v);
             policy.dispose(resets_so_far)
         })?;
-        let outcome = match outcome {
-            EngineOutcome::Halted => match self.violations.last() {
-                Some(&v) if matches!(self.reset_policy, ResetPolicy::HaltAndReport) => {
-                    RunOutcome::ViolationStop(v)
-                }
-                _ => RunOutcome::Halted,
-            },
-            EngineOutcome::OutOfFuel => RunOutcome::OutOfFuel,
-            EngineOutcome::Stopped(v) => RunOutcome::ViolationStop(v),
-            EngineOutcome::ResetLoop { resets } => RunOutcome::ResetLoop { resets },
+        // A machine a stop already halted (say, by `step_block`) reports
+        // that stop.
+        let outcome = match (outcome, self.violations.last()) {
+            (sofia_cpu::RunOutcome::Halted, Some(&v)) if policy == ResetPolicy::HaltAndReport => {
+                sofia_cpu::RunOutcome::ViolationStop(v)
+            }
+            (outcome, _) => outcome,
         };
         Ok((outcome, consumed))
     }

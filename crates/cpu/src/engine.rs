@@ -139,30 +139,46 @@ pub struct BatchStep<V> {
 /// violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Disposition {
-    /// Halt and surface the violation ([`EngineOutcome::Stopped`]).
+    /// Halt and surface the violation ([`RunOutcome::ViolationStop`]).
     Stop,
     /// Pull the reset line and keep running.
     Reset,
-    /// Give up ([`EngineOutcome::ResetLoop`]) — the persistent-tamper
+    /// Give up ([`RunOutcome::ResetLoop`]) — the persistent-tamper
     /// escape once a policy's reset budget is spent.
     Abandon,
 }
 
-/// Why a [`Pipeline::run`] call returned.
+/// Why a run returned, generic over the fetch unit's violation type —
+/// the one run outcome of every machine on this engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineOutcome<V> {
-    /// The program executed `halt`.
+pub enum RunOutcome<V> {
+    /// The program executed `halt` normally.
     Halted,
-    /// The slot budget was exhausted first.
+    /// The slot budget ran out first.
     OutOfFuel,
     /// A violation stopped the run ([`Disposition::Stop`]).
-    Stopped(V),
+    ViolationStop(V),
     /// Persistent violations kept resetting the core until the policy
-    /// abandoned the run ([`Disposition::Reset`] with `abandon_after`).
+    /// abandoned the run ([`Disposition::Abandon`]).
     ResetLoop {
         /// Total resets performed, including the final one.
         resets: u32,
     },
+}
+
+impl<V: Copy> RunOutcome<V> {
+    /// Whether the program reached `halt` untampered.
+    pub fn is_halted(&self) -> bool {
+        matches!(self, RunOutcome::Halted)
+    }
+
+    /// The violation that stopped the run, if any.
+    pub fn violation(&self) -> Option<V> {
+        match self {
+            RunOutcome::ViolationStop(v) => Some(*v),
+            _ => None,
+        }
+    }
 }
 
 /// The generic execution engine: architectural state plus the shared
@@ -341,7 +357,7 @@ impl<F: FetchUnit> Pipeline<F> {
         &mut self,
         max_slots: u64,
         on_violation: impl FnMut(F::Violation, u64) -> Disposition,
-    ) -> Result<EngineOutcome<F::Violation>, Trap> {
+    ) -> Result<RunOutcome<F::Violation>, Trap> {
         self.run_metered(max_slots, on_violation).map(|(o, _)| o)
     }
 
@@ -362,14 +378,14 @@ impl<F: FetchUnit> Pipeline<F> {
         &mut self,
         max_slots: u64,
         mut on_violation: impl FnMut(F::Violation, u64) -> Disposition,
-    ) -> Result<(EngineOutcome<F::Violation>, u64), Trap> {
+    ) -> Result<(RunOutcome<F::Violation>, u64), Trap> {
         let mut consumed = 0u64;
         loop {
             if self.halted {
-                return Ok((EngineOutcome::Halted, consumed));
+                return Ok((RunOutcome::Halted, consumed));
             }
             if consumed >= max_slots {
-                return Ok((EngineOutcome::OutOfFuel, consumed));
+                return Ok((RunOutcome::OutOfFuel, consumed));
             }
             let step = self.step_batch()?;
             consumed += step.executed_slots.max(1);
@@ -377,12 +393,12 @@ impl<F: FetchUnit> Pipeline<F> {
                 match on_violation(v, self.resets) {
                     Disposition::Stop => {
                         self.halted = true;
-                        return Ok((EngineOutcome::Stopped(v), consumed));
+                        return Ok((RunOutcome::ViolationStop(v), consumed));
                     }
                     Disposition::Reset => self.reset(),
                     Disposition::Abandon => {
                         return Ok((
-                            EngineOutcome::ResetLoop {
+                            RunOutcome::ResetLoop {
                                 resets: self.resets as u32,
                             },
                             consumed,
@@ -750,7 +766,7 @@ mod tests {
             &config,
         );
         let outcome = e.run(1000, |v, _| match v {}).unwrap();
-        assert_eq!(outcome, EngineOutcome::Halted);
+        assert_eq!(outcome, RunOutcome::Halted);
         // Per iteration: a load, a store, a mul and a div at u32::MAX
         // each, plus the taken branch on all but the last.
         let s = e.stats();

@@ -99,6 +99,12 @@ pub enum SlotOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NoViolation {}
 
+impl std::fmt::Display for NoViolation {
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
+    }
+}
+
 /// A pluggable instruction-delivery unit in front of the shared pipeline.
 ///
 /// The unit owns all sequencing state (program counter or block cursor)

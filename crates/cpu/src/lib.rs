@@ -47,7 +47,7 @@ pub mod stats;
 mod trap;
 
 pub use engine::{
-    BatchStep, CoreState, CoreStateError, Disposition, EngineOutcome, MachineConfig, Pipeline,
+    BatchStep, CoreState, CoreStateError, Disposition, MachineConfig, Pipeline, RunOutcome,
 };
 pub use fetch::{FetchCtx, FetchUnit, LentBatch, NoViolation, PlainFetch, Slot, SlotOutcome};
 pub use stats::ExecStats;

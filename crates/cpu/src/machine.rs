@@ -2,30 +2,14 @@
 
 use sofia_isa::asm::Assembly;
 
-use crate::engine::{EngineOutcome, Pipeline};
+use crate::engine::{Pipeline, RunOutcome};
 use crate::exec::RegFile;
-use crate::fetch::PlainFetch;
+use crate::fetch::{NoViolation, PlainFetch};
 use crate::mem::Memory;
 use crate::stats::ExecStats;
 use crate::Trap;
 
 pub use crate::engine::MachineConfig;
-
-/// Why a [`VanillaMachine::run`] call returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunResult {
-    /// The program executed `halt`.
-    Halted,
-    /// The step budget was exhausted first.
-    OutOfFuel,
-}
-
-impl RunResult {
-    /// Whether the program reached `halt`.
-    pub fn is_halted(&self) -> bool {
-        matches!(self, RunResult::Halted)
-    }
-}
 
 /// A cycle-level simulator of the unmodified baseline processor.
 ///
@@ -112,20 +96,15 @@ impl VanillaMachine {
         }
     }
 
-    /// Runs until `halt`, a trap, or `max_steps` instructions.
+    /// Runs until `halt`, a trap, or `max_steps` instructions. The
+    /// baseline raises no violation, so the outcome is always
+    /// [`RunOutcome::Halted`] or [`RunOutcome::OutOfFuel`].
     ///
     /// # Errors
     ///
     /// Propagates the first trap.
-    pub fn run(&mut self, max_steps: u64) -> Result<RunResult, Trap> {
-        match self.engine.run(max_steps, |v, _| match v {})? {
-            EngineOutcome::Halted => Ok(RunResult::Halted),
-            EngineOutcome::OutOfFuel => Ok(RunResult::OutOfFuel),
-            EngineOutcome::Stopped(v) => match v {},
-            EngineOutcome::ResetLoop { .. } => {
-                unreachable!("reset loop without a violation type")
-            }
-        }
+    pub fn run(&mut self, max_steps: u64) -> Result<RunOutcome<NoViolation>, Trap> {
+        self.engine.run(max_steps, |v, _| match v {})
     }
 
     /// Whether the program has executed `halt`.
@@ -314,7 +293,7 @@ mod tests {
     fn out_of_fuel() {
         let program = asm::assemble("main: b main").unwrap();
         let mut m = VanillaMachine::new(&program);
-        assert_eq!(m.run(1000).unwrap(), RunResult::OutOfFuel);
+        assert_eq!(m.run(1000).unwrap(), RunOutcome::OutOfFuel);
         assert!(!m.is_halted());
     }
 

@@ -40,7 +40,10 @@ pub struct BreakerConfig {
     pub window_ticks: u64,
     /// Faults inside the window that trip the breaker open.
     pub fault_threshold: u32,
-    /// Ticks the breaker stays open once tripped.
+    /// Ticks the breaker stays open once tripped, clamped to at least 2:
+    /// it trips while a tick settles and closes at the top of a later
+    /// tick, before that tick admits, so only a span of 2 or more sheds
+    /// a scheduled arrival.
     pub cooldown_ticks: u64,
     /// Classes with WFQ weight ≤ this are shed while open; heavier
     /// (interactive) classes keep admitting.
@@ -267,8 +270,7 @@ impl ResilienceState {
     /// The one recording path: folds `event` into the counters and
     /// appends it to the log, so every counter is a fold of the events.
     /// A close adds its span up to the cooldown's end, which the open
-    /// breaker still holds — exact even for a zero cooldown, whose close
-    /// lands a tick after its end.
+    /// breaker still holds.
     pub(crate) fn record(&mut self, event: ResilienceEvent) {
         let stats = &mut self.stats;
         match &event {
@@ -332,7 +334,7 @@ impl ResilienceState {
         }
         let recent = self.fault_ticks.len() as u32;
         if self.breaker_open.is_none() && recent >= breaker.fault_threshold {
-            let until = tick.saturating_add(breaker.cooldown_ticks);
+            let until = tick.saturating_add(breaker.cooldown_ticks.max(2));
             self.breaker_open = Some((tick, until));
             self.record(ResilienceEvent::BreakerOpened {
                 tick,
@@ -473,6 +475,25 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, ResilienceEvent::BreakerClosed { .. })));
+    }
+
+    #[test]
+    fn a_zero_cooldown_breaker_still_sheds_the_next_tick() {
+        let mut cfg = ResilienceConfig::standard();
+        cfg.breaker = Some(BreakerConfig {
+            window_ticks: 10,
+            fault_threshold: 1,
+            cooldown_ticks: 0,
+            shed_max_weight: 1,
+        });
+        let mut state = ResilienceState::new(cfg);
+        state.feed_breaker(4);
+        state.breaker_tick(5);
+        assert!(state.sheds(1), "open through the tick after the trip");
+        state.breaker_tick(6);
+        assert!(!state.sheds(1), "closed two ticks after the trip");
+        assert_eq!(state.stats.breaker_closes, 1);
+        assert_eq!(state.stats.breaker_open_ticks, 2);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use sofia_crypto::KeySet;
 use sofia_isa::asm;
 
+use crate::decode::fnv64;
 use crate::{BlockFormat, SecureImage, TransformError, Transformer};
 
 /// Why [`ImageCache::get_or_seal`] failed.
@@ -299,33 +300,34 @@ pub struct ImageKey((u64, u64));
 /// cache entries by the full key material and source bytes is ROADMAP
 /// item 2.
 pub fn image_key(keys: &KeySet, source: &str) -> ImageKey {
-    ImageKey((fingerprint_keys(keys), hash64(source.as_bytes())))
+    ImageKey((fingerprint_keys(keys), fnv64(source.as_bytes())))
 }
 
 /// FNV-1a over the concatenated key material — an identity fingerprint
 /// (not a security boundary; the keys themselves never leave the cache's
 /// callers).
 fn fingerprint_keys(keys: &KeySet) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for bytes in [keys.k1.as_bytes(), keys.k2.as_bytes(), keys.k3.as_bytes()] {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn hash64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64(
+        [
+            *keys.k1.as_bytes(),
+            *keys.k2.as_bytes(),
+            *keys.k3.as_bytes(),
+        ]
+        .as_flattened(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn image_keys_are_pinned() {
+        assert_eq!(
+            image_key(&KeySet::from_seed(1), "main: halt"),
+            ImageKey((0xf324_de3a_e292_4e70, 0xea16_c6e1_3573_74e5))
+        );
+    }
 
     #[test]
     fn seals_once_per_key_and_source() {

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use sofia_crypto::Nonce;
 
-use crate::decode::{DecodeError, Reader};
+use crate::decode::{DecodeError, Reader, Writer};
 use crate::format::BlockFormat;
 
 /// A securely installed program: ciphertext text section, plaintext data,
@@ -52,21 +52,21 @@ impl SecureImage {
     /// Serialises the image to a self-describing little-endian byte
     /// stream (magic `SOFI1`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SOFI1\0");
-        push_u32(&mut out, self.nonce.value() as u32);
-        push_u32(&mut out, self.format.exec_insts as u32);
-        push_u32(&mut out, self.format.store_safe_word_offset as u32);
-        push_u32(&mut out, self.text_base);
-        push_u32(&mut out, self.entry);
-        push_u32(&mut out, self.data_base);
-        push_u32(&mut out, self.ctext.len() as u32);
-        for w in &self.ctext {
-            push_u32(&mut out, *w);
+        let mut w = Writer::new();
+        w.magic(b"SOFI1\0");
+        w.u32(u32::from(self.nonce.value()));
+        w.u32(self.format.exec_insts as u32);
+        w.u32(self.format.store_safe_word_offset as u32);
+        w.u32(self.text_base);
+        w.u32(self.entry);
+        w.u32(self.data_base);
+        w.u32(self.ctext.len() as u32);
+        for &word in &self.ctext {
+            w.u32(word);
         }
-        push_u32(&mut out, self.data.len() as u32);
-        out.extend_from_slice(&self.data);
-        out
+        w.u32(self.data.len() as u32);
+        w.bytes(&self.data);
+        w.finish()
     }
 
     /// Deserialises an image written by [`SecureImage::to_bytes`].
@@ -82,7 +82,11 @@ impl SecureImage {
     pub fn from_bytes(bytes: &[u8]) -> Result<SecureImage, DecodeError> {
         let mut r = Reader::new(bytes);
         r.magic(b"SOFI1\0", "SOFI1")?;
-        let nonce = Nonce::new(r.u32()? as u16);
+        let nonce = r.u32()?;
+        let nonce = Nonce::new(u16::try_from(nonce).map_err(|_| DecodeError::BadField {
+            field: "nonce",
+            reason: format!("{nonce:#x} does not fit the 16-bit nonce"),
+        })?);
         let format = BlockFormat {
             exec_insts: r.u32()? as usize,
             store_safe_word_offset: r.u32()? as usize,
@@ -124,10 +128,6 @@ impl SecureImage {
             report: TransformReport::default(),
         })
     }
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// What the secure installation did to the program — the data behind the
@@ -205,6 +205,50 @@ mod tests {
         assert_eq!(back.ctext, img.ctext);
         assert_eq!(back.data, img.data);
         assert_eq!(back.entry, img.entry);
+    }
+
+    #[test]
+    fn image_bytes_are_pinned() {
+        let img = SecureImage {
+            nonce: Nonce::new(77),
+            format: BlockFormat::default(),
+            text_base: 0x100,
+            ctext: vec![1, 2, 3, 0xDEAD_BEEF],
+            data_base: 0x1000_0000,
+            data: vec![9, 8, 7],
+            entry: 0x104,
+            symbols: BTreeMap::new(),
+            report: TransformReport::default(),
+        };
+        assert_eq!(crate::decode::fnv64(&img.to_bytes()), 0x7b95_b6f3_3494_56e1);
+    }
+
+    #[test]
+    fn a_nonce_past_16_bits_is_refused() {
+        let img = SecureImage {
+            nonce: Nonce::new(77),
+            format: BlockFormat::default(),
+            text_base: 0x100,
+            ctext: vec![0; 4],
+            data_base: 0x1000_0000,
+            data: vec![],
+            entry: 0x100,
+            symbols: BTreeMap::new(),
+            report: TransformReport::default(),
+        };
+        let mut bytes = img.to_bytes();
+        for nonce in [0x1_0000 + 77, u32::MAX] {
+            bytes[6..10].copy_from_slice(&u32::to_le_bytes(nonce));
+            assert!(matches!(
+                SecureImage::from_bytes(&bytes),
+                Err(DecodeError::BadField { field: "nonce", .. })
+            ));
+        }
+        bytes[6..10].copy_from_slice(&u32::to_le_bytes(0xFFFF));
+        assert_eq!(
+            SecureImage::from_bytes(&bytes).unwrap().nonce,
+            Nonce::new(0xFFFF)
+        );
     }
 
     #[test]

@@ -7,15 +7,23 @@
 //! cargo run --release --example attack_gallery
 //! ```
 
-use sofia::attacks::{forgery, hijack, injection, relocation, Verdict};
+use std::fmt::Display;
+
+use sofia::attacks::{forgery, hijack, injection, relocation};
+use sofia::core::SofiaConfig;
 use sofia::crypto::KeySet;
 
-fn show(name: &str, machine: &str, v: &Verdict) {
+fn show(name: &str, machine: &str, v: &impl Display) {
     println!("  {name:<34} {machine:<8} {v}");
 }
 
 fn main() {
     let keys = KeySet::from_seed(0xA77AC);
+    let sofia = SofiaConfig::default();
+    let cfi_only = SofiaConfig {
+        enforce_si: false,
+        ..SofiaConfig::default()
+    };
     println!("attack                             target   verdict");
     println!("{}", "-".repeat(78));
 
@@ -27,17 +35,17 @@ fn main() {
     show(
         "code injection (plaintext write)",
         "sofia",
-        &injection::inject_sofia(&keys, true, true),
+        &injection::inject_sofia(&keys, &sofia, true),
     );
     show(
         "code injection (CTR malleability)",
         "sofia",
-        &injection::inject_sofia(&keys, true, false),
+        &injection::inject_sofia(&keys, &sofia, false),
     );
     show(
         "code injection (CTR malleability)",
         "cfi-only",
-        &injection::inject_sofia(&keys, false, false),
+        &injection::inject_sofia(&keys, &cfi_only, false),
     );
 
     show(
@@ -48,12 +56,12 @@ fn main() {
     show(
         "block relocation (swap 0,1)",
         "sofia",
-        &relocation::swap_blocks_sofia(&keys, 0, 1),
+        &relocation::swap_blocks_sofia(&keys, &sofia, 0, 1),
     );
     show(
         "cross-version splice (nonce)",
         "sofia",
-        &relocation::cross_version_splice(&keys),
+        &relocation::cross_version_splice(&keys, &sofia),
     );
 
     show(
@@ -64,7 +72,7 @@ fn main() {
     show(
         "ROP-style data poisoning",
         "sofia",
-        &hijack::poison_sofia(&keys),
+        &hijack::poison_sofia(&keys, &sofia),
     );
     show(
         "PC fault injection",
@@ -74,12 +82,12 @@ fn main() {
     show(
         "PC fault injection (block 2)",
         "sofia",
-        &hijack::fault_inject_sofia(&keys, 2),
+        &hijack::fault_inject_sofia(&keys, &sofia, 2),
     );
     show(
         "PC fault injection (block 4)",
         "sofia",
-        &hijack::fault_inject_sofia(&keys, 4),
+        &hijack::fault_inject_sofia(&keys, &sofia, 4),
     );
 
     println!("\nonline MAC forgery (Monte-Carlo on truncated MACs, 2^15 trials):");

@@ -38,18 +38,7 @@ pub struct ArchResult {
 
 /// Runs `image` under `config` and reduces the run to its [`ArchResult`].
 pub fn run_config(image: &SecureImage, keys: &KeySet, config: &SofiaConfig) -> ArchResult {
-    let mut m = SofiaMachine::with_config(image, keys, config);
-    let outcome = match m.run(FUEL) {
-        Ok(o) => format!("{o:?}"),
-        Err(t) => format!("trap: {t:?}"),
-    };
-    ArchResult {
-        outcome,
-        mmio: m.mem().mmio.out_words.clone(),
-        actuators: m.mem().mmio.actuator_writes.clone(),
-        instret: m.stats().exec.instret,
-        violations: m.violations().iter().map(|v| format!("{v:?}")).collect(),
-    }
+    reduce(SofiaMachine::with_config(image, keys, config), FUEL).arch
 }
 
 /// The cache geometries the differential suite sweeps: disabled (the

@@ -254,8 +254,8 @@ fn fold_events(events: &[ResilienceEvent]) -> ResilienceStats {
 /// drained events of a storm run — retries, sheds, late finishes,
 /// breaker cycles and load sheds under staggered arrivals — reproduces
 /// `resilience_stats()` at 1, 2 and 4 host threads, breaker open time
-/// included, also under a zero cooldown (whose close lands a tick after
-/// its cooldown ends).
+/// included, also under a zero cooldown (which the breaker clamps to a
+/// two-tick span).
 #[test]
 fn resilience_stats_are_the_fold_of_their_events() {
     let tenant_set = tenants(6);
@@ -299,9 +299,9 @@ fn resilience_stats_are_the_fold_of_their_events() {
                 stats.breaker_closes,
             ];
             assert!(!exercised.contains(&0), "{stats:?}");
-            // A zero cooldown closes before the next tick admits, so
-            // only a real cooldown sheds load.
-            assert_eq!(stats.load_shed > 0, cooldown_ticks > 0, "{stats:?}");
+            // Even a zero cooldown holds the breaker open through the
+            // next tick's admissions, so both cooldowns shed load.
+            assert!(stats.load_shed > 0, "{stats:?}");
             match &reference {
                 None => reference = Some(events),
                 Some(events_at_1) => assert_eq!(&events, events_at_1, "{threads} threads"),

@@ -18,14 +18,16 @@ fn unprotected_machines_fall_to_every_attack() {
 fn sofia_stops_every_attack() {
     let keys = KeySet::from_seed(0x5EC1);
     // Image tampering: always *detected* (MAC mismatch).
-    assert!(injection::inject_sofia(&keys, true, true).is_detected());
-    assert!(injection::inject_sofia(&keys, true, false).is_detected());
-    assert!(relocation::swap_blocks_sofia(&keys, 0, 1).is_detected());
-    assert!(relocation::cross_version_splice(&keys).is_detected());
+    assert!(injection::inject_sofia(&keys, &SofiaConfig::default(), true).is_detected());
+    assert!(injection::inject_sofia(&keys, &SofiaConfig::default(), false).is_detected());
+    assert!(relocation::swap_blocks_sofia(&keys, &SofiaConfig::default(), 0, 1).is_detected());
+    assert!(relocation::cross_version_splice(&keys, &SofiaConfig::default()).is_detected());
     // Control-flow attacks: never compromised (detected or neutralized).
-    assert!(!hijack::poison_sofia(&keys).is_compromised());
+    assert!(!hijack::poison_sofia(&keys, &SofiaConfig::default()).is_compromised());
     for block in 1..5 {
-        assert!(!hijack::fault_inject_sofia(&keys, block).is_compromised());
+        assert!(
+            !hijack::fault_inject_sofia(&keys, &SofiaConfig::default(), block).is_compromised()
+        );
     }
 }
 
@@ -41,13 +43,13 @@ fn sofia_with_vcache_stops_every_attack() {
             vcache,
             ..Default::default()
         };
-        assert!(injection::inject_sofia_with(&keys, &config, true).is_detected());
-        assert!(injection::inject_sofia_with(&keys, &config, false).is_detected());
-        assert!(relocation::swap_blocks_sofia_with(&keys, &config, 0, 1).is_detected());
-        assert!(relocation::cross_version_splice_with(&keys, &config).is_detected());
-        assert!(!hijack::poison_sofia_with(&keys, &config).is_compromised());
+        assert!(injection::inject_sofia(&keys, &config, true).is_detected());
+        assert!(injection::inject_sofia(&keys, &config, false).is_detected());
+        assert!(relocation::swap_blocks_sofia(&keys, &config, 0, 1).is_detected());
+        assert!(relocation::cross_version_splice(&keys, &config).is_detected());
+        assert!(!hijack::poison_sofia(&keys, &config).is_compromised());
         for block in 1..5 {
-            assert!(!hijack::fault_inject_sofia_with(&keys, &config, block).is_compromised());
+            assert!(!hijack::fault_inject_sofia(&keys, &config, block).is_compromised());
         }
     }
 }
@@ -71,17 +73,17 @@ fn snapshots_add_no_forgery_surface() {
             vcache,
             ..Default::default()
         };
-        let forged = migration::forge_resume_prev_pc_with(&keys, &config);
+        let forged = migration::forge_resume_prev_pc(&keys, &config, 4);
         assert!(forged.is_detected(), "forged prevPC: {forged}");
         // A source no sealed edge can carry: unaligned, or past the
         // 24-bit word space of the counter block.
         for mask in [1, 1 << 26] {
-            let v = migration::forge_resume_prev_pc_bits_with(&keys, &config, mask);
+            let v = migration::forge_resume_prev_pc(&keys, &config, mask);
             assert!(v.is_detected(), "prevPC ^ {mask:#x}: {v}");
         }
-        let stale = migration::replay_stale_resume_edge_with(&keys, &config);
+        let stale = migration::replay_stale_resume_edge(&keys, &config);
         assert!(stale.is_detected(), "stale edge replay: {stale}");
-        let redirect = migration::redirect_resume_out_of_image_with(&keys, &config);
+        let redirect = migration::redirect_resume_out_of_image(&keys, &config);
         assert!(redirect.is_detected(), "out-of-image resume: {redirect}");
     }
 }
@@ -91,8 +93,12 @@ fn cfi_without_si_is_insufficient() {
     // The paper's §II-A argument, demonstrated: CTR malleability defeats
     // a decryption-only defence; the full architecture detects it.
     let keys = KeySet::from_seed(0x5EC2);
-    assert!(injection::inject_sofia(&keys, false, false).is_compromised());
-    assert!(injection::inject_sofia(&keys, true, false).is_detected());
+    let cfi_only = SofiaConfig {
+        enforce_si: false,
+        ..Default::default()
+    };
+    assert!(injection::inject_sofia(&keys, &cfi_only, false).is_compromised());
+    assert!(injection::inject_sofia(&keys, &SofiaConfig::default(), false).is_detected());
 }
 
 #[test]
