@@ -478,19 +478,6 @@ fn host_eval() {
         k.bitsliced_blocks_per_sec.median,
         k.speedup()
     );
-    for w in &k.widths {
-        println!(
-            "    {:>2} lanes{} {:>10.0} blk/s   {:>5.2}x vs scalar",
-            w.lanes,
-            if w.lanes == sofia_crypto::LaneWidth::BULK.lanes() {
-                " (bulk)"
-            } else {
-                "       "
-            },
-            w.blocks_per_sec.median,
-            w.blocks_per_sec.median / k.scalar_blocks_per_sec.median
-        );
-    }
     let r = &k.refill;
     println!(
         "  refill: {}-counter pads {:>7.1} ns   {}-block MAC chain {:>7.1} ns   memo hit {:>7.1} ns",

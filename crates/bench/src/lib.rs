@@ -1241,15 +1241,6 @@ fn sampled(reps: u32, mut sample: impl FnMut() -> f64) -> Spread {
     spread(&mut samples)
 }
 
-/// Keystream throughput of one bitslicing lane width.
-#[derive(Clone, Debug)]
-pub struct KeystreamWidthRate {
-    /// Lane count of the sweep (16/32/64).
-    pub lanes: usize,
-    /// Blocks ciphered per second at this width.
-    pub blocks_per_sec: Spread,
-}
-
 /// Scalar-vs-bitsliced keystream generation rates (blocks/sec).
 #[derive(Clone, Debug)]
 pub struct KeystreamRates {
@@ -1257,17 +1248,9 @@ pub struct KeystreamRates {
     pub blocks: usize,
     /// One [`sofia_crypto::ctr::pad`] call per counter.
     pub scalar_blocks_per_sec: Spread,
-    /// One [`sofia_crypto::ctr::pads`] sweep for the whole batch, at the
-    /// lane width the batch calls for.
+    /// One [`sofia_crypto::ctr::pads`] sweep for the whole batch, eight
+    /// counters per bitsliced pass.
     pub bitsliced_blocks_per_sec: Spread,
-    /// The batch → width rule ([`sofia_crypto::LaneWidth::for_batch`])
-    /// as `(batch, lanes)` pairs: each width's own lane count, then
-    /// this sweep's batch.
-    pub lanes_for_batch: Vec<(usize, usize)>,
-    /// The same sweep pinned to each supported lane width
-    /// ([`sofia_crypto::ctr::pads_with`]) — the evidence behind
-    /// [`sofia_crypto::LaneWidth::BULK`].
-    pub widths: Vec<KeystreamWidthRate>,
     /// The cipher cost of one uncached block refill.
     pub refill: RefillCipherCost,
 }
@@ -1369,27 +1352,10 @@ pub fn host_keystream(blocks: usize, reps: u32) -> KeystreamRates {
     let bitsliced = sweep(&mut || {
         std::hint::black_box(sofia_crypto::ctr::pads(&cipher, &counters));
     });
-    let widths = sofia_crypto::LaneWidth::ALL
-        .iter()
-        .map(|&width| KeystreamWidthRate {
-            lanes: width.lanes(),
-            blocks_per_sec: sweep(&mut || {
-                std::hint::black_box(sofia_crypto::ctr::pads_with(&cipher, &counters, width));
-            }),
-        })
-        .collect();
-    let lanes_for_batch = sofia_crypto::LaneWidth::ALL
-        .iter()
-        .map(|w| w.lanes())
-        .chain([blocks])
-        .map(|n| (n, sofia_crypto::LaneWidth::for_batch(n).lanes()))
-        .collect();
     KeystreamRates {
         blocks,
         scalar_blocks_per_sec: scalar,
         bitsliced_blocks_per_sec: bitsliced,
-        lanes_for_batch,
-        widths,
         refill: host_refill_cipher(reps),
     }
 }
@@ -1661,38 +1627,21 @@ pub fn host_json(report: &HostReport) -> String {
         b.logical_cores, b.arch, b.os, b.target
     ));
     let k = &report.keystream;
-    let rule: Vec<String> = k
-        .lanes_for_batch
-        .iter()
-        .map(|(batch, lanes)| format!("{{ \"batch\": {batch}, \"lanes\": {lanes} }}"))
-        .collect();
     let r = &k.refill;
     out.push_str(&format!(
         "  \"keystream\": {{ \"blocks\": {}, {}, {}, \"bitsliced_speedup\": {:.2}, \
-         \"lanes_for_batch\": [{}], \
-         \"refill\": {{ \"counters\": {}, {}, \"mac_blocks\": {}, {}, {} }}, \
-         \"widths\": [\n",
+         \"refill\": {{ \"counters\": {}, {}, \"mac_blocks\": {}, {}, {} }} }},\n",
         k.blocks,
         k.scalar_blocks_per_sec.json("scalar_blocks_per_sec", 0),
         k.bitsliced_blocks_per_sec
             .json("bitsliced_blocks_per_sec", 0),
         k.speedup(),
-        rule.join(", "),
         r.counters,
         r.pads_ns.json("pads_ns", 1),
         r.mac_blocks,
         r.mac_ns.json("mac_ns", 1),
         r.memo_hit_ns.json("memo_hit_ns", 1),
     ));
-    out.push_str(&join_rows(k.widths.iter().map(|w| {
-        format!(
-            "    {{ \"lanes\": {}, {}, \"speedup_vs_scalar\": {:.2} }}",
-            w.lanes,
-            w.blocks_per_sec.json("blocks_per_sec", 0),
-            w.blocks_per_sec.median / k.scalar_blocks_per_sec.median,
-        )
-    })));
-    out.push_str("  ] },\n");
     out.push_str("  \"machine_mips\": [\n");
     out.push_str(&join_rows(report.mips.iter().map(|r| {
         format!(
@@ -2289,7 +2238,6 @@ mod tests {
                 blocks: 16,
                 scalar_blocks_per_sec: sp(1e6, 0.9e6, 1.1e6),
                 bitsliced_blocks_per_sec: sp(8e6, 7e6, 9e6),
-                lanes_for_batch: vec![(8, 8), (16, 16), (16384, 64)],
                 refill: RefillCipherCost {
                     counters: 8,
                     pads_ns: sp(212.5, 200.0, 230.0),
@@ -2297,16 +2245,6 @@ mod tests {
                     mac_ns: sp(230.0, 220.0, 250.0),
                     memo_hit_ns: sp(40.0, 35.0, 50.0),
                 },
-                widths: vec![
-                    KeystreamWidthRate {
-                        lanes: 16,
-                        blocks_per_sec: sp(6e6, 5e6, 7e6),
-                    },
-                    KeystreamWidthRate {
-                        lanes: 32,
-                        blocks_per_sec: sp(8e6, 8e6, 8e6),
-                    },
-                ],
             },
             mips: vec![HostMipsRow {
                 machine: "vanilla".into(),
@@ -2329,18 +2267,14 @@ mod tests {
             "\"bench\": \"host\"",
             "\"profile\"",
             "\"box\": { \"logical_cores\": 1, \"arch\": \"x86_64\"",
-            "\"scalar_blocks_per_sec\": 1000000, \"scalar_blocks_per_sec_min\": 900000, \
-             \"scalar_blocks_per_sec_max\": 1100000",
-            "\"bitsliced_speedup\": 8.00",
-            "\"lanes_for_batch\": [{ \"batch\": 8, \"lanes\": 8 }, \
-             { \"batch\": 16, \"lanes\": 16 }, { \"batch\": 16384, \"lanes\": 64 }]",
-            "\"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"pads_ns_min\": 200.0, \
+            "\"keystream\": { \"blocks\": 16, \"scalar_blocks_per_sec\": 1000000, \
+             \"scalar_blocks_per_sec_min\": 900000, \"scalar_blocks_per_sec_max\": 1100000, \
+             \"bitsliced_blocks_per_sec\": 8000000, \"bitsliced_blocks_per_sec_min\": 7000000, \
+             \"bitsliced_blocks_per_sec_max\": 9000000, \"bitsliced_speedup\": 8.00, \
+             \"refill\": { \"counters\": 8, \"pads_ns\": 212.5, \"pads_ns_min\": 200.0, \
              \"pads_ns_max\": 230.0, \"mac_blocks\": 3, \"mac_ns\": 230.0, \"mac_ns_min\": 220.0, \
              \"mac_ns_max\": 250.0, \"memo_hit_ns\": 40.0, \"memo_hit_ns_min\": 35.0, \
-             \"memo_hit_ns_max\": 50.0 }",
-            "\"widths\"",
-            "\"lanes\": 16, \"blocks_per_sec\": 6000000, \"blocks_per_sec_min\": 5000000, \
-             \"blocks_per_sec_max\": 7000000, \"speedup_vs_scalar\": 6.00",
+             \"memo_hit_ns_max\": 50.0 } },\n",
             "\"machine_mips\"",
             "\"mips\": 12.50, \"mips_min\": 12.00, \"mips_max\": 13.00",
             "\"seal\": { \"workload\": \"adpcm600\", \"seals_per_sec\": 25.00, \
@@ -2350,6 +2284,9 @@ mod tests {
              \"jobs_per_sec_min\": 90.00, \"jobs_per_sec_max\": 110.00",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
+        }
+        for gone in ["\"widths\"", "\"lanes"] {
+            assert!(!json.contains(gone), "stale {gone} in {json}");
         }
     }
 

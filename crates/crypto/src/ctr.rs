@@ -6,7 +6,7 @@
 //! absent from the static CFG therefore decrypts the destination word with
 //! the wrong counter, producing noise — the core of SOFIA's CFI mechanism.
 
-use crate::{LaneWidth, Nonce, Rectangle};
+use crate::{Nonce, Rectangle};
 
 /// Number of address bits kept per program counter inside a counter block.
 ///
@@ -97,20 +97,14 @@ pub fn pad(cipher: &Rectangle, counter: CounterBlock) -> u32 {
     cipher.encrypt_block(counter.as_u64()) as u32
 }
 
-/// Derives the keystream pads for a whole batch of counters in one
-/// bitsliced sweep: bit-identical to mapping [`pad`] over the slice, but
-/// ciphering [`LaneWidth::lanes`] counters per pass at the width the
-/// batch calls for ([`LaneWidth::for_batch`]). This is the bulk path
-/// behind sealing whole images, where every counter of the sweep is
-/// known up front.
+/// Derives the keystream pads for a whole batch of counters through
+/// [`Rectangle::encrypt_blocks`]: bit-identical to mapping [`pad`] over
+/// the slice, eight counters per bitsliced pass. A block refill's
+/// counters take one pass; sealing a whole image sweeps every counter
+/// of the image at once.
 pub fn pads(cipher: &Rectangle, counters: &[CounterBlock]) -> Vec<u32> {
-    pads_with(cipher, counters, LaneWidth::for_batch(counters.len()))
-}
-
-/// [`pads`] at an explicit lane width — bit-identical at every width.
-pub fn pads_with(cipher: &Rectangle, counters: &[CounterBlock], width: LaneWidth) -> Vec<u32> {
     let mut blocks: Vec<u64> = counters.iter().map(|c| c.as_u64()).collect();
-    cipher.encrypt_blocks_with(&mut blocks, width);
+    cipher.encrypt_blocks(&mut blocks);
     blocks.into_iter().map(|b| b as u32).collect()
 }
 
@@ -121,23 +115,8 @@ pub fn pads_with(cipher: &Rectangle, counters: &[CounterBlock], width: LaneWidth
 ///
 /// Panics if the two slices differ in length.
 pub fn apply_batch(cipher: &Rectangle, counters: &[CounterBlock], words: &mut [u32]) {
-    let width = LaneWidth::for_batch(counters.len());
-    apply_batch_with(cipher, counters, words, width);
-}
-
-/// [`apply_batch`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if the two slices differ in length.
-pub fn apply_batch_with(
-    cipher: &Rectangle,
-    counters: &[CounterBlock],
-    words: &mut [u32],
-    width: LaneWidth,
-) {
     assert_eq!(counters.len(), words.len(), "counter/word length mismatch");
-    for (word, pad) in words.iter_mut().zip(pads_with(cipher, counters, width)) {
+    for (word, pad) in words.iter_mut().zip(pads(cipher, counters)) {
         *word ^= pad;
     }
 }

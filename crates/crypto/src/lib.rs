@@ -38,7 +38,6 @@ pub mod mac;
 mod rectangle;
 pub mod util;
 
-pub use bitslice::LaneWidth;
 pub use ctr::CounterBlock;
 pub use keys::{ExpandedKeys, KeySet, Nonce};
 pub use mac::Mac64;

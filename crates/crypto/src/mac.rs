@@ -10,7 +10,7 @@
 //! module enforces that practice: [`mac_words`] takes the padded length
 //! from the caller and refuses over-long messages.
 
-use crate::{LaneWidth, Rectangle};
+use crate::Rectangle;
 
 /// A 64-bit message authentication code split into the two 32-bit words
 /// stored in a block (`M1` is the most significant half).
@@ -126,7 +126,8 @@ fn message_block(words: &[u32], pair: usize) -> u64 {
 /// fixed `padded_words` domain, lane-parallel: CBC chaining is sequential
 /// *within* a message, but the chains of different messages are
 /// independent, so each CBC step ciphers all messages' current states in
-/// one bitsliced sweep ([`Rectangle::encrypt_blocks`]).
+/// one bitsliced sweep ([`Rectangle::encrypt_blocks`], eight states per
+/// pass).
 ///
 /// Bit-identical to mapping [`mac_words`] over `messages` (pinned by the
 /// equivalence suite). This is the install-time bulk path: an image's
@@ -137,23 +138,6 @@ fn message_block(words: &[u32], pair: usize) -> u64 {
 /// Panics under the same conditions as [`mac_words`], checked per
 /// message.
 pub fn mac_words_batch(cipher: &Rectangle, messages: &[&[u32]], padded_words: usize) -> Vec<Mac64> {
-    let width = LaneWidth::for_batch(messages.len());
-    mac_words_batch_with(cipher, messages, padded_words, width)
-}
-
-/// [`mac_words_batch`] at an explicit lane width — bit-identical at
-/// every width.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`mac_words`], checked per
-/// message.
-pub fn mac_words_batch_with(
-    cipher: &Rectangle,
-    messages: &[&[u32]],
-    padded_words: usize,
-    width: LaneWidth,
-) -> Vec<Mac64> {
     for words in messages {
         check_domain(words, padded_words);
     }
@@ -162,7 +146,7 @@ pub fn mac_words_batch_with(
         for (state, words) in states.iter_mut().zip(messages) {
             *state ^= message_block(words, pair);
         }
-        cipher.encrypt_blocks_with(&mut states, width);
+        cipher.encrypt_blocks(&mut states);
     }
     states.into_iter().map(Mac64).collect()
 }

@@ -14,7 +14,7 @@
 //! is pinned to a column-by-column reference and known answers
 //! (`tests/kat.rs`) besides the structural tests below.
 
-use crate::bitslice::{self, LaneWidth};
+use crate::bitslice;
 
 /// The RECTANGLE S-box applied to each 4-bit column.
 pub const SBOX: [u8; 16] = [
@@ -220,20 +220,11 @@ impl Rectangle {
     }
 
     /// Encrypts a batch of independent 64-bit blocks in place through the
-    /// bitsliced engine ([`crate::bitslice`]) at the width the batch
-    /// calls for ([`LaneWidth::for_batch`]): [`LaneWidth::lanes`] blocks
-    /// are ciphered per pass, and a ragged remainder takes a narrower
-    /// pass sized to it. Bit-identical to mapping [`Rectangle::encrypt_block`]
-    /// over the slice (pinned by the equivalence suite), several times
-    /// faster for bulk work.
+    /// bitsliced engine ([`crate::bitslice`]), eight blocks per pass.
+    /// Bit-identical to mapping [`Rectangle::encrypt_block`] over the
+    /// slice (pinned by the equivalence suite), several times faster.
     pub fn encrypt_blocks(&self, blocks: &mut [u64]) {
-        bitslice::encrypt_blocks(self, blocks, LaneWidth::for_batch(blocks.len()));
-    }
-
-    /// [`Rectangle::encrypt_blocks`] at an explicit lane width. Every
-    /// width is bit-identical; the choice only moves host throughput.
-    pub fn encrypt_blocks_with(&self, blocks: &mut [u64], width: LaneWidth) {
-        bitslice::encrypt_blocks(self, blocks, width);
+        bitslice::encrypt_blocks(self, blocks);
     }
 }
 

@@ -1240,7 +1240,7 @@ impl AsyncFleet {
             // the fault to hit — which is exactly why a 100%-seal-fault
             // storm still serves warm tenants.
             let (seam, fault) = if job.cold()
-                && !self.cache.contains(&image_key(&job.keys, &job.spec.source))
+                && !self.cache.contains(&job.keys, &job.spec.source)
                 && self.chaos.strikes(Seam::Seal, now, id.0)
             {
                 (Seam::Seal, InjectedFault::SealFault)
@@ -1633,7 +1633,8 @@ impl AsyncFleet {
             }
             let key = image_key(&job.keys, &job.spec.source);
             lane.claims_seal = claimed.insert(key);
-            job.attributed_hit = Some(!lane.claims_seal || self.cache.contains(&key));
+            job.attributed_hit =
+                Some(!lane.claims_seal || self.cache.contains(&job.keys, &job.spec.source));
         }
     }
 

@@ -162,7 +162,8 @@ pub fn apply_reloc(
 /// # Errors
 ///
 /// Returns [`AsmErrorKind::UndefinedLabel`] for unresolvable `.word`
-/// references.
+/// references, and [`AsmErrorKind::BadDirective`] when `.space`/`.align`
+/// push the section past the end of the 32-bit address space.
 pub fn layout_data(
     items: &[super::DataItem],
     data_base: u32,
@@ -173,12 +174,21 @@ pub fn layout_data(
     let mut offset: u32 = 0;
     let mut placements = Vec::with_capacity(items.len());
     for item in items {
-        offset = align_up(offset, natural_align(&item.kind));
+        let end = align_up(offset, natural_align(&item.kind)).and_then(|at| {
+            let end = at.checked_add(data_size(&item.kind))?;
+            data_base.checked_add(end).map(|_| (at, end))
+        });
+        let Some((at, end)) = end else {
+            return Err(AsmError {
+                line: item.line,
+                kind: AsmErrorKind::BadDirective("data section overflows the address space".into()),
+            });
+        };
         for label in &item.labels {
-            symbols.insert(label.clone(), data_base + offset);
+            symbols.insert(label.clone(), data_base + at);
         }
-        placements.push(offset);
-        offset += data_size(&item.kind, offset);
+        placements.push(at);
+        offset = end;
     }
     // Pass 2: values, now that data symbols are complete.
     let mut data = vec![0u8; offset as usize];
@@ -280,7 +290,7 @@ fn natural_align(kind: &DataKind) -> u32 {
     }
 }
 
-fn data_size(kind: &DataKind, _offset: u32) -> u32 {
+fn data_size(kind: &DataKind) -> u32 {
     match kind {
         DataKind::Word(_) => 4,
         DataKind::Half(_) => 2,
@@ -291,9 +301,10 @@ fn data_size(kind: &DataKind, _offset: u32) -> u32 {
     }
 }
 
-fn align_up(v: u32, align: u32) -> u32 {
+/// `v` rounded up to a multiple of `align`, or `None` past `u32::MAX`.
+fn align_up(v: u32, align: u32) -> Option<u32> {
     debug_assert!(align.is_power_of_two());
-    (v + align - 1) & !(align - 1)
+    Some(v.checked_add(align - 1)? & !(align - 1))
 }
 
 #[cfg(test)]

@@ -31,21 +31,22 @@ pub fn word(w: u32, pc: u32) -> String {
 
 /// Formats a decoded instruction at address `pc` with resolved targets.
 pub fn inst_at(inst: &Instruction, pc: u32) -> String {
+    format_at(inst, pc, |target| format!("{target:#x}"))
+}
+
+/// Formats `inst` at `pc`, spelling a branch or jump target with
+/// `target`; every other instruction prints as itself.
+fn format_at(inst: &Instruction, pc: u32, target: impl Fn(u32) -> String) -> String {
     use Instruction::*;
+    let to = || target(inst.static_target(pc).expect("transfers have targets"));
     match *inst {
         Beq { rs, rt, .. }
         | Bne { rs, rt, .. }
         | Blt { rs, rt, .. }
         | Bge { rs, rt, .. }
         | Bltu { rs, rt, .. }
-        | Bgeu { rs, rt, .. } => {
-            let target = inst.static_target(pc).expect("branches have targets");
-            format!("{} {rs}, {rt}, {target:#x}", inst.mnemonic())
-        }
-        J { .. } | Jal { .. } => {
-            let target = inst.static_target(pc).expect("jumps have targets");
-            format!("{} {target:#x}", inst.mnemonic())
-        }
+        | Bgeu { rs, rt, .. } => format!("{} {rs}, {rt}, {}", inst.mnemonic(), to()),
+        J { .. } | Jal { .. } => format!("{} {}", inst.mnemonic(), to()),
         _ => inst.to_string(),
     }
 }
@@ -95,8 +96,6 @@ pub fn region(words: &[u32], base: u32) -> String {
 /// # Ok::<(), sofia_isa::error::AsmError>(())
 /// ```
 pub fn reassemble(assembly: &Assembly) -> Option<String> {
-    use Instruction::*;
-
     let base = assembly.text_base;
     let end = base + (assembly.words.len() as u32) * 4;
     let insts: Vec<Instruction> = assembly
@@ -132,23 +131,7 @@ pub fn reassemble(assembly: &Assembly) -> Option<String> {
         if targets.contains(&pc) {
             let _ = writeln!(out, "{}:", label(pc));
         }
-        let line = match *inst {
-            Beq { rs, rt, .. }
-            | Bne { rs, rt, .. }
-            | Blt { rs, rt, .. }
-            | Bge { rs, rt, .. }
-            | Bltu { rs, rt, .. }
-            | Bgeu { rs, rt, .. } => {
-                let target = inst.static_target(pc).expect("branches have targets");
-                format!("{} {rs}, {rt}, {}", inst.mnemonic(), label(target))
-            }
-            J { .. } | Jal { .. } => {
-                let target = inst.static_target(pc).expect("jumps have targets");
-                format!("{} {}", inst.mnemonic(), label(target))
-            }
-            _ => inst.to_string(),
-        };
-        let _ = writeln!(out, "    {line}");
+        let _ = writeln!(out, "    {}", format_at(inst, pc, label));
     }
 
     // Data re-emitted as verbatim bytes: `.word label` references and

@@ -6,9 +6,12 @@
 //! "these keys are known only by the software provider"). A serving
 //! system therefore re-seals the same program for the same tenant over
 //! and over unless installation is memoised — which is what this cache
-//! does, keyed by a fingerprint of the key material plus a hash of the
-//! program source, so two tenants submitting the *same* program still get
-//! *different* sealed images (key isolation is structural, not policed).
+//! does, filed under a fingerprint of the key material plus a hash of
+//! the program source, and served only to a request whose key material
+//! and source match the stored ones exactly, so two tenants submitting
+//! the *same* program still get *different* sealed images (key isolation
+//! is structural, not policed) and a fingerprint collision costs a seal,
+//! never a wrong image.
 //!
 //! The cache is internally synchronised, and sealing happens **outside**
 //! the map lock behind a per-key in-progress marker: concurrent workers
@@ -80,19 +83,53 @@ pub struct ImageCacheStats {
 enum Entry {
     /// Some worker is sealing this key right now; wait on the condvar.
     Sealing,
-    /// The sealed image.
-    Ready(Arc<SecureImage>),
+    /// The sealed image, beside the exact request it was sealed for.
+    Ready(Ready),
+}
+
+/// A published image and the `(keys, source)` pair it answers.
+struct Ready {
+    keys: KeySet,
+    source: Arc<str>,
+    image: Arc<SecureImage>,
+}
+
+impl Entry {
+    /// The ready image, if this entry holds one sealed for exactly
+    /// `(keys, source)`.
+    fn serves(&self, keys: &KeySet, source: &str) -> Option<&Arc<SecureImage>> {
+        match self {
+            Entry::Ready(r) if r.keys == *keys && *r.source == *source => Some(&r.image),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Default)]
 struct State {
     map: HashMap<(u64, u64), Entry>,
+    /// One shared copy of each published source, by its fingerprint:
+    /// every tenant that runs a program seals it under its own keys, so
+    /// entries share the text instead of holding one copy each.
+    sources: HashMap<u64, Arc<str>>,
     hits: u64,
     misses: u64,
 }
 
-/// A thread-safe memo of secure installations, keyed by
-/// `(key-material fingerprint, source hash)`.
+impl State {
+    /// The shared copy of `source` filed under fingerprint `fp`; a text
+    /// whose fingerprint collides with another's keeps its own copy.
+    fn intern(&mut self, fp: u64, source: &str) -> Arc<str> {
+        match self.sources.get(&fp) {
+            Some(text) if **text == *source => Arc::clone(text),
+            Some(_) => source.into(),
+            None => Arc::clone(self.sources.entry(fp).or_insert_with(|| source.into())),
+        }
+    }
+}
+
+/// A thread-safe memo of secure installations, filed under
+/// [`image_key`] and matched on the full key material and source.
 ///
 /// All images are sealed with this cache's [`BlockFormat`] and the
 /// transformer's default nonce — callers wanting per-version nonces (the
@@ -124,22 +161,27 @@ impl ImageCache {
         }
     }
 
-    /// Whether a **ready** sealed image for `key` is in the cache right
-    /// now — a lock-and-peek that never waits on in-flight seals and
-    /// never seals. Schedulers use it to tell warm lookups from the
-    /// fresh transforms a seal fault could strike.
+    /// Whether a **ready** image sealed for exactly `(keys, source)` is
+    /// in the cache right now — a lock-and-peek that never waits on
+    /// in-flight seals and never seals. Schedulers use it to tell warm
+    /// lookups from the fresh transforms a seal fault could strike.
     ///
     /// # Panics
     ///
     /// Panics if the cache lock was poisoned by a panicking seal.
-    pub fn contains(&self, key: &ImageKey) -> bool {
-        let ImageKey(raw) = *key;
+    pub fn contains(&self, keys: &KeySet, source: &str) -> bool {
+        let ImageKey(key) = image_key(keys, source);
         let state = self.inner.lock().expect("image cache poisoned");
-        matches!(state.map.get(&raw), Some(Entry::Ready(_)))
+        state
+            .map
+            .get(&key)
+            .is_some_and(|e| e.serves(keys, source).is_some())
     }
 
     /// The sealed image for `source` under `keys`, installing it on the
-    /// first request and sharing the same `Arc` on every later one.
+    /// first request and sharing the same `Arc` on every later one. A
+    /// request whose [`image_key`] collides with another pair's ready
+    /// image is sealed for this caller and not published.
     ///
     /// # Errors
     ///
@@ -175,9 +217,14 @@ impl ImageCache {
         let ImageKey(key) = image_key(keys, source);
         // Claim the key (or wait for / reuse whoever already did).
         let mut state = self.inner.lock().expect("image cache poisoned");
-        loop {
+        let claimed = loop {
             match state.map.get(&key) {
-                Some(Entry::Ready(image)) => {
+                Some(entry @ Entry::Ready(_)) => {
+                    let Some(image) = entry.serves(keys, source) else {
+                        // A fingerprint collision: another pair's image
+                        // holds the key, so seal without a claim.
+                        break false;
+                    };
                     let image = Arc::clone(image);
                     state.hits += 1;
                     return Ok((image, true));
@@ -189,10 +236,10 @@ impl ImageCache {
                 }
                 None => {
                     state.map.insert(key, Entry::Sealing);
-                    break;
+                    break true;
                 }
             }
-        }
+        };
         drop(state);
 
         // Seal outside the lock: expensive installs for different
@@ -209,14 +256,21 @@ impl ImageCache {
             });
 
         let mut state = self.inner.lock().expect("image cache poisoned");
+        let claimed = claimed && matches!(state.map.get(&key), Some(Entry::Sealing));
         match image {
             Ok(image) => {
                 state.misses += 1;
-                // Publish unless the key was purged while sealing (a
-                // concurrent tenant eviction) — then the image is handed
-                // to this caller only and not cached.
-                if matches!(state.map.get(&key), Some(Entry::Sealing)) {
-                    state.map.insert(key, Entry::Ready(Arc::clone(&image)));
+                // Publish unless this call holds no claim: the key
+                // collided with another pair's image, or it was purged
+                // while sealing (a concurrent tenant eviction). Then the
+                // image is handed to this caller only and not cached.
+                if claimed {
+                    let ready = Ready {
+                        keys: keys.clone(),
+                        source: state.intern(key.1, source),
+                        image: Arc::clone(&image),
+                    };
+                    state.map.insert(key, Entry::Ready(ready));
                 }
                 self.sealed.notify_all();
                 Ok((image, false))
@@ -224,7 +278,7 @@ impl ImageCache {
             Err(e) => {
                 // Failures are not cached; release the claim so a later
                 // (or concurrently waiting) caller can retry.
-                if matches!(state.map.get(&key), Some(Entry::Sealing)) {
+                if claimed {
                     state.map.remove(&key);
                 }
                 self.sealed.notify_all();
@@ -245,6 +299,7 @@ impl ImageCache {
         let mut state = self.inner.lock().expect("image cache poisoned");
         let before = state.map.len();
         state.map.retain(|&(key_fp, _), _| key_fp != fp);
+        state.sources.retain(|_, text| Arc::strong_count(text) > 1);
         // In-flight seals for the purged domain lost their claim: wake
         // their waiters (they will re-claim), and the sealer itself will
         // notice the missing marker and skip publishing.
@@ -294,11 +349,10 @@ pub struct ImageKey((u64, u64));
 /// source)` under: two 64-bit FNV fingerprints, one of the key material
 /// and one of the source. Equal requests always collapse to one seal.
 /// Distinct requests get distinct keys only up to a fingerprint
-/// collision, and the cache stores nothing else to tell them apart: a
-/// colliding pair is served the other pair's image — ciphertext sealed
-/// under the other tenant's keys, or for the other program. Keying
-/// cache entries by the full key material and source bytes is ROADMAP
-/// item 2.
+/// collision; the cache stores the full key material and source beside
+/// each image and serves it only to an exact match, so a colliding
+/// request is sealed afresh for its caller, never handed the other
+/// pair's ciphertext.
 pub fn image_key(keys: &KeySet, source: &str) -> ImageKey {
     ImageKey((fingerprint_keys(keys), fnv64(source.as_bytes())))
 }
@@ -379,6 +433,20 @@ mod tests {
     }
 
     #[test]
+    fn tenants_share_one_copy_of_a_source() {
+        let cache = ImageCache::new();
+        let (t1, t2) = (KeySet::from_seed(1), KeySet::from_seed(2));
+        cache.get_or_seal(&t1, "main: halt").unwrap();
+        cache.get_or_seal(&t2, "main: halt").unwrap();
+        let texts = || cache.inner.lock().unwrap().sources.len();
+        assert_eq!(texts(), 1);
+        cache.purge(&t1);
+        assert_eq!(texts(), 1, "t2's image still needs the text");
+        cache.purge(&t2);
+        assert_eq!(texts(), 0);
+    }
+
+    #[test]
     fn errors_surface_and_are_not_cached() {
         let cache = ImageCache::new();
         let keys = KeySet::from_seed(3);
@@ -392,13 +460,41 @@ mod tests {
     fn contains_peeks_without_sealing() {
         let cache = ImageCache::new();
         let keys = KeySet::from_seed(0xBEEF);
-        let key = image_key(&keys, "main: halt");
-        assert!(!cache.contains(&key));
+        assert!(!cache.contains(&keys, "main: halt"));
         cache.get_or_seal(&keys, "main: halt").unwrap();
-        assert!(cache.contains(&key));
+        assert!(cache.contains(&keys, "main: halt"));
         assert_eq!(cache.stats().misses, 1, "contains never seals");
         cache.purge(&keys);
-        assert!(!cache.contains(&key));
+        assert!(!cache.contains(&keys, "main: halt"));
+    }
+
+    /// Files the ready image of `(keys, from)` under the [`ImageKey`] of
+    /// `(keys, to)` instead: the state a fingerprint collision between
+    /// the two requests would leave.
+    fn plant_collision(cache: &ImageCache, keys: &KeySet, from: &str, to: &str) {
+        let mut state = cache.inner.lock().unwrap();
+        let entry = state.map.remove(&image_key(keys, from).0).unwrap();
+        state.map.insert(image_key(keys, to).0, entry);
+    }
+
+    #[test]
+    fn a_colliding_request_gets_its_own_image() {
+        const A: &str = "main: li t0, 1\n halt";
+        const B: &str = "main: li t0, 2\n halt";
+        let keys = KeySet::from_seed(0xC011);
+        let fresh = ImageCache::new().get_or_seal(&keys, B).unwrap();
+        let cache = ImageCache::new();
+        let a = cache.get_or_seal(&keys, A).unwrap();
+        plant_collision(&cache, &keys, A, B);
+        assert!(!cache.contains(&keys, B), "A's image answers for B");
+        let b = cache.get_or_seal(&keys, B).unwrap();
+        assert_eq!(b.ctext, fresh.ctext, "B was served A's image");
+        assert_ne!(b.ctext, a.ctext);
+        // Sealed for the caller, not published over A's entry.
+        let again = cache.get_or_seal(&keys, B).unwrap();
+        assert!(!Arc::ptr_eq(&b, &again));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 1));
     }
 
     #[test]
