@@ -28,8 +28,9 @@ use sofia_core::{SofiaConfig, SofiaStats, VCacheConfig};
 use sofia_cpu::machine::VanillaMachine;
 use sofia_cpu::ExecStats;
 use sofia_crypto::KeySet;
+use sofia_fleet::{ClassId, JobSpec, TenantId};
 use sofia_transform::{BlockFormat, BlockKind, TransformReport, Transformer};
-use sofia_workloads::Workload;
+use sofia_workloads::{serving, Workload};
 
 /// Fuel for measurement runs.
 pub const FUEL: u64 = 500_000_000;
@@ -299,8 +300,7 @@ pub struct FleetScalingPoint {
 /// distinct program sizes per tenant submitted twice so the seal cache
 /// sees both cold and warm installs. 24 jobs, largest under 10 % of the
 /// batch, so makespan keeps improving through 4 workers.
-pub fn fleet_mix() -> Vec<sofia_fleet::JobSpec> {
-    use sofia_fleet::{JobSpec, TenantId};
+pub fn fleet_mix() -> Vec<JobSpec> {
     let fib = |n| sofia_workloads::kernels::fib(n).source;
     let crc = |n| sofia_workloads::kernels::crc32(n).source;
     let adpcm = |n| sofia_workloads::adpcm::workload(n).source;
@@ -326,7 +326,7 @@ pub fn fleet_mix() -> Vec<sofia_fleet::JobSpec> {
 ///
 /// Panics if the fleet refuses a registration or a job — a harness bug.
 pub fn mix_fleet(workers: usize, mode: sofia_fleet::SchedMode) -> sofia_fleet::Fleet {
-    use sofia_fleet::{Fleet, FleetConfig, TenantId};
+    use sofia_fleet::{Fleet, FleetConfig};
     let mut fleet = Fleet::new(FleetConfig {
         workers,
         mode,
@@ -410,8 +410,9 @@ pub const FLEET_BENCH_MODES: [(&str, sofia_fleet::SchedMode); 2] = [
 // ---------------------------------------------------------------------
 // Async serving (`BENCH_fleet.json` § "async_wfq")
 //
-// The 1k-tenant open/closed-loop workload for the `AsyncFleet` driver:
-// three weighted service classes, deterministic LCG arrivals, admission
+// The 1k-tenant WFQ serving mix, defined once in
+// `sofia_workloads::serving` and run here at seed 0, on the `AsyncFleet`
+// driver: three weighted service classes, seeded LCG arrivals, admission
 // caps tight enough to produce typed rejections. All latency figures are
 // virtual-time (simulated cycles on the tick-synchronous model), so the
 // per-class p50/p99 rows reproduce bit-for-bit on any host at any
@@ -464,78 +465,28 @@ pub struct AsyncWfqReport {
     pub digest: u64,
 }
 
-/// A short counted loop that stores its (zero) counter on the MMIO word
-/// port — the async workload's unit of work, sized by `n`.
-fn wfq_job_src(n: u32) -> String {
-    format!(
-        "main: li t0, {n}
-         loop: subi t0, t0, 1
-               bnez t0, loop
-               li a0, 0xFFFF0000
-               sw t0, 0(a0)
-               halt"
-    )
+/// A serving-mix job as a fleet job.
+fn wfq_spec(job: &serving::Job) -> JobSpec {
+    JobSpec::new(TenantId(job.tenant), job.source.clone(), job.fuel)
 }
 
-/// The WFQ serving mix's service classes: `(class, label, weight)`.
-const WFQ_CLASSES: [(u8, &str, u64); 3] = [
-    (0, "interactive", 8),
-    (1, "batch", 2),
-    (2, "best_effort", 1),
-];
-
-/// The WFQ serving mix that [`async_wfq_report`] runs and the chaos sweep
-/// runs under fault injection: honest tenants `1..=tenants` split 70/20/10
-/// over [`WFQ_CLASSES`] —
-///
-/// * **interactive** (weight 8, open loop): two short jobs per tenant,
-///   arrival ticks drawn from a deterministic LCG over the arrival
-///   horizon;
-/// * **batch** (weight 2, closed loop): three medium jobs per tenant,
-///   each resubmitted the tick its predecessor completes;
-/// * **best_effort** (weight 1, open loop, bursty): one job per tenant,
-///   the whole class arriving at tick zero against a class queue cap of
-///   half the class — the admission-control rejection pressure.
-struct WfqMix {
-    tenants: usize,
-    /// Tenants per class, ascending class id.
-    split: [usize; 3],
-    /// Closed-loop rounds each batch tenant has yet to submit.
-    rounds_left: std::collections::BTreeMap<u32, u32>,
+/// The bench's driver glue for the [`serving::Mix`] at seed 0, which
+/// [`async_wfq_report`] runs and the chaos sweep runs under faults.
+struct WfqDrive {
+    mix: serving::Mix,
+    /// Jobs each tenant has finished: its next closed-loop round.
+    finished: std::collections::BTreeMap<u32, u32>,
+    /// Golden output of every job submitted through the glue.
+    expected: std::collections::BTreeMap<sofia_fleet::JobId, Vec<u32>>,
 }
 
-impl WfqMix {
-    fn new(tenants: usize) -> WfqMix {
-        let n_interactive = tenants * 7 / 10;
-        let n_batch = tenants * 2 / 10;
-        WfqMix {
-            tenants,
-            split: [n_interactive, n_batch, tenants - n_interactive - n_batch],
-            rounds_left: (n_interactive + 1..=n_interactive + n_batch)
-                .map(|id| (id as u32, 2))
-                .collect(),
+impl WfqDrive {
+    fn new(tenants: usize) -> WfqDrive {
+        WfqDrive {
+            mix: serving::Mix::new(tenants),
+            finished: Default::default(),
+            expected: Default::default(),
         }
-    }
-
-    /// The class of honest tenant `id`.
-    fn class_of(&self, id: u32) -> u8 {
-        let id = id as usize - 1;
-        if id < self.split[0] {
-            0
-        } else if id < self.split[0] + self.split[1] {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// The arrival horizon scales with the fleet: the pinned 1k-tenant
-    /// point keeps its historical 400-tick window, and larger fleets
-    /// spread their open-loop arrivals proportionally instead of
-    /// compressing ever more load into a fixed window (which would turn
-    /// a 10k-tenant run into a pure tick-zero burst).
-    fn horizon(&self) -> u64 {
-        400u64.max(400 * self.tenants as u64 / 1000)
     }
 
     /// The driver configuration: class weights, the best-effort queue
@@ -543,7 +494,7 @@ impl WfqMix {
     fn config(&self, threads: usize) -> sofia_fleet::AsyncConfig {
         use sofia_fleet::{AdmissionConfig, AsyncConfig, ClassConfig, SchedMode};
         let mut admission = AdmissionConfig::default();
-        for (id, _, weight) in WFQ_CLASSES {
+        for (id, _, weight) in serving::CLASSES {
             admission.classes.insert(
                 id,
                 ClassConfig {
@@ -552,10 +503,8 @@ impl WfqMix {
                 },
             );
         }
-        // The backpressure knob: the best-effort burst (the whole class at
-        // tick zero) must not fit — half of it is turned away, typed.
         if let Some(best) = admission.classes.get_mut(&2) {
-            best.queue_cap = (self.split[2] / 2).max(1);
+            best.queue_cap = self.mix.best_effort_cap();
         }
         AsyncConfig {
             threads,
@@ -568,63 +517,33 @@ impl WfqMix {
         }
     }
 
-    /// Registers every honest tenant into its class.
-    fn register(&self, fleet: &mut sofia_fleet::AsyncFleet) {
-        use sofia_fleet::{ClassId, TenantId};
-        for id in 1..=self.tenants as u32 {
+    /// A driver on `config` with every honest tenant registered into its
+    /// class and the mix's initial submissions queued at their ticks.
+    fn start(&mut self, config: sofia_fleet::AsyncConfig) -> sofia_fleet::AsyncFleet {
+        let mut fleet = sofia_fleet::AsyncFleet::new(config);
+        for id in 1..=self.mix.tenants as u32 {
             fleet
                 .register_tenant(
                     TenantId(id),
-                    KeySet::from_seed(0x5EED_0000 + id as u64),
-                    ClassId(self.class_of(id)),
+                    serving::tenant_keys(0, id),
+                    ClassId(self.mix.class_of(id)),
                 )
                 .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
         }
-    }
-
-    /// Pre-loads the open-loop arrivals and each batch tenant's first job,
-    /// at ticks drawn from a 64-bit LCG with a fixed seed.
-    fn preload(&self, fleet: &mut sofia_fleet::AsyncFleet) {
-        use sofia_fleet::{JobSpec, TenantId};
-        let mut lcg: u64 = 0x2545F491_4F6CDD1D;
-        let mut draw = move |bound: u64| {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (lcg >> 33) % bound
-        };
-        for id in 1..=self.tenants as u32 {
-            match self.class_of(id) {
-                0 => {
-                    for _ in 0..2 {
-                        let spec = JobSpec::new(TenantId(id), wfq_job_src(8 + (id % 16)), 100_000);
-                        let tick = draw(self.horizon());
-                        fleet.submit_at(spec, tick);
-                    }
-                }
-                // Closed loop: the first job arrives at once; rounds 1–2
-                // follow through `next_round`.
-                1 => {
-                    fleet.submit_at(batch_job(id, 0), draw(8));
-                }
-                _ => {
-                    let spec = JobSpec::new(TenantId(id), wfq_job_src(40 + (id % 11)), 150_000);
-                    fleet.submit_at(spec, 0);
-                }
-            }
+        for (tick, job) in self.mix.submissions(0) {
+            let id = fleet.submit_at(wfq_spec(&job), tick);
+            self.expected.insert(id, job.expected);
         }
+        fleet
     }
 
     /// The closed loop: the batch job that follows one of `tenant`'s
-    /// finished jobs, while the tenant has rounds left.
-    fn next_round(&mut self, tenant: u32) -> Option<sofia_fleet::JobSpec> {
-        let left = self
-            .rounds_left
-            .get_mut(&tenant)
-            .filter(|left| **left > 0)?;
-        let round = 3 - *left;
-        *left -= 1;
-        Some(batch_job(tenant, round))
+    /// finished jobs, while a batch tenant has rounds left.
+    fn next_round(&mut self, tenant: u32) -> Option<serving::Job> {
+        let round = self.finished.entry(tenant).or_default();
+        *round += 1;
+        (self.mix.class_of(tenant) == 1 && *round < serving::BATCH_ROUNDS)
+            .then(|| serving::batch(tenant, *round))
     }
 
     /// One row per class over the honest tenants' records and rejections.
@@ -633,11 +552,12 @@ impl WfqMix {
         records: &[sofia_fleet::JobRecord],
         rejections: &[sofia_fleet::Rejection],
     ) -> Vec<ClassRow> {
-        WFQ_CLASSES
+        let m = self.mix;
+        serving::CLASSES
             .iter()
             .map(|&(class, label, weight)| {
-                let in_class = |tenant: sofia_fleet::TenantId| {
-                    tenant.0 as usize <= self.tenants && self.class_of(tenant.0) == class
+                let in_class = |tenant: TenantId| {
+                    tenant.0 as usize <= m.tenants && m.class_of(tenant.0) == class
                 };
                 let (finished, p50, p99) =
                     sojourn_stats(records.iter().filter(|r| in_class(r.tenant)));
@@ -645,7 +565,7 @@ impl WfqMix {
                     class,
                     label,
                     weight,
-                    tenants: self.split[class as usize],
+                    tenants: m.split[class as usize],
                     finished,
                     rejected: rejections.iter().filter(|rej| in_class(rej.tenant)).count(),
                     p50_sojourn_cycles: p50,
@@ -671,49 +591,6 @@ fn sojourn_stats<'a>(
     (sojourns.len(), pct(50), pct(99))
 }
 
-/// Round `round` of batch tenant `id`'s closed loop.
-fn batch_job(id: u32, round: u32) -> sofia_fleet::JobSpec {
-    sofia_fleet::JobSpec::new(
-        sofia_fleet::TenantId(id),
-        wfq_job_src(120 + (id % 7) * 10 + round * 3),
-        200_000,
-    )
-}
-
-/// The determinism digest: FNV-1a over everything each record and
-/// rejection claims, in completion order.
-fn records_digest(
-    records: &[sofia_fleet::JobRecord],
-    rejections: &[sofia_fleet::Rejection],
-) -> u64 {
-    let mut bytes = Vec::new();
-    for r in records {
-        for word in [
-            r.job.0,
-            r.tenant.0 as u64,
-            r.stats.exec.cycles,
-            r.stats.exec.instret,
-            r.arrival_tick,
-            r.start_tick,
-            r.end_tick,
-            r.sojourn_cycles,
-            r.slices as u64,
-        ] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        bytes.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
-        for w in &r.out_words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    for rej in rejections {
-        bytes.extend_from_slice(&rej.job.0.to_le_bytes());
-        bytes.extend_from_slice(&rej.tick.to_le_bytes());
-        bytes.extend_from_slice(format!("{}", rej.error).as_bytes());
-    }
-    sofia_transform::decode::fnv64(&bytes)
-}
-
 /// Runs the async serving workload — the WFQ serving mix of `tenants`
 /// tenants (interactive, batch and best-effort classes, weighted 8/2/1)
 /// on a driver over `threads` host threads — and asserts the report
@@ -721,8 +598,9 @@ fn records_digest(
 ///
 /// # Panics
 ///
-/// Panics if the report depends on the host thread count, or if the
-/// workload produces zero rejections or any non-halted record — the
+/// Panics if the report depends on the host thread count, if the
+/// workload's rejections are not [`serving::Mix::expected_rejections`],
+/// or if any record did not halt with its job's golden output — the
 /// experiment must exercise both admission backpressure and clean
 /// completion.
 pub fn async_wfq_report(tenants: usize, threads: usize) -> AsyncWfqReport {
@@ -744,20 +622,19 @@ fn wfq_run(tenants: usize, threads: usize) -> AsyncWfqReport {
         tenants >= 20,
         "the 70/20/10 split needs at least 20 tenants"
     );
-    let mut mix = WfqMix::new(tenants);
-    let mut fleet = sofia_fleet::AsyncFleet::new(mix.config(threads));
-    mix.register(&mut fleet);
-    mix.preload(&mut fleet);
+    let mut drive = WfqDrive::new(tenants);
+    let mut fleet = drive.start(drive.config(threads));
 
     // Drive the clock; feed the closed loop as its jobs complete.
     let mut records = Vec::new();
     loop {
         fleet.tick();
         for r in fleet.drain_finished() {
-            if let Some(spec) = mix.next_round(r.tenant.0) {
-                fleet.submit(spec).unwrap_or_else(|e| {
+            if let Some(job) = drive.next_round(r.tenant.0) {
+                let id = fleet.submit(wfq_spec(&job)).unwrap_or_else(|e| {
                     panic!("closed-loop batch tenant is active and under quota: {e:?}")
                 });
+                drive.expected.insert(id, job.expected);
             }
             records.push(r);
         }
@@ -766,20 +643,28 @@ fn wfq_run(tenants: usize, threads: usize) -> AsyncWfqReport {
         }
     }
     let rejections = fleet.drain_rejected();
-    assert!(
-        !rejections.is_empty(),
-        "the best-effort burst must trip admission control"
+    let stats = fleet.stats();
+    assert_eq!(
+        stats.rejected,
+        drive.mix.expected_rejections() as u64,
+        "the best-effort burst must trip admission control by exactly its excess"
     );
     for r in &records {
         assert!(r.outcome.is_halted(), "{}: {:?}", r.job, r.outcome);
+        assert_eq!(
+            Some(&r.out_words),
+            drive.expected.get(&r.job),
+            "{}: wrong output",
+            r.job
+        );
     }
 
     AsyncWfqReport {
         tenants,
         threads,
-        stats: fleet.stats(),
-        classes: mix.class_rows(&records, &rejections),
-        digest: records_digest(&records, &rejections),
+        stats,
+        classes: drive.class_rows(&records, &rejections),
+        digest: sofia_fleet::records_digest(&records, &rejections),
     }
 }
 
@@ -1546,64 +1431,20 @@ pub fn host_fleet_points(workers_list: &[usize], reps: u32) -> Vec<FleetHostPoin
         .collect()
 }
 
-/// Parses a `SOFIA_BENCH_MAX_WORKERS` value. `None` input (the variable
-/// is unset) means "no cap". A set-but-unparsable value is an **error**,
-/// not a silent no-cap: the old `.ok()` chain swallowed typos like
-/// `SOFIA_BENCH_MAX_WORKERS=fouR`, letting a CI matrix leg record
-/// full-nproc numbers while claiming to be capped.
-///
-/// # Errors
-///
-/// A human-readable message naming the bad value.
-pub fn parse_worker_cap(raw: Option<&str>) -> Result<Option<usize>, String> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) => Ok(Some(n.max(1))),
-            Err(e) => Err(format!(
-                "SOFIA_BENCH_MAX_WORKERS={v:?} is not a worker count ({e}); \
-                 unset it for no cap or set a positive integer"
-            )),
-        },
-    }
-}
-
-/// Worker counts the host sweeps run at: 1/2/4/8, capped by the
-/// `SOFIA_BENCH_MAX_WORKERS` environment variable (the CI matrix knob —
-/// `=1` pins the whole experiment to the serial points).
-///
-/// # Panics
-///
-/// Panics if the variable is set to something [`parse_worker_cap`]
-/// rejects — a misconfigured cap must fail the run, not silently
-/// measure at full width.
-pub fn host_worker_counts() -> Vec<usize> {
-    let raw = std::env::var("SOFIA_BENCH_MAX_WORKERS").ok();
-    let cap = match parse_worker_cap(raw.as_deref()) {
-        Ok(cap) => cap.unwrap_or(usize::MAX),
-        Err(msg) => panic!("{msg}"),
-    };
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&w| w <= cap)
-        .collect()
-}
-
 /// Repetitions of every timed section when measuring for the record
 /// (`repro -- host`, `cargo bench --bench host`).
 pub const HOST_BENCH_REPS: u32 = 5;
 
 /// Runs the whole host-throughput experiment, `reps` timed runs per
 /// section: [`HOST_BENCH_REPS`] for the record, 1 for the smoke run
-/// under `cargo test`.
+/// under `cargo test`. The batch fleet rows sweep 1, 2, 4 and 8 workers.
 pub fn host_report(reps: u32) -> HostReport {
-    let workers = host_worker_counts();
     HostReport {
         box_shape: box_shape(),
         keystream: host_keystream(1 << 14, reps),
         mips: host_mips(reps),
         seal: host_seal_rates(reps),
-        fleet: host_fleet_points(&workers, reps),
+        fleet: host_fleet_points(&[1, 2, 4, 8], reps),
     }
 }
 
@@ -1674,7 +1515,8 @@ pub fn host_json(report: &HostReport) -> String {
 // ---------------------------------------------------------------------
 // Chaos & resilience (`BENCH_chaos.json`)
 //
-// The WFQ serving workload re-run under seeded host-fault injection
+// The WFQ serving mix (`sofia_workloads::serving`, seed 0) re-run under
+// seeded host-fault injection
 // (`sofia_fleet::ChaosPlan`) with the self-healing ladder armed
 // (`sofia_fleet::ResilienceConfig::standard` plus per-class deadlines):
 // what fraction of accepted honest work the fleet still serves to a
@@ -1690,8 +1532,8 @@ pub fn host_json(report: &HostReport) -> String {
 pub const CHAOS_BENCH_RATES_PPM: [u32; 3] = [0, 1_000, 10_000];
 /// Seed of every sweep point's [`sofia_fleet::ChaosPlan`].
 pub const CHAOS_BENCH_SEED: u64 = 0xC4A0_5EED;
-/// Honest tenants of the chaos workload (70/20/10 class split, same
-/// shape as [`async_wfq_report`]).
+/// Honest tenants of the chaos workload: the [`serving::Mix`] that
+/// [`async_wfq_report`] runs, at 200 tenants.
 pub const CHAOS_BENCH_TENANTS: usize = 200;
 /// Hostile "storm" tenants the [`sofia_fleet::Seam::Storm`] process
 /// drives: their sabotaged bursts exercise quarantine under chaos and
@@ -1756,7 +1598,7 @@ struct ChaosRun {
     digest: u64,
 }
 
-/// Drives the chaos workload once: the [`async_wfq_report`] tenant mix
+/// Drives the chaos workload once: the [`serving::Mix`] at seed 0
 /// (scaled to [`CHAOS_BENCH_TENANTS`]) plus storm tenants, under
 /// `rate_ppm` on every seam. `resilient` arms the recovery ladder —
 /// `false` is the machinery-off baseline the zero point is pinned
@@ -1768,11 +1610,10 @@ struct ChaosRun {
 /// the "every fault accounted for by exactly one typed event" contract.
 fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
     use sofia_fleet::{
-        AsyncConfig, AsyncFleet, ChaosPlan, ClassId, FaultRate, JobSpec, ResilienceConfig,
-        ResilienceEvent, Sabotage, Seam, TenantId,
+        AsyncConfig, ChaosPlan, FaultRate, ResilienceConfig, ResilienceEvent, Sabotage, Seam,
     };
     let tenants = CHAOS_BENCH_TENANTS;
-    let mut mix = WfqMix::new(tenants);
+    let mut drive = WfqDrive::new(tenants);
     let plan = ChaosPlan::uniform(CHAOS_BENCH_SEED, FaultRate::ppm(rate_ppm));
     let mut resilience = ResilienceConfig::default();
     if resilient {
@@ -1788,12 +1629,13 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
             b.fault_threshold = 3;
         }
     }
-    let mut fleet = AsyncFleet::new(AsyncConfig {
+    // The serving bench's tenants and arrivals, so the zero-chaos point
+    // is the familiar serving workload.
+    let mut fleet = drive.start(AsyncConfig {
         chaos: plan.clone(),
         resilience,
-        ..mix.config(threads)
+        ..drive.config(threads)
     });
-    mix.register(&mut fleet);
     for s in 0..CHAOS_BENCH_STORM_TENANTS as u32 {
         let id = tenants as u32 + 1 + s;
         fleet
@@ -1804,11 +1646,8 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
             )
             .unwrap_or_else(|e| panic!("fresh driver: {e:?}"));
     }
-    // The serving bench's arrivals, so the zero-chaos point is the
-    // familiar serving workload.
-    mix.preload(&mut fleet);
 
-    let horizon = mix.horizon();
+    let horizon = drive.mix.horizon();
     let mut records = Vec::new();
     loop {
         // The storm process: per tick, per storm tenant, a seeded draw
@@ -1821,7 +1660,7 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
                 let id = tenants as u32 + 1 + s;
                 if plan.strikes(Seam::Storm, now, 0x5702_0000 + s as u64) {
                     fleet.note_harness_fault(Seam::Storm, None, Some(TenantId(id)));
-                    let spec = JobSpec::new(TenantId(id), wfq_job_src(24), 150_000)
+                    let spec = JobSpec::new(TenantId(id), serving::loop_src(24), 150_000)
                         .with_sabotage(Sabotage::FlipRomWord { word: 9, mask: 1 });
                     fleet.submit_at(spec, now + 1);
                 }
@@ -1829,8 +1668,8 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
         }
         fleet.tick();
         for r in fleet.drain_finished() {
-            if let Some(spec) = mix.next_round(r.tenant.0) {
-                fleet.submit_at(spec, fleet.now());
+            if let Some(job) = drive.next_round(r.tenant.0) {
+                fleet.submit_at(wfq_spec(&job), fleet.now());
             }
             records.push(r);
         }
@@ -1855,8 +1694,8 @@ fn chaos_run(rate_ppm: u32, threads: usize, resilient: bool) -> ChaosRun {
     ChaosRun {
         stats: fleet.stats(),
         res,
-        classes: mix.class_rows(&records, &rejections),
-        digest: records_digest(&records, &rejections),
+        classes: drive.class_rows(&records, &rejections),
+        digest: sofia_fleet::records_digest(&records, &rejections),
         records,
     }
 }
@@ -2315,7 +2154,10 @@ mod tests {
         // must flow, and the heavy class must see lower tail latency than
         // the light one.
         let report = async_wfq_report(60, 4);
-        assert!(report.stats.rejected > 0);
+        assert_eq!(report.stats.rejected, 3);
+        // The mix's digest at 60 tenants, pinned; the report equals the
+        // serial run's, so this is `async_wfq_report(60, 1).digest` too.
+        assert_eq!(report.digest, 0xdc25_4f5e_9403_9948);
         assert_eq!(report.classes.len(), 3);
         let interactive = &report.classes[0];
         let best_effort = &report.classes[2];
@@ -2335,35 +2177,6 @@ mod tests {
             "\"digest\": \"0x",
         ] {
             assert!(json.contains(field), "missing {field}");
-        }
-    }
-
-    #[test]
-    fn worker_cap_parsing_is_loud_about_garbage() {
-        assert_eq!(parse_worker_cap(None), Ok(None));
-        assert_eq!(parse_worker_cap(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_worker_cap(Some(" 8 ")), Ok(Some(8)));
-        // Zero workers is nonsense; clamp to the serial point.
-        assert_eq!(parse_worker_cap(Some("0")), Ok(Some(1)));
-        // The regression: these used to silently mean "no cap".
-        for bad in ["fouR", "", "4x", "-1", "1e3"] {
-            let err = parse_worker_cap(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("SOFIA_BENCH_MAX_WORKERS") && err.contains(bad),
-                "unhelpful error for {bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn host_worker_counts_honour_the_env_cap() {
-        // The env var is process-global, so only pin the shape this
-        // process actually sees (CI sets the cap in its own process).
-        let counts = host_worker_counts();
-        assert!(counts.starts_with(&[1]), "serial point always present");
-        assert!(counts.iter().all(|&w| [1, 2, 4, 8].contains(&w)));
-        if std::env::var("SOFIA_BENCH_MAX_WORKERS").is_err() {
-            assert_eq!(counts, vec![1, 2, 4, 8]);
         }
     }
 

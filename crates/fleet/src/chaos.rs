@@ -145,7 +145,8 @@ impl ChaosPlan {
     }
 
     /// Every seam at the same rate — the `BENCH_chaos.json` sweep's
-    /// shape (`0 / 1e-3 / 1e-2` per draw, i.e. ppm `0 / 1000 / 10000`).
+    /// shape (`0 / 1e-3 / 1e-2` per draw, i.e. ppm `0 / 1000 / 10000`),
+    /// which runs the WFQ serving mix of `sofia_workloads::serving`.
     pub fn uniform(seed: u64, rate: FaultRate) -> ChaosPlan {
         ChaosPlan {
             seed,

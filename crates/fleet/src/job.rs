@@ -205,3 +205,34 @@ impl JobRecord {
         self.stats.exec.cycles
     }
 }
+
+/// The determinism digest of a run: FNV-1a over everything each record
+/// and rejection claims, in completion order.
+pub fn records_digest(records: &[JobRecord], rejections: &[crate::Rejection]) -> u64 {
+    let mut bytes = Vec::new();
+    for r in records {
+        for word in [
+            r.job.0,
+            r.tenant.0 as u64,
+            r.stats.exec.cycles,
+            r.stats.exec.instret,
+            r.arrival_tick,
+            r.start_tick,
+            r.end_tick,
+            r.sojourn_cycles,
+            r.slices as u64,
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
+        for w in &r.out_words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    for rej in rejections {
+        bytes.extend_from_slice(&rej.job.0.to_le_bytes());
+        bytes.extend_from_slice(&rej.tick.to_le_bytes());
+        bytes.extend_from_slice(format!("{}", rej.error).as_bytes());
+    }
+    sofia_transform::decode::fnv64(&bytes)
+}

@@ -98,7 +98,7 @@ pub use chaos::{ChaosPlan, FaultRate, Seam};
 pub use checkpoint::{AdoptError, JobCheckpoint};
 pub use executor::{AsyncConfig, AsyncFleet, AsyncStats, FleetError, SchedMode};
 pub use fleet::{Fleet, FleetConfig};
-pub use job::{JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
+pub use job::{records_digest, JobId, JobOutcome, JobRecord, JobSpec, Sabotage, TenantId};
 pub use quarantine::{QuarantinePolicy, TenantState};
 pub use resilience::{BreakerConfig, ResilienceConfig, ResilienceEvent, ResilienceStats};
 pub use stats::{FleetStats, TenantStats};

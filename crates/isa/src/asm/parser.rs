@@ -387,12 +387,30 @@ impl Parser {
                 self.emit_inst(inst, None)
             }
             // --- branches (label targets only) ---
-            "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-                need!(3);
-                let rs = self.reg(&ops[0])?;
-                let rt = self.reg(&ops[1])?;
-                let label = ops[2].clone();
-                let inst = match m {
+            // The pseudo branches are base branches: `bgt a, b` is
+            // `blt b, a`, `bltz a` is `blt a, zero`, `b` is `beq zero, zero`.
+            "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" | "bgt" | "ble" | "bgtu" | "bleu"
+            | "beqz" | "bnez" | "bltz" | "bgez" | "b" => {
+                let (base, regs, swap) = match m {
+                    "bgt" => ("blt", 2, true),
+                    "ble" => ("bge", 2, true),
+                    "bgtu" => ("bltu", 2, true),
+                    "bleu" => ("bgeu", 2, true),
+                    "beqz" | "bnez" | "bltz" | "bgez" => (&m[..m.len() - 1], 1, false),
+                    "b" => ("beq", 0, false),
+                    base => (base, 2, false),
+                };
+                need!(regs + 1);
+                let mut r = [Reg::ZERO; 2];
+                for (slot, op) in r.iter_mut().zip(&ops[..regs]) {
+                    *slot = self.reg(op)?;
+                }
+                if swap {
+                    r.swap(0, 1);
+                }
+                let [rs, rt] = r;
+                let label = self.label(&ops[regs])?;
+                let inst = match base {
                     "beq" => Beq { rs, rt, offset: 0 },
                     "bne" => Bne { rs, rt, offset: 0 },
                     "blt" => Blt { rs, rt, offset: 0 },
@@ -402,69 +420,14 @@ impl Parser {
                 };
                 self.emit_inst(inst, Some(Reloc::Branch(label)))
             }
-            "bgt" | "ble" | "bgtu" | "bleu" => {
-                need!(3);
-                // swap operands: bgt a,b == blt b,a
-                let rt = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
-                let label = ops[2].clone();
-                let inst = match m {
-                    "bgt" => Blt { rs, rt, offset: 0 },
-                    "ble" => Bge { rs, rt, offset: 0 },
-                    "bgtu" => Bltu { rs, rt, offset: 0 },
-                    _ => Bgeu { rs, rt, offset: 0 },
-                };
-                self.emit_inst(inst, Some(Reloc::Branch(label)))
-            }
-            "beqz" | "bnez" | "bltz" | "bgez" => {
-                need!(2);
-                let rs = self.reg(&ops[0])?;
-                let label = ops[1].clone();
-                let z = Reg::ZERO;
-                let inst = match m {
-                    "beqz" => Beq {
-                        rs,
-                        rt: z,
-                        offset: 0,
-                    },
-                    "bnez" => Bne {
-                        rs,
-                        rt: z,
-                        offset: 0,
-                    },
-                    "bltz" => Blt {
-                        rs,
-                        rt: z,
-                        offset: 0,
-                    },
-                    _ => Bge {
-                        rs,
-                        rt: z,
-                        offset: 0,
-                    },
-                };
-                self.emit_inst(inst, Some(Reloc::Branch(label)))
-            }
-            "b" => {
-                need!(1);
-                let z = Reg::ZERO;
-                self.emit_inst(
-                    Beq {
-                        rs: z,
-                        rt: z,
-                        offset: 0,
-                    },
-                    Some(Reloc::Branch(ops[0].clone())),
-                )
-            }
             // --- jumps ---
             "j" => {
                 need!(1);
-                self.emit_inst(J { index: 0 }, Some(Reloc::Jump(ops[0].clone())))
+                self.emit_inst(J { index: 0 }, Some(Reloc::Jump(self.label(&ops[0])?)))
             }
             "jal" | "call" => {
                 need!(1);
-                self.emit_inst(Jal { index: 0 }, Some(Reloc::Jump(ops[0].clone())))
+                self.emit_inst(Jal { index: 0 }, Some(Reloc::Jump(self.label(&ops[0])?)))
             }
             "jr" => {
                 need!(1);
@@ -541,7 +504,7 @@ impl Parser {
             "la" => {
                 need!(2);
                 let rt = self.reg(&ops[0])?;
-                let label = ops[1].clone();
+                let label = self.label(&ops[1])?;
                 self.emit_inst(Lui { rt, imm: 0 }, Some(Reloc::Hi(label.clone())))?;
                 self.emit_inst(Ori { rt, rs: rt, imm: 0 }, Some(Reloc::Lo(label)))
             }
@@ -590,6 +553,12 @@ impl Parser {
     }
 
     // ------------------------------------------------------------ operands
+
+    /// A label operand: only an identifier can be defined as a label.
+    fn label(&self, s: &str) -> Result<String, AsmError> {
+        let bad = || self.err(AsmErrorKind::BadOperands(format!("`{s}` is not a label")));
+        is_valid_ident(s).then(|| s.to_string()).ok_or_else(bad)
+    }
 
     fn reg(&self, s: &str) -> Result<Reg, AsmError> {
         s.parse()
@@ -922,6 +891,44 @@ mod tests {
         let e = parse("a: nop\na: halt").unwrap_err();
         assert!(matches!(e.kind, AsmErrorKind::DuplicateLabel(_)));
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn pseudo_branches_are_their_base_branches() {
+        for (pseudo, base) in [
+            ("bgt t0, t1, L", "blt t1, t0, L"),
+            ("ble t0, t1, L", "bge t1, t0, L"),
+            ("bgtu t0, t1, L", "bltu t1, t0, L"),
+            ("bleu t0, t1, L", "bgeu t1, t0, L"),
+            ("beqz t0, L", "beq t0, zero, L"),
+            ("bnez t0, L", "bne t0, zero, L"),
+            ("bltz t0, L", "blt t0, zero, L"),
+            ("bgez t0, L", "bge t0, zero, L"),
+            ("b L", "beq zero, zero, L"),
+        ] {
+            let module = |line: &str| parse(&format!("L: {line}")).unwrap().text;
+            assert_eq!(module(pseudo), module(base), "{pseudo}");
+        }
+    }
+
+    #[test]
+    fn label_operands_must_be_identifiers() {
+        for line in [
+            "beq t0, t1,",
+            "bnez t0, 4",
+            "b 12",
+            "j 0x100",
+            "jal a b",
+            "la t0, 1x",
+        ] {
+            let e = parse(&format!("main: nop\n{line}\nhalt")).unwrap_err();
+            assert!(
+                matches!(e.kind, AsmErrorKind::BadOperands(_)),
+                "{line}: {e}"
+            );
+            assert_eq!(e.line, 2, "{line}");
+        }
+        assert!(parse("main: j .L_1\n.L_1: halt").is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The software side of the paper's evaluation (§IV-B): the MediaBench
 //! **IMA ADPCM** codec in hand-written SL32 assembly ([`adpcm`]), plus a
 //! suite of embedded kernels ([`kernels`]) that extend the evaluation
-//! beyond the paper's single benchmark.
+//! beyond the paper's single benchmark, and the fleet's serving mix ([`serving`]).
 //!
 //! Every [`Workload`] couples an assembly program with the outputs a
 //! bit-exact golden Rust model predicts, so correctness of the entire
@@ -30,6 +30,7 @@
 pub mod adpcm;
 pub mod gen;
 pub mod kernels;
+pub mod serving;
 
 use sofia_core::machine::SofiaMachine;
 use sofia_core::SofiaStats;

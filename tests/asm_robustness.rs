@@ -63,6 +63,17 @@ proptest! {
     }
 }
 
+/// `src` returns from the assembler, and both `asm::parse` and
+/// `asm::assemble` refuse it, the parser naming `line`.
+fn refused_at(src: &str, line: usize) {
+    never_unwinds(src).unwrap();
+    let Err(err) = asm::parse(src) else {
+        panic!("{src:?} parsed");
+    };
+    assert_eq!(err.line, line, "{src:?}: {err}");
+    assert!(asm::assemble(src).is_err(), "{src:?} assembled");
+}
+
 #[test]
 fn truncated_operands_are_errors() {
     for line in [
@@ -73,14 +84,10 @@ fn truncated_operands_are_errors() {
         "jal",
         "addi t0, t0",
     ] {
-        let src = format!("main: {line}\n halt");
-        never_unwinds(&src).unwrap();
-        assert!(asm::assemble(&src).is_err(), "{src:?} assembled");
+        refused_at(&format!("main: {line}\n halt"), 1);
     }
     for directive in [".str \"abc", ".strz \"a\\", ".word", ".align 3", ".space"] {
-        let src = format!("main: halt\n.data\n{directive}");
-        never_unwinds(&src).unwrap();
-        assert!(asm::assemble(&src).is_err(), "{src:?} assembled");
+        refused_at(&format!("main: halt\n.data\n{directive}"), 3);
     }
 }
 
