@@ -1006,11 +1006,6 @@ impl AsyncFleet {
         self.now
     }
 
-    /// The virtual clock in simulated cycles (sum of tick costs).
-    pub fn clock_cycles(&self) -> u64 {
-        self.stats.makespan_cycles
-    }
-
     /// Jobs currently queued across all classes.
     pub fn queued_jobs(&self) -> usize {
         self.classes.values().map(|c| c.queue.len()).sum()
@@ -1046,11 +1041,6 @@ impl AsyncFleet {
     /// coordinator (deterministic) order.
     pub fn drain_resilience_events(&mut self) -> Vec<ResilienceEvent> {
         self.res.drain_events()
-    }
-
-    /// The active fault-injection plan.
-    pub fn chaos_plan(&self) -> &ChaosPlan {
-        &self.chaos
     }
 
     /// Swaps the fault-injection plan from the next tick on — the

@@ -142,12 +142,17 @@ impl JobOutcome {
 
 /// Everything the fleet reports about one finished job.
 ///
-/// `outcome`, `out_words` and `violations` are the determinism-invariant
-/// surface: for a fixed job set and configuration they are bit-identical
-/// at every worker count, in both scheduling modes, and equal to serial
-/// single-machine execution. The tick fields come from the deterministic
-/// virtual-time schedule model (see [`crate::schedule`]).
-#[derive(Clone, Debug)]
+/// The whole record is the determinism surface: for a fixed job set and
+/// configuration it is bit-identical at every host thread count, with
+/// parking on or off, and with [`crate::ChaosPlan::none`] installed, so
+/// tests compare records with `==`. Unless the quarantine policy re-ran
+/// the job, its outcome, words, violations and statistics also equal
+/// serial single-machine execution, in both scheduling modes. The four tick fields (`arrival_tick`, `start_tick`,
+/// `end_tick`, `sojourn_cycles`) belong to the schedule: they come from
+/// the deterministic virtual-time model (see [`crate::schedule`]), so
+/// they move with the lane count, the scheduling mode and the driver
+/// that prices them.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobRecord {
     /// The job.
     pub job: JobId,
@@ -206,8 +211,17 @@ impl JobRecord {
     }
 }
 
-/// The determinism digest of a run: FNV-1a over everything each record
-/// and rejection claims, in completion order.
+/// The determinism digest of a run, in completion order: FNV-1a over,
+/// per record, its job, tenant, `stats.exec.cycles`,
+/// `stats.exec.instret`, the four tick fields, `slices`, the `Debug`
+/// form of its outcome and its out words; then, per rejection, its job,
+/// tick and the `Display` form of its error.
+///
+/// It leaves out the violations, the rest of the `SofiaStats`,
+/// `seal_cache_hit`, `retried` and `slice_cycles`; compare whole
+/// records for those. The covered set cannot widen: `BENCH_fleet.json`
+/// pins digests of this exact byte stream, and fleetbench computes the
+/// same stream on its own.
 pub fn records_digest(records: &[JobRecord], rejections: &[crate::Rejection]) -> u64 {
     let mut bytes = Vec::new();
     for r in records {

@@ -46,13 +46,6 @@ pub enum TenantState {
     Evicted,
 }
 
-impl TenantState {
-    /// Whether new submissions are accepted.
-    pub fn accepts_jobs(self) -> bool {
-        matches!(self, TenantState::Active)
-    }
-}
-
 /// What one finished record did to its tenant's containment state — the
 /// return value of [`fold_policy`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -65,15 +65,6 @@ impl TenantStats {
         }
     }
 
-    /// Mean scheduler-tick queue latency per job.
-    pub fn mean_queue_latency_ticks(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.queue_latency_ticks as f64 / self.jobs as f64
-        }
-    }
-
     /// Folds one finished job into the counters.
     pub(crate) fn absorb(&mut self, r: &JobRecord) {
         self.jobs += 1;

@@ -86,6 +86,12 @@ macro_rules! prop_oneof {
 /// rejection regenerates the case (bounded by
 /// [`test_runner::MAX_REJECTS_PER_CASE`]) rather than consuming the
 /// case budget, matching real proptest's behaviour.
+///
+/// A failing case names its inputs: the runner keeps a copy of the
+/// generator from before the case, and when an assertion fails or the
+/// body panics it regenerates the case's values from that copy and
+/// prints each with `Debug` (inside the failure message, or on stderr
+/// before the panic is re-raised). Passing cases pay one generator copy.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -111,21 +117,36 @@ macro_rules! __proptest_impl {
                 let mut rng = $crate::test_runner::TestRng::deterministic(
                     concat!(module_path!(), "::", stringify!($name)),
                 );
+                // The case's inputs, regenerated from the generator as it
+                // stood before the case.
+                let inputs = |mut rng: $crate::test_runner::TestRng| {
+                    let mut listed = ::std::string::String::new();
+                    $(
+                        listed.push_str(&format!(
+                            "\n    {} = {:?}",
+                            stringify!($pat),
+                            $crate::strategy::Strategy::generate(&($strat), &mut rng),
+                        ));
+                    )+
+                    listed
+                };
                 let cases: u32 = $cases;
                 for case in 0..cases {
                     let mut rejects = 0u32;
                     loop {
+                        let before = rng.clone();
                         $(let $pat = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
-                        let outcome = (move || -> ::std::result::Result<
-                            (),
-                            $crate::test_runner::TestCaseError,
-                        > {
-                            $body;
-                            ::std::result::Result::Ok(())
-                        })();
+                        let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                            move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                                $body;
+                                ::std::result::Result::Ok(())
+                            },
+                        ));
                         match outcome {
-                            ::std::result::Result::Ok(()) => break,
-                            ::std::result::Result::Err(e) if e.is_rejection() => {
+                            ::std::result::Result::Ok(::std::result::Result::Ok(())) => break,
+                            ::std::result::Result::Ok(::std::result::Result::Err(e))
+                                if e.is_rejection() =>
+                            {
                                 rejects += 1;
                                 assert!(
                                     rejects <= $crate::test_runner::MAX_REJECTS_PER_CASE,
@@ -135,8 +156,19 @@ macro_rules! __proptest_impl {
                                     rejects,
                                 );
                             }
-                            ::std::result::Result::Err(e) => {
-                                panic!("proptest case {case} of {}: {}", stringify!($name), e)
+                            ::std::result::Result::Ok(::std::result::Result::Err(e)) => panic!(
+                                "proptest case {case} of {}: {}\n  inputs:{}",
+                                stringify!($name),
+                                e,
+                                inputs(before),
+                            ),
+                            ::std::result::Result::Err(payload) => {
+                                eprintln!(
+                                    "proptest case {case} of {} panicked\n  inputs:{}",
+                                    stringify!($name),
+                                    inputs(before),
+                                );
+                                ::std::panic::resume_unwind(payload)
                             }
                         }
                     }

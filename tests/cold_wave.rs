@@ -8,9 +8,12 @@
 //! per-tenant statistics and the image cache's own counters — in both
 //! scheduling modes, with virtual-time ticks priced by the batch model.
 
+mod common;
+
+use common::{batch_config, run_batch, unpriced, unpriced_stats, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::schedule::price_schedule;
-use sofia::fleet::{Fleet, FleetConfig, JobRecord, JobSpec, SchedMode, TenantId};
+use sofia::fleet::{Fleet, FleetConfig, JobRecord, JobSpec, QuarantinePolicy, SchedMode, TenantId};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -56,18 +59,8 @@ fn run_wave(
     sofia::transform::cache::ImageCacheStats,
 ) {
     let (tenants, jobs) = wave_jobs(6);
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode,
-        ..Default::default()
-    });
-    for (id, keys) in &tenants {
-        fleet.register_tenant(*id, keys.clone()).unwrap();
-    }
-    for job in jobs {
-        fleet.submit(job).unwrap();
-    }
-    let records = fleet.run_batch();
+    let config = batch_config(workers, mode, QuarantinePolicy::Suspend);
+    let (fleet, records) = run_batch(&Mix::new(tenants, jobs), config);
     (records, fleet.stats(), fleet.seal_cache_stats())
 }
 
@@ -82,34 +75,13 @@ type WaveResult = (
 /// attribution included: the coordinator makes the first job of an
 /// image in job order the miss, however its lanes race.
 fn assert_identical(a: &WaveResult, b: &WaveResult, label: &str) {
-    assert_eq!(a.0.len(), b.0.len(), "{label}: record count");
-    for (x, y) in a.0.iter().zip(&b.0) {
-        assert_eq!(x.job, y.job, "{label}");
-        assert_eq!(x.tenant, y.tenant, "{label}");
-        assert_eq!(x.outcome, y.outcome, "{label}: {:?}", x.job);
-        assert_eq!(x.out_words, y.out_words, "{label}: {:?}", x.job);
-        assert_eq!(x.violations, y.violations, "{label}: {:?}", x.job);
-        assert_eq!(x.stats, y.stats, "{label}: {:?}", x.job);
-        assert_eq!(
-            x.seal_cache_hit, y.seal_cache_hit,
-            "{label}: cache attribution of {:?}",
-            x.job
-        );
-        assert_eq!(x.slices, y.slices, "{label}: {:?}", x.job);
-        assert_eq!(x.slice_cycles, y.slice_cycles, "{label}: {:?}", x.job);
-    }
+    let records = |r: &WaveResult| r.0.iter().map(unpriced).collect::<Vec<_>>();
+    assert_eq!(records(a), records(b), "{label}");
     // Queue latency is summed start ticks — priced per worker count,
     // so it is pinned separately against the batch model below.
-    let detick = |m: &std::collections::BTreeMap<u32, sofia::fleet::TenantStats>| {
-        let mut m = m.clone();
-        for s in m.values_mut() {
-            s.queue_latency_ticks = 0;
-        }
-        m
-    };
     assert_eq!(
-        detick(&a.1.tenants),
-        detick(&b.1.tenants),
+        unpriced_stats(&a.1.tenants),
+        unpriced_stats(&b.1.tenants),
         "{label}: per-tenant stats"
     );
     assert_eq!(

@@ -1,13 +1,17 @@
-//! The differential test engine: runs one program under a family of
-//! SOFIA configurations (verified-block cache on/off across geometries,
-//! SI on/off) and asserts the architecturally visible results are
-//! identical — the executable form of the claim that the verified-block
-//! cache (and the rest of the fetch-path machinery) is invisible.
+//! The shared test harness, compiled into each suite that declares
+//! `mod common;` (so helpers a given suite does not use are expected).
 //!
-//! Shared by `vcache_differential.rs` (the full geometry family) and
-//! `fault_injection.rs` (the two-config [`tamper_configs`] pair); each
-//! test crate compiles its own copy, so helpers unused by a given crate
-//! are expected.
+//! Two engines live here:
+//!
+//! * the differential engine: runs one program under a family of SOFIA
+//!   configurations (verified-block cache on/off across geometries, SI
+//!   on/off) or on another backend, and reduces each run to its
+//!   [`ArchResult`] — the executable form of the claim that the fetch
+//!   path is architecturally invisible;
+//! * the fleet harness: one seeded job [`Mix`], one serial reference,
+//!   the record views the equalities compare ([`unpriced`], [`arch`])
+//!   and one driver per fleet type. Every fleet suite and
+//!   `equalities.rs` take their mixes and views from it.
 #![allow(dead_code)]
 
 use sofia::crypto::KeySet;
@@ -238,4 +242,380 @@ pub fn run_backend_with(
 /// Clean run of `src` on `backend`.
 pub fn run_backend(backend: Backend, src: &str, keys: &KeySet, fuel: u64) -> BackendRun {
     run_backend_with(backend, src, keys, fuel, &|_| {})
+}
+
+// ---------------------------------------------------------------------
+// The fleet harness.
+// ---------------------------------------------------------------------
+
+use std::collections::BTreeMap;
+use std::fmt;
+
+use proptest::prelude::*;
+use sofia::core::SofiaStats;
+use sofia::crypto::util::SplitMix64;
+use sofia::fleet::{
+    AsyncConfig, AsyncFleet, AsyncStats, ClassId, JobRecord, Rejection, ResilienceStats, Sabotage,
+    TenantState, TenantStats,
+};
+use sofia::transform::cache::{ImageCacheStats, SealError};
+use sofia::workloads::{gen::random_program, suite, Scale};
+
+/// Fuel no job of a drawn mix exhausts; a starving job gets 1–2,000.
+const AMPLE_FUEL: u64 = 20_000_000;
+
+/// Sums `n` down to 1 and writes the total to the MMIO word port.
+pub fn loop_job(n: u32) -> String {
+    format!(
+        "main: li t0, {n}
+               li t1, 0
+         loop: add t1, t1, t0
+               subi t0, t0, 1
+               bnez t0, loop
+               li a0, 0xFFFF0000
+               sw t1, 0(a0)
+               halt"
+    )
+}
+
+/// A misaligned load: the trap escapes a verified block.
+pub const TRAP_JOB: &str = "main: li a0, 3\n lw t0, 0(a0)\n halt";
+
+/// Tenants (keys and service class each), their jobs in submission
+/// order, and each job's arrival tick for async runs.
+#[derive(Clone)]
+pub struct Mix {
+    /// Registered tenants; the batch fleet ignores the class.
+    pub tenants: Vec<(TenantId, KeySet, ClassId)>,
+    /// The jobs; job `i` gets `JobId(i)`.
+    pub jobs: Vec<JobSpec>,
+    /// Arrival tick per job; empty submits every job before the first
+    /// tick.
+    pub arrivals: Vec<u64>,
+    /// What each job runs, for failure reports.
+    kinds: Vec<String>,
+}
+
+impl Mix {
+    /// A hand-picked mix: every tenant in class 0, every job up front.
+    pub fn new(tenants: Vec<(TenantId, KeySet)>, jobs: Vec<JobSpec>) -> Mix {
+        let tenants = tenants.into_iter().map(|(id, k)| (id, k, ClassId(0)));
+        let (arrivals, kinds) = (vec![], vec![]);
+        Mix {
+            tenants: tenants.collect(),
+            jobs,
+            arrivals,
+            kinds,
+        }
+    }
+
+    /// The mix seeded by `seed`: 2–6 tenants in classes 0–2 and 4–12
+    /// jobs, each a loop job, a `Scale::Test` kernel, a random program,
+    /// a source that does not parse, a trapping program or an earlier
+    /// job's program resubmitted with it; on ample or starving fuel,
+    /// sometimes with a ROM-word flip or a worker panic, arriving at
+    /// ticks 0–15.
+    pub fn draw(seed: u64) -> Mix {
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |n: u64| rng.next_below(n);
+        let tenants: Vec<_> = (1..=2 + below(5) as u32)
+            .map(|id| {
+                (
+                    TenantId(id),
+                    KeySet::from_seed(below(!0)),
+                    ClassId(below(3) as u8),
+                )
+            })
+            .collect();
+        let kernels = suite(Scale::Test);
+        let mut mix = Mix::new(vec![], vec![]);
+        for _ in 0..4 + below(9) {
+            let tenant = TenantId(1 + below(tenants.len() as u64) as u32);
+            let (kind, source) = match (below(6), below(150) as u32 + 1, below(!0)) {
+                (5, n, _) if !mix.jobs.is_empty() => {
+                    let earlier = n as usize % mix.jobs.len();
+                    let repeat = format!("job {earlier}'s program again");
+                    let job = JobSpec {
+                        sabotage: None,
+                        ..mix.jobs[earlier].clone()
+                    };
+                    mix.push(job, mix.arrivals.get(earlier).copied(), repeat);
+                    continue;
+                }
+                (0, n, _) => (format!("loop_job({n})"), loop_job(n)),
+                (1, n, _) => {
+                    let w = &kernels[n as usize % kernels.len()];
+                    (w.name.to_string(), w.source.clone())
+                }
+                (2, _, s) => (format!("random_program({s})"), random_program(s)),
+                (3, ..) => ("an unparsable source".into(), "main: frobnicate t0".into()),
+                _ => ("a trapping load".into(), TRAP_JOB.into()),
+            };
+            let fuel = [1 + below(2_000), AMPLE_FUEL, AMPLE_FUEL, AMPLE_FUEL][below(4) as usize];
+            let mut job = JobSpec::new(tenant, source, fuel);
+            job.sabotage = match below(8) {
+                0 => Some(Sabotage::FlipRomWord {
+                    word: below(48) as usize,
+                    mask: 1 << below(32),
+                }),
+                1 => Some(Sabotage::PanicInWorker),
+                _ => None,
+            };
+            mix.push(job, Some(below(16)), kind);
+        }
+        Mix { tenants, ..mix }
+    }
+
+    fn push(&mut self, job: JobSpec, arrival: Option<u64>, kind: String) {
+        self.jobs.push(job);
+        self.arrivals.extend(arrival);
+        self.kinds.push(kind);
+    }
+
+    /// The same mix with every job submitted before the first tick.
+    pub fn at_tick_zero(&self) -> Mix {
+        Mix {
+            arrivals: vec![],
+            ..self.clone()
+        }
+    }
+
+    /// The mix without the jobs `drop` picks.
+    pub fn without(&self, drop: impl Fn(&JobSpec) -> bool) -> Mix {
+        let mut mix = Mix {
+            jobs: vec![],
+            arrivals: vec![],
+            kinds: vec![],
+            ..self.clone()
+        };
+        for (i, job) in self.jobs.iter().enumerate().filter(|(_, job)| !drop(job)) {
+            mix.push(job.clone(), self.arrivals.get(i).copied(), self.kind(i));
+        }
+        mix
+    }
+
+    fn kind(&self, job: usize) -> String {
+        self.kinds
+            .get(job)
+            .cloned()
+            .unwrap_or_else(|| "a given source".into())
+    }
+
+    /// The keys `tenant` registered.
+    pub fn keys(&self, tenant: TenantId) -> &KeySet {
+        let known = self.tenants.iter().find(|t| t.0 == tenant);
+        &known.expect("job for a known tenant").1
+    }
+}
+
+impl fmt::Debug for Mix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Mix {{ tenants (id:class)")?;
+        for (id, _, class) in &self.tenants {
+            write!(f, " {}:{}", id.0, class.0)?;
+        }
+        for (i, job) in self.jobs.iter().enumerate() {
+            let (tenant, kind) = (job.tenant.0, self.kind(i));
+            write!(
+                f,
+                "; job {i}: tenant {tenant} runs {kind} on fuel {}",
+                job.fuel
+            )?;
+            write!(
+                f,
+                " with {:?} arriving {:?}",
+                job.sabotage,
+                self.arrivals.get(i)
+            )?;
+        }
+        write!(f, " }}")
+    }
+}
+
+/// Mixes drawn from a random seed.
+pub fn mixes() -> impl Strategy<Value = Mix> {
+    any::<u64>().prop_map(Mix::draw)
+}
+
+/// The architectural view of a job: how it ended, the words it wrote
+/// to the MMIO word port, its violations and its retired slots — what
+/// [`ArchResult`] says of a machine run, without the actuator port a
+/// record does not carry. Cycles are absent: timing is what the vcache
+/// may change.
+pub type Arch = (JobOutcome, Vec<u32>, Vec<Violation>, u64);
+
+/// The architectural view of a record.
+pub fn arch(r: &JobRecord) -> Arch {
+    let (words, violations) = (r.out_words.clone(), r.violations.clone());
+    (r.outcome.clone(), words, violations, r.stats.exec.instret)
+}
+
+/// What serial execution can say of a record: its architectural view
+/// and its full statistics.
+pub fn serial_view(r: &JobRecord) -> (Arch, SofiaStats) {
+    (arch(r), r.stats)
+}
+
+/// A record with the schedule's four fields cleared (`arrival_tick`,
+/// `start_tick`, `end_tick`, `sojourn_cycles`): everything two drivers
+/// that price time differently must still agree on.
+pub fn unpriced(r: &JobRecord) -> JobRecord {
+    let mut r = r.clone();
+    (r.arrival_tick, r.start_tick, r.end_tick, r.sojourn_cycles) = (0, 0, 0, 0);
+    r
+}
+
+/// `r`, finished by a fleet that adopted the job from a checkpoint, in
+/// the terms of `reference`, the same job's record from a run that
+/// never migrated: unpriced, under the reference's job id and with its
+/// seal attribution, since the adopting fleet seals through its own
+/// cache.
+pub fn adopted_as(r: &JobRecord, reference: &JobRecord) -> JobRecord {
+    let mut r = unpriced(r);
+    (r.job, r.seal_cache_hit) = (reference.job, reference.seal_cache_hit);
+    r
+}
+
+/// Per-tenant stats with `queue_latency_ticks`, the one schedule field,
+/// cleared.
+pub fn unpriced_stats(stats: &BTreeMap<u32, TenantStats>) -> BTreeMap<u32, TenantStats> {
+    let mut stats = stats.clone();
+    stats.values_mut().for_each(|s| s.queue_latency_ticks = 0);
+    stats
+}
+
+/// What one SOFIA machine does with each job of `mix`, one after
+/// another and with no fleet: the architectural view and the full
+/// statistics, in job order. A worker panic is a host fault with no
+/// serial meaning, so a `PanicInWorker` job runs here untouched.
+pub fn serial_reference(mix: &Mix) -> Vec<(Arch, SofiaStats)> {
+    let run = |job: &JobSpec| {
+        let keys = mix.keys(job.tenant);
+        let module = match asm::parse(&job.source) {
+            Ok(m) => m,
+            Err(e) => {
+                let failed = JobOutcome::SealFailed(SealError::Parse(e.to_string()).to_string());
+                return ((failed, vec![], vec![], 0), SofiaStats::default());
+            }
+        };
+        let image = Transformer::new(keys.clone())
+            .transform(&module)
+            .expect("jobs that parse seal");
+        let mut m = SofiaMachine::new(&image, keys);
+        if let Some(Sabotage::FlipRomWord { word, mask }) = job.sabotage {
+            if let Some(w) = m.mem_mut().rom_mut().get_mut(word) {
+                *w ^= mask;
+            }
+        }
+        let outcome = match m.run(job.fuel) {
+            Ok(o) => JobOutcome::Completed(o),
+            Err(t) => JobOutcome::Trapped(t),
+        };
+        let (words, stats) = (m.mem().mmio.out_words.clone(), m.stats());
+        let arch = (outcome, words, m.violations().to_vec(), stats.exec.instret);
+        (arch, stats)
+    };
+    mix.jobs.iter().map(run).collect()
+}
+
+/// A batch fleet's configuration; the SOFIA machine is the default.
+pub fn batch_config(workers: usize, mode: SchedMode, quarantine: QuarantinePolicy) -> FleetConfig {
+    let mut config = FleetConfig::default();
+    (config.workers, config.mode, config.quarantine) = (workers, mode, quarantine);
+    config
+}
+
+/// An async fleet's configuration: `threads` host threads serving
+/// `lanes` lanes in `mode`, parking after `park` idle ticks, and the
+/// defaults for the rest.
+pub fn async_config(
+    threads: usize,
+    lanes: usize,
+    mode: SchedMode,
+    park: Option<u64>,
+) -> AsyncConfig {
+    let mut config = AsyncConfig::default();
+    (
+        config.threads,
+        config.workers,
+        config.mode,
+        config.park_after,
+    ) = (threads, lanes, mode, park);
+    config
+}
+
+/// A batch fleet under `config` with `mix`'s tenants registered and
+/// its jobs submitted.
+pub fn batch_fleet(mix: &Mix, config: FleetConfig) -> Fleet {
+    let mut fleet = Fleet::new(config);
+    for (id, keys, _) in &mix.tenants {
+        fleet.register_tenant(*id, keys.clone()).unwrap();
+    }
+    for job in &mix.jobs {
+        fleet.submit(job.clone()).unwrap();
+    }
+    fleet
+}
+
+/// [`batch_fleet`] run for one whole batch.
+pub fn run_batch(mix: &Mix, config: FleetConfig) -> (Fleet, Vec<JobRecord>) {
+    let mut fleet = batch_fleet(mix, config);
+    let records = fleet.run_batch();
+    (fleet, records)
+}
+
+/// An async fleet under `config` with `mix`'s tenants registered in
+/// their classes and its jobs submitted (at their arrival ticks, if the
+/// mix has them).
+pub fn async_fleet(mix: &Mix, config: AsyncConfig) -> AsyncFleet {
+    let mut fleet = AsyncFleet::new(config);
+    for (id, keys, class) in &mix.tenants {
+        fleet.register_tenant(*id, keys.clone(), *class).unwrap();
+    }
+    for (i, job) in mix.jobs.iter().enumerate() {
+        match mix.arrivals.get(i) {
+            Some(&tick) => drop(fleet.submit_at(job.clone(), tick)),
+            None => drop(fleet.submit(job.clone()).unwrap()),
+        }
+    }
+    fleet
+}
+
+/// Everything an async run reports that host threads must not move.
+#[derive(Debug, PartialEq)]
+pub struct AsyncRun {
+    /// Finished records, by job id.
+    pub records: Vec<JobRecord>,
+    /// Deferred admission refusals.
+    pub rejections: Vec<Rejection>,
+    /// Driver counters.
+    pub stats: AsyncStats,
+    /// Per-tenant roll-ups.
+    pub tenant_stats: BTreeMap<u32, TenantStats>,
+    /// Each mix tenant's quarantine state, in mix order.
+    pub tenant_states: Vec<Option<TenantState>>,
+    /// The image cache's counters.
+    pub seal_cache: ImageCacheStats,
+    /// Resilience counters.
+    pub resilience: ResilienceStats,
+}
+
+/// [`async_fleet`] run until idle.
+pub fn run_async(mix: &Mix, config: AsyncConfig) -> (AsyncFleet, AsyncRun) {
+    let mut fleet = async_fleet(mix, config);
+    fleet.run_until_idle();
+    let mut records = fleet.drain_finished();
+    records.sort_by_key(|r| r.job);
+    let rejections = fleet.drain_rejected();
+    let tenant_states = mix.tenants.iter().map(|t| fleet.tenant_state(t.0));
+    let run = AsyncRun {
+        records,
+        rejections,
+        stats: fleet.stats(),
+        tenant_stats: fleet.tenant_stats(),
+        tenant_states: tenant_states.collect(),
+        seal_cache: fleet.seal_cache_stats(),
+        resilience: fleet.resilience_stats(),
+    };
+    (fleet, run)
 }

@@ -5,111 +5,21 @@
 //! execution. Scheduling decides *when* blocks run, never *what* they
 //! compute.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{batch_config, run_batch, serial_reference, serial_view, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    Fleet, FleetConfig, JobOutcome, JobRecord, JobSpec, Sabotage, SchedMode, TenantId,
+    JobOutcome, JobRecord, JobSpec, QuarantinePolicy::Suspend, Sabotage, SchedMode, TenantId,
 };
-use sofia::prelude::*;
+use sofia::prelude::RunOutcome;
 use sofia_workloads::gen::random_program;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The serial single-machine reference: exactly what one SOFIA core does
-/// with each job, one after another, no fleet machinery at all.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SerialResult {
-    outcome: String,
-    out_words: Vec<u32>,
-    violations: Vec<String>,
-    cycles: u64,
-    instret: u64,
-}
-
-fn serial_reference(tenants: &[(TenantId, KeySet)], jobs: &[JobSpec]) -> Vec<SerialResult> {
-    jobs.iter()
-        .map(|job| {
-            let keys = &tenants
-                .iter()
-                .find(|(id, _)| *id == job.tenant)
-                .expect("job for known tenant")
-                .1;
-            let module = match asm::parse(&job.source) {
-                Ok(m) => m,
-                Err(e) => {
-                    // Same rendering as the fleet's seal path.
-                    let err = sofia::transform::cache::SealError::Parse(e.to_string());
-                    return SerialResult {
-                        outcome: format!("seal failed: {err}"),
-                        out_words: vec![],
-                        violations: vec![],
-                        cycles: 0,
-                        instret: 0,
-                    };
-                }
-            };
-            let image = Transformer::new(keys.clone())
-                .transform(&module)
-                .expect("reference programs transform");
-            let mut m = SofiaMachine::new(&image, keys);
-            if let Some(Sabotage::FlipRomWord { word, mask }) = job.sabotage {
-                if let Some(w) = m.mem_mut().rom_mut().get_mut(word) {
-                    *w ^= mask;
-                }
-            }
-            let outcome = match m.run(job.fuel) {
-                Ok(o) => format!("{o:?}"),
-                Err(t) => format!("trap: {t:?}"),
-            };
-            SerialResult {
-                outcome,
-                out_words: m.mem().mmio.out_words.clone(),
-                violations: m.violations().iter().map(|v| format!("{v:?}")).collect(),
-                cycles: m.stats().exec.cycles,
-                instret: m.stats().exec.instret,
-            }
-        })
-        .collect()
-}
-
-fn record_result(r: &JobRecord) -> SerialResult {
-    SerialResult {
-        outcome: match &r.outcome {
-            JobOutcome::Completed(o) => format!("{o:?}"),
-            JobOutcome::Trapped(t) => format!("trap: {t:?}"),
-            JobOutcome::SealFailed(e) => format!("seal failed: {e}"),
-            JobOutcome::WorkerPanic(e) => format!("worker panic: {e}"),
-            JobOutcome::RevivalFailed(e) => format!("revival failed: {e}"),
-            JobOutcome::DeadlineMissed { deadline_cycles } => {
-                format!("deadline missed: {deadline_cycles}")
-            }
-        },
-        out_words: r.out_words.clone(),
-        violations: r.violations.iter().map(|v| format!("{v:?}")).collect(),
-        cycles: r.stats.exec.cycles,
-        instret: r.stats.exec.instret,
-    }
-}
-
-fn run_fleet(
-    tenants: &[(TenantId, KeySet)],
-    jobs: &[JobSpec],
-    workers: usize,
-    mode: SchedMode,
-) -> Vec<JobRecord> {
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode,
-        ..Default::default()
-    });
-    for (id, keys) in tenants {
-        fleet.register_tenant(*id, keys.clone()).unwrap();
-    }
-    for job in jobs {
-        fleet.submit(job.clone()).unwrap();
-    }
-    let records = fleet.run_batch();
-    assert_eq!(records.len(), jobs.len());
+fn run_fleet(mix: &Mix, workers: usize, mode: SchedMode) -> Vec<JobRecord> {
+    let (_, records) = run_batch(mix, batch_config(workers, mode, Suspend));
+    assert_eq!(records.len(), mix.jobs.len());
     records
 }
 
@@ -174,16 +84,18 @@ fn mixed_jobs() -> Vec<JobSpec> {
 
 #[test]
 fn fleet_matches_serial_at_every_worker_count_in_both_modes() {
-    let tenants = tenant_keys();
-    let jobs = mixed_jobs();
-    let reference = serial_reference(&tenants, &jobs);
+    let mix = Mix::new(tenant_keys(), mixed_jobs());
+    let reference = serial_reference(&mix);
     // The reference exercises every outcome class.
-    assert!(reference.iter().any(|r| r.outcome == "Halted"));
-    assert!(reference.iter().any(|r| r.outcome == "OutOfFuel"));
-    assert!(reference
+    let outcomes: Vec<&JobOutcome> = reference.iter().map(|((o, ..), _)| o).collect();
+    assert!(outcomes.iter().any(|o| o.is_halted()));
+    assert!(outcomes.contains(&&JobOutcome::Completed(RunOutcome::OutOfFuel)));
+    assert!(outcomes
         .iter()
-        .any(|r| r.outcome.contains("ViolationStop")));
-    assert!(reference.iter().any(|r| r.outcome.contains("seal failed")));
+        .any(|o| matches!(o, JobOutcome::Completed(RunOutcome::ViolationStop(_)))));
+    assert!(outcomes
+        .iter()
+        .any(|o| matches!(o, JobOutcome::SealFailed(_))));
 
     for workers in WORKER_COUNTS {
         for mode in [
@@ -191,8 +103,8 @@ fn fleet_matches_serial_at_every_worker_count_in_both_modes() {
             SchedMode::FuelSliced { slice: 500 },
             SchedMode::FuelSliced { slice: 7 }, // pathological slice
         ] {
-            let records = run_fleet(&tenants, &jobs, workers, mode);
-            let got: Vec<SerialResult> = records.iter().map(record_result).collect();
+            let records = run_fleet(&mix, workers, mode);
+            let got: Vec<_> = records.iter().map(serial_view).collect();
             assert_eq!(got, reference, "divergence at {workers} workers, {mode:?}");
         }
     }
@@ -200,7 +112,6 @@ fn fleet_matches_serial_at_every_worker_count_in_both_modes() {
 
 #[test]
 fn fuel_sliced_scheduling_prevents_starvation() {
-    let tenants = tenant_keys();
     // One long ADPCM job submitted first, then four short fib jobs.
     let mut jobs = vec![JobSpec::new(
         TenantId(3),
@@ -216,11 +127,12 @@ fn fuel_sliced_scheduling_prevents_starvation() {
     }
     // Run-to-completion on one worker: the long job monopolises the
     // machine and every short job finishes after it.
-    let rtc = run_fleet(&tenants, &jobs, 1, SchedMode::RunToCompletion);
+    let mix = Mix::new(tenant_keys(), jobs);
+    let rtc = run_fleet(&mix, 1, SchedMode::RunToCompletion);
     assert!(rtc[1..].iter().all(|r| r.end_tick > rtc[0].end_tick));
     // Fuel-sliced round-robin: every short job finishes before the long
     // one, which merely keeps cycling through its quanta.
-    let sliced = run_fleet(&tenants, &jobs, 1, SchedMode::FuelSliced { slice: 2_000 });
+    let sliced = run_fleet(&mix, 1, SchedMode::FuelSliced { slice: 2_000 });
     assert!(
         sliced[1..].iter().all(|r| r.end_tick < sliced[0].end_tick),
         "short jobs starved: {:?} vs long {:?}",
@@ -229,14 +141,13 @@ fn fuel_sliced_scheduling_prevents_starvation() {
     );
     // Same results either way, of course.
     for (a, b) in rtc.iter().zip(&sliced) {
-        assert_eq!(record_result(a), record_result(b));
+        assert_eq!(serial_view(a), serial_view(b));
     }
     assert!(sliced[0].slices > 1, "long job was never preempted");
 }
 
 #[test]
 fn virtual_time_scaling_is_monotone_and_work_conserving() {
-    let tenants = tenant_keys();
     // Twelve moderately sized jobs: no single job dominates a quarter of
     // the batch, so each worker doubling must strictly help.
     let mut jobs = Vec::new();
@@ -257,6 +168,7 @@ fn virtual_time_scaling_is_monotone_and_work_conserving() {
             5_000_000,
         ));
     }
+    let mix = Mix::new(tenant_keys(), jobs);
     for mode in [
         SchedMode::RunToCompletion,
         SchedMode::FuelSliced { slice: 1_000 },
@@ -264,18 +176,7 @@ fn virtual_time_scaling_is_monotone_and_work_conserving() {
         let mut last_makespan = u64::MAX;
         let mut total = None;
         for workers in [1usize, 2, 4] {
-            let mut fleet = Fleet::new(FleetConfig {
-                workers,
-                mode,
-                ..Default::default()
-            });
-            for (id, keys) in &tenants {
-                fleet.register_tenant(*id, keys.clone()).unwrap();
-            }
-            for job in &jobs {
-                fleet.submit(job.clone()).unwrap();
-            }
-            let records = fleet.run_batch();
+            let (fleet, records) = run_batch(&mix, batch_config(workers, mode, Suspend));
             assert!(records.iter().all(|r| r.outcome.is_halted()));
             let stats = fleet.stats();
             assert!(
@@ -288,41 +189,6 @@ fn virtual_time_scaling_is_monotone_and_work_conserving() {
             // worker count (the determinism invariant in one number).
             let t = stats.total().cycles;
             assert_eq!(*total.get_or_insert(t), t, "{mode:?} at {workers} workers");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Generated tenant mixes: random programs spread over three key
-    /// domains, random fuel (sometimes starving the job mid-run), random
-    /// slice — fleet ≡ serial regardless.
-    #[test]
-    fn generated_mixes_match_serial(
-        seeds in proptest::collection::vec(any::<u64>(), 3..7),
-        fuel in 1_000u64..50_000_000,
-        slice in 50u64..5_000,
-    ) {
-        let tenants = tenant_keys();
-        let jobs: Vec<JobSpec> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| {
-                JobSpec::new(
-                    TenantId(1 + (i as u32 % 3)),
-                    random_program(seed),
-                    fuel,
-                )
-            })
-            .collect();
-        let reference = serial_reference(&tenants, &jobs);
-        for workers in [1usize, 3] {
-            for mode in [SchedMode::RunToCompletion, SchedMode::FuelSliced { slice }] {
-                let records = run_fleet(&tenants, &jobs, workers, mode);
-                let got: Vec<SerialResult> = records.iter().map(record_result).collect();
-                prop_assert_eq!(&got, &reference);
-            }
         }
     }
 }

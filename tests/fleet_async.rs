@@ -8,25 +8,14 @@
 //! identical at every thread count, identical with parking on or off,
 //! and equal to serial single-machine execution.
 
+mod common;
+
+use common::{async_config, loop_job, run_async, serial_reference, Mix, TRAP_JOB};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
     AdmissionConfig, AdmitError, AsyncConfig, AsyncFleet, ClassConfig, ClassId, JobRecord, JobSpec,
     Sabotage, SchedMode, TenantId,
 };
-use sofia::prelude::*;
-
-fn loop_job(n: u32) -> String {
-    format!(
-        "main: li t0, {n}
-               li t1, 0
-         loop: add t1, t1, t0
-               subi t0, t0, 1
-               bnez t0, loop
-               li a0, 0xFFFF0000
-               sw t1, 0(a0)
-               halt"
-    )
-}
 
 fn tenants() -> Vec<(TenantId, KeySet)> {
     (1..=6u32)
@@ -50,13 +39,7 @@ fn jobs() -> Vec<JobSpec> {
     // Out-of-fuel: a long loop on a starvation budget.
     jobs.push(JobSpec::new(TenantId(2), loop_job(5_000), 900));
     // Trap: misaligned load escapes a verified block.
-    jobs.push(JobSpec::new(
-        TenantId(3),
-        "main: li a0, 3
-               lw t0, 0(a0)
-               halt",
-        10_000,
-    ));
+    jobs.push(JobSpec::new(TenantId(3), TRAP_JOB, 10_000));
     // Tamper: the SI unit's detection case, quarantining tenant 5.
     jobs.push(
         JobSpec::new(TenantId(5), loop_job(40), 100_000)
@@ -65,101 +48,22 @@ fn jobs() -> Vec<JobSpec> {
     jobs
 }
 
-/// outcome, out_words, violations, cycles, instret — the comparison
-/// surface shared by [`serial_reference`] and [`digest`].
-type ResultDigest = (String, Vec<u32>, Vec<String>, u64, u64);
-
-/// What serial single-machine execution says about each job, in
-/// submission order (same construction as the batch fleet suite).
-fn serial_reference() -> Vec<ResultDigest> {
-    let tenants = tenants();
-    jobs()
-        .iter()
-        .map(|job| {
-            let keys = &tenants
-                .iter()
-                .find(|(id, _)| *id == job.tenant)
-                .expect("job for known tenant")
-                .1;
-            let module = asm::parse(&job.source).expect("reference programs parse");
-            let image = Transformer::new(keys.clone())
-                .transform(&module)
-                .expect("reference programs transform");
-            let mut m = SofiaMachine::new(&image, keys);
-            if let Some(Sabotage::FlipRomWord { word, mask }) = job.sabotage {
-                if let Some(w) = m.mem_mut().rom_mut().get_mut(word) {
-                    *w ^= mask;
-                }
-            }
-            let outcome = match m.run(job.fuel) {
-                Ok(o) => format!("Completed({o:?})"),
-                Err(t) => format!("Trapped({t:?})"),
-            };
-            (
-                outcome,
-                m.mem().mmio.out_words.clone(),
-                m.violations().iter().map(|v| format!("{v:?}")).collect(),
-                m.stats().exec.cycles,
-                m.stats().exec.instret,
-            )
-        })
-        .collect()
-}
-
-fn digest(r: &JobRecord) -> ResultDigest {
-    (
-        format!("{:?}", r.outcome),
-        r.out_words.clone(),
-        r.violations.iter().map(|v| format!("{v:?}")).collect(),
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
-    )
-}
-
-/// The full deterministic surface of a record, scheduling included.
-fn full_digest(r: &JobRecord) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}|{}",
-        r.job,
-        r.outcome,
-        r.out_words,
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
-        r.arrival_tick,
-        r.start_tick,
-        r.end_tick,
-        r.sojourn_cycles,
-        r.slice_cycles,
-        r.seal_cache_hit,
-    )
+fn mix() -> Mix {
+    Mix::new(tenants(), jobs())
 }
 
 fn drive(threads: usize, park_after: Option<u64>) -> (AsyncFleet, Vec<JobRecord>) {
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads,
-        workers: 3,
-        mode: SchedMode::FuelSliced { slice: 120 },
-        park_after,
-        ..Default::default()
-    });
-    for (id, keys) in tenants() {
-        fleet.register_tenant(id, keys.clone(), ClassId(0)).unwrap();
-    }
-    for job in jobs() {
-        fleet.submit(job).unwrap();
-    }
-    fleet.run_until_idle();
-    let mut records = fleet.drain_finished();
-    records.sort_by_key(|r| r.job);
-    (fleet, records)
+    let mode = SchedMode::FuelSliced { slice: 120 };
+    let (fleet, run) = run_async(&mix(), async_config(threads, 3, mode, park_after));
+    (fleet, run.records)
 }
 
 #[test]
 fn async_matches_serial_at_every_thread_count() {
-    let reference = serial_reference();
+    let reference = serial_reference(&mix());
     for threads in [1usize, 2, 4, 8] {
         let (_, records) = drive(threads, Some(4));
-        let got: Vec<_> = records.iter().map(digest).collect();
+        let got: Vec<_> = records.iter().map(common::serial_view).collect();
         assert_eq!(got, reference, "divergence at {threads} threads");
     }
 }
@@ -167,7 +71,6 @@ fn async_matches_serial_at_every_thread_count() {
 #[test]
 fn thread_count_is_invisible_to_the_full_record_surface() {
     let (_, never) = drive(1, None);
-    let reference: Vec<_> = never.iter().map(full_digest).collect();
     // The wave's two lanes for one cold image: the first is the miss,
     // the second a hit, whichever lane's seal wins the race.
     assert_eq!(
@@ -178,13 +81,11 @@ fn thread_count_is_invisible_to_the_full_record_surface() {
     // `Some(4)` parks only jobs that cool while queued.
     for park_after in [None, Some(0), Some(1), Some(4)] {
         let (fleet1, r1) = drive(1, park_after);
-        let a: Vec<_> = r1.iter().map(full_digest).collect();
-        assert_eq!(a, reference, "parking after {park_after:?} moved a record");
+        assert_eq!(r1, never, "parking after {park_after:?} moved a record");
         for threads in [2usize, 4, 8] {
             let (fleetn, rn) = drive(threads, park_after);
-            let b: Vec<_> = rn.iter().map(full_digest).collect();
             assert_eq!(
-                a, b,
+                r1, rn,
                 "schedule surface diverged at {threads} threads, parking after {park_after:?}"
             );
             // Host-only counters aside, the stats are one deterministic
@@ -211,9 +112,7 @@ fn parking_is_invisible_to_results() {
     assert!(aggressive_fleet.stats().parks > 0, "no park exercised");
     assert!(aggressive_fleet.stats().revives > 0, "no revive exercised");
     // …and no record moved a bit, cycles and schedule included.
-    let a: Vec<_> = never.iter().map(full_digest).collect();
-    let b: Vec<_> = aggressive.iter().map(full_digest).collect();
-    assert_eq!(a, b, "parking perturbed the record surface");
+    assert_eq!(never, aggressive, "parking perturbed the record surface");
     // Aggressive parking bounds resident machines below the backlog.
     assert!(
         aggressive_fleet.stats().peak_resident_machines <= 3,

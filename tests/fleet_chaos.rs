@@ -6,9 +6,10 @@
 //! 1. **`ChaosPlan::none` is bit-for-bit invisible.** A fleet with the
 //!    chaos seams compiled in, the resilience machinery armed (the
 //!    [`ResilienceConfig::standard`] preset) and zero faults drawn must
-//!    produce the *identical* full record surface — outcomes, MMIO,
-//!    cycles, ticks, sojourns — as a fleet that never heard of either
-//!    module, at every host thread count.
+//!    produce the *identical* records as a fleet that never heard of
+//!    either module, at every host thread count. That property,
+//!    `chaos_none_is_bit_for_bit_invisible`, lives with the other
+//!    equalities in `equalities.rs`.
 //! 2. **Every fault is exactly one typed event.** Injected strikes
 //!    never panic and never vanish: the `FaultInjected` event count,
 //!    the per-seam counters and their total all agree, for driver-drawn
@@ -19,126 +20,27 @@
 //!    holds keep being served at full fidelity, and deadline sheds
 //!    produce a typed `DeadlineMissed` record instead of a hang.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{arch, async_config, async_fleet, loop_job, run_async, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, AsyncFleet, BreakerConfig, ChaosPlan, ClassId, FaultRate, JobOutcome, JobRecord,
-    JobSpec, ResilienceConfig, ResilienceEvent, ResilienceStats, SchedMode, Seam, TenantId,
+    AsyncConfig, BreakerConfig, ChaosPlan, ClassId, FaultRate, JobOutcome, JobSpec,
+    ResilienceConfig, ResilienceEvent, ResilienceStats, SchedMode, Seam, TenantId,
 };
 
-fn loop_job(n: u32) -> String {
-    format!(
-        "main: li t0, {n}
-               li t1, 0
-         loop: add t1, t1, t0
-               subi t0, t0, 1
-               bnez t0, loop
-               li a0, 0xFFFF0000
-               sw t1, 0(a0)
-               halt"
-    )
+/// `n` tenants in class 0 and no jobs yet.
+fn tenants(n: u32) -> Mix {
+    let keys = |id| KeySet::from_seed(0xC4A0_0000 + id as u64);
+    Mix::new((1..=n).map(|id| (TenantId(id), keys(id))).collect(), vec![])
 }
 
-fn tenants(n: u32) -> Vec<(TenantId, KeySet)> {
-    (1..=n)
-        .map(|id| (TenantId(id), KeySet::from_seed(0xC4A0_0000 + id as u64)))
-        .collect()
-}
-
-/// The full deterministic surface of a record, scheduling included —
-/// same recipe the async determinism suite pins.
-fn full_digest(r: &JobRecord) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{:?}",
-        r.job,
-        r.tenant,
-        r.outcome,
-        r.out_words,
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
-        r.arrival_tick,
-        r.start_tick,
-        r.end_tick,
-        r.sojourn_cycles,
-        r.slice_cycles,
-    )
-}
-
-/// Builds a fleet, runs `jobs` to idle, returns (fleet, records sorted
-/// by job id).
-fn drive(
-    threads: usize,
-    chaos: ChaosPlan,
-    resilience: ResilienceConfig,
-    tenant_set: &[(TenantId, KeySet)],
-    jobs: &[JobSpec],
-) -> (AsyncFleet, Vec<JobRecord>) {
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads,
-        workers: 3,
-        mode: SchedMode::FuelSliced { slice: 120 },
-        park_after: Some(2),
-        chaos,
-        resilience,
-        ..Default::default()
-    });
-    for (id, keys) in tenant_set {
-        fleet
-            .register_tenant(*id, keys.clone(), ClassId(0))
-            .unwrap();
-    }
-    for job in jobs {
-        fleet.submit(job.clone()).unwrap();
-    }
-    fleet.run_until_idle();
-    let mut records = fleet.drain_finished();
-    records.sort_by_key(|r| r.job);
-    (fleet, records)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Claim 1: across generated workloads and 1/2/4/8 host threads, a
-    /// fleet with `ChaosPlan::none` installed and the full resilience
-    /// preset armed is indistinguishable — full record surface and
-    /// stats — from the machinery-free default fleet. Idle survival
-    /// gear must cost zero bits.
-    #[test]
-    fn chaos_none_is_bit_for_bit_invisible(
-        lengths in proptest::collection::vec(3u32..60, 3..7),
-    ) {
-        let tenant_set = tenants(3);
-        let jobs: Vec<JobSpec> = lengths
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                JobSpec::new(TenantId(1 + (i as u32 % 3)), loop_job(n), 100_000)
-            })
-            .collect();
-        let (base_fleet, baseline) = drive(
-            1,
-            ChaosPlan::none(),
-            ResilienceConfig::default(),
-            &tenant_set,
-            &jobs,
-        );
-        let reference: Vec<String> = baseline.iter().map(full_digest).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let (fleet, records) = drive(
-                threads,
-                ChaosPlan::none(),
-                ResilienceConfig::standard(),
-                &tenant_set,
-                &jobs,
-            );
-            let got: Vec<String> = records.iter().map(full_digest).collect();
-            prop_assert_eq!(&got, &reference);
-            prop_assert_eq!(fleet.stats(), base_fleet.stats());
-            // No fault was drawn, so the whole resilience surface is zero.
-            prop_assert_eq!(fleet.resilience_stats(), Default::default());
-        }
-    }
+/// Three lanes of 120-cycle slices at `threads`, parking after two idle
+/// ticks, under `chaos` and `resilience`.
+fn config(threads: usize, chaos: ChaosPlan, resilience: ResilienceConfig) -> AsyncConfig {
+    let mut config = async_config(threads, 3, SchedMode::FuelSliced { slice: 120 }, Some(2));
+    (config.chaos, config.resilience) = (chaos, resilience);
+    config
 }
 
 /// Claim 2: under a hot uniform plan every strike lands as exactly one
@@ -148,23 +50,13 @@ proptest! {
 /// into exactly one record. No panics, no silent losses.
 #[test]
 fn every_fault_is_exactly_one_typed_event() {
-    let tenant_set = tenants(6);
-    let jobs: Vec<JobSpec> = (0..18)
-        .map(|i| {
-            JobSpec::new(
-                TenantId(1 + (i as u32 % 6)),
-                loop_job(20 + 7 * (i as u32 % 5)),
-                100_000,
-            )
-        })
+    let mut mix = tenants(6);
+    mix.jobs = (0..18u32)
+        .map(|i| JobSpec::new(TenantId(1 + i % 6), loop_job(20 + 7 * (i % 5)), 100_000))
         .collect();
-    let (mut fleet, records) = drive(
-        2,
-        ChaosPlan::uniform(0xC0FF_EE00, FaultRate::ppm(60_000)),
-        ResilienceConfig::standard(),
-        &tenant_set,
-        &jobs,
-    );
+    let chaos = ChaosPlan::uniform(0xC0FF_EE00, FaultRate::ppm(60_000));
+    let (mut fleet, run) = run_async(&mix, config(2, chaos, ResilienceConfig::standard()));
+    let records = run.records;
     let res = fleet.resilience_stats();
     assert!(res.faults_injected > 0, "hot plan drew no faults");
     let events = fleet.drain_resilience_events();
@@ -208,7 +100,7 @@ fn every_fault_is_exactly_one_typed_event() {
     assert_eq!(counters, counted, "a recovery counter without its events");
     // Conservation: every submitted job settled into exactly one
     // record (retries re-queue the job, they never fork or drop it).
-    assert_eq!(records.len(), jobs.len());
+    assert_eq!(records.len(), mix.jobs.len());
 }
 
 /// Folds an event stream into counters, independently of the driver:
@@ -258,7 +150,12 @@ fn fold_events(events: &[ResilienceEvent]) -> ResilienceStats {
 /// two-tick span).
 #[test]
 fn resilience_stats_are_the_fold_of_their_events() {
-    let tenant_set = tenants(6);
+    let mut mix = tenants(6);
+    for i in 0..36u32 {
+        let spec = JobSpec::new(TenantId(1 + i % 6), loop_job(20 + 7 * (i % 5)), 100_000);
+        mix.jobs.push(spec);
+        mix.arrivals.push(u64::from(i / 2));
+    }
     for cooldown_ticks in [0, 6] {
         let mut reference = None;
         for threads in [1usize, 2, 4] {
@@ -270,25 +167,8 @@ fn resilience_stats_are_the_fold_of_their_events() {
                 cooldown_ticks,
                 shed_max_weight: 1,
             });
-            let mut fleet = AsyncFleet::new(AsyncConfig {
-                threads,
-                workers: 3,
-                mode: SchedMode::FuelSliced { slice: 120 },
-                park_after: Some(2),
-                chaos: ChaosPlan::uniform(0x5707_F01D, FaultRate::ppm(80_000)),
-                resilience,
-                ..Default::default()
-            });
-            for (id, keys) in &tenant_set {
-                fleet
-                    .register_tenant(*id, keys.clone(), ClassId(0))
-                    .unwrap();
-            }
-            for i in 0..36u32 {
-                let spec = JobSpec::new(TenantId(1 + i % 6), loop_job(20 + 7 * (i % 5)), 100_000);
-                fleet.submit_at(spec, u64::from(i / 2));
-            }
-            fleet.run_until_idle();
+            let chaos = ChaosPlan::uniform(0x5707_F01D, FaultRate::ppm(80_000));
+            let (mut fleet, _) = run_async(&mix, config(threads, chaos, resilience));
             let stats = fleet.resilience_stats();
             let events = fleet.drain_resilience_events();
             assert_eq!(fold_events(&events), stats, "{threads} threads");
@@ -314,17 +194,9 @@ fn resilience_stats_are_the_fold_of_their_events() {
 /// injected outside the driver but share the same typed ledger.
 #[test]
 fn harness_faults_share_the_ledger() {
-    let tenant_set = tenants(1);
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 1,
-        workers: 1,
-        ..Default::default()
-    });
-    for (id, keys) in &tenant_set {
-        fleet
-            .register_tenant(*id, keys.clone(), ClassId(0))
-            .unwrap();
-    }
+    let mut config = AsyncConfig::default();
+    (config.threads, config.workers) = (1, 1);
+    let mut fleet = async_fleet(&tenants(1), config);
     fleet.note_harness_fault(Seam::Checkpoint, None, None);
     fleet.note_harness_fault(Seam::Storm, None, Some(TenantId(1)));
     let res = fleet.resilience_stats();
@@ -356,19 +228,10 @@ fn harness_faults_share_the_ledger() {
 /// typed `SealFailed`, not a panic.
 #[test]
 fn total_seal_storm_still_serves_warm_tenants() {
-    let tenant_set = tenants(4);
     let warm_src = loop_job(12);
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 2,
-        workers: 2,
-        mode: SchedMode::FuelSliced { slice: 120 },
-        ..Default::default()
-    });
-    for (id, keys) in &tenant_set {
-        fleet
-            .register_tenant(*id, keys.clone(), ClassId(0))
-            .unwrap();
-    }
+    let mut config = AsyncConfig::default();
+    (config.threads, config.workers, config.mode) = (2, 2, SchedMode::FuelSliced { slice: 120 });
+    let mut fleet = async_fleet(&tenants(4), config);
     // Calm phase: warm tenants 1–3 (their sealed images enter the cache).
     for id in 1..=3u32 {
         fleet
@@ -376,15 +239,10 @@ fn total_seal_storm_still_serves_warm_tenants() {
             .unwrap();
     }
     fleet.run_until_idle();
-    let calm: Vec<String> = {
-        let mut r = fleet.drain_finished();
-        r.sort_by_key(|rec| rec.tenant);
-        r.iter()
-            .map(|rec| format!("{:?}|{:?}|{:?}", rec.tenant, rec.outcome, rec.out_words))
-            .collect()
-    };
+    let mut calm = fleet.drain_finished();
+    calm.sort_by_key(|rec| rec.tenant);
     assert!(
-        calm.iter().all(|d| d.contains("Halted")),
+        calm.iter().all(|r| r.outcome.is_halted()),
         "calm phase failed"
     );
 
@@ -406,11 +264,10 @@ fn total_seal_storm_still_serves_warm_tenants() {
     let mut storm = fleet.drain_finished();
     storm.sort_by_key(|rec| rec.tenant);
     let (cold, warm): (Vec<_>, Vec<_>) = storm.iter().partition(|rec| rec.tenant == TenantId(4));
-    let warm_got: Vec<String> = warm
-        .iter()
-        .map(|rec| format!("{:?}|{:?}|{:?}", rec.tenant, rec.outcome, rec.out_words))
-        .collect();
-    assert_eq!(warm_got, calm, "storm perturbed warm tenants");
+    assert!(warm.iter().zip(&calm).all(|(w, c)| w.tenant == c.tenant));
+    let warm_got: Vec<_> = warm.iter().map(|r| arch(r)).collect();
+    let calm_got: Vec<_> = calm.iter().map(arch).collect();
+    assert_eq!(warm_got, calm_got, "storm perturbed warm tenants");
     assert_eq!(cold.len(), 1);
     assert!(
         matches!(cold[0].outcome, JobOutcome::SealFailed(_)),
@@ -427,21 +284,14 @@ fn total_seal_storm_still_serves_warm_tenants() {
 /// quarantined, and the shed is mirrored by a `DeadlineShed` event.
 #[test]
 fn deadline_sheds_are_typed_records_not_hangs() {
-    let tenant_set = tenants(1);
     let mut resilience = ResilienceConfig::standard();
     resilience.deadlines.insert(ClassId(0), 1);
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 1,
-        workers: 1,
-        mode: SchedMode::FuelSliced { slice: 60 },
+    let mut config = AsyncConfig {
         resilience,
         ..Default::default()
-    });
-    for (id, keys) in &tenant_set {
-        fleet
-            .register_tenant(*id, keys.clone(), ClassId(0))
-            .unwrap();
-    }
+    };
+    (config.threads, config.workers, config.mode) = (1, 1, SchedMode::FuelSliced { slice: 60 });
+    let mut fleet = async_fleet(&tenants(1), config);
     // One worker, four long jobs: whoever queues behind the head blows
     // the 1-cycle deadline on the first priced tick.
     for _ in 0..4 {

@@ -8,11 +8,14 @@
 //! violation fires still traps in the adopting fleet and quarantines
 //! only its tenant there.
 
+mod common;
+
+use common::{adopted_as, async_config, batch_config, batch_fleet, loop_job, unpriced, Mix};
 use sofia::attacks::victims::control_loop_victim;
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AdmissionConfig, AdmitError, AdoptError, AsyncConfig, AsyncFleet, ClassConfig, ClassId,
-    JobCheckpoint, JobRecord, Sabotage,
+    AdmissionConfig, AdmitError, AdoptError, AsyncFleet, ClassConfig, JobCheckpoint, JobRecord,
+    Sabotage,
 };
 use sofia::prelude::*;
 use sofia::transform::Transformer;
@@ -23,30 +26,17 @@ fn tenant_seed(id: u32) -> u64 {
     0xF1EE7 + id as u64
 }
 
-fn fleet_with_tenants(workers: usize) -> Fleet {
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode: SchedMode::FuelSliced { slice: SLICE },
-        ..Default::default()
-    });
-    for id in 1..=3u32 {
-        fleet
-            .register_tenant(TenantId(id), KeySet::from_seed(tenant_seed(id)))
-            .unwrap();
-    }
-    fleet
+/// Tenants 1–3 in class 0, no jobs.
+fn tenants() -> Mix {
+    let keys = |id| KeySet::from_seed(tenant_seed(id));
+    Mix::new((1..=3).map(|id| (TenantId(id), keys(id))).collect(), vec![])
 }
 
-fn loop_job(n: u32) -> String {
-    format!(
-        "main: li t0, {n}
-               li t1, 0
-         loop: add t1, t1, t0
-               subi t0, t0, 1
-               bnez t0, loop
-               li a0, 0xFFFF0000
-               sw t1, 0(a0)
-               halt"
+fn fleet_with_tenants(workers: usize) -> Fleet {
+    let mode = SchedMode::FuelSliced { slice: SLICE };
+    batch_fleet(
+        &tenants(),
+        batch_config(workers, mode, QuarantinePolicy::Suspend),
     )
 }
 
@@ -95,32 +85,6 @@ fn submit_mix(fleet: &mut Fleet) -> usize {
         fleet.submit(job).unwrap();
     }
     n
-}
-
-/// The migration-invariant record surface: everything except the
-/// adopting fleet's seal-cache attribution and its batch-local ticks.
-type RecordEssence = (
-    TenantId,
-    String,
-    Vec<u32>,
-    Vec<Violation>,
-    String,
-    bool,
-    u32,
-    Vec<u64>,
-);
-
-fn essence(r: &JobRecord) -> RecordEssence {
-    (
-        r.tenant,
-        format!("{:?}", r.outcome),
-        r.out_words.clone(),
-        r.violations.clone(),
-        format!("{:?}", r.stats),
-        r.retried,
-        r.slices,
-        r.slice_cycles.clone(),
-    )
 }
 
 #[test]
@@ -182,8 +146,8 @@ fn migrated_mix_finishes_bit_identical_across_fleets() {
         for (i, (got, want)) in merged.iter().zip(&ref_records).enumerate() {
             let got = got.expect("every job accounted for");
             assert_eq!(
-                essence(got),
-                essence(want),
+                adopted_as(got, want),
+                unpriced(want),
                 "job {i} diverged after migrating to {workers2} workers"
             );
         }
@@ -282,20 +246,10 @@ fn adoption_respects_the_tenant_registry() {
 }
 
 fn async_fleet(threads: usize, park_after: Option<u64>, admission: AdmissionConfig) -> AsyncFleet {
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads,
-        workers: 2,
-        mode: SchedMode::FuelSliced { slice: SLICE },
-        park_after,
-        admission,
-        ..Default::default()
-    });
-    for id in 1..=3u32 {
-        fleet
-            .register_tenant(TenantId(id), KeySet::from_seed(tenant_seed(id)), ClassId(0))
-            .unwrap();
-    }
-    fleet
+    let mode = SchedMode::FuelSliced { slice: SLICE };
+    let mut config = async_config(threads, 2, mode, park_after);
+    config.admission = admission;
+    common::async_fleet(&tenants(), config)
 }
 
 /// Async migration: two ticks of two lanes into the mix leave two jobs
@@ -362,16 +316,14 @@ fn async_checkpoints_live_parked_and_unserved_jobs_bit_identically() {
             for adopted in [&from_async, &from_batch] {
                 assert_eq!(adopted.len(), carried.len(), "{label}");
                 for r in &finished {
-                    assert_eq!(
-                        essence(r),
-                        essence(&ref_records[r.job.0 as usize]),
-                        "{label}"
-                    );
+                    let want = &ref_records[r.job.0 as usize];
+                    assert_eq!(unpriced(r), unpriced(want), "{label}");
                 }
                 for ((id, _), r) in carried.iter().zip(adopted) {
+                    let want = &ref_records[*id as usize];
                     assert_eq!(
-                        essence(r),
-                        essence(&ref_records[*id as usize]),
+                        adopted_as(r, want),
+                        unpriced(want),
                         "{label}: job {id} diverged after migrating"
                     );
                 }

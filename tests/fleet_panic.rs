@@ -10,10 +10,13 @@
 //! without the saboteur aboard, and the fleet serves the next batch —
 //! at several worker counts, and under the async driver.
 
+mod common;
+
+use common::{batch_config, serial_view, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, AsyncFleet, ClassId, Fleet, FleetConfig, JobOutcome, JobRecord, JobSpec, Sabotage,
-    SchedMode, TenantId, TenantState,
+    AsyncConfig, ClassId, Fleet, JobOutcome, JobRecord, JobSpec, QuarantinePolicy::Suspend,
+    Sabotage, SchedMode, TenantId, TenantState,
 };
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -45,47 +48,25 @@ fn bystander_jobs() -> Vec<JobSpec> {
         .collect()
 }
 
-/// A comparable digest of everything a record claims about its job.
-fn digest(r: &JobRecord) -> (String, Vec<u32>, Vec<String>, u64, u64) {
-    (
-        format!("{:?}", r.outcome),
-        r.out_words.clone(),
-        r.violations.iter().map(|v| format!("{v:?}")).collect(),
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
-    )
-}
-
 fn run_batch(workers: usize, with_saboteur: bool) -> (Fleet, Vec<JobRecord>) {
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode: SchedMode::FuelSliced { slice: 300 },
-        ..Default::default()
-    });
-    for (id, keys) in bystander_tenants() {
-        fleet.register_tenant(id, keys.clone()).unwrap();
-    }
+    let mut mix = Mix::new(bystander_tenants(), vec![]);
     let mallory = TenantId(66);
     if with_saboteur {
-        fleet
-            .register_tenant(mallory, KeySet::from_seed(0x666))
-            .unwrap();
+        let keys = KeySet::from_seed(0x666);
+        mix.tenants.push((mallory, keys, ClassId(0)));
     }
     for (i, job) in bystander_jobs().into_iter().enumerate() {
-        fleet.submit(job).unwrap();
+        mix.jobs.push(job);
         // Interleave the saboteur's jobs between bystanders so its
         // panics land mid-batch at every worker count.
         if with_saboteur && i % 4 == 1 {
-            fleet
-                .submit(
-                    JobSpec::new(mallory, product_src(6, 7), 50_000)
-                        .with_sabotage(Sabotage::PanicInWorker),
-                )
-                .unwrap();
+            let panic = Sabotage::PanicInWorker;
+            mix.jobs
+                .push(JobSpec::new(mallory, product_src(6, 7), 50_000).with_sabotage(panic));
         }
     }
-    let records = fleet.run_batch();
-    (fleet, records)
+    let mode = SchedMode::FuelSliced { slice: 300 };
+    common::run_batch(&mix, batch_config(workers, mode, Suspend))
 }
 
 #[test]
@@ -130,9 +111,9 @@ fn bystanders_are_bit_identical_with_and_without_the_saboteur() {
         let bystanders: Vec<_> = with
             .iter()
             .filter(|r| r.tenant != TenantId(66))
-            .map(digest)
+            .map(serial_view)
             .collect();
-        let reference: Vec<_> = without.iter().map(digest).collect();
+        let reference: Vec<_> = without.iter().map(serial_view).collect();
         assert_eq!(
             bystanders, reference,
             "saboteur perturbed bystanders at {workers} workers"
@@ -168,21 +149,13 @@ fn fleet_serves_the_next_batch_after_a_panic() {
 #[test]
 fn async_driver_contains_a_panicking_tenant() {
     for threads in [1, 4] {
-        let mut fleet = AsyncFleet::new(AsyncConfig {
-            threads,
-            workers: 2,
-            ..Default::default()
-        });
-        for (id, keys) in bystander_tenants() {
-            fleet.register_tenant(id, keys.clone(), ClassId(0)).unwrap();
-        }
         let mallory = TenantId(66);
-        fleet
-            .register_tenant(mallory, KeySet::from_seed(0x666), ClassId(0))
-            .unwrap();
-        for job in bystander_jobs() {
-            fleet.submit(job).unwrap();
-        }
+        let mut mix = Mix::new(bystander_tenants(), bystander_jobs());
+        let keys = KeySet::from_seed(0x666);
+        mix.tenants.push((mallory, keys, ClassId(0)));
+        let mut config = AsyncConfig::default();
+        (config.threads, config.workers) = (threads, 2);
+        let mut fleet = common::async_fleet(&mix, config);
         fleet
             .submit(
                 JobSpec::new(mallory, product_src(6, 7), 50_000)

@@ -3,11 +3,17 @@
 //! of the paper's per-device reset guarantee — and each
 //! [`QuarantinePolicy`] contains exactly the violating tenant.
 
+mod common;
+
+use common::{
+    async_config, async_fleet, batch_config, batch_fleet, loop_job, run_async, run_batch,
+    serial_view, unpriced, unpriced_stats, Mix,
+};
 use proptest::prelude::*;
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, AsyncFleet, ClassId, Fleet, FleetConfig, FleetError, JobOutcome, JobRecord,
-    JobSpec, QuarantinePolicy, ResilienceConfig, Sabotage, SchedMode, TenantId, TenantState,
+    AsyncConfig, ClassId, Fleet, FleetError, JobOutcome, JobRecord, JobSpec, QuarantinePolicy,
+    ResilienceConfig, Sabotage, SchedMode, TenantId, TenantState,
 };
 use sofia::prelude::RunOutcome;
 use sofia_attacks::victims;
@@ -47,24 +53,15 @@ fn victim_job() -> JobSpec {
     )
 }
 
-fn fleet_with(policy: QuarantinePolicy, workers: usize) -> Fleet {
-    let mut fleet = Fleet::new(FleetConfig {
-        workers,
-        mode: SchedMode::FuelSliced { slice: 1_000 },
-        quarantine: policy,
-        ..Default::default()
-    });
-    fleet.register_tenant(VICTIM, victim_keys()).unwrap();
-    fleet.register_tenant(BYSTANDER, bystander_keys()).unwrap();
-    fleet
+fn tenants() -> Vec<(TenantId, KeySet)> {
+    vec![(VICTIM, victim_keys()), (BYSTANDER, bystander_keys())]
 }
 
-fn result_surface(r: &JobRecord) -> (String, Vec<u32>, u64, u64) {
-    (
-        format!("{:?}", r.outcome),
-        r.out_words.clone(),
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
+fn fleet_with(quarantine: QuarantinePolicy, workers: usize) -> Fleet {
+    let mode = SchedMode::FuelSliced { slice: 1_000 };
+    batch_fleet(
+        &Mix::new(tenants(), vec![]),
+        batch_config(workers, mode, quarantine),
     )
 }
 
@@ -99,11 +96,11 @@ fn tampered_tenant_never_perturbs_a_bystander() {
         );
         // ...and the bystander's records are bit-identical to running
         // alone: results, outputs, cycles, instret.
-        let alone_surface: Vec<_> = alone_records.iter().map(result_surface).collect();
+        let alone_surface: Vec<_> = alone_records.iter().map(serial_view).collect();
         let shared_surface: Vec<_> = shared_records
             .iter()
             .filter(|r| r.tenant == BYSTANDER)
-            .map(result_surface)
+            .map(serial_view)
             .collect();
         assert_eq!(alone_surface, shared_surface, "{workers} workers");
 
@@ -112,15 +109,11 @@ fn tampered_tenant_never_perturbs_a_bystander() {
         // (Queue latency is the one legitimately schedule-visible
         // counter — the victim does occupy service slots — so it is
         // excluded from the equality.)
-        let alone_stats = alone.stats();
+        let alone_stats = unpriced_stats(&alone.stats().tenants);
         let shared_stats = shared.stats();
-        let work_only = |mut s: sofia::fleet::TenantStats| {
-            s.queue_latency_ticks = 0;
-            s
-        };
         assert_eq!(
-            work_only(alone_stats.tenants[&BYSTANDER.0]),
-            work_only(shared_stats.tenants[&BYSTANDER.0])
+            alone_stats[&BYSTANDER.0],
+            unpriced_stats(&shared_stats.tenants)[&BYSTANDER.0]
         );
         assert_eq!(shared_stats.tenants[&BYSTANDER.0].violating_jobs, 0);
         assert_eq!(shared_stats.tenants[&VICTIM.0].violating_jobs, 1);
@@ -215,27 +208,16 @@ fn fuel_starved_retry_still_quarantines() {
 fn a_deadline_shed_retry_keeps_the_first_runs_violation() {
     let mut resilience = ResilienceConfig::default();
     resilience.deadlines.insert(ClassId(0), 1);
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 1,
-        workers: 1,
-        quarantine: QuarantinePolicy::RetryWithReboot { max_resets: 1 },
+    let quarantine = QuarantinePolicy::RetryWithReboot { max_resets: 1 };
+    let mut config = AsyncConfig {
         resilience,
         ..Default::default()
-    });
-    fleet
-        .register_tenant(VICTIM, victim_keys(), ClassId(0))
-        .unwrap();
-    let loop_src = "main: li t0, 40
-                    li t1, 0
-              loop: add t1, t1, t0
-                    subi t0, t0, 1
-                    bnez t0, loop
-                    li a0, 0xFFFF0000
-                    sw t1, 0(a0)
-                    halt";
+    };
+    (config.threads, config.workers, config.quarantine) = (1, 1, quarantine);
+    let mut fleet = async_fleet(&Mix::new(vec![(VICTIM, victim_keys())], vec![]), config);
     fleet
         .submit(
-            JobSpec::new(VICTIM, loop_src.to_string(), 100_000)
+            JobSpec::new(VICTIM, loop_job(40), 100_000)
                 .with_sabotage(Sabotage::FlipRomWord { word: 8, mask: 1 }),
         )
         .unwrap();
@@ -346,98 +328,30 @@ fn parity_jobs(sabotage: Sabotage, seed: u64) -> Vec<JobSpec> {
     jobs
 }
 
-/// Everything a tenant can observe about a finished job, typed — no
-/// stringification, so a variant change can never hide a divergence.
-#[allow(clippy::type_complexity)]
-fn typed_surface(
-    r: &JobRecord,
-) -> (
-    u64,
-    JobOutcome,
-    Vec<u32>,
-    Vec<sofia::prelude::Violation>,
-    u64,
-    u64,
-    bool,
-) {
-    (
-        r.job.0,
-        r.outcome.clone(),
-        r.out_words.clone(),
-        r.violations.clone(),
-        r.stats.exec.cycles,
-        r.stats.exec.instret,
-        r.retried,
-    )
-}
-
 /// Runs the parity workload on both drivers under `policy` and returns
-/// `(records, victim state, bystander state, seal-cache entries)` per
-/// driver, records sorted by job id.
-#[allow(clippy::type_complexity)]
+/// `(unpriced records, victim state, bystander state, seal-cache
+/// entries)` per driver, records sorted by job id.
 fn run_both_drivers(
     policy: QuarantinePolicy,
     slice: u64,
     sabotage: Sabotage,
     seed: u64,
-) -> [(
-    Vec<(
-        u64,
-        JobOutcome,
-        Vec<u32>,
-        Vec<sofia::prelude::Violation>,
-        u64,
-        u64,
-        bool,
-    )>,
-    sofia::fleet::TenantState,
-    sofia::fleet::TenantState,
-    usize,
-); 2] {
-    let mut batch = Fleet::new(FleetConfig {
-        workers: 2,
-        mode: SchedMode::FuelSliced { slice },
-        quarantine: policy,
-        ..Default::default()
-    });
-    batch.register_tenant(VICTIM, victim_keys()).unwrap();
-    batch.register_tenant(BYSTANDER, bystander_keys()).unwrap();
-    for job in parity_jobs(sabotage, seed) {
-        batch.submit(job).unwrap();
-    }
-    let mut brec = batch.run_batch();
-    brec.sort_by_key(|r| r.job.0);
-
-    let mut afleet = AsyncFleet::new(AsyncConfig {
-        threads: 4,
-        workers: 2,
-        mode: SchedMode::FuelSliced { slice },
-        quarantine: policy,
-        park_after: Some(1),
-        ..Default::default()
-    });
-    afleet
-        .register_tenant(VICTIM, victim_keys(), ClassId(0))
-        .unwrap();
-    afleet
-        .register_tenant(BYSTANDER, bystander_keys(), ClassId(0))
-        .unwrap();
-    for job in parity_jobs(sabotage, seed) {
-        afleet.submit(job).unwrap();
-    }
-    afleet.run_until_idle();
-    let mut arec = afleet.drain_finished();
-    arec.sort_by_key(|r| r.job.0);
-
+) -> [(Vec<JobRecord>, TenantState, TenantState, usize); 2] {
+    let mix = Mix::new(tenants(), parity_jobs(sabotage, seed));
+    let mode = SchedMode::FuelSliced { slice };
+    let (batch, brec) = run_batch(&mix, batch_config(2, mode, policy));
+    let mut config = async_config(4, 2, mode, Some(1));
+    config.quarantine = policy;
+    let (afleet, arun) = run_async(&mix, config);
     [
         (
-            brec.iter().map(typed_surface).collect(),
+            brec.iter().map(unpriced).collect(),
             batch.tenant_state(VICTIM).unwrap(),
             batch.tenant_state(BYSTANDER).unwrap(),
             batch.seal_cache_stats().entries,
         ),
         (
-            arec.iter().map(typed_surface).collect(),
+            arun.records.iter().map(unpriced).collect(),
             afleet.tenant_state(VICTIM).unwrap(),
             afleet.tenant_state(BYSTANDER).unwrap(),
             afleet.seal_cache_stats().entries,
