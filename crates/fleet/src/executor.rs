@@ -1675,6 +1675,10 @@ impl AsyncFleet {
             self.stats.quanta += 1;
             self.stats.revives += lane.revived as u64;
             let actual = lane_cost(&lane);
+            let injected = matches!(
+                lane.fault,
+                Some(InjectedFault::SealFault | InjectedFault::WorkerPanic)
+            );
             let mut job = lane.job;
             if let Some(state) = self.classes.get_mut(&job.class.0) {
                 // True up the WFQ charge with the quantum's actual cost.
@@ -1691,12 +1695,17 @@ impl AsyncFleet {
                     record.start_tick = start_tick;
                     record.end_tick = now + 1;
                     record.sojourn_cycles = clock.saturating_sub(job.arrival_cycles);
-                    let infra_fault = matches!(
-                        record.outcome,
-                        JobOutcome::SealFailed(_)
-                            | JobOutcome::WorkerPanic(_)
-                            | JobOutcome::RevivalFailed(_)
-                    );
+                    // An infrastructure fault is one the job did not
+                    // cause: an injected seal or worker fault, or a
+                    // failed revival. A seal error or a panic of the
+                    // job's own making recurs on every retry, so like a
+                    // trap it finishes at once and never feeds the
+                    // breaker.
+                    let infra_fault = match record.outcome {
+                        JobOutcome::SealFailed(_) | JobOutcome::WorkerPanic(_) => injected,
+                        JobOutcome::RevivalFailed(_) => true,
+                        _ => false,
+                    };
                     match &record.outcome {
                         JobOutcome::WorkerPanic(_) => self.stats.worker_panics += 1,
                         JobOutcome::RevivalFailed(_) => self.stats.revival_failures += 1,

@@ -12,10 +12,13 @@
 //! The recovery ladder, in escalation order:
 //!
 //! 1. **Retry with backoff** — a job finishing with an infrastructure
-//!    fault outcome (`SealFailed` / `WorkerPanic` / `RevivalFailed`) is
-//!    re-queued `base << attempt` ticks later (plus seeded jitter) until
-//!    its per-job budget runs out. Transient faults cost latency, not
-//!    availability.
+//!    fault (an injected `SealFailed` / `WorkerPanic`, or any
+//!    `RevivalFailed`) is re-queued `base << attempt` ticks later (plus
+//!    seeded jitter) until its per-job budget runs out. Transient faults
+//!    cost latency, not availability. A seal error or panic of the job's
+//!    own making (a source that does not parse, a sabotaged worker)
+//!    recurs on every attempt, so it is neither retried nor counted
+//!    toward the breaker.
 //! 2. **Deadlines** — queued work whose sojourn exceeds its class
 //!    deadline (priced in *virtual* cycles) is shed with a typed
 //!    [`crate::JobOutcome::DeadlineMissed`] record instead of rotting in

@@ -13,7 +13,7 @@ mod common;
 use common::{batch_config, run_batch, unpriced, unpriced_stats, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::schedule::price_schedule;
-use sofia::fleet::{Fleet, FleetConfig, JobRecord, JobSpec, QuarantinePolicy, SchedMode, TenantId};
+use sofia::fleet::{Fleet, JobRecord, JobSpec, QuarantinePolicy, SchedMode, TenantId};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -152,10 +152,12 @@ fn cold_wave_seals_each_distinct_image_exactly_once() {
 #[test]
 fn farm_preserves_seal_failures_bit_for_bit() {
     for workers in WORKER_COUNTS {
-        let mut fleet = Fleet::new(FleetConfig {
+        let config = batch_config(
             workers,
-            ..Default::default()
-        });
+            SchedMode::RunToCompletion,
+            QuarantinePolicy::Suspend,
+        );
+        let mut fleet = Fleet::new(config);
         let good = TenantId(1);
         let bad = TenantId(2);
         fleet.register_tenant(good, KeySet::from_seed(1)).unwrap();

@@ -372,6 +372,17 @@ impl Mix {
         self.kinds.push(kind);
     }
 
+    /// The mix plus one random program per seed on `fuel`, dealt to its
+    /// tenants in turn and arriving at ticks 0–15.
+    pub fn with_random_programs(mut self, seeds: &[u64], fuel: u64) -> Mix {
+        for (i, &seed) in seeds.iter().enumerate() {
+            let tenant = self.tenants[i % self.tenants.len()].0;
+            let job = JobSpec::new(tenant, random_program(seed), fuel);
+            self.push(job, Some(seed % 16), format!("random_program({seed})"));
+        }
+        self
+    }
+
     /// The same mix with every job submitted before the first tick.
     pub fn at_tick_zero(&self) -> Mix {
         Mix {
@@ -520,28 +531,30 @@ pub fn serial_reference(mix: &Mix) -> Vec<(Arch, SofiaStats)> {
 
 /// A batch fleet's configuration; the SOFIA machine is the default.
 pub fn batch_config(workers: usize, mode: SchedMode, quarantine: QuarantinePolicy) -> FleetConfig {
-    let mut config = FleetConfig::default();
-    (config.workers, config.mode, config.quarantine) = (workers, mode, quarantine);
-    config
+    FleetConfig {
+        workers,
+        mode,
+        quarantine,
+        ..Default::default()
+    }
 }
 
 /// An async fleet's configuration: `threads` host threads serving
-/// `lanes` lanes in `mode`, parking after `park` idle ticks, and the
-/// defaults for the rest.
+/// `workers` lanes in `mode`, parking after `park_after` idle ticks,
+/// and the defaults for the rest.
 pub fn async_config(
     threads: usize,
-    lanes: usize,
+    workers: usize,
     mode: SchedMode,
-    park: Option<u64>,
+    park_after: Option<u64>,
 ) -> AsyncConfig {
-    let mut config = AsyncConfig::default();
-    (
-        config.threads,
-        config.workers,
-        config.mode,
-        config.park_after,
-    ) = (threads, lanes, mode, park);
-    config
+    AsyncConfig {
+        threads,
+        workers,
+        mode,
+        park_after,
+        ..Default::default()
+    }
 }
 
 /// A batch fleet under `config` with `mix`'s tenants registered and

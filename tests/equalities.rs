@@ -30,39 +30,42 @@ proptest! {
 
     /// serial ≡ parallel: at 2, 4 and 8 host threads an async run
     /// reports exactly what it reports at 1 — records, rejections,
-    /// driver, tenant, seal-cache and resilience counters — in both
-    /// modes, at any lane count, parking or not, and under every
-    /// quarantine policy.
-    /// Under `Suspend` each record also equals serial single-machine
-    /// execution, statistics included; a worker panic has no serial
-    /// counterpart, so its record is only compared across threads.
+    /// driver, tenant, seal-cache and resilience counters — in either
+    /// mode, at any lane count (unbounded too), parking or not, under
+    /// every quarantine policy. Each record of that run and of the batch
+    /// `Fleet` at 1 and 3 workers in both modes equals serial execution,
+    /// statistics included, unless serial execution has no counterpart
+    /// (a worker panic; a violating job `RetryWithReboot` re-runs). Each
+    /// case adds 3–6 random programs on one fuel of 1k–50M to the mix.
     #[test]
     fn generated_mixes_match_serial(
         mix in mixes(),
-        lanes in 1usize..5,
-        slice in 50u64..5_000,
+        seeds in proptest::collection::vec(any::<u64>(), 3..7),
+        fuel in 1_000u64..50_000_000,
+        lanes in prop_oneof![1usize..5, Just(usize::MAX)],
+        (sliced, slice) in (any::<bool>(), 50u64..5_000),
         policy in 0usize..3,
         park in (any::<bool>(), 1u64..4).prop_map(|(on, k)| on.then_some(k)),
     ) {
+        let (mix, quarantine) = (mix.with_random_programs(&seeds, fuel), POLICIES[policy]);
+        let modes = [SchedMode::RunToCompletion, SchedMode::FuelSliced { slice }];
+        let mut config = async_config(1, lanes, modes[sliced as usize], park);
+        config.quarantine = quarantine;
+        let (_, reference) = run_async(&mix, config.clone());
+        for threads in [2, 4, 8] {
+            config.threads = threads;
+            prop_assert_eq!(&run_async(&mix, config.clone()).1, &reference);
+        }
+        let mut records = reference.records;
+        for (mode, workers) in modes.into_iter().flat_map(|mode| [(mode, 1), (mode, 3)]) {
+            records.extend(run_batch(&mix, batch_config(workers, mode, quarantine)).1);
+        }
         let serial = serial_reference(&mix);
-        for mode in [SchedMode::RunToCompletion, SchedMode::FuelSliced { slice }] {
-            let config = |threads| {
-                let mut config = async_config(threads, lanes, mode, park);
-                config.quarantine = POLICIES[policy];
-                config
-            };
-            let (_, reference) = run_async(&mix, config(1));
-            for threads in [2, 4, 8] {
-                prop_assert_eq!(&run_async(&mix, config(threads)).1, &reference);
-            }
-            if POLICIES[policy] != QuarantinePolicy::Suspend {
-                continue;
-            }
-            for r in &reference.records {
-                let job = r.job.0 as usize;
-                if !is_panic(&mix.jobs[job]) {
-                    prop_assert_eq!(serial_view(r), serial[job].clone());
-                }
+        let reboots = matches!(quarantine, QuarantinePolicy::RetryWithReboot { .. });
+        for r in &records {
+            let job = r.job.0 as usize;
+            if !(is_panic(&mix.jobs[job]) || (reboots && serial[job].0.0.is_violation())) {
+                prop_assert_eq!(serial_view(r), serial[job].clone());
             }
         }
     }
@@ -130,11 +133,7 @@ proptest! {
         prop_assert_eq!(view(geometries()[geometry].1), view(VCacheConfig::default()));
     }
 
-    /// chaos-none ≡ chaos-free: with the resilience preset armed and a
-    /// plan that never strikes, every record and the driver counters
-    /// equal the default fleet's at the same thread count, and no
-    /// resilience counter moves. The preset retries every seal failure
-    /// and worker panic by design, so mixes here hold neither.
+    /// chaos-none ≡ chaos-free: see [`chaos_none_holds`].
     #[test]
     fn chaos_none_is_bit_for_bit_invisible(
         mix in mixes(),
@@ -142,18 +141,8 @@ proptest! {
         seed in any::<u64>(),
         slice in 50u64..2_000,
     ) {
-        let mix = mix.without(|job| is_panic(job) || asm::parse(&job.source).is_err());
         let chaos = if uniform { ChaosPlan::uniform(seed, FaultRate::NEVER) } else { ChaosPlan::none() };
-        for threads in [1, 2, 4, 8] {
-            let config = async_config(threads, 3, SchedMode::FuelSliced { slice }, Some(2));
-            let (_, base) = run_async(&mix, config.clone());
-            let mut armed = config;
-            (armed.chaos, armed.resilience) = (chaos.clone(), ResilienceConfig::standard());
-            let (_, run) = run_async(&mix, armed);
-            prop_assert_eq!(&run.records, &base.records);
-            prop_assert_eq!(run.stats, base.stats);
-            prop_assert_eq!(run.resilience, Default::default());
-        }
+        chaos_none_holds(&mix, chaos, slice)?;
     }
 
     /// batch ≡ async: the batch facade and the async driver it wraps
@@ -181,4 +170,31 @@ proptest! {
         prop_assert_eq!(states, run.tenant_states);
         prop_assert_eq!(unpriced_stats(&batch.stats().tenants), unpriced_stats(&run.tenant_stats));
     }
+}
+
+/// chaos-none ≡ chaos-free: with the resilience preset armed and a plan
+/// that never strikes, every record and the driver counters equal the
+/// default fleet's at the same thread count, and no resilience counter
+/// moves. A source that does not parse and a panicking worker are the
+/// job's own faults, which the preset never retries.
+fn chaos_none_holds(mix: &Mix, chaos: ChaosPlan, slice: u64) -> Result<(), TestCaseError> {
+    for threads in [1, 2, 4, 8] {
+        let config = async_config(threads, 3, SchedMode::FuelSliced { slice }, Some(2));
+        let (_, base) = run_async(mix, config.clone());
+        let mut armed = config;
+        armed.chaos = chaos.clone();
+        armed.resilience = ResilienceConfig::standard();
+        let (_, run) = run_async(mix, armed);
+        prop_assert_eq!(&run.records, &base.records);
+        prop_assert_eq!(run.stats, base.stats);
+        prop_assert_eq!(run.resilience, Default::default());
+    }
+    Ok(())
+}
+
+/// The mix at seed 19 holds an unparsable source and a panicking
+/// worker, which the armed preset once retried as host faults.
+#[test]
+fn self_inflicted_failures_are_not_retried() {
+    chaos_none_holds(&Mix::draw(19), ChaosPlan::none(), 120).unwrap();
 }

@@ -13,8 +13,8 @@ mod common;
 use common::{async_config, loop_job, run_async, serial_reference, Mix, TRAP_JOB};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AdmissionConfig, AdmitError, AsyncConfig, AsyncFleet, ClassConfig, ClassId, JobRecord, JobSpec,
-    Sabotage, SchedMode, TenantId,
+    AdmissionConfig, AdmitError, AsyncFleet, ClassConfig, ClassId, JobRecord, JobSpec, Sabotage,
+    SchedMode, TenantId,
 };
 
 fn tenants() -> Vec<(TenantId, KeySet)> {
@@ -90,14 +90,10 @@ fn thread_count_is_invisible_to_the_full_record_surface() {
             );
             // Host-only counters aside, the stats are one deterministic
             // surface; parks/revives/peak residency/makespan must agree.
+            let counters = |f: &AsyncFleet| (f.stats(), f.seal_cache_stats());
             assert_eq!(
-                fleet1.stats(),
-                fleetn.stats(),
-                "{threads} threads, {park_after:?}"
-            );
-            assert_eq!(
-                fleet1.seal_cache_stats(),
-                fleetn.seal_cache_stats(),
+                counters(&fleet1),
+                counters(&fleetn),
                 "{threads} threads, {park_after:?}"
             );
         }
@@ -135,12 +131,9 @@ fn admission_rejects_are_typed_and_immediate() {
             ..Default::default()
         },
     );
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 1,
-        workers: 1,
-        admission,
-        ..Default::default()
-    });
+    let mut config = async_config(1, 1, SchedMode::FuelSliced { slice: 500 }, Some(8));
+    config.admission = admission;
+    let mut fleet = AsyncFleet::new(config);
     let (a, b) = (TenantId(1), TenantId(2));
     fleet
         .register_tenant(a, KeySet::from_seed(1), ClassId(0))
@@ -201,12 +194,9 @@ fn scheduled_arrivals_reject_deferred_and_typed() {
         global_queue_cap: 2,
         ..Default::default()
     };
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 1,
-        workers: 1,
-        admission,
-        ..Default::default()
-    });
+    let mut config = async_config(1, 1, SchedMode::FuelSliced { slice: 500 }, Some(8));
+    config.admission = admission;
+    let mut fleet = AsyncFleet::new(config);
     let a = TenantId(1);
     fleet
         .register_tenant(a, KeySet::from_seed(1), ClassId(0))
@@ -250,13 +240,9 @@ fn weighted_fair_queueing_favours_the_heavy_class() {
             ..Default::default()
         },
     );
-    let mut fleet = AsyncFleet::new(AsyncConfig {
-        threads: 2,
-        workers: 1,
-        mode: SchedMode::FuelSliced { slice: 200 },
-        admission,
-        ..Default::default()
-    });
+    let mut config = async_config(2, 1, SchedMode::FuelSliced { slice: 200 }, Some(8));
+    config.admission = admission;
+    let mut fleet = AsyncFleet::new(config);
     let (hi, lo) = (TenantId(1), TenantId(2));
     fleet
         .register_tenant(hi, KeySet::from_seed(1), ClassId(0))

@@ -39,7 +39,8 @@ fn tenants(n: u32) -> Mix {
 /// ticks, under `chaos` and `resilience`.
 fn config(threads: usize, chaos: ChaosPlan, resilience: ResilienceConfig) -> AsyncConfig {
     let mut config = async_config(threads, 3, SchedMode::FuelSliced { slice: 120 }, Some(2));
-    (config.chaos, config.resilience) = (chaos, resilience);
+    config.chaos = chaos;
+    config.resilience = resilience;
     config
 }
 
@@ -194,8 +195,7 @@ fn resilience_stats_are_the_fold_of_their_events() {
 /// injected outside the driver but share the same typed ledger.
 #[test]
 fn harness_faults_share_the_ledger() {
-    let mut config = AsyncConfig::default();
-    (config.threads, config.workers) = (1, 1);
+    let config = async_config(1, 1, SchedMode::FuelSliced { slice: 500 }, Some(8));
     let mut fleet = async_fleet(&tenants(1), config);
     fleet.note_harness_fault(Seam::Checkpoint, None, None);
     fleet.note_harness_fault(Seam::Storm, None, Some(TenantId(1)));
@@ -229,8 +229,7 @@ fn harness_faults_share_the_ledger() {
 #[test]
 fn total_seal_storm_still_serves_warm_tenants() {
     let warm_src = loop_job(12);
-    let mut config = AsyncConfig::default();
-    (config.threads, config.workers, config.mode) = (2, 2, SchedMode::FuelSliced { slice: 120 });
+    let config = async_config(2, 2, SchedMode::FuelSliced { slice: 120 }, Some(8));
     let mut fleet = async_fleet(&tenants(4), config);
     // Calm phase: warm tenants 1–3 (their sealed images enter the cache).
     for id in 1..=3u32 {
@@ -286,11 +285,8 @@ fn total_seal_storm_still_serves_warm_tenants() {
 fn deadline_sheds_are_typed_records_not_hangs() {
     let mut resilience = ResilienceConfig::standard();
     resilience.deadlines.insert(ClassId(0), 1);
-    let mut config = AsyncConfig {
-        resilience,
-        ..Default::default()
-    };
-    (config.threads, config.workers, config.mode) = (1, 1, SchedMode::FuelSliced { slice: 60 });
+    let mut config = async_config(1, 1, SchedMode::FuelSliced { slice: 60 }, Some(8));
+    config.resilience = resilience;
     let mut fleet = async_fleet(&tenants(1), config);
     // One worker, four long jobs: whoever queues behind the head blows
     // the 1-cycle deadline on the first priced tick.

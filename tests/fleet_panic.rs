@@ -12,11 +12,11 @@
 
 mod common;
 
-use common::{batch_config, serial_view, Mix};
+use common::{async_config, batch_config, serial_view, Mix};
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, ClassId, Fleet, JobOutcome, JobRecord, JobSpec, QuarantinePolicy::Suspend,
-    Sabotage, SchedMode, TenantId, TenantState,
+    ClassId, Fleet, JobOutcome, JobRecord, JobSpec, QuarantinePolicy::Suspend, Sabotage, SchedMode,
+    TenantId, TenantState,
 };
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -153,8 +153,7 @@ fn async_driver_contains_a_panicking_tenant() {
         let mut mix = Mix::new(bystander_tenants(), bystander_jobs());
         let keys = KeySet::from_seed(0x666);
         mix.tenants.push((mallory, keys, ClassId(0)));
-        let mut config = AsyncConfig::default();
-        (config.threads, config.workers) = (threads, 2);
+        let config = async_config(threads, 2, SchedMode::FuelSliced { slice: 500 }, Some(8));
         let mut fleet = common::async_fleet(&mix, config);
         fleet
             .submit(

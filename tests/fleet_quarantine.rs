@@ -12,8 +12,8 @@ use common::{
 use proptest::prelude::*;
 use sofia::crypto::KeySet;
 use sofia::fleet::{
-    AsyncConfig, ClassId, Fleet, FleetError, JobOutcome, JobRecord, JobSpec, QuarantinePolicy,
-    ResilienceConfig, Sabotage, SchedMode, TenantId, TenantState,
+    ClassId, Fleet, FleetError, JobOutcome, JobRecord, JobSpec, QuarantinePolicy, ResilienceConfig,
+    Sabotage, SchedMode, TenantId, TenantState,
 };
 use sofia::prelude::RunOutcome;
 use sofia_attacks::victims;
@@ -209,11 +209,9 @@ fn a_deadline_shed_retry_keeps_the_first_runs_violation() {
     let mut resilience = ResilienceConfig::default();
     resilience.deadlines.insert(ClassId(0), 1);
     let quarantine = QuarantinePolicy::RetryWithReboot { max_resets: 1 };
-    let mut config = AsyncConfig {
-        resilience,
-        ..Default::default()
-    };
-    (config.threads, config.workers, config.quarantine) = (1, 1, quarantine);
+    let mut config = async_config(1, 1, SchedMode::FuelSliced { slice: 500 }, Some(8));
+    config.quarantine = quarantine;
+    config.resilience = resilience;
     let mut fleet = async_fleet(&Mix::new(vec![(VICTIM, victim_keys())], vec![]), config);
     fleet
         .submit(
