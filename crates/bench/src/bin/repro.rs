@@ -485,8 +485,8 @@ fn host_eval() {
     );
     let s = &report.seal;
     println!(
-        "  seal ({}):      {:>10.2} seal/s",
-        s.workload, s.seals_per_sec.median
+        "  seal ({}):      {:>10.2} seal/s   {:>10.2} plan/s   {:>10.2} keyed seal/s",
+        s.workload, s.seals_per_sec.median, s.plans_per_sec.median, s.keyed_seals_per_sec.median
     );
     println!("  simulation speed (fib5000):");
     for r in &report.mips {

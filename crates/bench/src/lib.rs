@@ -29,7 +29,8 @@ use sofia_cpu::machine::VanillaMachine;
 use sofia_cpu::ExecStats;
 use sofia_crypto::KeySet;
 use sofia_fleet::{ClassId, JobSpec, TenantId};
-use sofia_transform::{BlockFormat, BlockKind, TransformReport, Transformer};
+use sofia_isa::asm::DEFAULT_RAM_SIZE;
+use sofia_transform::{BlockFormat, BlockKind, SealPlan, TransformReport, Transformer};
 use sofia_workloads::{serving, Workload};
 
 /// Fuel for measurement runs.
@@ -1177,13 +1178,18 @@ pub struct HostMipsRow {
     pub mips: Spread,
 }
 
-/// Secure-installation rate (seals/sec).
+/// Secure-installation rates: the full install and its two halves.
 #[derive(Clone, Debug)]
 pub struct SealRates {
     /// Workload label.
     pub workload: String,
-    /// Full secure installations per second.
+    /// Full secure installations per second ([`Transformer::transform`]).
     pub seals_per_sec: Spread,
+    /// Key-free plans per second ([`SealPlan::new`]).
+    pub plans_per_sec: Spread,
+    /// Keyed seals of one plan per second ([`SealPlan::seal`]): what a
+    /// seal-cache miss of an already planned source costs.
+    pub keyed_seals_per_sec: Spread,
 }
 
 /// Host wall-clock throughput of one fleet configuration on the
@@ -1378,8 +1384,9 @@ pub fn host_mips(reps: u32) -> Vec<HostMipsRow> {
         .collect()
 }
 
-/// Measures seals/sec of the full secure installation (lower → CFG →
-/// pack → trees → seal) on ADPCM, `reps` seals.
+/// Measures, on ADPCM, `reps` samples each of: the full secure
+/// installation (lower → CFG → pack → trees → resolve → MAC → CTR), its
+/// key-free plan alone, and the keyed seal of that plan alone.
 ///
 /// # Panics
 ///
@@ -1387,8 +1394,12 @@ pub fn host_mips(reps: u32) -> Vec<HostMipsRow> {
 pub fn host_seal_rates(reps: u32) -> SealRates {
     let keys = KeySet::from_seed(0x5EA1);
     let module = sofia_workloads::adpcm::workload(600).module();
-    let transformer = Transformer::new(keys);
-    let secs = sampled(reps, || {
+    let transformer = Transformer::new(keys.clone());
+    let plan = || {
+        SealPlan::new(&module, BlockFormat::default(), DEFAULT_RAM_SIZE)
+            .unwrap_or_else(|e| panic!("adpcm plans: {e:?}"))
+    };
+    let full = sampled(reps, || {
         secs(|| {
             std::hint::black_box(
                 transformer
@@ -1397,9 +1408,16 @@ pub fn host_seal_rates(reps: u32) -> SealRates {
             );
         })
     });
+    let planning = sampled(reps, || secs(|| drop(std::hint::black_box(plan()))));
+    let planned = plan();
+    let keyed = sampled(reps, || {
+        secs(|| drop(std::hint::black_box(planned.seal(&keys, Nonce::new(1)))))
+    });
     SealRates {
         workload: "adpcm600".to_string(),
-        seals_per_sec: secs.rate(1.0),
+        seals_per_sec: full.rate(1.0),
+        plans_per_sec: planning.rate(1.0),
+        keyed_seals_per_sec: keyed.rate(1.0),
     }
 }
 
@@ -1495,9 +1513,11 @@ pub fn host_json(report: &HostReport) -> String {
     out.push_str("  ],\n");
     let s = &report.seal;
     out.push_str(&format!(
-        "  \"seal\": {{ \"workload\": \"{}\", {} }},\n",
+        "  \"seal\": {{ \"workload\": \"{}\", {}, {}, {} }},\n",
         s.workload,
-        s.seals_per_sec.json("seals_per_sec", 2)
+        s.seals_per_sec.json("seals_per_sec", 2),
+        s.plans_per_sec.json("plans_per_sec", 2),
+        s.keyed_seals_per_sec.json("keyed_seals_per_sec", 2)
     ));
     out.push_str("  \"fleet_host\": [\n");
     out.push_str(&join_rows(report.fleet.iter().map(|p| {
@@ -2093,6 +2113,8 @@ mod tests {
             seal: SealRates {
                 workload: "adpcm600".into(),
                 seals_per_sec: sp(25.0, 20.0, 30.0),
+                plans_per_sec: sp(40.0, 35.0, 45.0),
+                keyed_seals_per_sec: sp(90.0, 80.0, 95.0),
             },
             fleet: vec![FleetHostPoint {
                 workers: 4,
@@ -2117,7 +2139,10 @@ mod tests {
             "\"machine_mips\"",
             "\"mips\": 12.50, \"mips_min\": 12.00, \"mips_max\": 13.00",
             "\"seal\": { \"workload\": \"adpcm600\", \"seals_per_sec\": 25.00, \
-             \"seals_per_sec_min\": 20.00, \"seals_per_sec_max\": 30.00 }",
+             \"seals_per_sec_min\": 20.00, \"seals_per_sec_max\": 30.00, \
+             \"plans_per_sec\": 40.00, \"plans_per_sec_min\": 35.00, \"plans_per_sec_max\": 45.00, \
+             \"keyed_seals_per_sec\": 90.00, \"keyed_seals_per_sec_min\": 80.00, \
+             \"keyed_seals_per_sec_max\": 95.00 }",
             "\"fleet_host\"",
             "\"workers\": 4, \"jobs\": 24, \"jobs_per_sec\": 100.00, \
              \"jobs_per_sec_min\": 90.00, \"jobs_per_sec_max\": 110.00",

@@ -31,7 +31,7 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
-            ram_size: 1 << 20,
+            ram_size: sofia_isa::asm::DEFAULT_RAM_SIZE,
             icache: ICacheConfig::default(),
             pipeline: PipelineModel::default(),
         }

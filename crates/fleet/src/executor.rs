@@ -925,9 +925,12 @@ impl AsyncFleet {
     pub fn new(config: AsyncConfig) -> AsyncFleet {
         let chaos = config.chaos.clone();
         let res = ResilienceState::new(config.resilience.clone());
+        // Seal for the RAM the lanes' machines get, so a data section
+        // that cannot fit is a seal error, not a panic at machine build.
+        let cache = ImageCache::new().with_ram_size(config.sofia.machine.ram_size);
         AsyncFleet {
             config: Arc::new(config),
-            cache: Arc::new(ImageCache::default()),
+            cache: Arc::new(cache),
             pool: None,
             tenants: BTreeMap::new(),
             classes: BTreeMap::new(),

@@ -10,7 +10,8 @@
 //!   tenant's program is sealed **once** into the shared
 //!   [`sofia_transform::cache::ImageCache`] under those keys, so two
 //!   tenants submitting the same program still run *different*
-//!   ciphertexts — key isolation is structural.
+//!   ciphertexts — key isolation is structural. The key-free plan of a
+//!   program is made once and shared by every tenant that runs it.
 //! * **Jobs** (tenant + program + fuel budget) run on a few host
 //!   threads, either run-to-completion or **fuel-sliced**: preemptive
 //!   round-robin built on the engine's metered fuel seam

@@ -151,26 +151,34 @@ pub fn apply_reloc(
     Ok(patched)
 }
 
-/// Lays out a data section at `data_base`, resolving `.word label`
-/// references through the data symbols themselves and then through
-/// `text_symbol` (which supplies text-label addresses).
+/// Where each item of a data section goes, and how long the section is,
+/// before any of it is allocated: [`place_data`] is the first pass of
+/// data layout, [`DataPlacement::fill`] the second.
 ///
 /// Exposed so SOFIA's transformer — which assigns its own, block-aligned
 /// text addresses — can share the exact data-layout rules of the plain
-/// assembler.
+/// assembler, and can refuse a section too large for its target's RAM
+/// before allocating it.
+#[derive(Debug)]
+pub struct DataPlacement<'a> {
+    items: &'a [super::DataItem],
+    placements: Vec<u32>,
+    size: u32,
+    symbols: BTreeMap<String, u32>,
+}
+
+/// Places `items` at `data_base` with checked arithmetic (sizes don't
+/// depend on symbol values, so no label is resolved yet).
 ///
 /// # Errors
 ///
-/// Returns [`AsmErrorKind::UndefinedLabel`] for unresolvable `.word`
-/// references, and [`AsmErrorKind::BadDirective`] when `.space`/`.align`
-/// push the section past the end of the 32-bit address space.
-pub fn layout_data(
+/// Returns [`AsmErrorKind::BadDirective`] when `.space`/`.align` push the
+/// section past the end of the 32-bit address space.
+pub fn place_data(
     items: &[super::DataItem],
     data_base: u32,
-    text_symbol: impl Fn(&str) -> Option<u32>,
-) -> Result<(Vec<u8>, BTreeMap<String, u32>), AsmError> {
+) -> Result<DataPlacement<'_>, AsmError> {
     let mut symbols = BTreeMap::new();
-    // Pass 1: offsets (sizes don't depend on symbol values).
     let mut offset: u32 = 0;
     let mut placements = Vec::with_capacity(items.len());
     for item in items {
@@ -190,32 +198,65 @@ pub fn layout_data(
         placements.push(at);
         offset = end;
     }
-    // Pass 2: values, now that data symbols are complete.
-    let mut data = vec![0u8; offset as usize];
-    for (item, &at) in items.iter().zip(&placements) {
-        let at = at as usize;
-        match &item.kind {
-            DataKind::Word(v) => {
-                let value = match v {
-                    SymValue::Const(c) => *c,
-                    SymValue::Label(l) => symbols
-                        .get(l)
-                        .copied()
-                        .or_else(|| text_symbol(l))
-                        .ok_or_else(|| AsmError {
-                            line: item.line,
-                            kind: AsmErrorKind::UndefinedLabel(l.clone()),
-                        })?,
-                };
-                data[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            }
-            DataKind::Half(h) => data[at..at + 2].copy_from_slice(&h.to_le_bytes()),
-            DataKind::Byte(b) => data[at] = *b,
-            DataKind::Bytes(bs) => data[at..at + bs.len()].copy_from_slice(bs),
-            DataKind::Space(_) | DataKind::Align(_) => {}
-        }
+    Ok(DataPlacement {
+        items,
+        placements,
+        size: offset,
+        symbols,
+    })
+}
+
+impl DataPlacement<'_> {
+    /// The section's length in bytes: what [`DataPlacement::fill`] will
+    /// allocate.
+    pub fn size(&self) -> u32 {
+        self.size
     }
-    Ok((data, symbols))
+
+    /// The second pass: allocates the section and writes every value,
+    /// now that the data symbols are complete. Returns the bytes and the
+    /// data symbols.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AsmErrorKind::UndefinedLabel`] for a `.word label` that
+    /// is neither a data symbol nor known to `text_symbol`.
+    pub fn fill(
+        self,
+        text_symbol: impl Fn(&str) -> Option<u32>,
+    ) -> Result<(Vec<u8>, BTreeMap<String, u32>), AsmError> {
+        let DataPlacement {
+            items,
+            placements,
+            size,
+            symbols,
+        } = self;
+        let mut data = vec![0u8; size as usize];
+        for (item, &at) in items.iter().zip(&placements) {
+            let at = at as usize;
+            match &item.kind {
+                DataKind::Word(v) => {
+                    let value = match v {
+                        SymValue::Const(c) => *c,
+                        SymValue::Label(l) => symbols
+                            .get(l)
+                            .copied()
+                            .or_else(|| text_symbol(l))
+                            .ok_or_else(|| AsmError {
+                                line: item.line,
+                                kind: AsmErrorKind::UndefinedLabel(l.clone()),
+                            })?,
+                    };
+                    data[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                }
+                DataKind::Half(h) => data[at..at + 2].copy_from_slice(&h.to_le_bytes()),
+                DataKind::Byte(b) => data[at] = *b,
+                DataKind::Bytes(bs) => data[at..at + bs.len()].copy_from_slice(bs),
+                DataKind::Space(_) | DataKind::Align(_) => {}
+            }
+        }
+        Ok((data, symbols))
+    }
 }
 
 impl Module {
@@ -238,7 +279,7 @@ impl Module {
 
         let text_syms = symbols.clone();
         let (data, data_symbols) =
-            layout_data(&self.data, opts.data_base, |l| text_syms.get(l).copied())?;
+            place_data(&self.data, opts.data_base)?.fill(|l| text_syms.get(l).copied())?;
         symbols.extend(data_symbols);
 
         // Patch text relocations.

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use crate::error::AsmError;
 use crate::Instruction;
 
-pub use layout::{apply_reloc, layout_data, Assembly, LayoutOptions};
+pub use layout::{apply_reloc, place_data, Assembly, DataPlacement, LayoutOptions};
 
 /// Default base address of the text section.
 ///
@@ -61,6 +61,11 @@ pub const DEFAULT_TEXT_BASE: u32 = 0x100;
 
 /// Default base address of the data section.
 pub const DEFAULT_DATA_BASE: u32 = 0x1000_0000;
+
+/// Default size of the data RAM at [`DEFAULT_DATA_BASE`], in bytes: the
+/// machines' default, and the bound a sealer refuses data sections
+/// beyond unless told the target's RAM size.
+pub const DEFAULT_RAM_SIZE: u32 = 1 << 20;
 
 /// How a symbolic operand of an instruction must be patched at layout time.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -92,8 +92,11 @@ impl Parser {
         };
         if let Some(directive) = mnemonic.strip_prefix('.') {
             self.parse_directive(directive, rest)
-        } else {
+        } else if mnemonic.bytes().any(|b| b.is_ascii_uppercase()) {
             self.parse_instruction(&mnemonic.to_ascii_lowercase(), rest)
+        } else {
+            // Mnemonics are written in lower case: match the slice itself.
+            self.parse_instruction(mnemonic, rest)
         }
     }
 
@@ -270,9 +273,9 @@ impl Parser {
             "add" | "sub" | "and" | "or" | "xor" | "nor" | "slt" | "sltu" | "mul" | "div"
             | "divu" | "rem" | "remu" => {
                 need!(3);
-                let rd = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
-                let rt = self.reg(&ops[2])?;
+                let rd = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
+                let rt = self.reg(ops[2])?;
                 let inst = match m {
                     "add" => Add { rd, rs, rt },
                     "sub" => Sub { rd, rs, rt },
@@ -293,9 +296,9 @@ impl Parser {
             // --- variable shifts: sllv rd, rt, rs ---
             "sllv" | "srlv" | "srav" => {
                 need!(3);
-                let rd = self.reg(&ops[0])?;
-                let rt = self.reg(&ops[1])?;
-                let rs = self.reg(&ops[2])?;
+                let rd = self.reg(ops[0])?;
+                let rt = self.reg(ops[1])?;
+                let rs = self.reg(ops[2])?;
                 let inst = match m {
                     "sllv" => Sllv { rd, rt, rs },
                     "srlv" => Srlv { rd, rt, rs },
@@ -306,11 +309,11 @@ impl Parser {
             // --- immediate shifts: sll rd, rt, shamt ---
             "sll" | "srl" | "sra" => {
                 need!(3);
-                let rd = self.reg(&ops[0])?;
-                let rt = self.reg(&ops[1])?;
-                let sh = self.parse_int(&ops[2])?;
+                let rd = self.reg(ops[0])?;
+                let rt = self.reg(ops[1])?;
+                let sh = self.parse_int(ops[2])?;
                 if !(0..32).contains(&sh) {
-                    return Err(self.err(AsmErrorKind::BadImmediate(ops[2].clone())));
+                    return Err(self.err(AsmErrorKind::BadImmediate(ops[2].to_string())));
                 }
                 let shamt = sh as u8;
                 let inst = match m {
@@ -323,9 +326,9 @@ impl Parser {
             // --- I-type ALU ---
             "addi" | "slti" | "sltiu" => {
                 need!(3);
-                let rt = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
-                let imm = self.imm16_signed(&ops[2])?;
+                let rt = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
+                let imm = self.imm16_signed(ops[2])?;
                 let inst = match m {
                     "addi" => Addi { rt, rs, imm },
                     "slti" => Slti { rt, rs, imm },
@@ -335,12 +338,12 @@ impl Parser {
             }
             "subi" => {
                 need!(3);
-                let rt = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
-                let v = self.parse_int(&ops[2])?;
+                let rt = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
+                let v = self.parse_int(ops[2])?;
                 let neg = -v;
                 if !(-32768..=32767).contains(&neg) {
-                    return Err(self.err(AsmErrorKind::BadImmediate(ops[2].clone())));
+                    return Err(self.err(AsmErrorKind::BadImmediate(ops[2].to_string())));
                 }
                 self.emit_inst(
                     Addi {
@@ -353,9 +356,9 @@ impl Parser {
             }
             "andi" | "ori" | "xori" => {
                 need!(3);
-                let rt = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
-                let imm = self.imm16_unsigned(&ops[2])?;
+                let rt = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
+                let imm = self.imm16_unsigned(ops[2])?;
                 let inst = match m {
                     "andi" => Andi { rt, rs, imm },
                     "ori" => Ori { rt, rs, imm },
@@ -365,15 +368,15 @@ impl Parser {
             }
             "lui" => {
                 need!(2);
-                let rt = self.reg(&ops[0])?;
-                let imm = self.imm16_unsigned(&ops[1])?;
+                let rt = self.reg(ops[0])?;
+                let imm = self.imm16_unsigned(ops[1])?;
                 self.emit_inst(Lui { rt, imm }, None)
             }
             // --- memory ---
             "lb" | "lbu" | "lh" | "lhu" | "lw" | "sb" | "sh" | "sw" => {
                 need!(2);
-                let rt = self.reg(&ops[0])?;
-                let (offset, base) = self.mem_operand(&ops[1])?;
+                let rt = self.reg(ops[0])?;
+                let (offset, base) = self.mem_operand(ops[1])?;
                 let inst = match m {
                     "lb" => Lb { rt, base, offset },
                     "lbu" => Lbu { rt, base, offset },
@@ -409,7 +412,7 @@ impl Parser {
                     r.swap(0, 1);
                 }
                 let [rs, rt] = r;
-                let label = self.label(&ops[regs])?;
+                let label = self.label(ops[regs])?;
                 let inst = match base {
                     "beq" => Beq { rs, rt, offset: 0 },
                     "bne" => Bne { rs, rt, offset: 0 },
@@ -423,15 +426,15 @@ impl Parser {
             // --- jumps ---
             "j" => {
                 need!(1);
-                self.emit_inst(J { index: 0 }, Some(Reloc::Jump(self.label(&ops[0])?)))
+                self.emit_inst(J { index: 0 }, Some(Reloc::Jump(self.label(ops[0])?)))
             }
             "jal" | "call" => {
                 need!(1);
-                self.emit_inst(Jal { index: 0 }, Some(Reloc::Jump(self.label(&ops[0])?)))
+                self.emit_inst(Jal { index: 0 }, Some(Reloc::Jump(self.label(ops[0])?)))
             }
             "jr" => {
                 need!(1);
-                let rs = self.reg(&ops[0])?;
+                let rs = self.reg(ops[0])?;
                 self.emit_inst(Jr { rs }, None)
             }
             "ret" => {
@@ -440,12 +443,12 @@ impl Parser {
             }
             "jalr" => match n {
                 1 => {
-                    let rs = self.reg(&ops[0])?;
+                    let rs = self.reg(ops[0])?;
                     self.emit_inst(Jalr { rd: Reg::RA, rs }, None)
                 }
                 2 => {
-                    let rd = self.reg(&ops[0])?;
-                    let rs = self.reg(&ops[1])?;
+                    let rd = self.reg(ops[0])?;
+                    let rs = self.reg(ops[1])?;
                     self.emit_inst(Jalr { rd, rs }, None)
                 }
                 _ => Err(bad(self)),
@@ -461,14 +464,14 @@ impl Parser {
             }
             "mv" | "move" => {
                 need!(2);
-                let rt = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
+                let rt = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
                 self.emit_inst(Addi { rt, rs, imm: 0 }, None)
             }
             "not" => {
                 need!(2);
-                let rd = self.reg(&ops[0])?;
-                let rs = self.reg(&ops[1])?;
+                let rd = self.reg(ops[0])?;
+                let rs = self.reg(ops[1])?;
                 self.emit_inst(
                     Nor {
                         rd,
@@ -480,8 +483,8 @@ impl Parser {
             }
             "neg" => {
                 need!(2);
-                let rd = self.reg(&ops[0])?;
-                let rt = self.reg(&ops[1])?;
+                let rd = self.reg(ops[0])?;
+                let rt = self.reg(ops[1])?;
                 self.emit_inst(
                     Sub {
                         rd,
@@ -493,18 +496,18 @@ impl Parser {
             }
             "li" => {
                 need!(2);
-                let rt = self.reg(&ops[0])?;
-                let v = self.parse_int(&ops[1])?;
+                let rt = self.reg(ops[0])?;
+                let v = self.parse_int(ops[1])?;
                 if !(-(1i64 << 31)..1i64 << 32).contains(&v) {
-                    return Err(self.err(AsmErrorKind::BadImmediate(ops[1].clone())));
+                    return Err(self.err(AsmErrorKind::BadImmediate(ops[1].to_string())));
                 }
                 let v = v as u32;
                 self.expand_li(rt, v)
             }
             "la" => {
                 need!(2);
-                let rt = self.reg(&ops[0])?;
-                let label = self.label(&ops[1])?;
+                let rt = self.reg(ops[0])?;
+                let label = self.label(ops[1])?;
                 self.emit_inst(Lui { rt, imm: 0 }, Some(Reloc::Hi(label.clone())))?;
                 self.emit_inst(Ori { rt, rs: rt, imm: 0 }, Some(Reloc::Lo(label)))
             }
@@ -615,15 +618,14 @@ impl Parser {
             None => (false, s),
         };
         let value = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-            i64::from_str_radix(&hex.replace('_', ""), 16).map_err(|_| bad())?
+            parse_digits(hex, 16).ok_or_else(bad)?
         } else if let Some(bin) = body.strip_prefix("0b").or_else(|| body.strip_prefix("0B")) {
-            i64::from_str_radix(&bin.replace('_', ""), 2).map_err(|_| bad())?
-        } else if body.starts_with('\'') {
-            let chars: Vec<char> = body.chars().collect();
-            if chars.len() == 3 && chars[2] == '\'' {
-                chars[1] as i64
-            } else if chars.len() == 4 && chars[1] == '\\' && chars[3] == '\'' {
-                match chars[2] {
+            parse_digits(bin, 2).ok_or_else(bad)?
+        } else if let Some(quoted) = body.strip_prefix('\'') {
+            let mut chars = quoted.strip_suffix('\'').ok_or_else(bad)?.chars();
+            let value = match (chars.next(), chars.next()) {
+                (Some(c), None) => c as i64,
+                (Some('\\'), Some(escape)) => match escape {
                     'n' => 10,
                     't' => 9,
                     'r' => 13,
@@ -631,12 +633,15 @@ impl Parser {
                     '\\' => 92,
                     '\'' => 39,
                     _ => return Err(bad()),
-                }
-            } else {
+                },
+                _ => return Err(bad()),
+            };
+            if chars.next().is_some() {
                 return Err(bad());
             }
+            value
         } else if body.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            body.replace('_', "").parse::<i64>().map_err(|_| bad())?
+            parse_digits(body, 10).ok_or_else(bad)?
         } else if let Some(&v) = self.constants.get(body) {
             v
         } else {
@@ -702,29 +707,38 @@ fn is_valid_ident(s: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
 }
 
-/// Splits operands on top-level commas (commas inside quotes are kept).
-fn split_operands(rest: &str) -> Vec<String> {
+/// Splits operands on top-level commas (commas inside quotes are kept),
+/// each a trimmed slice of `rest`.
+fn split_operands(rest: &str) -> Vec<&str> {
     if rest.trim().is_empty() {
         return Vec::new();
     }
     let mut out = Vec::new();
-    let mut depth_str = false;
-    let mut current = String::new();
-    for c in rest.chars() {
+    let mut in_str = false;
+    let mut start = 0;
+    for (i, c) in rest.char_indices() {
         match c {
-            '"' => {
-                depth_str = !depth_str;
-                current.push(c);
+            '"' => in_str = !in_str,
+            ',' if !in_str => {
+                out.push(rest[start..i].trim());
+                start = i + 1;
             }
-            ',' if !depth_str => {
-                out.push(current.trim().to_string());
-                current.clear();
-            }
-            _ => current.push(c),
+            _ => {}
         }
     }
-    out.push(current.trim().to_string());
+    out.push(rest[start..].trim());
     out
+}
+
+/// Parses `digits` in `radix` as [`i64::from_str_radix`] does, after
+/// dropping `_` separators: in place, unless there are separators to
+/// drop.
+fn parse_digits(digits: &str, radix: u32) -> Option<i64> {
+    if digits.contains('_') {
+        i64::from_str_radix(&digits.replace('_', ""), radix).ok()
+    } else {
+        i64::from_str_radix(digits, radix).ok()
+    }
 }
 
 /// Parses a double-quoted string literal with `\n \t \r \0 \\ \"` escapes.

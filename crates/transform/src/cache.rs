@@ -1,23 +1,35 @@
-//! The keyed secure-image cache: seal each (device keys, program) pair
-//! **once**, share the result.
+//! The keyed secure-image cache: plan once per source, seal once per key.
 //!
 //! The paper's deployment story is one software provider sealing programs
 //! for a fleet of devices that share nothing but their device keys (§II:
-//! "these keys are known only by the software provider"). A serving
-//! system therefore re-seals the same program for the same tenant over
-//! and over unless installation is memoised — which is what this cache
-//! does, filed under a fingerprint of the key material plus a hash of
-//! the program source, and served only to a request whose key material
-//! and source match the stored ones exactly, so two tenants submitting
-//! the *same* program still get *different* sealed images (key isolation
-//! is structural, not policed) and a fingerprint collision costs a seal,
-//! never a wrong image.
+//! "these keys are known only by the software provider"). The provider
+//! lays a program out once; only the CBC-MAC and the CTR pass use a
+//! device's keys (§II-C/§III). A serving system therefore re-seals the
+//! same program for the same tenant over and over unless installation is
+//! memoised, and re-plans it for every tenant unless the layout is shared
+//! — which is what this cache does, at both levels:
 //!
-//! The cache is internally synchronised, and sealing happens **outside**
-//! the map lock behind a per-key in-progress marker: concurrent workers
-//! racing on the same program seal it exactly once (the losers wait for
-//! the winner's image), while workers sealing *different* programs — or
-//! merely looking up already-cached ones — proceed in parallel.
+//! * one key-free [`SealPlan`] per source, filed under the **full source
+//!   text**, so a plan can never be served for another program (it would
+//!   seal validly under the tenant's keys and run the wrong program
+//!   without any violation);
+//! * one sealed image per `(keys, source)` pair, filed under a
+//!   fingerprint of the key material plus a hash of the source and served
+//!   only to a request whose key material and source match the stored
+//!   ones exactly, so two tenants submitting the *same* program still get
+//!   *different* sealed images (key isolation is structural, not
+//!   policed) and a fingerprint collision costs a seal, never a wrong
+//!   image.
+//!
+//! A plan is kept only while its source backs an image: [`ImageCache::purge`]
+//! drops the plans its eviction orphaned.
+//!
+//! The cache is internally synchronised, and planning and sealing happen
+//! **outside** the map lock behind in-progress markers: concurrent
+//! workers racing on the same program plan and seal it exactly once (the
+//! losers wait for the winner's plan or image), while workers sealing
+//! *different* programs — or merely looking up already-cached ones —
+//! proceed in parallel.
 //!
 //! # Examples
 //!
@@ -39,15 +51,15 @@
 //! # Ok::<(), sofia_transform::cache::SealError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use sofia_crypto::KeySet;
-use sofia_isa::asm;
+use sofia_isa::asm::{self, DEFAULT_RAM_SIZE};
 
 use crate::decode::fnv64;
-use crate::{BlockFormat, SecureImage, TransformError, Transformer};
+use crate::{BlockFormat, SealPlan, SecureImage, TransformError, DEFAULT_NONCE};
 
 /// Why [`ImageCache::get_or_seal`] failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,6 +90,10 @@ pub struct ImageCacheStats {
     pub misses: u64,
     /// Sealed images currently held.
     pub entries: usize,
+    /// Key-free plans currently held (one per source).
+    pub plans: usize,
+    /// Plans built: the lookups that found no plan for their source.
+    pub planned: u64,
 }
 
 enum Entry {
@@ -105,15 +121,27 @@ impl Entry {
     }
 }
 
+/// A source's key-free plan, or the marker of the worker building it.
+enum Plan {
+    /// Some worker is planning this source right now; wait on the
+    /// condvar.
+    Planning,
+    Ready(Arc<SealPlan>),
+}
+
 #[derive(Default)]
 struct State {
     map: HashMap<(u64, u64), Entry>,
+    /// One plan per source, by the full source text (the shared copy in
+    /// `sources`): every tenant's seal of a program starts from it.
+    plans: HashMap<Arc<str>, Plan>,
     /// One shared copy of each published source, by its fingerprint:
     /// every tenant that runs a program seals it under its own keys, so
     /// entries share the text instead of holding one copy each.
     sources: HashMap<u64, Arc<str>>,
     hits: u64,
     misses: u64,
+    planned: u64,
 }
 
 impl State {
@@ -129,13 +157,16 @@ impl State {
 }
 
 /// A thread-safe memo of secure installations, filed under
-/// [`image_key`] and matched on the full key material and source.
+/// [`image_key`] and matched on the full key material and source, beside
+/// the key-free plan of each source.
 ///
-/// All images are sealed with this cache's [`BlockFormat`] and the
-/// transformer's default nonce — callers wanting per-version nonces (the
-/// paper's version-separation argument) seal outside the cache.
+/// All images are sealed with this cache's [`BlockFormat`], for its
+/// target's RAM size, and with the transformer's default nonce — callers
+/// wanting per-version nonces (the paper's version-separation argument)
+/// seal outside the cache.
 pub struct ImageCache {
     format: BlockFormat,
+    ram_size: u32,
     inner: Mutex<State>,
     sealed: std::sync::Condvar,
 }
@@ -147,7 +178,8 @@ impl Default for ImageCache {
 }
 
 impl ImageCache {
-    /// An empty cache sealing with [`BlockFormat::default`].
+    /// An empty cache sealing with [`BlockFormat::default`] for a target
+    /// with the default data RAM ([`DEFAULT_RAM_SIZE`]).
     pub fn new() -> ImageCache {
         Self::with_format(BlockFormat::default())
     }
@@ -156,9 +188,18 @@ impl ImageCache {
     pub fn with_format(format: BlockFormat) -> ImageCache {
         ImageCache {
             format,
+            ram_size: DEFAULT_RAM_SIZE,
             inner: Mutex::new(State::default()),
             sealed: std::sync::Condvar::new(),
         }
+    }
+
+    /// Seals for a target whose data RAM holds `ram_size` bytes: a
+    /// program whose data section is larger is refused before its
+    /// section is allocated.
+    pub fn with_ram_size(mut self, ram_size: u32) -> ImageCache {
+        self.ram_size = ram_size;
+        self
     }
 
     /// Whether a **ready** image sealed for exactly `(keys, source)` is
@@ -186,7 +227,8 @@ impl ImageCache {
     /// # Errors
     ///
     /// Returns [`SealError`] if the source does not parse or the
-    /// transformer rejects it. Failures are not cached — a later retry
+    /// transformer rejects it (a data section larger than the target's
+    /// RAM among them). Failures are not cached — a later retry
     /// re-attempts the installation.
     ///
     /// # Panics
@@ -240,20 +282,31 @@ impl ImageCache {
                 }
             }
         };
+        // Reuse the source's plan, wait for whoever is planning it, or
+        // claim it.
+        let planned = loop {
+            match state.plans.get(source) {
+                Some(Plan::Ready(plan)) => break Some(Arc::clone(plan)),
+                Some(Plan::Planning) => {
+                    state = self.sealed.wait(state).expect("image cache poisoned");
+                }
+                None => {
+                    let text = state.intern(key.1, source);
+                    state.plans.insert(text, Plan::Planning);
+                    break None;
+                }
+            }
+        };
         drop(state);
 
-        // Seal outside the lock: expensive installs for different
-        // programs run in parallel, and cache hits never queue behind an
-        // in-progress seal of something else.
-        let image = asm::parse(source)
-            .map_err(|e| SealError::Parse(e.to_string()))
-            .and_then(|module| {
-                Transformer::new(keys.clone())
-                    .with_format(self.format)
-                    .transform(&module)
-                    .map(Arc::new)
-                    .map_err(SealError::Transform)
-            });
+        // Plan and seal outside the lock: expensive installs for
+        // different programs run in parallel, and cache hits never queue
+        // behind an in-progress install of something else.
+        let plan = match planned {
+            Some(plan) => Ok(plan),
+            None => self.plan(key.1, source),
+        };
+        let image = plan.map(|plan| Arc::new(plan.seal(keys, DEFAULT_NONCE)));
 
         let mut state = self.inner.lock().expect("image cache poisoned");
         let claimed = claimed && matches!(state.map.get(&key), Some(Entry::Sealing));
@@ -287,9 +340,45 @@ impl ImageCache {
         }
     }
 
+    /// Builds the plan of `source` (fingerprint `fp`) under this caller's
+    /// claim, then publishes it, or on failure releases the claim and the
+    /// text interned for it (failures are not cached), and wakes whoever
+    /// waits for it.
+    fn plan(&self, fp: u64, source: &str) -> Result<Arc<SealPlan>, SealError> {
+        let plan = asm::parse(source)
+            .map_err(|e| SealError::Parse(e.to_string()))
+            .and_then(|module| {
+                SealPlan::new(&module, self.format, self.ram_size)
+                    .map(Arc::new)
+                    .map_err(SealError::Transform)
+            });
+        let mut state = self.inner.lock().expect("image cache poisoned");
+        match &plan {
+            Ok(plan) => {
+                state.planned += 1;
+                if let Some(slot) = state.plans.get_mut(source) {
+                    *slot = Plan::Ready(Arc::clone(plan));
+                }
+            }
+            Err(_) => {
+                state.plans.remove(source);
+                if state
+                    .sources
+                    .get(&fp)
+                    .is_some_and(|t| Arc::strong_count(t) == 1)
+                {
+                    state.sources.remove(&fp);
+                }
+            }
+        }
+        self.sealed.notify_all();
+        plan
+    }
+
     /// Drops every image sealed under `keys` (tenant eviction), returning
-    /// how many entries were removed. Outstanding `Arc`s keep their
-    /// images alive; the cache just stops serving them.
+    /// how many entries were removed, and every plan whose source no
+    /// longer backs an image. Outstanding `Arc`s keep their images
+    /// alive; the cache just stops serving them.
     ///
     /// # Panics
     ///
@@ -299,6 +388,12 @@ impl ImageCache {
         let mut state = self.inner.lock().expect("image cache poisoned");
         let before = state.map.len();
         state.map.retain(|&(key_fp, _), _| key_fp != fp);
+        // Plans go first: their keys share the texts whose count prunes
+        // `sources`. One being built stays for whoever waits on it.
+        let live: HashSet<u64> = state.map.keys().map(|&(_, src_fp)| src_fp).collect();
+        state.plans.retain(|text, plan| {
+            matches!(plan, Plan::Planning) || live.contains(&fnv64(text.as_bytes()))
+        });
         state.sources.retain(|_, text| Arc::strong_count(text) > 1);
         // In-flight seals for the purged domain lost their claim: wake
         // their waiters (they will re-claim), and the sealer itself will
@@ -322,6 +417,12 @@ impl ImageCache {
                 .values()
                 .filter(|e| matches!(e, Entry::Ready(_)))
                 .count(),
+            plans: state
+                .plans
+                .values()
+                .filter(|p| matches!(p, Plan::Ready(_)))
+                .count(),
+            planned: state.planned,
         }
     }
 }
@@ -397,7 +498,9 @@ mod tests {
             ImageCacheStats {
                 hits: 1,
                 misses: 2,
-                entries: 2
+                entries: 2,
+                plans: 2,
+                planned: 2,
             }
         );
     }
@@ -452,8 +555,60 @@ mod tests {
         let keys = KeySet::from_seed(3);
         let err = cache.get_or_seal(&keys, "main: bogus t9").unwrap_err();
         assert!(matches!(err, SealError::Parse(_)), "{err}");
-        assert_eq!(cache.stats().entries, 0);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.plans, s.planned), (0, 0, 0));
+        assert!(cache.inner.lock().unwrap().sources.is_empty());
         assert!(cache.get_or_seal(&keys, "main: halt").is_ok());
+    }
+
+    #[test]
+    fn tenants_share_one_plan_of_a_source() {
+        let cache = ImageCache::new();
+        let (t1, t2) = (KeySet::from_seed(1), KeySet::from_seed(2));
+        let a = cache.get_or_seal(&t1, "main: li t0, 9\n halt").unwrap();
+        let b = cache.get_or_seal(&t2, "main: li t0, 9\n halt").unwrap();
+        assert_ne!(a.ctext, b.ctext);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries, s.plans, s.planned), (2, 2, 1, 1));
+    }
+
+    #[test]
+    fn purging_every_tenant_drops_every_plan() {
+        let cache = ImageCache::new();
+        let tenants: Vec<KeySet> = (1..=3).map(KeySet::from_seed).collect();
+        for keys in &tenants {
+            cache.get_or_seal(keys, "main: halt").unwrap();
+            cache.get_or_seal(keys, "main: nop\n halt").unwrap();
+        }
+        cache
+            .get_or_seal(&tenants[0], "main: li t0, 1\n halt")
+            .unwrap();
+        assert_eq!(cache.stats().plans, 3);
+        cache.purge(&tenants[0]);
+        // The third source backed only the first tenant's image.
+        assert_eq!(cache.stats().plans, 2);
+        for keys in &tenants[1..] {
+            cache.purge(keys);
+        }
+        let s = cache.stats();
+        assert_eq!((s.plans, s.entries), (0, 0));
+        assert!(cache.inner.lock().unwrap().sources.is_empty());
+    }
+
+    #[test]
+    fn a_data_section_larger_than_ram_is_refused() {
+        let src = "main: halt\n.data\n.space 0x1000";
+        let err = ImageCache::new()
+            .with_ram_size(0xFFF)
+            .get_or_seal(&KeySet::from_seed(4), src)
+            .unwrap_err();
+        let want = TransformError::DataTooLarge {
+            bytes: 0x1000,
+            ram_size: 0xFFF,
+        };
+        assert_eq!(err, SealError::Transform(want));
+        let fits = ImageCache::new().with_ram_size(0x1000);
+        assert!(fits.get_or_seal(&KeySet::from_seed(4), src).is_ok());
     }
 
     #[test]
@@ -495,6 +650,33 @@ mod tests {
         assert!(!Arc::ptr_eq(&b, &again));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 3, 1));
+    }
+
+    #[test]
+    fn concurrent_tenants_plan_a_source_once() {
+        const TENANTS: u64 = 6;
+        let cache = ImageCache::new();
+        // Every thread's first request leaves the barrier together, so
+        // they race for the plan.
+        let start = std::sync::Barrier::new(TENANTS as usize);
+        std::thread::scope(|scope| {
+            for seed in 0..TENANTS {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    let keys = KeySet::from_seed(seed);
+                    start.wait();
+                    for _ in 0..4 {
+                        cache.get_or_seal(&keys, "main: li t0, 5\n halt").unwrap();
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.planned, 1, "planned more than once: {s:?}");
+        assert_eq!(
+            (s.plans, s.misses, s.entries),
+            (1, TENANTS, TENANTS as usize)
+        );
     }
 
     #[test]

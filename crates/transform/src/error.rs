@@ -27,6 +27,14 @@ pub enum TransformError {
         /// Source line.
         line: usize,
     },
+    /// The data section does not fit in the data RAM the program is
+    /// sealed for; refused before the section is allocated.
+    DataTooLarge {
+        /// Length of the laid-out data section.
+        bytes: u32,
+        /// The target's data RAM size.
+        ram_size: u32,
+    },
     /// An invalid [`crate::BlockFormat`].
     BadFormat(String),
     /// The program is empty.
@@ -50,6 +58,10 @@ impl fmt::Display for TransformError {
                     "line {line}: indirect transfer uses reserved scratch register k0"
                 )
             }
+            TransformError::DataTooLarge { bytes, ram_size } => write!(
+                f,
+                "data section of {bytes} bytes exceeds the {ram_size}-byte RAM"
+            ),
             TransformError::BadFormat(msg) => write!(f, "invalid block format: {msg}"),
             TransformError::EmptyProgram => write!(f, "program has no instructions"),
         }

@@ -14,7 +14,16 @@
 //!    control-flow-edge counter `{ω ‖ prevPC ‖ PC}` (MAC-then-Encrypt).
 //!
 //! The pipeline is: lower (indirect-dispatch ladders, single-exit
-//! normalisation) → CFG → pack → mux trees → seal.
+//! normalisation) → CFG → pack → mux trees → resolve → MAC → CTR.
+//!
+//! Plan once per source, seal once per key. As in the paper's deployment
+//! model, the software provider lays a program out once and devices
+//! differ only in their keys: everything up to operand resolution is
+//! key-free and is one [`SealPlan`]; only the CBC-MAC (`k2`/`k3`) and
+//! the CTR pass (`k1`) use a device's keys ([`SealPlan::seal`]).
+//! [`Transformer::transform`] is the two in a row, and
+//! [`cache::ImageCache`] keeps one plan per source beside one image per
+//! `(keys, source)` pair.
 //!
 //! # Examples
 //!
@@ -60,11 +69,14 @@ pub use error::TransformError;
 pub use fipac::{install_fipac, FipacImage};
 pub use format::{BlockFormat, BlockKind, MAX_BLOCK_WORDS, RESET_PREV_PC, UNREACHABLE_PREV_PC};
 pub use image::{SecureImage, TransformReport};
+pub use seal::SealPlan;
 pub use sponge::{seal_sponge, SpongeImage};
 
-use sofia_cfg::Cfg;
 use sofia_crypto::{KeySet, Nonce};
-use sofia_isa::asm::Module;
+use sofia_isa::asm::{Module, DEFAULT_RAM_SIZE};
+
+/// The nonce ω of an installer that is given none.
+const DEFAULT_NONCE: Nonce = Nonce::new(1);
 
 /// The secure installer: holds device keys and installation parameters.
 ///
@@ -88,11 +100,13 @@ pub struct Transformer {
 
 impl Transformer {
     /// Creates an installer with the given device keys, nonce ω = 1 and
-    /// the paper's default 8-word block format.
+    /// the paper's default 8-word block format, for a target with the
+    /// machines' default data RAM ([`DEFAULT_RAM_SIZE`]); a target with
+    /// another RAM size seals through [`SealPlan::new`].
     pub fn new(keys: KeySet) -> Transformer {
         Transformer {
             keys,
-            nonce: Nonce::new(1),
+            nonce: DEFAULT_NONCE,
             format: BlockFormat::default(),
         }
     }
@@ -114,34 +128,19 @@ impl Transformer {
         self.format
     }
 
-    /// Securely installs a module: lower → analyse → pack → trees → seal.
+    /// Securely installs a module: [`SealPlan::new`] (lower → analyse →
+    /// pack → trees → resolve), then [`SealPlan::seal`] under this
+    /// installer's keys and nonce.
     ///
     /// # Errors
     ///
     /// Rejects programs whose control flow cannot be modelled precisely
-    /// (undeclared indirect transfers, transfers into data, fall-off-end)
-    /// and programs whose layout violates encoding ranges; see
-    /// [`TransformError`].
+    /// (undeclared indirect transfers, transfers into data, fall-off-end),
+    /// programs whose layout violates encoding ranges and data sections
+    /// larger than the default RAM; see [`TransformError`].
     pub fn transform(&self, module: &Module) -> Result<SecureImage, TransformError> {
-        self.format.validate().map_err(TransformError::BadFormat)?;
-        if module.text.is_empty() {
-            return Err(TransformError::EmptyProgram);
-        }
-        let source_instructions = module.text.len();
-        let lowered = lower::lower(module)?;
-        let cfg = Cfg::build(&lowered)?;
-        let mut packed = pack::pack(&lowered, &cfg, &self.format);
-        let trees = mux::build_trees(&mut packed, &self.format);
-        seal::seal(seal::SealInput {
-            module: &lowered,
-            cfg: &cfg,
-            packed: &packed,
-            trees: &trees,
-            format: &self.format,
-            keys: &self.keys,
-            nonce: self.nonce,
-            source_instructions,
-        })
+        let plan = SealPlan::new(module, self.format, DEFAULT_RAM_SIZE)?;
+        Ok(plan.seal(&self.keys, self.nonce))
     }
 }
 

@@ -200,3 +200,29 @@ fn async_driver_contains_a_panicking_tenant() {
         assert!(more[0].outcome.is_halted());
     }
 }
+
+/// A data section larger than the lanes' RAM is refused by the seal, as a
+/// `SealFailed` record, instead of panicking the lane that builds its
+/// machine; with RAM to hold it, the same job runs. The fleet seals for
+/// its own `SofiaConfig`'s RAM size.
+#[test]
+fn a_data_section_larger_than_ram_fails_its_seal() {
+    let src = "main: li t0, 7\n li a0, 0xFFFF0000\n sw t0, 0(a0)\n halt\n.data\n.space 0x200000";
+    let tenant = bystander_tenants().remove(0);
+    let job = JobSpec::new(tenant.0, src, 50_000);
+    let mix = Mix::new(vec![tenant], vec![job]);
+    for (ram_size, fits) in [(1 << 20, false), (4 << 20, true)] {
+        let mut config = batch_config(1, SchedMode::RunToCompletion, Suspend);
+        config.sofia.machine.ram_size = ram_size;
+        let (_, records) = common::run_batch(&mix, config);
+        let outcome = &records[0].outcome;
+        if fits {
+            assert_eq!(records[0].out_words, vec![7], "{outcome:?}");
+        } else {
+            assert!(
+                matches!(outcome, JobOutcome::SealFailed(e) if e.contains("DataTooLarge")),
+                "{outcome:?}"
+            );
+        }
+    }
+}
